@@ -7,7 +7,7 @@ from .channel import (FadingModel, LinkGeometry, OperatingPoint,
                       moment_composite, pdf_composite, pdf_pointing,
                       pdf_turbulence, rytov_variance, sample_composite,
                       snr_electrical, snr_optical, watts_to_dbm)
-from .errorrates import (ErrorRateCurve, NoCrossingError, SerExpressionKind,
+from .errorrates import (ErrorRateCurve, NoCrossingError,
                          avg_ber_mpam, avg_ber_ook_approx_piecewise,
                          avg_ber_ook_approx_simple, avg_ber_ook_exact,
                          avg_ser_approx, avg_ser_dense,
@@ -20,7 +20,6 @@ from .montecarlo import (McConfig, McEstimate, brgc_decode, brgc_encode,
                          ml_detect, simulate)
 from .quadrature import (BracketError, QuadratureError, QuadratureSpec,
                          find_crossing, integrate)
-from .specfun import (ErfcApproxKind, erfc, erfc_piecewise_approx,
-                      erfc_simple_tail, q_function)
+from .specfun import erfc, erfc_piecewise_approx, erfc_simple_tail, q_function
 
 __version__ = "0.1.0"

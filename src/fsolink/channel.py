@@ -1,7 +1,8 @@
 """Deterministic and stochastic channel gains for an IM/DD free-space optical
 link: Beer-Lambert loss, geometric spread, log-normal turbulence, Rayleigh
-pointing jitter, the composite gain PDF and moments, SNR definitions, and a
-reproducible sampler for Monte Carlo use.
+pointing jitter, the composite gain PDF and moments, the averaging engine
+over that PDF, SNR definitions, and a reproducible sampler for Monte Carlo
+use.
 
 Unit conventions: all lengths in metres internally; the atmospheric
 attenuation coefficient is applied directly in the Beer-Lambert exponent with
@@ -180,6 +181,13 @@ class FadingModel:
         return self.hg_hl * self.kappa * math.exp(-self.mu)
 
 
+def power_error(p_watts: float) -> ValueError | None:
+    """The error of a transmit power that is not positive and finite, or None."""
+    if not math.isfinite(p_watts) or p_watts <= 0.0:
+        return ValueError("transmit power must be positive and finite")
+    return None
+
+
 @dataclass(frozen=True)
 class OperatingPoint:
     """Everything an average error-rate computation needs."""
@@ -193,8 +201,9 @@ class OperatingPoint:
         m = self.modulation_order_m
         if m < 2 or (m & (m - 1)) != 0:
             raise ValueError("modulation order must be a power of two >= 2")
-        if self.transmit_power_p <= 0.0:
-            raise ValueError("transmit power must be positive")
+        error = power_error(self.transmit_power_p)
+        if error is not None:
+            raise error
         if self.fading.geometry is not self.geometry and self.fading.geometry != self.geometry:
             raise ValueError("fading model was derived from a different geometry")
 
@@ -256,80 +265,150 @@ def pdf_composite(h, model: FadingModel):
     return float(out) if out.ndim == 0 else out
 
 
-def _composite_transform_constants(model: FadingModel):
-    g2 = model.gamma**2
-    sig2 = model.sigma2
-    h_hat = model.h_hat
-    # combined exponent of prefactor * h_hat^gamma^2
-    log_amp = -(g2 * g2) * sig2 / 2.0
-    return g2, sig2, h_hat, log_amp
+# ---------------------------------------------------------------------------
+# averages over the composite density, for many conditionals at once
+
+# argument beyond which exp(-x^2) terms are treated as exactly zero
+ARG_CUTOFF = 30.0
+
+
+@dataclass(frozen=True)
+class LogGainParams:
+    """Constants of the composite density in log-gain coordinates."""
+
+    g2: float          # gamma^2
+    sig2: float        # log variance
+    h_hat: float
+    log_amp: float     # combined log prefactor exponent: -gamma^4 sigma^2 / 2
+    sqrt2s: float
+    y_star: float      # centre of the Gaussian bump above h_hat
+    y_top: float       # its upper end, 45 standard deviations above the centre
+
+
+def log_gain_params(fm: FadingModel) -> LogGainParams:
+    g2, sig2 = fm.gamma**2, fm.sigma2
+    return LogGainParams(g2, sig2, fm.h_hat, -(g2 * g2) * sig2 / 2.0, math.sqrt(2.0 * sig2),
+                         g2 * sig2, g2 * sig2 + 45.0 * math.sqrt(sig2))
+
+
+def y_splits(par: LogGainParams, extra=()):
+    """Splits of the upper piece at y* + k sigma (k = -6, -3, 0, 3, 6) and at extra."""
+    s = math.sqrt(par.sig2)
+    base = {par.y_star + k * s for k in (-6, -3, 0, 3, 6)}
+    base.update(extra)
+    return tuple(p for p in sorted(base) if p > 0.0)
+
+
+def low_w_splits(s_hat: float):
+    """Splits around the onset of decay of exp(-(s_hat e^-w)^2) below h_hat."""
+    if s_hat <= 1.0:
+        return ()
+    w_c = math.log(s_hat)
+    return (w_c / 2.0, w_c, 2.0 * w_c)
+
+
+def y_cut(s_hat: float) -> float:
+    """Upper y beyond which exp(-(s_hat e^y)^2) underflows."""
+    if s_hat <= 0:
+        return math.inf
+    return math.log(ARG_CUTOFF / s_hat) if s_hat < math.inf else -math.inf
+
+
+# the density's erfc factor as a pair: erfc(v) for v <= 0 below h_hat, and
+# exp(v^2) erfc(v) for v >= 0 above it, its exp(-v^2) being folded into the
+# Gaussian bump
+EXACT_WEIGHT = (erfc, special.erfcx)
+
+
+def density_average(fm: FadingModel, u, weight, cond, scale: float = 1.0,
+                    h_power: float = 0.0, y_lo: float = 0.0, y_extra=(),
+                    y_cap: float = math.inf):
+    """The average of h^h_power cond(h, u) over the composite density, for
+    each entry of u at once; cond decays on the h-scale scale / u.
+
+    weight is the density's erfc factor as a pair (lower form, upper form),
+    EXACT_WEIGHT or an approximation of it; without a lower form (None) the
+    lower piece is dropped. Below h_hat the integral runs in
+    w = -ln(h / h_hat) over [0, 700 / g2] against e^(-(g2 + h_power) w)
+    times the lower form at -w / sqrt(2 sig2); above it in y = ln(h / h_hat)
+    over [y_lo, y_up] against the Gaussian bump
+    e^(-(y - y*)^2 / (2 sig2) + h_power y) times the upper form at
+    y / sqrt(2 sig2). With s_hat = u h_hat / scale, the lower piece is split
+    by low_w_splits and y_up is y_cut, capped at y* + 45 sigma and at y_cap;
+    the upper piece is split by y_splits with y_extra. cond receives the
+    gains as an array and u as a matching column. Every piece of every
+    entry is integrated in one quadrature.integrate_panels batch.
+
+    Returns (values, errors): errors[i] is None, or the QuadratureError of
+    entry i, whose value is then nan.
+    """
+    par = log_gain_params(fm)
+    w_low, w_high = weight
+    splits_up = y_splits(par, y_extra)
+    lo, hi, owner, is_low = [], [], [], []
+    for i, s_hat in enumerate(x * par.h_hat / scale for x in u):
+        pieces = [] if w_low is None else [(True, 0.0, 700.0 / par.g2, low_w_splits(s_hat))]
+        y_up = min(par.y_top, y_cut(s_hat), y_cap)
+        if y_up > y_lo:
+            pieces.append((False, y_lo, y_up, splits_up))
+        for low, a, b, splits in pieces:
+            edges = [a, *sorted(p for p in splits if a < p < b), b]
+            lo += edges[:-1]
+            hi += edges[1:]
+            owner += [i] * (len(edges) - 1)
+            is_low += [low] * (len(edges) - 1)
+    u, owner, is_low = np.array(u, dtype=float), np.array(owner, dtype=np.intp), np.array(is_low)
+
+    def integrand(x, root):
+        out = np.empty_like(x)
+        u_col = u[owner[root]][:, None]
+        low = is_low[root]
+        if low.any():
+            w = x[low]
+            out[low] = (np.exp(par.log_amp - (par.g2 + h_power) * w) * w_low(-w / par.sqrt2s)
+                        * cond(par.h_hat * np.exp(-w), u_col[low]))
+        if not low.all():
+            y = x[~low]
+            out[~low] = (np.exp(-((y - par.y_star) ** 2) / (2.0 * par.sig2) + h_power * y)
+                         * w_high(y / par.sqrt2s) * cond(par.h_hat * np.exp(y), u_col[~low]))
+        return out
+
+    value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
+    value *= par.g2 / 2.0 * par.h_hat**h_power
+    errors = [None if good else quadrature.QuadratureError(
+        "no convergence within the panel budget" if math.isfinite(v + e)
+        else "integrand produced a non-finite value", value=v, error_estimate=e)
+        for good, v, e in zip(ok, value.tolist(), error.tolist())]
+    value[~ok] = math.nan
+    return value.tolist(), errors
+
+
+def single_value(result) -> float:
+    """The value of a one-entry (values, errors) result, as density_average
+    returns them; raises its error."""
+    (value,), (error,) = result
+    if error is not None:
+        raise error
+    return value
 
 
 def composite_expectation(model: FadingModel, func=None, spec=None,
                           h_cutoff: float | None = None) -> float:
-    """E[func(H)] under pdf_composite, via substituted quadrature.
+    """E[func(H)] under pdf_composite, by density_average with EXACT_WEIGHT.
 
-    Splits at h_hat; below it integrates in w = -ln(h / h_hat) against the
-    exponential weight, above it in y = ln(h / h_hat) where the density
-    weight is a Gaussian bump centered at gamma^2 sigma^2. func defaults to
-    1 (normalization). h_cutoff truncates the upper tail when func is known
-    to vanish beyond it.
+    func receives an array of gains and returns an array of the same shape,
+    or a scalar; it defaults to 1 (normalization). h_cutoff truncates the
+    upper tail when func is known to vanish beyond it. spec is accepted and
+    not used. Raises QuadratureError when the integral does not converge.
     """
-    if func is None:
-        func = lambda h: 1.0
-    g2, sig2, h_hat, log_amp = _composite_transform_constants(model)
-    sqrt2s = math.sqrt(2.0 * sig2)
-    amp = math.exp(log_amp)
-
-    # lower piece: h = h_hat exp(-w)
-    def f_low(w):
-        v = -w / sqrt2s
-        return math.exp(-g2 * w) * erfc(v) * func(h_hat * math.exp(-w))
-
-    w_max = 700.0 / g2
-    spec_low = quadrature.QuadratureSpec(
-        rel_tol=1e-11, abs_tol=1e-300,
-        split_points=_low_splits(model, h_cutoff, w_max),
-    )
-    low, _ = quadrature.integrate(f_low, 0.0, w_max, spec_low)
-
-    # upper piece: h = h_hat exp(y); weight exp(-(y - g2 sig2)^2 / (2 sig2)) erfcx(v)
-    y_star = g2 * sig2
-    y_up = y_star + 45.0 * math.sqrt(sig2)
-    if h_cutoff is not None:
-        if h_cutoff <= h_hat:
-            return g2 / 2.0 * amp * low
-        y_up = min(y_up, math.log(h_cutoff / h_hat))
-
-    def f_high(y):
-        v = y / sqrt2s
-        return (
-            math.exp(-((y - y_star) ** 2) / (2.0 * sig2))
-            * special.erfcx(v)
-            * func(h_hat * math.exp(y))
-        )
-
-    splits = tuple(
-        p for p in sorted({max(y_star + k * math.sqrt(sig2), 0.0) for k in (-6, -3, 0, 3, 6)})
-        if 0.0 < p < y_up
-    )
-    spec_high = quadrature.QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, split_points=splits)
-    high, _ = quadrature.integrate(f_high, 0.0, y_up, spec_high)
-
-    # the Gaussian-bump form of the high piece already absorbed the
-    # log-amplitude via completing the square
-    return g2 / 2.0 * (amp * low + high)
-
-
-def _low_splits(model: FadingModel, h_cutoff, w_max):
-    """Split near the onset of func decay when a cutoff scale is known."""
-    if h_cutoff is None or h_cutoff <= 0:
-        return ()
-    h_hat = model.h_hat
-    if h_cutoff >= h_hat:
-        return ()
-    w_c = math.log(h_hat / h_cutoff)
-    return tuple(p for p in (w_c / 2.0, w_c, min(2.0 * w_c, w_max * 0.999)) if 0.0 < p < w_max)
+    if h_cutoff is not None and h_cutoff <= 0.0:
+        raise ValueError("h_cutoff must be positive")
+    # a cutoff places the lower splits as a conditional decaying on the
+    # h-scale h_cutoff would, and caps the upper piece at h_cutoff
+    u, y_cap = ((0.0, math.inf) if h_cutoff is None
+                else (1.0 / h_cutoff, math.log(h_cutoff / model.h_hat)))
+    cond = (lambda h, u: 1.0) if func is None else (lambda h, u: func(h))
+    return single_value(density_average(model, [u], EXACT_WEIGHT, cond, y_cap=y_cap))
 
 
 def moment_composite(model: FadingModel, order: int) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -20,7 +21,7 @@ from . import errorrates as er
 from .channel import (FadingModel, LinkGeometry, OperatingPoint, dbm_to_watts,
                       pdf_composite, snr_electrical, snr_optical)
 from .montecarlo import McConfig, simulate
-from .quadrature import BracketError, QuadratureError
+from .quadrature import QuadratureError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,8 +68,12 @@ class RunConfig:
         m = self.modulation_m
         if m < 2 or (m & (m - 1)) != 0:
             raise ConfigError("modulation_m must be a power of two >= 2")
-        if self.p_dbm_step <= 0 or self.p_dbm_max < self.p_dbm_min:
+        sweep = (self.p_dbm_min, self.p_dbm_max, self.p_dbm_step)
+        if (not all(math.isfinite(v) for v in sweep)
+                or self.p_dbm_step <= 0 or self.p_dbm_max < self.p_dbm_min):
             raise ConfigError("invalid power sweep range")
+        if self.n_symbols < 1:
+            raise ConfigError("n_symbols must be >= 1")
         unknown = set(self.expressions) - set(EXPRESSIONS)
         if unknown:
             raise ConfigError(f"unknown expressions: {sorted(unknown)}; "
@@ -107,13 +112,10 @@ class RunConfig:
         return [self.p_dbm_min + i * self.p_dbm_step for i in range(n)]
 
 
-EXPRESSIONS = {
-    "exact": er.avg_ser_exact,
-    "approx": er.avg_ser_approx,
-    "dense": er.avg_ser_dense,
-    "dense_highpower": er.avg_ser_dense_highpower,
-    "ook_simple": er.avg_ber_ook_approx_simple,
-}
+# the expressions the command line accepts. The commands look them up by name
+# in er.AVERAGES, whose functions have batch forms over transmit powers, so
+# replacing a value of this copy does not change what they compute.
+EXPRESSIONS = dict(er.AVERAGES)
 
 _INT_FIELDS = {"modulation_m", "n_symbols", "seed", "h_points"}
 _OPTIONAL_FLOAT_FIELDS = {"jitter_sigma_m", "jitter_angle_mrad"}
@@ -210,20 +212,23 @@ def cmd_pdf(cfg: RunConfig, out) -> int:
 
 def cmd_sweep(cfg: RunConfig, out) -> int:
     grid = cfg.power_grid()
+    op = cfg.operating_point()
+    watts = [dbm_to_watts(p) for p in grid]
     names = list(cfg.expressions)
+    columns = [er.averages_at_powers(er.AVERAGES[name], op, watts) for name in names]
     header = ["p_dbm", "snr_opt_db", "snr_elec_db"] + names + ["errors"]
     rows = []
     any_failure = False
-    for p in grid:
-        op = cfg.operating_point(p)
-        row = [_fmt_db(p), _fmt_db(snr_optical(op)), _fmt_db(snr_electrical(op))]
+    for i, (p, w) in enumerate(zip(grid, watts)):
+        op_p = op.with_power(w)
+        row = [_fmt_db(p), _fmt_db(snr_optical(op_p)), _fmt_db(snr_electrical(op_p))]
         errs = []
-        for name in names:
-            try:
-                row.append(_fmt_prob(EXPRESSIONS[name](op)))
-            except (QuadratureError, ValueError) as exc:
+        for name, (values, errors) in zip(names, columns):
+            if errors[i] is None:
+                row.append(_fmt_prob(values[i]))
+            else:
                 row.append("nan")
-                errs.append(f"{name}: {exc}")
+                errs.append(f"{name}: {errors[i]}")
                 any_failure = True
         row.append("; ".join(errs))
         rows.append(row)
@@ -240,20 +245,25 @@ def cmd_delta(cfg: RunConfig, out) -> int:
     rows = []
     any_failure = False
     try:
-        exact_curve = er.sweep_curve(op, er.avg_ser_exact, grid)
+        exact_curve = er.sweep_curve(op, er.AVERAGES["exact"], grid)
     except (QuadratureError, ValueError) as exc:
         _write_rows(out, header, [["", "", "", "", "", "", str(exc)]])
         return EXIT_NUMERIC
+
+    @functools.cache
+    def exact_crossing():
+        return er.crossing_power(exact_curve, threshold)
+
     for name in cfg.expressions:
         if name == "exact":
             continue
         row = [f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
                f"{name}-vs-exact", _fmt_prob(threshold)]
         try:
-            approx_curve = er.sweep_curve(op, EXPRESSIONS[name], grid)
-            d = er.delta_gap(exact_curve, approx_curve, threshold)
+            approx_curve = er.sweep_curve(op, er.AVERAGES[name], grid)
+            d = er.crossing_power(approx_curve, threshold) - exact_crossing()
             row += [_fmt_db(d), ""]
-        except (QuadratureError, BracketError, er.NoCrossingError, ValueError) as exc:
+        except (QuadratureError, ValueError) as exc:
             row += ["nan", str(exc)]
             any_failure = True
         rows.append(row)
@@ -267,12 +277,12 @@ def cmd_power_step(cfg: RunConfig, out, target_ser: float,
     header = ["m", "delta_p_db", "error"]
     rows = []
     any_failure = False
-    for m in range(m_min, m_max + 1):
-        try:
-            d = er.power_increase_for_next_bit(op, m, target_ser)
+    m_range = range(m_min, m_max + 1)
+    for m, d, error in zip(m_range, *er.power_steps(op, m_range, target_ser)):
+        if error is None:
             rows.append([str(m), _fmt_db(d), ""])
-        except (QuadratureError, BracketError, er.NoCrossingError, ValueError) as exc:
-            rows.append([str(m), "nan", str(exc)])
+        else:
+            rows.append([str(m), "nan", str(error)])
             any_failure = True
     rows.append(["dense_reference", _fmt_db(10.0 * math.log10(2.0)), ""])
     _write_rows(out, header, rows)

@@ -7,39 +7,34 @@ All averages are one-dimensional integrals after writing the inner Gaussian
 tails through erfc (an identity, not an approximation). The integrals are
 evaluated in log-gain coordinates split at the breakpoint h_hat, where the
 density weight becomes an exponential (below) and a Gaussian bump (above);
-this keeps every integrand bounded and smooth for adaptive quadrature. A
-nested mode re-computes the inner tails by quadrature for cross-validation.
+this keeps every integrand bounded and smooth. One engine,
+channel.density_average, evaluates every average for a whole array of
+transmit powers at once by batched Gauss-Kronrod quadrature; the expressions
+differ only in the erfc weight and the conditional function they pass to
+it. A nested mode re-computes the inner tails by QUADPACK quadrature for
+cross-validation.
 """
 
 from __future__ import annotations
 
-import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as _si
-from scipy import special
 
 from . import quadrature
-from .channel import OperatingPoint, watts_to_dbm, dbm_to_watts
-from .specfun import erfc, q_function
+from .channel import (ARG_CUTOFF, EXACT_WEIGHT, OperatingPoint, dbm_to_watts,
+                      density_average, log_gain_params, low_w_splits, power_error,
+                      single_value, y_cut, y_splits)
+from .quadrature import QuadratureError
+from .specfun import (erfc, erfc_piecewise_negative, erfc_piecewise_positive,
+                      erfc_simple_tail, erfcx_piecewise_approx, erfcx_simple_tail,
+                      q_function)
 
 _SQRT_PI = math.sqrt(math.pi)
-_FOUR_OVER_PI = 4.0 / math.pi
-_NEG_RATE = 2.0 * math.pi / math.sqrt(6.0)
-
-# argument beyond which exp(-x^2) terms are treated as exactly zero
-_ARG_CUTOFF = 30.0
-
-
-class SerExpressionKind(enum.Enum):
-    """Which average-SER evaluation path a curve belongs to."""
-
-    EXACT = "exact"
-    APPROX_PIECEWISE = "approx_piecewise"
-    DENSE = "dense"
-    DENSE_HIGH_POWER = "dense_high_power"
 
 
 # ---------------------------------------------------------------------------
@@ -80,275 +75,189 @@ def conditional_ber_approx(m_order: int, a_snr: float) -> float:
     return conditional_ser_pam(m_order, a_snr) / m_bits
 
 
-# ---------------------------------------------------------------------------
-# integration engine
-
-@dataclass(frozen=True)
-class _Params:
-    g2: float          # gamma^2
-    sig2: float        # log variance
-    h_hat: float
-    u: float           # eta P / sqrt(2 sigma_n^2)
-    log_amp: float     # combined log prefactor exponent: -gamma^4 sigma^2 / 2
-
-    @property
-    def sqrt2s(self) -> float:
-        return math.sqrt(2.0 * self.sig2)
-
-    @property
-    def y_star(self) -> float:
-        return self.g2 * self.sig2
-
-
-def _params(op: OperatingPoint) -> _Params:
-    fm = op.fading
+def _u(op: OperatingPoint, p_watts) -> list[float]:
+    """eta P / sqrt(2 sigma_n^2) at each transmit power P: the conditional erfc
+    argument per unit gain."""
     geo = op.geometry
-    g2 = fm.gamma**2
-    u = geo.eta * op.transmit_power_p / math.sqrt(2.0 * geo.noise_sigma_n**2)
-    return _Params(g2=g2, sig2=fm.sigma2, h_hat=fm.h_hat, u=u,
-                   log_amp=-(g2 * g2) * fm.sigma2 / 2.0)
+    return [geo.eta * p / math.sqrt(2.0 * geo.noise_sigma_n**2) for p in p_watts]
 
 
-def _neg_branch(w_over_sqrt2s: float) -> float:
-    """1 + (e^x - 1)/(e^x + 1) with x = 2 pi w / (sqrt(6) sqrt(2 sigma^2)) > 0,
-    written overflow-safe; this is the negative-branch erfc weight at v = -w/sqrt(2 sigma^2)."""
-    return 2.0 / (1.0 + math.exp(-_NEG_RATE * w_over_sqrt2s))
-
-
-def _pos_branch_denom(v: float) -> float:
-    return v + math.sqrt(v * v + _FOUR_OVER_PI)
-
+# ---------------------------------------------------------------------------
+# nested oracle: the exact SER with every erfc re-computed by QUADPACK
 
 def _gauss_tail(x: float) -> float:
     """Independent quadrature of the upper Gaussian tail integral of exp(-t^2)."""
-    if x > _ARG_CUTOFF:
+    if x > ARG_CUTOFF:
         return 0.0
     val, _ = _si.quad(lambda t: math.exp(-t * t), x, math.inf,
                       epsabs=1e-300, epsrel=1e-13, limit=500)
     return val
 
 
-def _erfc_eval(x: float, nested: bool) -> float:
-    if nested:
-        return 2.0 / _SQRT_PI * _gauss_tail(x)
-    return erfc(x)
+def _erfc_nested(x: float) -> float:
+    return 2.0 / _SQRT_PI * _gauss_tail(x)
 
 
-def _erfcx_eval(v: float, nested: bool) -> float:
-    if not nested:
-        return special.erfcx(v)
+def _erfcx_nested(v: float) -> float:
     if v > 25.0:
         # tail region carries negligible Gaussian-bump weight; one-term form
         return 1.0 / (v * _SQRT_PI)
     return 2.0 / _SQRT_PI * math.exp(v * v) * _gauss_tail(v)
 
 
-def _integrate_low(par: _Params, f, w_splits=(), rel_tol=1e-11):
-    """integral over (0, h_hat] of h^(g2-1) f(w) dh in w = -ln(h/h_hat),
-    returned without the h_hat^g2 factor: equals integral of e^(-g2 w) f(w) dw."""
-    w_max = 700.0 / par.g2
-    splits = tuple(sorted(p for p in w_splits if 0.0 < p < w_max))
-    spec = quadrature.QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-300,
-                                     max_subdivisions=2000, split_points=splits)
-    val, _ = quadrature.integrate(f, 0.0, w_max, spec)
-    return val
-
-
-def _integrate_high(par: _Params, f, y_up, y_splits=(), y_lo=0.0, rel_tol=1e-11):
-    if y_up <= y_lo:
+def _integrate_nested(f, lo, hi, splits):
+    if hi <= lo:
         return 0.0
-    splits = tuple(sorted(p for p in y_splits if y_lo < p < y_up))
-    spec = quadrature.QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-300,
-                                     max_subdivisions=2000, split_points=splits)
-    val, _ = quadrature.integrate(f, y_lo, y_up, spec)
+    spec = quadrature.QuadratureSpec(
+        rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=2000,
+        split_points=tuple(sorted(p for p in splits if lo < p < hi)))
+    val, _ = quadrature.integrate(f, lo, hi, spec)
     return val
 
 
-def _default_y_splits(par: _Params, extra=()):
-    s = math.sqrt(par.sig2)
-    base = {par.y_star + k * s for k in (-6, -3, 0, 3, 6)}
-    base.update(extra)
-    return tuple(p for p in sorted(base) if p > 0.0)
-
-
-def _low_w_splits(par: _Params, scale: float):
-    """Splits around the onset of decay of exp(-(u h / scale)^2) below h_hat."""
-    s_hat = par.u * par.h_hat / scale
-    if s_hat <= 1.0:
-        return ()
-    w_c = math.log(s_hat)
-    return (w_c / 2.0, w_c, 2.0 * w_c)
-
-
-def _y_cut(par: _Params, scale: float) -> float:
-    """Upper y beyond which exp(-(u h / scale)^2) underflows."""
-    s_hat = par.u * par.h_hat / scale
-    return math.log(_ARG_CUTOFF / s_hat) if s_hat > 0 else math.inf
-
-
-# ---------------------------------------------------------------------------
-# average expressions
-
-def _avg_conditional_over_pdf(op: OperatingPoint, cond, scale: float,
-                              nested: bool = False) -> float:
-    """integral of cond(h) * f_H(h) dh; cond decays on the h-scale scale/u."""
-    par = _params(op)
+def _avg_ser_nested(op: OperatingPoint) -> float:
+    m_order = op.modulation_order_m
+    par = log_gain_params(op.fading)
+    (u,) = _u(op, [op.transmit_power_p])
+    coeff = (m_order - 1) / m_order
+    scale = float(m_order - 1)
+    s_hat = u * par.h_hat / scale
     sqrt2s = par.sqrt2s
+
+    def cond(h):
+        return coeff * _erfc_nested(u * h / scale)
 
     def f_low(w):
         v = -w / sqrt2s
         h = par.h_hat * math.exp(-w)
-        return math.exp(-par.g2 * w) * _erfc_eval(v, nested) * cond(h)
+        return math.exp(-par.g2 * w) * _erfc_nested(v) * cond(h)
 
-    low = _integrate_low(par, f_low, w_splits=_low_w_splits(par, scale))
-
-    y_up = min(par.y_star + 45.0 * math.sqrt(par.sig2), _y_cut(par, scale))
+    low = _integrate_nested(f_low, 0.0, 700.0 / par.g2, low_w_splits(s_hat))
 
     def f_high(y):
         v = y / sqrt2s
         h = par.h_hat * math.exp(y)
         return (math.exp(-((y - par.y_star) ** 2) / (2.0 * par.sig2))
-                * _erfcx_eval(v, nested) * cond(h))
+                * _erfcx_nested(v) * cond(h))
 
-    high = _integrate_high(par, f_high, y_up, _default_y_splits(par))
+    high = _integrate_nested(f_high, 0.0, min(par.y_top, y_cut(s_hat)), y_splits(par))
     return par.g2 / 2.0 * (math.exp(par.log_amp) * low + high)
 
 
-def avg_ser_exact(op: OperatingPoint, nested: bool = False) -> float:
-    """Exact average SER for M-PAM over the composite channel."""
+# ---------------------------------------------------------------------------
+# average expressions. Each is a batch over transmit powers,
+# batch(op, p_watts) -> (values, errors) as channel.density_average returns
+# them, and a one-power call op -> value at op's own power.
+
+# the erfc weight pairs of the approximations; see channel.EXACT_WEIGHT
+_PIECEWISE = (erfc_piecewise_negative, erfcx_piecewise_approx)
+_SIMPLE_TAIL = (None, erfcx_simple_tail)
+
+_BATCHED = {}  # one-power call -> its batch
+
+
+def _one_power(batch):
+    """The one-power call of batch, which carries batch's name without its
+    leading underscore and batch's docstring."""
+    def average(op: OperatingPoint) -> float:
+        return single_value(batch(op, [op.transmit_power_p]))
+
+    average.__name__ = average.__qualname__ = batch.__name__.lstrip("_")
+    average.__doc__ = batch.__doc__
+    _BATCHED[average] = batch
+    return average
+
+
+def _ser(op, p_watts, weight, erfc_form, dense: bool = False):
+    """Average SER with erfc_form in the conditional SER; dense replaces its
+    M - 1 by M."""
     m_order = op.modulation_order_m
-    par = _params(op)
-    coeff = (m_order - 1) / m_order
-    scale = float(m_order - 1)
+    coeff, scale = ((1.0, float(m_order)) if dense
+                    else ((m_order - 1) / m_order, float(m_order - 1)))
+    return density_average(op.fading, _u(op, p_watts), weight,
+                           lambda h, u: coeff * erfc_form(u * h / scale), scale)
 
-    def cond(h):
-        return coeff * _erfc_eval(par.u * h / scale, nested)
 
-    return _avg_conditional_over_pdf(op, cond, scale, nested=nested)
+def _require_ook(op: OperatingPoint):
+    if op.modulation_order_m != 2:
+        raise ValueError("OOK expressions require M = 2")
+
+
+def _ser_exact(op, p_watts):
+    return _ser(op, p_watts, EXACT_WEIGHT, erfc)
+
+
+def avg_ser_exact(op: OperatingPoint, nested: bool = False) -> float:
+    """Exact average SER for M-PAM over the composite channel.
+
+    nested=True re-computes every erfc by QUADPACK quadrature of the Gaussian
+    tail instead: a slow, independent check of the batched engine.
+    """
+    if nested:
+        return _avg_ser_nested(op)
+    return single_value(_ser_exact(op, [op.transmit_power_p]))
+
+
+_BATCHED[avg_ser_exact] = _ser_exact
 
 
 def avg_ber_ook_exact(op: OperatingPoint, nested: bool = False) -> float:
     """Exact average OOK BER (the M = 2 case of the exact SER)."""
-    if op.modulation_order_m != 2:
-        raise ValueError("OOK expressions require M = 2")
+    _require_ook(op)
     return avg_ser_exact(op, nested=nested)
 
 
-def _avg_ser_piecewise(op: OperatingPoint, scale: float, prefactor: float,
-                       high_power_form: bool = False) -> float:
-    """Common engine for the piecewise-erfc approximations.
-
-    Evaluates prefactor * [ integral_0^h_hat + integral_h_hat^inf ] with the
-    negative-branch weight below h_hat and the rational positive-branch
-    weights above, with exp(-(u h / scale)^2) decay in both. The
-    high-power form drops the 4/pi guard in the signal factor and carries
-    h^(g2-2) instead of h^(g2-1).
-    """
-    par = _params(op)
-    sqrt2s = par.sqrt2s
-    u_s = par.u / scale
-
-    def signal_factor(h):
-        s = u_s * h
-        if s > _ARG_CUTOFF:
-            return 0.0
-        if high_power_form:
-            return math.exp(-s * s)
-        return math.exp(-s * s) / _pos_branch_denom(s)
-
-    h_power = -1.0 if high_power_form else 0.0  # extra h exponent vs h^(g2-1)
-
-    def f_low(w):
-        h = par.h_hat * math.exp(-w)
-        return (math.exp(-(par.g2 + h_power) * w)
-                * _neg_branch(w / sqrt2s) * signal_factor(h))
-
-    low = _integrate_low(par, f_low, w_splits=_low_w_splits(par, scale))
-
-    y_up = min(par.y_star + 45.0 * math.sqrt(par.sig2), _y_cut(par, scale))
-
-    def f_high(y):
-        v = y / sqrt2s
-        h = par.h_hat * math.exp(y)
-        return (math.exp(-((y - par.y_star) ** 2) / (2.0 * par.sig2) + h_power * y)
-                / _pos_branch_denom(v) * signal_factor(h))
-
-    high = _integrate_high(par, f_high, y_up, _default_y_splits(par))
-
-    amp = math.exp(par.log_amp)
-    h_hat_extra = par.h_hat ** h_power
-    return prefactor * h_hat_extra * (amp * low + 2.0 / _SQRT_PI * high)
+def _avg_ser_approx(op, p_watts):
+    """Piecewise-erfc approximation of the average SER (two 1-D integrals):
+    the exact average with every erfc replaced by erfc_piecewise_approx."""
+    return _ser(op, p_watts, _PIECEWISE, erfc_piecewise_positive)
 
 
-def avg_ser_approx(op: OperatingPoint) -> float:
-    """Piecewise-erfc approximation of the average SER (two 1-D integrals)."""
-    m_order = op.modulation_order_m
-    par = _params(op)
-    prefactor = (m_order - 1) * par.g2 / (m_order * _SQRT_PI)
-    return _avg_ser_piecewise(op, scale=float(m_order - 1), prefactor=prefactor)
-
-
-def avg_ber_ook_approx_piecewise(op: OperatingPoint) -> float:
+def _avg_ber_ook_approx_piecewise(op, p_watts):
     """Piecewise-erfc approximation of the average OOK BER."""
-    if op.modulation_order_m != 2:
-        raise ValueError("OOK expressions require M = 2")
-    par = _params(op)
-    prefactor = par.g2 / (2.0 * _SQRT_PI)
-    return _avg_ser_piecewise(op, scale=1.0, prefactor=prefactor)
+    _require_ook(op)
+    return _avg_ser_approx(op, p_watts)
 
 
-def avg_ser_dense(op: OperatingPoint) -> float:
+def _avg_ser_dense(op, p_watts):
     """Dense-constellation SER approximation (M - 1 replaced by M)."""
-    par = _params(op)
-    prefactor = par.g2 / _SQRT_PI
-    return _avg_ser_piecewise(op, scale=float(op.modulation_order_m),
-                              prefactor=prefactor)
+    return _ser(op, p_watts, _PIECEWISE, erfc_piecewise_positive, dense=True)
 
 
-def avg_ser_dense_highpower(op: OperatingPoint) -> float:
+def _avg_ser_dense_highpower(op, p_watts):
     """Dense-constellation SER at high transmit power (4/pi guard dropped)."""
-    par = _params(op)
-    if par.g2 <= 1.0:
+    if op.fading.gamma**2 <= 1.0:
         raise ValueError("high-power dense form requires gamma^2 > 1")
-    m_order = op.modulation_order_m
-    prefactor = m_order * par.g2 / (2.0 * par.u * _SQRT_PI)
-    return _avg_ser_piecewise(op, scale=float(m_order), prefactor=prefactor,
-                              high_power_form=True)
+    scale = float(op.modulation_order_m)
+    # the positive erfc branch without its 4/pi guard is exp(-s^2) / (s sqrt(pi)),
+    # s = u h / M, whose 1/h is carried as h_power = -1
+    return density_average(op.fading, _u(op, p_watts), _PIECEWISE,
+                           lambda h, u: scale / (u * _SQRT_PI) * np.exp(-(u * h / scale) ** 2),
+                           scale, h_power=-1.0)
 
 
-def avg_ber_ook_approx_simple(op: OperatingPoint) -> float:
+def _avg_ber_ook_approx_simple(op, p_watts):
     """Single-integral OOK BER approximation using the one-term erfc tail.
 
-    The integrand carries a 1/(ln(h/(hg hl kappa)) + mu) factor that blows up
-    at h_hat; integration starts at h_hat (1 + 1e-12), the excluded sliver
-    being numerically negligible.
+    The one-term tail replaces erfc both in the density and in the
+    conditional BER; the lower piece, where its argument is negative, is
+    dropped. The integrand carries a 1/ln(h/h_hat) factor that blows up at
+    h_hat; integration starts at h_hat (1 + 1e-12), the excluded sliver being
+    numerically negligible.
     """
-    if op.modulation_order_m != 2:
-        raise ValueError("OOK expressions require M = 2")
-    par = _params(op)
-    fm = op.fading
-    geo = op.geometry
-    sigma_r = math.sqrt(fm.rytov_var_sigma_r2)
-    # sigma_n / (eta P) = 1 / (sqrt(2) u)
-    prefactor = (par.g2 * sigma_r
-                 / (2.0 * math.sqrt(2.0) * math.pi * par.u * par.h_hat))
-
-    y_lo = math.log1p(1e-12)
-    y_up = min(par.y_star + 45.0 * math.sqrt(par.sig2), _y_cut(par, 1.0))
-
-    def f(y):
-        s = par.u * par.h_hat * math.exp(y)
-        if s > _ARG_CUTOFF:
-            return 0.0
-        return (math.exp(-((y - par.y_star) ** 2) / (2.0 * par.sig2) - y - s * s)
-                / y)
-
+    _require_ook(op)
     # geometric ladder resolves the truncated logarithmic end-point blow-up
     ladder = tuple(10.0**k for k in range(-10, 0, 2))
-    val = _integrate_high(par, f, y_up, _default_y_splits(par, extra=ladder),
-                          y_lo=y_lo)
-    _ = geo  # geometry enters through u and h_hat only
-    return prefactor * val
+    return density_average(op.fading, _u(op, p_watts), _SIMPLE_TAIL,
+                           lambda h, u: 0.5 * erfc_simple_tail(u * h), 1.0,
+                           y_lo=math.log1p(1e-12), y_extra=ladder)
+
+
+avg_ser_approx = _one_power(_avg_ser_approx)
+avg_ber_ook_approx_piecewise = _one_power(_avg_ber_ook_approx_piecewise)
+avg_ser_dense = _one_power(_avg_ser_dense)
+avg_ser_dense_highpower = _one_power(_avg_ser_dense_highpower)
+avg_ber_ook_approx_simple = _one_power(_avg_ber_ook_approx_simple)
 
 
 def avg_ber_mpam(op: OperatingPoint, mode: str = "ser-over-m",
@@ -366,18 +275,60 @@ def avg_ber_mpam(op: OperatingPoint, mode: str = "ser-over-m",
             return avg_ber_ook_exact(op)
         if m_order not in _BER_EXACT_TERMS:
             raise ValueError("exact BER mode supports M in {2, 8, 16}")
-        par = _params(op)
         sqrt8 = math.sqrt(8.0)
-
-        def cond(h):
-            return conditional_ber_exact(m_order, sqrt8 * par.u * h)
-
         # dominant Q term decays on the same scale as the SER
-        return _avg_conditional_over_pdf(op, cond, float(m_order - 1))
+        return single_value(density_average(
+            op.fading, _u(op, [op.transmit_power_p]), EXACT_WEIGHT,
+            lambda h, u: conditional_ber_exact(m_order, sqrt8 * u * h), float(m_order - 1)))
     if mode == "ser-over-m":
         ser = avg_ser_approx(op) if approx else avg_ser_exact(op)
         return ser / m_bits
     raise ValueError(f"unknown mode {mode!r}")
+
+
+# the averages by the names the command line gives them
+AVERAGES = {
+    "exact": avg_ser_exact,
+    "approx": avg_ser_approx,
+    "dense": avg_ser_dense,
+    "dense_highpower": avg_ser_dense_highpower,
+    "ook_simple": avg_ber_ook_approx_simple,
+}
+
+
+def _evaluations(expression, op: OperatingPoint, p_watts):
+    """Iterate (value, error) of expression at op moved to each transmit power
+    in p_watts: an average with a batch form as one batch, any other
+    callable lazily, point by point."""
+    batch = _BATCHED.get(expression)
+    if batch is None:
+        for p in p_watts:
+            try:
+                yield expression(op.with_power(p)), None
+            except (QuadratureError, ValueError) as exc:
+                yield math.nan, exc
+        return
+    invalid = [power_error(p) for p in p_watts]
+    try:
+        results = zip(*batch(op, [p for p, e in zip(p_watts, invalid) if e is None]))
+    except ValueError as exc:
+        results = itertools.repeat((math.nan, exc))
+    for error in invalid:
+        yield next(results) if error is None else (math.nan, error)
+
+
+def averages_at_powers(expression, op: OperatingPoint, p_watts):
+    """expression, a callable op -> value, at op moved to each transmit power
+    in p_watts (W).
+
+    The averages of this module are evaluated as one batch, any other
+    callable point by point. Returns (values, errors): errors[i] is None, or
+    the QuadratureError or ValueError of point i, whose value is then nan. A
+    power that is not positive and finite is the ValueError OperatingPoint
+    raises for it.
+    """
+    pairs = list(_evaluations(expression, op, p_watts))
+    return [v for v, _ in pairs], [e for _, e in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +353,16 @@ class ErrorRateCurve:
 
 
 def sweep_curve(op: OperatingPoint, expression, p_dbm_grid, kind="") -> ErrorRateCurve:
-    """Evaluate expression(op_at_power) over a dBm grid."""
+    """Evaluate expression (a callable op -> value) at op moved to each power
+    of a dBm grid; the averages of this module are evaluated as one batch.
+    Raises the first point's error, if any."""
     def evaluator(p_dbm):
         return expression(op.with_power(dbm_to_watts(p_dbm)))
 
-    values = [evaluator(p) for p in p_dbm_grid]
+    values, errors = averages_at_powers(expression, op, [dbm_to_watts(p) for p in p_dbm_grid])
+    for error in errors:
+        if error is not None:
+            raise error
     return ErrorRateCurve(list(p_dbm_grid), values, kind=kind,
                           metadata={"M": op.modulation_order_m},
                           evaluator=evaluator)
@@ -444,30 +400,61 @@ def delta_gap(exact: ErrorRateCurve, approx: ErrorRateCurve, threshold: float) -
 def _power_at_target(op: OperatingPoint, expression, target: float,
                      p_lo_dbm: float = -40.0, p_hi_dbm: float = 60.0,
                      step_dbm: float = 2.0) -> float:
-    """Power (dBm) where expression(op) reaches target, scanning a coarse
-    grid for a bracket then refining on log10."""
+    """Power (dBm) where expression(op) reaches target: the first sign change
+    on a coarse grid brackets it, then it is refined on log10. The averages of
+    this module evaluate the grid as one batch, and a failure at a grid point
+    past the bracket does not matter; any other callable is scanned point by
+    point up to the bracket."""
     def curve(p_dbm):
         return math.log10(expression(op.with_power(dbm_to_watts(p_dbm))))
 
-    lt = math.log10(target)
+    grid = []
     p = p_lo_dbm
-    prev_p, prev_v = None, None
     while p <= p_hi_dbm + 1e-9:
-        v = curve(p)
+        grid.append(p)
+        p += step_dbm
+    lt = math.log10(target)
+    prev_p, prev_v = None, None
+    for p, (v, error) in zip(grid, _evaluations(expression, op,
+                                                [dbm_to_watts(p) for p in grid])):
+        if error is not None:
+            raise error
+        v = math.log10(v)
         if prev_v is not None and (prev_v - lt) * (v - lt) <= 0.0:
             return quadrature.find_crossing(curve, lt, prev_p, p, tol=1e-5)
         prev_p, prev_v = p, v
-        p += step_dbm
     raise NoCrossingError(f"target {target} not reached in [{p_lo_dbm}, {p_hi_dbm}] dBm")
+
+
+def power_steps(op: OperatingPoint, m_bits, target_ser: float, expression=avg_ser_exact):
+    """Extra power (dB) to go from 2^m-PAM to 2^(m+1)-PAM at the same SER, for
+    each m in m_bits. Each order's power is solved once and shared by the
+    steps on either side of it.
+
+    Returns (steps, errors): errors[i] is None, or the QuadratureError or
+    ValueError that stopped step i, whose value is then nan.
+    """
+    @functools.cache
+    def solve(m):
+        return _power_at_target(op.with_modulation(2**m), expression, target_ser)
+
+    steps, errors = [], []
+    for m in m_bits:
+        try:
+            if m < 1:
+                raise ValueError("m_bits must be >= 1")
+            if not (0.0 < target_ser < 0.5):
+                raise ValueError("target_ser must lie in (0, 0.5)")
+            p1 = solve(m)
+            steps.append(solve(m + 1) - p1)
+            errors.append(None)
+        except (QuadratureError, ValueError) as exc:
+            steps.append(math.nan)
+            errors.append(exc)
+    return steps, errors
 
 
 def power_increase_for_next_bit(op: OperatingPoint, m_bits: int, target_ser: float,
                                 expression=avg_ser_exact) -> float:
     """Extra power (dB) to go from 2^m-PAM to 2^(m+1)-PAM at the same SER."""
-    if m_bits < 1:
-        raise ValueError("m_bits must be >= 1")
-    if not (0.0 < target_ser < 0.5):
-        raise ValueError("target_ser must lie in (0, 0.5)")
-    p1 = _power_at_target(op.with_modulation(2**m_bits), expression, target_ser)
-    p2 = _power_at_target(op.with_modulation(2**(m_bits + 1)), expression, target_ser)
-    return p2 - p1
+    return single_value(power_steps(op, [m_bits], target_ser, expression))

@@ -6,7 +6,6 @@ All functions are pure and accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -14,14 +13,6 @@ from scipy import special
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _NEG_BRANCH_RATE = 2.0 * math.pi / math.sqrt(6.0)
-
-
-class ErfcApproxKind(enum.Enum):
-    """Which evaluation of erfc an expression uses."""
-
-    EXACT = "exact"
-    PIECEWISE_TIGHT = "piecewise_tight"
-    SIMPLE_TAIL = "simple_tail"
 
 
 def erfc(z):
@@ -51,11 +42,28 @@ def erfc_piecewise_approx(z):
     z = np.atleast_1d(z)
     out = np.empty_like(z)
     pos = z >= 0.0
-    zp = z[pos]
-    out[pos] = _TWO_OVER_SQRT_PI * np.exp(-zp * zp) / (zp + np.sqrt(zp * zp + 4.0 / math.pi))
-    zn = z[~pos]
-    out[~pos] = 2.0 / (1.0 + np.exp(_NEG_BRANCH_RATE * zn))
+    out[pos] = erfc_piecewise_positive(z[pos])
+    out[~pos] = erfc_piecewise_negative(z[~pos])
     return out[0] if scalar else out
+
+
+def erfc_piecewise_positive(z):
+    """The z >= 0 branch of erfc_piecewise_approx."""
+    z = np.asarray(z, dtype=float)
+    return np.exp(-z * z) * erfcx_piecewise_approx(z)
+
+
+def erfc_piecewise_negative(z):
+    """The z < 0 branch of erfc_piecewise_approx: 2 / (1 + exp(2 pi z / sqrt(6)))."""
+    return 2.0 / (1.0 + np.exp(_NEG_BRANCH_RATE * np.asarray(z, dtype=float)))
+
+
+def erfcx_piecewise_approx(z):
+    """exp(z^2) times the positive branch of erfc_piecewise_approx, for z >= 0:
+    (2/sqrt(pi)) / (z + sqrt(z^2 + 4/pi)), finite where exp(-z^2) underflows."""
+    z = np.asarray(z, dtype=float)
+    out = _TWO_OVER_SQRT_PI / (z + np.sqrt(z * z + 4.0 / math.pi))
+    return float(out) if out.ndim == 0 else out
 
 
 def erfc_simple_tail(z):
@@ -65,7 +73,14 @@ def erfc_simple_tail(z):
     for negative arguments.
     """
     z = np.asarray(z, dtype=float)
+    out = np.exp(-z * z) * erfcx_simple_tail(z)
+    return float(out) if out.ndim == 0 else out
+
+
+def erfcx_simple_tail(z):
+    """exp(z^2) times erfc_simple_tail: 1 / (z sqrt(pi)), for z > 0 only."""
+    z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):
         raise ValueError("erfc_simple_tail requires z > 0")
-    out = np.exp(-z * z) / (z * math.sqrt(math.pi))
+    out = 1.0 / (z * math.sqrt(math.pi))
     return float(out) if out.ndim == 0 else out

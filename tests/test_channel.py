@@ -228,8 +228,9 @@ def test_operating_point_validation():
     fm = make_fading(0.35, 0.1, geo)
     with pytest.raises(ValueError):
         OperatingPoint(geo, fm, 3, 1e-3)
-    with pytest.raises(ValueError):
-        OperatingPoint(geo, fm, 4, 0.0)
+    for p in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OperatingPoint(geo, fm, 4, p)
     op = OperatingPoint(geo, fm, 16, 1e-3)
     assert op.bits_per_symbol == 4
     assert op.with_modulation(8).modulation_order_m == 8

@@ -200,6 +200,17 @@ def test_config_error_exit_code():
     assert code == 2
     code, _ = run_cli(["sweep", "--config", "/no/such/file"])
     assert code == 2
+    code, _ = run_cli(["mc", "--n_symbols", "0"])
+    assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--p_dbm_min", "nan", "--p_dbm_max", "nan"],
+                                   ["--p_dbm_max", "inf"],
+                                   ["--p_dbm_step", "nan"]])
+def test_non_finite_power_exit_code(flags):
+    code, out = run_cli(["sweep"] + flags)
+    assert code == 2
+    assert out == ""
 
 
 def test_power_step_requires_target_ser():

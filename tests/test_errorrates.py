@@ -1,9 +1,14 @@
+import csv
 import math
 
+import numpy as np
 import pytest
+from scipy import special
 
+from fsolink import cli, errorrates
 from fsolink.channel import composite_expectation, dbm_to_watts
-from fsolink.errorrates import (ErrorRateCurve, NoCrossingError, avg_ber_mpam,
+from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
+                                averages_at_powers, avg_ber_mpam,
                                 avg_ber_ook_approx_piecewise,
                                 avg_ber_ook_approx_simple, avg_ber_ook_exact,
                                 avg_ser_approx, avg_ser_dense,
@@ -11,7 +16,9 @@ from fsolink.errorrates import (ErrorRateCurve, NoCrossingError, avg_ber_mpam,
                                 conditional_ber_approx, conditional_ber_exact,
                                 conditional_ber_ook, conditional_ser_pam,
                                 crossing_power, delta_gap,
-                                power_increase_for_next_bit, sweep_curve)
+                                power_increase_for_next_bit, power_steps,
+                                sweep_curve)
+from fsolink.quadrature import QuadratureError
 from fsolink.specfun import q_function
 from support import HEADLINE_POINTS, make_op
 
@@ -279,3 +286,88 @@ def test_power_increase_validation():
 def test_power_increase_first_step():
     op = make_op(*PINK, 2, 0.0)
     assert power_increase_for_next_bit(op, 1, 1e-3) == pytest.approx(5.067, abs=0.01)
+
+
+def test_power_steps_equal_one_step_calls():
+    # each order is solved once and shared by the steps on either side of it
+    op = make_op(*PINK, 2, 0.0)
+    steps, errors = power_steps(op, range(1, 10), 1e-3)
+    assert errors == [None] * 9
+    assert steps == [power_increase_for_next_bit(op, m, 1e-3) for m in range(1, 10)]
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation over transmit powers
+
+GRID_121 = [-10.0 + 0.25 * i for i in range(121)]
+
+
+@pytest.mark.parametrize("name", sorted(AVERAGES))
+def test_batch_equals_one_power_calls(name):
+    op = make_op(*PINK, 2, 0.0)
+    watts = [dbm_to_watts(p) for p in GRID_121]
+    values, errors = averages_at_powers(AVERAGES[name], op, watts)
+    assert errors == [None] * len(watts)
+    assert values == [AVERAGES[name](op.with_power(w)) for w in watts]
+    # a point's value does not depend on which other powers share its batch
+    part, _ = averages_at_powers(AVERAGES[name], op, watts[::-7])
+    assert part == values[::-7]
+
+
+@pytest.mark.parametrize("expression", [avg_ser_exact, lambda op: avg_ser_exact(op)],
+                         ids=["batch", "point-by-point"])
+def test_invalid_power_flags_only_that_power(expression):
+    # a power that is not positive and finite fails as OperatingPoint rejects
+    # it, whether the expression is evaluated as a batch or point by point
+    op = make_op(*PINK, 4, 0.0)
+    watts = [dbm_to_watts(0.0), math.nan, dbm_to_watts(5.0), math.inf, 0.0]
+    values, errors = averages_at_powers(expression, op, watts)
+    for i in (1, 3, 4):
+        assert isinstance(errors[i], ValueError)
+        assert str(errors[i]) == "transmit power must be positive and finite"
+        assert math.isnan(values[i])
+    assert errors[0] is None and errors[2] is None
+    assert values[0] == avg_ser_exact(op)
+    assert values[2] == avg_ser_exact(op.with_power(watts[2]))
+
+
+def _nan_erfc_above(limit):
+    return lambda z: np.where(np.asarray(z) > limit, np.nan, special.erfc(z))
+
+
+def test_power_solve_ignores_failures_past_the_bracket(monkeypatch):
+    op = make_op(*PINK, 2, 0.0)
+    reference = power_increase_for_next_bit(op, 1, 1e-3)
+    # batched: the 4-PAM scan fails at 60 dBm, far past its bracket near 7 dBm
+    monkeypatch.setattr(errorrates, "erfc", _nan_erfc_above(1e5))
+    _, errors = averages_at_powers(avg_ser_exact, op.with_modulation(4), [dbm_to_watts(60.0)])
+    assert isinstance(errors[0], QuadratureError)
+    assert power_increase_for_next_bit(op, 1, 1e-3) == reference
+    monkeypatch.undo()
+    # point by point: the scan stops at the bracket
+    seen = []
+
+    def recording(op):
+        seen.append(op.transmit_power_p)
+        return avg_ser_exact(op)
+
+    assert power_increase_for_next_bit(op, 1, 1e-3, recording) == reference
+    assert max(seen) <= dbm_to_watts(10.0)
+
+
+def test_sweep_failure_marks_only_its_row(monkeypatch, tmp_path):
+    # a conditional erfc that gives NaN for large arguments fails only the
+    # 100 dBm point, where u h reaches beyond 1e6
+    monkeypatch.setattr(errorrates, "erfc", _nan_erfc_above(1e6))
+    path = tmp_path / "sweep.csv"
+    code = cli.main(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "100",
+                     "--p_dbm_step", "50", "--modulation_m", "4",
+                     "--expressions", "exact,approx", "--out", str(path)])
+    assert code == 3
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    assert rows[2]["exact"] == "nan"
+    assert rows[2]["errors"].startswith("exact: ")
+    assert rows[2]["approx"] != "nan"
+    for row in rows[:2]:
+        assert row["errors"] == ""
+        assert float(row["exact"]) > 0.0
