@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -84,7 +85,8 @@ def watts_to_dbm(p_watts: float) -> float:
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Deterministic optics and link parameters with derived constants."""
+    """Deterministic optics and link parameters with derived constants, each
+    computed once, on first use."""
 
     wavelength: float  # m
     distance_z: float  # m
@@ -112,26 +114,27 @@ class LinkGeometry:
     def eta(self) -> float:
         return self.conversion_alpha * self.responsivity_beta
 
-    @property
+    @cached_property
     def h_l(self) -> float:
         return beer_lambert_loss(self.attenuation_sigma_lambda, self.distance_z / 1000.0)
 
-    @property
+    @cached_property
     def v0(self) -> float:
         return geometric_spread(self.aperture_radius_a, self.beam_waist_wz)[0]
 
-    @property
+    @cached_property
     def h_g(self) -> float:
         return geometric_spread(self.aperture_radius_a, self.beam_waist_wz)[1]
 
-    @property
+    @cached_property
     def wz_hat_sq(self) -> float:
         return equivalent_beam_width_sq(self.beam_waist_wz, self.v0)
 
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Stochastic channel parameters and their derived constants.
+    """Stochastic channel parameters and their derived constants, each computed
+    once, on first use.
 
     sigma2 (the log-variance of the turbulence gain) is identified with the
     Rytov variance, valid in the weak-turbulence regime sigma_R^2 < 1, and
@@ -156,26 +159,26 @@ class FadingModel:
     def delta(self) -> float:
         return -self.sigma2
 
-    @property
+    @cached_property
     def gamma(self) -> float:
         return pointing_params(self.geometry.wz_hat_sq, self.jitter_sigma_s,
                                self.rytov_var_sigma_r2)[0]
 
-    @property
+    @cached_property
     def kappa(self) -> float:
         return pointing_params(self.geometry.wz_hat_sq, self.jitter_sigma_s,
                                self.rytov_var_sigma_r2)[1]
 
-    @property
+    @cached_property
     def mu(self) -> float:
         return pointing_params(self.geometry.wz_hat_sq, self.jitter_sigma_s,
                                self.rytov_var_sigma_r2)[2]
 
-    @property
+    @cached_property
     def hg_hl(self) -> float:
         return self.geometry.h_g * self.geometry.h_l
 
-    @property
+    @cached_property
     def h_hat(self) -> float:
         """Breakpoint h_g h_l kappa exp(-mu) where v changes sign."""
         return self.hg_hl * self.kappa * math.exp(-self.mu)
@@ -307,6 +310,15 @@ def low_w_splits(s_hat: float):
     return (w_c / 2.0, w_c, 2.0 * w_c)
 
 
+def low_w_plan(par: LogGainParams, s_hat: float):
+    """Initial panel edges of the lower piece, at the scales of its integrand:
+    the knee of erfc(-w / sqrt(2 sig2)) at 1 and 4 times sqrt(2 sig2), the
+    decay of e^(-g2 w) at 1, 8 and 64 times 1 / g2, and low_w_splits(s_hat)
+    around the conditional's onset."""
+    return (par.sqrt2s, 4.0 * par.sqrt2s, 1.0 / par.g2, 8.0 / par.g2, 64.0 / par.g2,
+            *low_w_splits(s_hat))
+
+
 def y_cut(s_hat: float) -> float:
     """Upper y beyond which exp(-(s_hat e^y)^2) underflows."""
     if s_hat <= 0:
@@ -333,11 +345,11 @@ def density_average(fm: FadingModel, u, weight, cond, scale: float = 1.0,
     times the lower form at -w / sqrt(2 sig2); above it in y = ln(h / h_hat)
     over [y_lo, y_up] against the Gaussian bump
     e^(-(y - y*)^2 / (2 sig2) + h_power y) times the upper form at
-    y / sqrt(2 sig2). With s_hat = u h_hat / scale, the lower piece is split
-    by low_w_splits and y_up is y_cut, capped at y* + 45 sigma and at y_cap;
-    the upper piece is split by y_splits with y_extra. cond receives the
-    gains as an array and u as a matching column. Every piece of every
-    entry is integrated in one quadrature.integrate_panels batch.
+    y / sqrt(2 sig2). With s_hat = u h_hat / scale, the lower piece starts
+    from the panels of low_w_plan and y_up is y_cut, capped at y* + 45 sigma
+    and at y_cap; the upper piece is split by y_splits with y_extra. cond
+    receives the gains as an array and u as a matching column. Every piece
+    of every entry is integrated in one quadrature.integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan.
@@ -347,7 +359,7 @@ def density_average(fm: FadingModel, u, weight, cond, scale: float = 1.0,
     splits_up = y_splits(par, y_extra)
     lo, hi, owner, is_low = [], [], [], []
     for i, s_hat in enumerate(x * par.h_hat / scale for x in u):
-        pieces = [] if w_low is None else [(True, 0.0, 700.0 / par.g2, low_w_splits(s_hat))]
+        pieces = [] if w_low is None else [(True, 0.0, 700.0 / par.g2, low_w_plan(par, s_hat))]
         y_up = min(par.y_top, y_cut(s_hat), y_cap)
         if y_up > y_lo:
             pieces.append((False, y_lo, y_up, splits_up))

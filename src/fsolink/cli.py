@@ -72,6 +72,16 @@ class RunConfig:
         if (not all(math.isfinite(v) for v in sweep)
                 or self.p_dbm_step <= 0 or self.p_dbm_max < self.p_dbm_min):
             raise ConfigError("invalid power sweep range")
+        # the grid's top power, up to half a step above p_dbm_max, and its
+        # square (snr_electrical squares the power) must fit a double in watts
+        top = max(self.p_dbm_max, self.p_dbm_min + self._steps() * self.p_dbm_step)
+        try:
+            fits = math.isfinite(dbm_to_watts(top) ** 2)
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ConfigError(f"power grid reaches {top:g} dBm, whose square in watts "
+                              "overflows a double")
         if self.n_symbols < 1:
             raise ConfigError("n_symbols must be >= 1")
         unknown = set(self.expressions) - set(EXPRESSIONS)
@@ -107,8 +117,12 @@ class RunConfig:
         return OperatingPoint(geo, FadingModel(geo, self.rytov_variance, self.jitter_m),
                               m or self.modulation_m, p)
 
+    def _steps(self):
+        """The number of steps of the power grid, a float, rounded."""
+        return round((self.p_dbm_max - self.p_dbm_min) / self.p_dbm_step, 0)
+
     def power_grid(self):
-        n = int(round((self.p_dbm_max - self.p_dbm_min) / self.p_dbm_step)) + 1
+        n = int(self._steps()) + 1
         return [self.p_dbm_min + i * self.p_dbm_step for i in range(n)]
 
 

@@ -86,9 +86,15 @@ def _u(op: OperatingPoint, p_watts) -> list[float]:
 # nested oracle: the exact SER with every erfc re-computed by QUADPACK
 
 def _gauss_tail(x: float) -> float:
-    """Independent quadrature of the upper Gaussian tail integral of exp(-t^2)."""
+    """Independent quadrature of the upper Gaussian tail integral of exp(-t^2).
+
+    A negative x is reflected, the tail from x being sqrt(pi) less the tail
+    from -x, so QUADPACK never integrates across the bulk of the Gaussian.
+    """
     if x > ARG_CUTOFF:
         return 0.0
+    if x < 0.0:
+        return _SQRT_PI - _gauss_tail(-x)
     val, _ = _si.quad(lambda t: math.exp(-t * t), x, math.inf,
                       epsabs=1e-300, epsrel=1e-13, limit=500)
     return val
@@ -100,8 +106,10 @@ def _erfc_nested(x: float) -> float:
 
 def _erfcx_nested(v: float) -> float:
     if v > 25.0:
-        # tail region carries negligible Gaussian-bump weight; one-term form
-        return 1.0 / (v * _SQRT_PI)
+        # exp(v^2) nears overflow: the asymptotic series to 105 x^4, x = 1 / (2 v^2),
+        # whose first term left out, 945 x^5, is below 4e-13 here
+        x = 0.5 / (v * v)
+        return (1.0 - x * (1.0 - 3.0 * x * (1.0 - 5.0 * x * (1.0 - 7.0 * x)))) / (v * _SQRT_PI)
     return 2.0 / _SQRT_PI * math.exp(v * v) * _gauss_tail(v)
 
 
@@ -132,7 +140,10 @@ def _avg_ser_nested(op: OperatingPoint) -> float:
         h = par.h_hat * math.exp(-w)
         return math.exp(-par.g2 * w) * _erfc_nested(v) * cond(h)
 
-    low = _integrate_nested(f_low, 0.0, 700.0 / par.g2, low_w_splits(s_hat))
+    # QUADPACK can miss the erfc knee at sqrt(2 sig2) when sig2 is small
+    # against 700 / g2: it is split off, as the conditional's onset is
+    low = _integrate_nested(f_low, 0.0, 700.0 / par.g2,
+                            (sqrt2s, 4.0 * sqrt2s, *low_w_splits(s_hat)))
 
     def f_high(y):
         v = y / sqrt2s

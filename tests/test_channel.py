@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fsolink import channel
 from fsolink.channel import (FadingModel, OperatingPoint, beer_lambert_loss,
                              composite_expectation, dbm_to_watts,
                              equivalent_beam_width_sq, geometric_spread,
@@ -97,6 +98,25 @@ def test_breakpoint_gain():
     assert fm.h_hat == pytest.approx(0.0002985121050945621, rel=1e-12)
 
 
+def test_derived_constants_computed_once(monkeypatch):
+    fm = make_fading(0.35, 0.1)
+    geo = fm.geometry
+    names = ("gamma", "kappa", "mu", "hg_hl", "h_hat")
+    geo_names = ("h_l", "v0", "h_g", "wz_hat_sq")
+    first = [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names]
+
+    def recomputed(*args):
+        raise AssertionError("derived constant recomputed")
+
+    for name in ("pointing_params", "geometric_spread", "equivalent_beam_width_sq",
+                 "beer_lambert_loss"):
+        monkeypatch.setattr(channel, name, recomputed)
+    assert [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names] == first
+    # the cached values are not fields: equality and hashing ignore them
+    fresh = make_fading(0.35, 0.1)
+    assert fm == fresh and hash(fm) == hash(fresh)
+
+
 # ---------------------------------------------------------------------------
 # component densities
 
@@ -127,6 +147,15 @@ def test_composite_density_normalization_all_points():
         fm = make_fading(ss, r)
         total = composite_expectation(fm, lambda h: 1.0)
         assert total == pytest.approx(1.0, abs=1e-9), (ss, r)
+
+
+@pytest.mark.parametrize("sigma_s, rytov",
+                         [(5.0, 0.01), (5.0, 1e-4), (1.0, 0.01), (0.05, 1.0)])
+def test_composite_density_normalization_off_grid(sigma_s, rytov):
+    # gamma^2 from 0.039 to 390: the lower piece's panels must resolve both
+    # the erfc knee at sqrt(2 sigma^2) and the decay on the scale 1 / gamma^2
+    total = composite_expectation(make_fading(sigma_s, rytov))
+    assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_composite_density_pointwise_positive():

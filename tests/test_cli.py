@@ -213,6 +213,19 @@ def test_non_finite_power_exit_code(flags):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["sweep", "mc"])
+@pytest.mark.parametrize("flags", [["--p_dbm_min", "0", "--p_dbm_max", "4000",
+                                    "--p_dbm_step", "1000"],
+                                   # the grid's top point, 4000 dBm, lies above p_dbm_max
+                                   ["--p_dbm_min", "0", "--p_dbm_max", "3100",
+                                    "--p_dbm_step", "2000"]])
+def test_huge_power_exit_code(command, flags, capsys):
+    code, out = run_cli([command] + flags)
+    assert code == 2
+    assert out == ""
+    assert "power grid reaches 4000 dBm" in capsys.readouterr().err
+
+
 def test_power_step_requires_target_ser():
     with pytest.raises(SystemExit) as exc_info:
         cli.build_parser().parse_args(["power-step"])

@@ -1,11 +1,12 @@
 import csv
 import math
+import statistics
 
 import numpy as np
 import pytest
 from scipy import special
 
-from fsolink import cli, errorrates
+from fsolink import cli, errorrates, quadrature
 from fsolink.channel import composite_expectation, dbm_to_watts
 from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
                                 averages_at_powers, avg_ber_mpam,
@@ -111,6 +112,16 @@ def test_nested_oracle_agreement():
             fast = avg_ser_exact(op)
             slow = avg_ser_exact(op, nested=True)
             assert slow == pytest.approx(fast, rel=1e-8), (ss, r, p)
+
+
+@pytest.mark.parametrize("point", [(5.0, 0.01, 4, 0.0), (1.0, 0.01, 4, 0.0),
+                                   (0.095, 0.154, 1024, 18.9)])
+def test_nested_oracle_agreement_off_grid(point):
+    # gamma^2 = 0.039 and 0.97: the lower piece's erfc arguments run far
+    # negative; gamma^2 = 109: the Gaussian bump sits where exp(v^2) erfc(v)
+    # has v near 30
+    op = make_op(*point)
+    assert avg_ser_exact(op, nested=True) == pytest.approx(avg_ser_exact(op), rel=1e-8)
 
 
 def test_exact_monotone_in_power_and_order():
@@ -371,3 +382,33 @@ def test_sweep_failure_marks_only_its_row(monkeypatch, tmp_path):
     for row in rows[:2]:
         assert row["errors"] == ""
         assert float(row["exact"]) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# panel plan
+
+# off-grid (sigma_s, rytov, M, P dBm), gamma^2 from 0.04 to 390
+OFF_GRID = [(5.0, 0.01, 4, 0.0), (2.5, 3e-4, 4, -2.0), (1.2, 0.33, 128, 50.0),
+            (0.9, 2.5e-4, 32, -17.0), (0.76, 0.16, 4, 69.0), (0.4, 0.0096, 128, 57.0),
+            (0.34, 0.51, 512, 71.0), (0.057, 2.4e-4, 128, 18.0), (0.05, 0.11, 256, -1.0),
+            (0.15, 1e-4, 1024, -30.0), (0.6, 1.0, 2, 80.0)]
+
+
+def test_single_point_rounds(monkeypatch):
+    # the initial panels resolve the integrand's scales, so a single point
+    # takes one round of Gauss-Kronrod and at most one round of cuts
+    calls = []
+    gk21 = quadrature._gk21
+
+    def counting(*args):
+        calls.append(None)
+        return gk21(*args)
+
+    monkeypatch.setattr(quadrature, "_gk21", counting)
+    for call in (avg_ser_exact, lambda op: composite_expectation(op.fading)):
+        rounds = []
+        for point in OFF_GRID:
+            calls.clear()
+            call(make_op(*point))
+            rounds.append(len(calls))
+        assert statistics.median(rounds) <= 2, rounds

@@ -1,0 +1,49 @@
+"""Property tests over the whole accepted input domain: Rytov variance
+log-uniform in [1e-4, 1], jitter sigma_s log-uniform in [0.05, 5] m, M from
+2 to 1024 and transmit power in [-30, 80] dBm."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fsolink.channel import composite_expectation, dbm_to_watts
+from fsolink.errorrates import averages_at_powers, avg_ser_exact
+from support import make_fading, make_op
+
+# a fixed set of examples, so that the suite's run is repeatable
+DOMAIN = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+rytov = st.floats(-4.0, 0.0).map(lambda x: 10.0**x)
+sigma_s = st.floats(math.log10(0.05), math.log10(5.0)).map(lambda x: 10.0**x)
+order = st.integers(1, 10).map(lambda k: 2**k)
+p_dbm = st.floats(-30.0, 80.0)
+
+
+@DOMAIN
+@given(sigma_s, rytov)
+def test_density_normalised(s, r):
+    assert abs(composite_expectation(make_fading(s, r)) - 1.0) <= 1e-9
+
+
+@DOMAIN
+@given(sigma_s, rytov, order, p_dbm, st.floats(0.5, 20.0))
+def test_exact_ser_bounded_and_monotone(s, r, m, p_lo, step):
+    grid = np.arange(p_lo, 80.0, step)
+    values, errors = averages_at_powers(avg_ser_exact, make_op(s, r, m),
+                                        [dbm_to_watts(p) for p in grid])
+    assert errors == [None] * len(grid)
+    assert all(0.0 <= v <= (m - 1) / m for v in values)
+    # non-increasing in P, up to the engine's relative tolerance of 1e-11
+    assert all(b <= a * (1.0 + 1e-10) for a, b in zip(values, values[1:]))
+
+
+@settings(DOMAIN, max_examples=25)
+@given(sigma_s, rytov, order, p_dbm)
+def test_exact_matches_nested_oracle(s, r, m, p):
+    op = make_op(s, r, m, p)
+    # 1e-300 is the nested oracle's absolute tolerance
+    assert avg_ser_exact(op, nested=True) == pytest.approx(avg_ser_exact(op), rel=1e-8,
+                                                           abs=1e-300)
