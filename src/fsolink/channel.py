@@ -246,30 +246,9 @@ def pdf_pointing(h_p, gamma: float, kappa: float):
     return float(out) if out.ndim == 0 else out
 
 
-def pdf_composite(h, model: FadingModel):
-    """Density of the composite gain H = h_l h_g Ha Hp."""
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0.0):
-        raise ValueError("composite gain must be positive")
-    g2 = model.gamma**2
-    sig2 = model.sigma2
-    scale = model.hg_hl * model.kappa
-    v = (np.log(h / scale) + model.mu) / math.sqrt(2.0 * sig2)
-    # log-space evaluation: the prefactor and h^(g2-1) can individually
-    # overflow/underflow for strong pointing collimation
-    log_pref = (
-        math.log(g2 / 2.0)
-        + g2 * model.rytov_var_sigma_r2 * (1.0 + g2 / 2.0)
-        - g2 * math.log(scale)
-    )
-    logh = np.log(h)
-    with np.errstate(over="ignore"):
-        out = np.exp(log_pref + (g2 - 1.0) * logh) * erfc(v)
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
-# averages over the composite density, for many conditionals at once
+# the composite density in log-gain coordinates, and averages over it for many
+# conditionals at once
 
 # argument beyond which exp(-x^2) terms are treated as exactly zero
 ARG_CUTOFF = 30.0
@@ -292,6 +271,27 @@ def log_gain_params(fm: FadingModel) -> LogGainParams:
     g2, sig2 = fm.gamma**2, fm.sigma2
     return LogGainParams(g2, sig2, fm.h_hat, -(g2 * g2) * sig2 / 2.0, math.sqrt(2.0 * sig2),
                          g2 * sig2, g2 * sig2 + 45.0 * math.sqrt(sig2))
+
+
+def pdf_composite(h, model: FadingModel):
+    """Density of the composite gain H = h_l h_g Ha Hp, in the log-gain form
+    that density_average integrates. With y = ln(h / h_hat) and
+    v = y / sqrt(2 sig2) it is (g2 / 2h) e^(log_amp + g2 y) erfc(v) below
+    h_hat and (g2 / 2h) e^(-(y - y*)^2 / (2 sig2)) erfcx(v) above it, so no
+    factor overflows where the other underflows."""
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= 0.0):
+        raise ValueError("composite gain must be positive")
+    par = log_gain_params(model)
+    y = np.log(h / par.h_hat)
+    # each branch sees y clamped to its own side of h_hat, where it cannot overflow
+    y_low, y_high = np.minimum(y, 0.0), np.maximum(y, 0.0)
+    out = par.g2 / (2.0 * h) * np.where(
+        y <= 0.0,
+        np.exp(par.log_amp + par.g2 * y_low) * erfc(y_low / par.sqrt2s),
+        np.exp(-((y_high - par.y_star) ** 2) / (2.0 * par.sig2))
+        * special.erfcx(y_high / par.sqrt2s))
+    return float(out) if out.ndim == 0 else out
 
 
 def y_splits(par: LogGainParams, extra=()):
@@ -332,11 +332,10 @@ def y_cut(s_hat: float) -> float:
 EXACT_WEIGHT = (erfc, special.erfcx)
 
 
-def density_average(fm: FadingModel, u, weight, cond, scale: float = 1.0,
-                    h_power: float = 0.0, y_lo: float = 0.0, y_extra=(),
-                    y_cap: float = math.inf):
+def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
+                    y_lo: float = 0.0, y_extra=()):
     """The average of h^h_power cond(h, u) over the composite density, for
-    each entry of u at once; cond decays on the h-scale scale / u.
+    each entry of u at once; cond decays on the h-scale 1 / u.
 
     weight is the density's erfc factor as a pair (lower form, upper form),
     EXACT_WEIGHT or an approximation of it; without a lower form (None) the
@@ -345,11 +344,11 @@ def density_average(fm: FadingModel, u, weight, cond, scale: float = 1.0,
     times the lower form at -w / sqrt(2 sig2); above it in y = ln(h / h_hat)
     over [y_lo, y_up] against the Gaussian bump
     e^(-(y - y*)^2 / (2 sig2) + h_power y) times the upper form at
-    y / sqrt(2 sig2). With s_hat = u h_hat / scale, the lower piece starts
-    from the panels of low_w_plan and y_up is y_cut, capped at y* + 45 sigma
-    and at y_cap; the upper piece is split by y_splits with y_extra. cond
-    receives the gains as an array and u as a matching column. Every piece
-    of every entry is integrated in one quadrature.integrate_panels batch.
+    y / sqrt(2 sig2). With s_hat = u h_hat, the lower piece starts from the
+    panels of low_w_plan and y_up is y_cut, capped at y* + 45 sigma; the
+    upper piece is split by y_splits with y_extra. cond receives the gains
+    as an array and u as a matching column. Every piece of every entry is
+    integrated in one quadrature.integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan.
@@ -358,9 +357,9 @@ def density_average(fm: FadingModel, u, weight, cond, scale: float = 1.0,
     w_low, w_high = weight
     splits_up = y_splits(par, y_extra)
     lo, hi, owner, is_low = [], [], [], []
-    for i, s_hat in enumerate(x * par.h_hat / scale for x in u):
+    for i, s_hat in enumerate(x * par.h_hat for x in u):
         pieces = [] if w_low is None else [(True, 0.0, 700.0 / par.g2, low_w_plan(par, s_hat))]
-        y_up = min(par.y_top, y_cut(s_hat), y_cap)
+        y_up = min(par.y_top, y_cut(s_hat))
         if y_up > y_lo:
             pieces.append((False, y_lo, y_up, splits_up))
         for low, a, b, splits in pieces:
@@ -404,23 +403,15 @@ def single_value(result) -> float:
     return value
 
 
-def composite_expectation(model: FadingModel, func=None, spec=None,
-                          h_cutoff: float | None = None) -> float:
+def composite_expectation(model: FadingModel, func=None) -> float:
     """E[func(H)] under pdf_composite, by density_average with EXACT_WEIGHT.
 
     func receives an array of gains and returns an array of the same shape,
-    or a scalar; it defaults to 1 (normalization). h_cutoff truncates the
-    upper tail when func is known to vanish beyond it. spec is accepted and
-    not used. Raises QuadratureError when the integral does not converge.
+    or a scalar; it defaults to 1 (normalization). Raises QuadratureError
+    when the integral does not converge.
     """
-    if h_cutoff is not None and h_cutoff <= 0.0:
-        raise ValueError("h_cutoff must be positive")
-    # a cutoff places the lower splits as a conditional decaying on the
-    # h-scale h_cutoff would, and caps the upper piece at h_cutoff
-    u, y_cap = ((0.0, math.inf) if h_cutoff is None
-                else (1.0 / h_cutoff, math.log(h_cutoff / model.h_hat)))
     cond = (lambda h, u: 1.0) if func is None else (lambda h, u: func(h))
-    return single_value(density_average(model, [u], EXACT_WEIGHT, cond, y_cap=y_cap))
+    return single_value(density_average(model, [0.0], EXACT_WEIGHT, cond))
 
 
 def moment_composite(model: FadingModel, order: int) -> float:
@@ -459,11 +450,16 @@ def mean_symbol_power_sq(modulation_order_m: int, p_watts: float) -> float:
 
 
 def snr_electrical(op: OperatingPoint) -> float:
-    """Average received electrical SNR in dB."""
+    """Average received electrical SNR in dB, eta^2 E[X^2] E[H^2] / sigma_n^2.
+
+    It is summed as log10 terms, E[X^2] at 1 W and its P^2 as 2 log10 P, so it
+    stays finite where the product itself would overflow.
+    """
     geo = op.geometry
-    ex2 = mean_symbol_power_sq(op.modulation_order_m, op.transmit_power_p)
-    eh2 = moment_composite(op.fading, 2)
-    return 10.0 * math.log10(geo.eta**2 * ex2 * eh2 / geo.noise_sigma_n**2)
+    ex2_1w = mean_symbol_power_sq(op.modulation_order_m, 1.0)
+    return 10.0 * (math.log10(ex2_1w * moment_composite(op.fading, 2))
+                   + 2.0 * (math.log10(geo.eta) + math.log10(op.transmit_power_p)
+                            - math.log10(geo.noise_sigma_n)))
 
 
 def snr_optical(op: OperatingPoint) -> float:

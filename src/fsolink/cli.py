@@ -72,8 +72,9 @@ class RunConfig:
         if (not all(math.isfinite(v) for v in sweep)
                 or self.p_dbm_step <= 0 or self.p_dbm_max < self.p_dbm_min):
             raise ConfigError("invalid power sweep range")
-        # the grid's top power, up to half a step above p_dbm_max, and its
-        # square (snr_electrical squares the power) must fit a double in watts
+        # the grid's top power, up to half a step above p_dbm_max, squared must
+        # fit a double in watts (about 1,571 dBm): a fixed input limit, inside
+        # dbm_to_watts's own overflow at about 3,112 dBm
         top = max(self.p_dbm_max, self.p_dbm_min + self._steps() * self.p_dbm_step)
         try:
             fits = math.isfinite(dbm_to_watts(top) ** 2)
@@ -110,12 +111,10 @@ class RunConfig:
     def fading(self) -> FadingModel:
         return FadingModel(self.geometry(), self.rytov_variance, self.jitter_m)
 
-    def operating_point(self, p_dbm: float | None = None,
-                        m: int | None = None) -> OperatingPoint:
-        p = dbm_to_watts(self.p_dbm_min if p_dbm is None else p_dbm)
-        geo = self.geometry()
-        return OperatingPoint(geo, FadingModel(geo, self.rytov_variance, self.jitter_m),
-                              m or self.modulation_m, p)
+    def operating_point(self) -> OperatingPoint:
+        fading = self.fading()
+        return OperatingPoint(fading.geometry, fading, self.modulation_m,
+                              dbm_to_watts(self.p_dbm_min))
 
     def _steps(self):
         """The number of steps of the power grid, a float, rounded."""
@@ -219,7 +218,7 @@ def _write_rows(out, header, rows):
 def cmd_pdf(cfg: RunConfig, out) -> int:
     model = cfg.fading()
     grid = np.logspace(math.log10(cfg.h_min), math.log10(cfg.h_max), cfg.h_points)
-    rows = [[_fmt_prob(h), _fmt_prob(pdf_composite(float(h), model))] for h in grid]
+    rows = [[_fmt_prob(h), _fmt_prob(p)] for h, p in zip(grid, pdf_composite(grid, model))]
     _write_rows(out, ["h", "pdf"], rows)
     return EXIT_OK
 
@@ -308,9 +307,10 @@ def cmd_mc(cfg: RunConfig, out) -> int:
     header = ["p_dbm", "m", "ser_hat", "ber_hat", "symbol_errors", "bit_errors",
               "n_symbols", "ci95_ser", "ci95_ber", "seed"]
     rows = []
+    op = cfg.operating_point()
     for p in grid:
-        op = cfg.operating_point(p)
-        est = simulate(op, McConfig(n_symbols=cfg.n_symbols, seed=cfg.seed))
+        est = simulate(op.with_power(dbm_to_watts(p)),
+                       McConfig(n_symbols=cfg.n_symbols, seed=cfg.seed))
         rows.append([_fmt_db(p), str(cfg.modulation_m),
                      _fmt_prob(est.ser_hat), _fmt_prob(est.ber_hat),
                      str(est.symbol_errors), str(est.bit_errors),
@@ -353,7 +353,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
         raw = getattr(args, f.name, None)
         if raw is None:
             continue
-        overrides[f.name] = _coerce(f.name, raw) if isinstance(raw, str) else raw
+        overrides[f.name] = _coerce(f.name, raw)
     return overrides
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _si
@@ -75,11 +75,12 @@ def conditional_ber_approx(m_order: int, a_snr: float) -> float:
     return conditional_ser_pam(m_order, a_snr) / m_bits
 
 
-def _u(op: OperatingPoint, p_watts) -> list[float]:
-    """eta P / sqrt(2 sigma_n^2) at each transmit power P: the conditional erfc
-    argument per unit gain."""
+def _u(op: OperatingPoint, p_watts, scale: float = 1.0) -> list[float]:
+    """eta P / sqrt(2 sigma_n^2) / scale at each transmit power P: the
+    conditional erfc argument per unit gain, scale being the M - 1 or M the
+    conditional divides it by."""
     geo = op.geometry
-    return [geo.eta * p / math.sqrt(2.0 * geo.noise_sigma_n**2) for p in p_watts]
+    return [geo.eta * p / math.sqrt(2.0 * geo.noise_sigma_n**2) / scale for p in p_watts]
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +184,9 @@ def _ser(op, p_watts, weight, erfc_form, dense: bool = False):
     """Average SER with erfc_form in the conditional SER; dense replaces its
     M - 1 by M."""
     m_order = op.modulation_order_m
-    coeff, scale = ((1.0, float(m_order)) if dense
-                    else ((m_order - 1) / m_order, float(m_order - 1)))
-    return density_average(op.fading, _u(op, p_watts), weight,
-                           lambda h, u: coeff * erfc_form(u * h / scale), scale)
+    coeff, scale = (1.0, m_order) if dense else ((m_order - 1) / m_order, m_order - 1)
+    return density_average(op.fading, _u(op, p_watts, scale), weight,
+                           lambda h, u: coeff * erfc_form(u * h))
 
 
 def _require_ook(op: OperatingPoint):
@@ -239,12 +239,10 @@ def _avg_ser_dense_highpower(op, p_watts):
     """Dense-constellation SER at high transmit power (4/pi guard dropped)."""
     if op.fading.gamma**2 <= 1.0:
         raise ValueError("high-power dense form requires gamma^2 > 1")
-    scale = float(op.modulation_order_m)
     # the positive erfc branch without its 4/pi guard is exp(-s^2) / (s sqrt(pi)),
-    # s = u h / M, whose 1/h is carried as h_power = -1
-    return density_average(op.fading, _u(op, p_watts), _PIECEWISE,
-                           lambda h, u: scale / (u * _SQRT_PI) * np.exp(-(u * h / scale) ** 2),
-                           scale, h_power=-1.0)
+    # s = u h, whose 1/h is carried as h_power = -1
+    return density_average(op.fading, _u(op, p_watts, op.modulation_order_m), _PIECEWISE,
+                           lambda h, u: np.exp(-(u * h) ** 2) / (u * _SQRT_PI), h_power=-1.0)
 
 
 def _avg_ber_ook_approx_simple(op, p_watts):
@@ -260,7 +258,7 @@ def _avg_ber_ook_approx_simple(op, p_watts):
     # geometric ladder resolves the truncated logarithmic end-point blow-up
     ladder = tuple(10.0**k for k in range(-10, 0, 2))
     return density_average(op.fading, _u(op, p_watts), _SIMPLE_TAIL,
-                           lambda h, u: 0.5 * erfc_simple_tail(u * h), 1.0,
+                           lambda h, u: 0.5 * erfc_simple_tail(u * h),
                            y_lo=math.log1p(1e-12), y_extra=ladder)
 
 
@@ -286,11 +284,11 @@ def avg_ber_mpam(op: OperatingPoint, mode: str = "ser-over-m",
             return avg_ber_ook_exact(op)
         if m_order not in _BER_EXACT_TERMS:
             raise ValueError("exact BER mode supports M in {2, 8, 16}")
-        sqrt8 = math.sqrt(8.0)
+        a_per_u = math.sqrt(8.0) * (m_order - 1)
         # dominant Q term decays on the same scale as the SER
         return single_value(density_average(
-            op.fading, _u(op, [op.transmit_power_p]), EXACT_WEIGHT,
-            lambda h, u: conditional_ber_exact(m_order, sqrt8 * u * h), float(m_order - 1)))
+            op.fading, _u(op, [op.transmit_power_p], m_order - 1), EXACT_WEIGHT,
+            lambda h, u: conditional_ber_exact(m_order, a_per_u * u * h)))
     if mode == "ser-over-m":
         ser = avg_ser_approx(op) if approx else avg_ser_exact(op)
         return ser / m_bits
@@ -352,8 +350,6 @@ class ErrorRateCurve:
 
     p_dbm: list[float]
     values: list[float]
-    kind: str = ""
-    metadata: dict = field(default_factory=dict)
     evaluator: object = None  # callable p_dbm -> value, optional
 
     def __post_init__(self):
@@ -363,7 +359,7 @@ class ErrorRateCurve:
             raise ValueError("p_dbm must be strictly increasing")
 
 
-def sweep_curve(op: OperatingPoint, expression, p_dbm_grid, kind="") -> ErrorRateCurve:
+def sweep_curve(op: OperatingPoint, expression, p_dbm_grid) -> ErrorRateCurve:
     """Evaluate expression (a callable op -> value) at op moved to each power
     of a dBm grid; the averages of this module are evaluated as one batch.
     Raises the first point's error, if any."""
@@ -374,9 +370,7 @@ def sweep_curve(op: OperatingPoint, expression, p_dbm_grid, kind="") -> ErrorRat
     for error in errors:
         if error is not None:
             raise error
-    return ErrorRateCurve(list(p_dbm_grid), values, kind=kind,
-                          metadata={"M": op.modulation_order_m},
-                          evaluator=evaluator)
+    return ErrorRateCurve(list(p_dbm_grid), values, evaluator=evaluator)
 
 
 class NoCrossingError(ValueError):
@@ -408,33 +402,31 @@ def delta_gap(exact: ErrorRateCurve, approx: ErrorRateCurve, threshold: float) -
     return crossing_power(approx, threshold) - crossing_power(exact, threshold)
 
 
-def _power_at_target(op: OperatingPoint, expression, target: float,
-                     p_lo_dbm: float = -40.0, p_hi_dbm: float = 60.0,
-                     step_dbm: float = 2.0) -> float:
+# the coarse power grid (dBm) on which _power_at_target brackets its target
+_SCAN_DBM = tuple(-40.0 + 2.0 * i for i in range(51))
+
+
+def _power_at_target(op: OperatingPoint, expression, target: float) -> float:
     """Power (dBm) where expression(op) reaches target: the first sign change
-    on a coarse grid brackets it, then it is refined on log10. The averages of
+    on _SCAN_DBM brackets it, then it is refined on log10. The averages of
     this module evaluate the grid as one batch, and a failure at a grid point
     past the bracket does not matter; any other callable is scanned point by
     point up to the bracket."""
     def curve(p_dbm):
         return math.log10(expression(op.with_power(dbm_to_watts(p_dbm))))
 
-    grid = []
-    p = p_lo_dbm
-    while p <= p_hi_dbm + 1e-9:
-        grid.append(p)
-        p += step_dbm
     lt = math.log10(target)
     prev_p, prev_v = None, None
-    for p, (v, error) in zip(grid, _evaluations(expression, op,
-                                                [dbm_to_watts(p) for p in grid])):
+    for p, (v, error) in zip(_SCAN_DBM, _evaluations(expression, op,
+                                                     [dbm_to_watts(p) for p in _SCAN_DBM])):
         if error is not None:
             raise error
         v = math.log10(v)
         if prev_v is not None and (prev_v - lt) * (v - lt) <= 0.0:
             return quadrature.find_crossing(curve, lt, prev_p, p, tol=1e-5)
         prev_p, prev_v = p, v
-    raise NoCrossingError(f"target {target} not reached in [{p_lo_dbm}, {p_hi_dbm}] dBm")
+    raise NoCrossingError(f"target {target} not reached in "
+                          f"[{_SCAN_DBM[0]}, {_SCAN_DBM[-1]}] dBm")
 
 
 def power_steps(op: OperatingPoint, m_bits, target_ser: float, expression=avg_ser_exact):

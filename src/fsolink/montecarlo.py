@@ -150,29 +150,20 @@ def simulate(op: OperatingPoint, mc: McConfig, fixed_gain=None) -> McEstimate:
     def stop() -> bool:
         return mc.early_stop and sym_total >= mc.min_errors and n_done >= 100_000
 
-    if mc.workers == 1:
-        for b, n in enumerate(sizes):
-            se, be = _run_batch(op, mc.seed, b, n, fixed_gain)
+    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
+        # one worker runs the batches lazily on the calling thread, so none runs
+        # past an early stop; more workers take them from the pool
+        batches = (map if mc.workers == 1 else pool.map)(
+            lambda b, n: _run_batch(op, mc.seed, b, n, fixed_gain), range(len(sizes)), sizes)
+        # consumed strictly in batch order, so early stopping is worker-count
+        # independent; the batches not yet started are cancelled
+        for n, (se, be) in zip(sizes, batches):
             sym_total += se
             bit_total += be
             n_done += n
             if stop():
+                pool.shutdown(cancel_futures=True)
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            futures = {b: pool.submit(_run_batch, op, mc.seed, b, n, fixed_gain)
-                       for b, n in enumerate(sizes)}
-            # consume strictly in batch order so early stopping is
-            # worker-count independent; later batches are discarded
-            for b, n in enumerate(sizes):
-                se, be = futures[b].result()
-                sym_total += se
-                bit_total += be
-                n_done += n
-                if stop():
-                    for fut in futures.values():
-                        fut.cancel()
-                    break
 
     n_bits = n_done * m_bits
     return McEstimate(

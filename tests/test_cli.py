@@ -226,6 +226,27 @@ def test_huge_power_exit_code(command, flags, capsys):
     assert "power grid reaches 4000 dBm" in capsys.readouterr().err
 
 
+def test_pdf_finite_at_large_gamma():
+    # gamma^2 = 109: the density's bulk lies where h^(gamma^2 - 1) overflows
+    code, out = run_cli(["pdf", "--jitter_sigma_m", "0.095", "--rytov_variance", "0.154",
+                         "--h_min", "1e-4", "--h_max", "1e-3", "--h_points", "5"])
+    assert code == 0
+    rows = rows_of(out)[1:]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(p)) and float(p) >= 0.0 for _, p in rows)
+
+
+def test_sweep_snr_finite_at_top_power():
+    # 1,560 dBm lies inside the configuration's power limit, where
+    # eta^2 E[X^2] E[H^2] / sigma_n^2 itself overflows a double
+    code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "1560",
+                         "--p_dbm_step", "1560"])
+    assert code == 0
+    low, top = rows_of(out)[1:]
+    assert float(top[1]) - float(low[1]) == pytest.approx(1560.0, abs=1e-3)
+    assert float(top[2]) - float(low[2]) == pytest.approx(3120.0, abs=1e-3)
+
+
 def test_power_step_requires_target_ser():
     with pytest.raises(SystemExit) as exc_info:
         cli.build_parser().parse_args(["power-step"])

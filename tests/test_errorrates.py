@@ -19,6 +19,7 @@ from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
                                 crossing_power, delta_gap,
                                 power_increase_for_next_bit, power_steps,
                                 sweep_curve)
+from fsolink.montecarlo import McConfig, simulate
 from fsolink.quadrature import QuadratureError
 from fsolink.specfun import q_function
 from support import HEADLINE_POINTS, make_op
@@ -99,8 +100,7 @@ def test_m2_consistency_chain():
     u = op.geometry.eta * op.transmit_power_p / (
         math.sqrt(2.0) * op.geometry.noise_sigma_n)
     c = composite_expectation(
-        op.fading, lambda h: q_function(math.sqrt(2.0) * u * h),
-        h_cutoff=None)
+        op.fading, lambda h: q_function(math.sqrt(2.0) * u * h))
     assert b == pytest.approx(a, rel=1e-10)
     assert c == pytest.approx(a, rel=1e-9)
 
@@ -412,3 +412,14 @@ def test_single_point_rounds(monkeypatch):
             call(make_op(*point))
             rounds.append(len(calls))
         assert statistics.median(rounds) <= 2, rounds
+
+
+# the OFF_GRID points whose exact SER lies in [1e-3, 0.3], and OFF_GRID[1]
+# (gamma^2 = 0.16) raised by 20 dB into that range
+@pytest.mark.parametrize("point", [OFF_GRID[2], OFF_GRID[7], OFF_GRID[1][:3] + (18.0,)])
+def test_monte_carlo_agreement_off_grid(point):
+    op = make_op(*point)
+    exact = avg_ser_exact(op)
+    n = 1_000_000
+    est = simulate(op, McConfig(n_symbols=n, seed=11))
+    assert abs(est.ser_hat - exact) <= 3.0 * math.sqrt(exact * (1.0 - exact) / n)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fsolink import montecarlo
 from fsolink.channel import dbm_to_watts
 from fsolink.errorrates import avg_ser_exact, conditional_ser_pam, crossing_power, sweep_curve
 from fsolink.montecarlo import (McConfig, brgc_decode, brgc_encode, ml_detect,
@@ -166,6 +167,22 @@ def test_early_stop_reports_actual_trials():
     est2 = simulate(op, McConfig(n_symbols=2_000_000, seed=31, batch_size=100_000,
                                  min_errors=100, early_stop=True, workers=3))
     assert est == est2
+
+
+def test_early_stop_with_one_worker_runs_no_batch_past_it(monkeypatch):
+    started = []
+    run_batch = montecarlo._run_batch
+
+    def recording(op, seed, b, n, fixed_gain):
+        started.append(b)
+        return run_batch(op, seed, b, n, fixed_gain)
+
+    monkeypatch.setattr(montecarlo, "_run_batch", recording)
+    op = make_op(*PINK, 2, -5.0)  # stops after the first batch
+    est = simulate(op, McConfig(n_symbols=2_000_000, seed=31, batch_size=100_000,
+                                min_errors=100, early_stop=True))
+    assert est.n_symbols == 100_000
+    assert started == [0]
 
 
 def test_early_stop_disabled_runs_full_n():
