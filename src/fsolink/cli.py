@@ -85,6 +85,9 @@ class RunConfig:
                               "overflows a double")
         if self.n_symbols < 1:
             raise ConfigError("n_symbols must be >= 1")
+        for name in ("ber_threshold", "ser_threshold"):
+            if not 0.0 < getattr(self, name) < 1.0:  # false for nan too
+                raise ConfigError(f"{name} must lie in (0, 1)")
         unknown = set(self.expressions) - set(EXPRESSIONS)
         if unknown:
             raise ConfigError(f"unknown expressions: {sorted(unknown)}; "
@@ -362,6 +365,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, _collect_overrides(args))
         cfg.operating_point()  # surface model-domain violations as config errors
+        if args.command == "power-step":
+            if not 0.0 < args.target_ser < 0.5:
+                raise ConfigError("target-ser must lie in (0, 0.5)")
+            if not 1 <= args.m_min <= args.m_max:
+                raise ConfigError("m-min and m-max must satisfy 1 <= m-min <= m-max")
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _si
 
 from . import quadrature
 from .channel import (ARG_CUTOFF, EXACT_WEIGHT, OperatingPoint, dbm_to_watts,
@@ -96,8 +95,8 @@ def _gauss_tail(x: float) -> float:
         return 0.0
     if x < 0.0:
         return _SQRT_PI - _gauss_tail(-x)
-    val, _ = _si.quad(lambda t: math.exp(-t * t), x, math.inf,
-                      epsabs=1e-300, epsrel=1e-13, limit=500)
+    val, _ = quadrature.quadpack(lambda t: math.exp(-t * t), x, math.inf,
+                                 epsabs=1e-300, epsrel=1e-13, limit=500)
     return val
 
 

@@ -3,9 +3,11 @@ Gauss-Kronrod integrator for many integrals at once, and monotone-curve root
 finding.
 
 `integrate` is backed by QUADPACK (scipy.integrate.quad, a Gauss-Kronrod
-adaptive rule) and root finding by scipy.optimize.brentq, wrapped behind
-error-reporting contracts. `integrate_panels` evaluates the integrand of a
-whole batch of integrals as one numpy array per round of bisection.
+adaptive rule), which `quadpack` imports on its first call, and root finding
+by Brent's method (Brent, Algorithms for Minimization without Derivatives,
+1973), both wrapped behind error-reporting contracts. `integrate_panels`
+evaluates the integrand of a whole batch of integrals as one numpy array per
+round of bisection.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _si
-from scipy import optimize as _so
 
 
 class QuadratureError(RuntimeError):
@@ -51,8 +51,24 @@ class QuadratureSpec:
         object.__setattr__(self, "split_points", pts)
 
 
+_quad = None  # scipy.integrate.quad, bound by quadpack on its first call
+
+
+def quadpack(f, lo, hi, **options):
+    """scipy.integrate.quad(f, lo, hi, **options).
+
+    scipy.integrate is imported on the first call and bound once: only
+    `integrate` and the nested oracle use QUADPACK, and the import costs
+    about a third of a second.
+    """
+    global _quad
+    if _quad is None:
+        from scipy.integrate import quad as _quad
+    return _quad(f, lo, hi, **options)
+
+
 def _quad_piece(f, lo, hi, spec):
-    value, err, info, *rest = _si.quad(
+    value, err, info, *rest = quadpack(
         f,
         lo,
         hi,
@@ -97,23 +113,74 @@ def integrate(f, lo, hi, spec=None):
 def find_crossing(curve, target, lo, hi, tol=1e-4):
     """Locate x in [lo, hi] with curve(x) = target for a continuous monotone curve.
 
-    tol is in the x domain. Raises BracketError when curve(lo), curve(hi)
-    do not bracket the target.
+    tol is in the x domain. Each endpoint is evaluated once. Raises
+    BracketError when curve(lo), curve(hi) are not finite or do not bracket
+    the target, and QuadratureError when the root is not found to tol in
+    100 steps.
     """
     if not (lo < hi):
         raise BracketError("lo must be < hi")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     f_lo = curve(lo) - target
     f_hi = curve(hi) - target
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        raise BracketError(
+            f"curve endpoints {f_lo + target}, {f_hi + target} on [{lo}, {hi}] "
+            "are not finite")
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    if np.sign(f_lo) == np.sign(f_hi):
+    if (f_lo < 0.0) == (f_hi < 0.0):
         raise BracketError(
             f"target {target} not bracketed on [{lo}, {hi}]: "
             f"curve endpoints {f_lo + target}, {f_hi + target}"
         )
-    return float(_so.brentq(lambda x: curve(x) - target, lo, hi, xtol=tol))
+    return _brentq(lambda x: curve(x) - target, float(lo), float(hi), f_lo, f_hi, tol)
+
+
+_RTOL = 4.0 * np.finfo(float).eps
+_MAXITER = 100
+
+
+def _brentq(f, xpre, xcur, fpre, fcur, xtol):
+    """Root of f in [xpre, xcur], where f takes the values fpre and fcur, of
+    opposite signs and not zero: scipy.optimize.brentq (its brentq.c) step
+    for step, with rtol 4 eps and at most 100 steps, so its roots are
+    bit-identical. Raises QuadratureError, value the last iterate, when it
+    does not converge, or when f is not finite at an iterate."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+                bisect = False
+        if bisect:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if not math.isfinite(fcur):
+            raise QuadratureError(f"curve value at {xcur} is not finite", value=xcur)
+    raise QuadratureError(f"root not found to {xtol} in {_MAXITER} steps", value=xcur)
 
 
 # QUADPACK's 21-point Kronrod rule on [-1, 1]: its non-negative nodes from the

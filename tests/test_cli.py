@@ -1,6 +1,10 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,54 @@ def test_power_step_rows():
     assert float(rows[2][1]) == pytest.approx(3.789, abs=0.01)
     assert rows[3][0] == "dense_reference"
     assert rows[3][1] == "%.4f" % (10.0 * math.log10(2.0))
+
+
+@pytest.mark.parametrize("flags", [["--ber_threshold", v] for v in ("0", "-1", "nan", "inf", "2")]
+                         + [["--modulation_m", "4", "--ser_threshold", "0"]])
+def test_delta_threshold_outside_unit_interval_is_config_error(flags, capsys):
+    code, out = run_cli(["delta", "--expressions", "exact,approx"] + flags)
+    assert code == 2
+    assert out == ""
+    assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--target-ser", "0"], ["--target-ser", "-1"],
+                                   ["--target-ser", "nan"], ["--target-ser", "0.5"],
+                                   ["--target-ser", "1e-3", "--m-min", "0"],
+                                   ["--target-ser", "1e-3", "--m-min", "5", "--m-max", "2"]])
+def test_power_step_bad_arguments_are_config_errors(flags, capsys):
+    code, out = run_cli(["power-step"] + flags)
+    assert code == 2
+    assert out == ""
+    assert "config error: " in capsys.readouterr().err
+
+
+def test_commands_load_neither_quadpack_nor_optimize(tmp_path):
+    """Start-up and every command's default path run on numpy and
+    scipy.special alone."""
+    out = tmp_path / "out.csv"
+    code = f"""
+import sys
+import fsolink.cli as cli
+cli.RunConfig().operating_point()
+out = ["--out", {str(out)!r}]
+grid = ["--p_dbm_min", "-5", "--p_dbm_max", "30", "--p_dbm_step", "1"]
+for argv in (["sweep", "--expressions", "exact,approx,dense,ook_simple"] + grid,
+             ["delta", "--expressions", "exact,approx,dense"] + grid,
+             ["power-step", "--target-ser", "1e-3", "--m-min", "1", "--m-max", "2"],
+             ["pdf", "--h_points", "5"],
+             ["mc", "--n_symbols", "1000", "--p_dbm_min", "0", "--p_dbm_max", "10",
+              "--p_dbm_step", "5"]):
+    assert cli.main(argv + out) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.optimize"))))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_mc_seed_echo_and_determinism():

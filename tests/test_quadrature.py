@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fsolink import quadrature
 from fsolink.quadrature import (BracketError, QuadratureError, QuadratureSpec,
                                 find_crossing, integrate)
 
@@ -93,6 +94,61 @@ def test_find_crossing_bracket_error():
         find_crossing(lambda t: t, 5.0, 0.0, 1.0)
     with pytest.raises(BracketError):
         find_crossing(lambda t: t, 0.5, 1.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):  # a non-finite endpoint value
+        with pytest.raises(BracketError):
+            find_crossing(lambda t: bad if t == 0.0 else t, 0.5, 0.0, 1.0)
+        with pytest.raises(BracketError):
+            find_crossing(lambda t: bad if t == 1.0 else t, 0.5, 0.0, 1.0)
+
+
+def test_find_crossing_evaluates_each_endpoint_once():
+    xs = []
+
+    def curve(t):
+        xs.append(t)
+        return math.exp(t)
+
+    find_crossing(curve, 2.0, 0.0, 3.0, tol=1e-12)
+    assert xs[:2] == [0.0, 3.0]
+    assert xs.count(0.0) == 1 and xs.count(3.0) == 1
+
+
+def test_find_crossing_nonconvergence_raises():
+    # a step at 0 is bisected, and 100 halvings of [-1, 2] stay far above 1e-300
+    with pytest.raises(QuadratureError) as exc_info:
+        find_crossing(lambda t: 1.0 if t > 0.0 else -1.0, 0.0, -1.0, 2.0, tol=1e-300)
+    assert isinstance(exc_info.value, RuntimeError)
+    assert abs(exc_info.value.value) < 1e-25
+
+
+# (function, lo, hi, xtol): smooth, flat, steep, stepped and non-converging cases
+_BRENT_CASES = [
+    (lambda x: x**3 - 2.0, 0.0, 3.0, 1e-12),
+    (lambda x: x**3 - 2.0, -1.0, 5.0, 1e-4),
+    (lambda x: math.tanh(5.0 * (x - 0.3)), -4.0, 2.0, 1e-8),
+    (lambda x: math.exp(x) - 10.0, -3.0, 7.0, 1e-5),
+    (lambda x: (x - 0.7) ** 5, -2.0, 1.0, 1e-14),
+    (lambda x: (x - 0.7) ** 5, -2.0, 1.0, 1e-200),
+    (lambda x: math.atan(x - 1.5) + 1e-3 * (x - 1.5) ** 3, -3.0, 4.0, 1e-10),
+    (lambda x: math.sin(x) - 0.2, -1.5, 1.5, 2e-12),
+    (lambda x: 1.0 if x > 0.1 else -1.0, -1.0, 2.0, 1e-6),
+    (lambda x: 1.0 if x > 0.0 else -1.0, -1.0, 2.0, 1e-300),
+    (lambda x: math.log10(x) + 3.0, 1e-6, 1.0, 1e-5),
+]
+
+
+@pytest.mark.parametrize("f,lo,hi,xtol", _BRENT_CASES)
+def test_brentq_matches_scipy_bit_for_bit(f, lo, hi, xtol):
+    from scipy.optimize import brentq
+
+    expected, result = brentq(f, lo, hi, xtol=xtol, full_output=True, disp=False)
+    try:
+        root = quadrature._brentq(f, lo, hi, f(lo), f(hi), xtol)
+        converged = True
+    except QuadratureError as exc:
+        root, converged = exc.value, False
+    assert converged == result.converged
+    assert root == expected
 
 
 def test_error_estimate_accumulates_over_splits():
