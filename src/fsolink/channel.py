@@ -429,18 +429,21 @@ def moment_composite(model: FadingModel, order: int) -> float:
 
 
 def sample_composite(model: FadingModel, rng: np.random.Generator, size=None):
-    """Draw composite gains h_l h_g Ha Hp.
+    """Draw gains h_l h_g Ha Hp = h_l h_g kappa exp(sigma Z - sigma2 + ln(U)/gamma^2).
 
-    Ha is log-normal with log-mean -sigma2; the radial displacement is
-    Rayleigh(sigma_s) via inverse CDF from a single uniform, and
-    Hp = kappa exp(-2 R^2 / w_hat^2).
+    Ha is log-normal with log-mean -sigma2. The radial displacement is Rayleigh
+    by inverse CDF from one uniform U in (0, 1], so Hp = kappa U^(1/gamma^2).
+    Z and U are the draws `lognormal` and `random` would make, in that order.
     """
-    sig = math.sqrt(model.sigma2)
-    h_a = rng.lognormal(mean=model.delta, sigma=sig, size=size)
-    u = 1.0 - rng.random(size=size)  # in (0, 1]
-    r_sq = -2.0 * model.jitter_sigma_s**2 * np.log(u)
-    h_p = model.kappa * np.exp(-2.0 * r_sq / model.geometry.wz_hat_sq)
-    return model.hg_hl * h_a * h_p
+    x = np.asarray(rng.standard_normal(size=size))
+    x *= math.sqrt(model.sigma2)
+    x += model.delta
+    u = np.asarray(rng.random(size=size))
+    np.log(np.subtract(1.0, u, out=u), out=u)
+    x += np.divide(u, model.gamma**2, out=u)
+    np.exp(x, out=x)
+    x *= model.hg_hl * model.kappa
+    return x[()]
 
 
 def mean_symbol_power_sq(modulation_order_m: int, p_watts: float) -> float:

@@ -238,6 +238,55 @@ def test_sample_bounds():
     # pointing gain never exceeds kappa, turbulence is unbounded but the
     # deterministic factors cap the bulk
     assert h.max() < fm.hg_hl * fm.kappa * 100.0
+    one = sample_composite(fm, rng)  # without a size, one scalar draw
+    assert np.ndim(one) == 0 and one > 0.0
+
+
+def _pointing_gain(fm, v):
+    """Hp = kappa exp(-2 R^2 / w_hat^2) for a uniform v in [0, 1), the radial
+    displacement R Rayleigh by inverse CDF, as the two-factor sampler drew it."""
+    r_sq = -2.0 * fm.jitter_sigma_s**2 * np.log(1.0 - v)
+    return fm.kappa * np.exp(-2.0 * r_sq / fm.geometry.wz_hat_sq)
+
+
+@pytest.mark.parametrize("sigma_s, rytov", [(0.35, 0.1), (0.05, 1e-4), (5.0, 1.0)])
+def test_fused_sampler_matches_two_factor_form(sigma_s, rytov):
+    fm = make_fading(sigma_s, rytov)
+    n = 200_000
+    h = sample_composite(fm, np.random.Generator(np.random.Philox(key=9)), n)
+    rng = np.random.Generator(np.random.Philox(key=9))
+    h_a = rng.lognormal(mean=fm.delta, sigma=math.sqrt(fm.sigma2), size=n)
+    ref = fm.hg_hl * h_a * _pointing_gain(fm, rng.random(size=n))
+    np.testing.assert_allclose(h, ref, rtol=1e-12, atol=0.0)
+
+
+class _FixedDraws:
+    """Stands in for a Generator, returning set standard normals and uniforms."""
+
+    def __init__(self, z, v):
+        self.z, self.v = z, v
+
+    def standard_normal(self, size=None):
+        return self.z.copy()
+
+    def random(self, size=None):
+        return self.v.copy()
+
+
+def test_fused_sampler_underflows_where_two_factor_form_does():
+    # gamma^2 is about 0.04 at sigma_s = 5 m, so Hp = kappa U^(1/gamma^2) is 0
+    # in double precision for U below about 1e-13
+    fm = make_fading(5.0, 1.0)
+    assert fm.gamma**2 < 0.05
+    z, v = np.meshgrid([-8.0, -1.0, 0.0, 1.0, 8.0],
+                       [0.0, 0.5, 1.0 - 1e-6, 1.0 - 1e-15, 1.0 - 2.0**-53])
+    z, v = z.ravel(), v.ravel()
+    h = sample_composite(fm, _FixedDraws(z, v), z.size)
+    ref = fm.hg_hl * np.exp(fm.delta + math.sqrt(fm.sigma2) * z) * _pointing_gain(fm, v)
+    assert not np.isnan(h).any()
+    np.testing.assert_array_equal(h == 0.0, ref == 0.0)
+    assert (h == 0.0).sum() == 10
+    np.testing.assert_allclose(h, ref, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,30 @@ def test_mc_seed_echo_and_determinism():
     assert 0.0 <= float(rows[1][2]) <= 1.0
 
 
+def test_mc_output_independent_of_workers(monkeypatch):
+    workers = []
+    simulate = cli.simulate
+    monkeypatch.setattr(cli, "simulate",
+                        lambda op, mc: workers.append(mc.workers) or simulate(op, mc))
+    # three batches of the default 10^6 symbols at each of two powers
+    argv = ["mc", "--p_dbm_min", "6", "--p_dbm_max", "7", "--p_dbm_step", "1",
+            "--modulation_m", "4", "--n_symbols", "2000001"]
+    code1, out1 = run_cli(argv)
+    code3, out3 = run_cli(argv + ["--workers", "3"])
+    assert code1 == code3 == 0
+    assert workers == [1, 1, 3, 3]
+    assert out1 == out3
+    assert len(rows_of(out1)) == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1.5", "two", ""])
+def test_mc_bad_workers_is_config_error(value, capsys):
+    code, out = run_cli(["mc", "--n_symbols", "1000", "--workers", value])
+    assert code == 2
+    assert out == ""
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_out_file_written(tmp_path):
     path = tmp_path / "out.csv"
     code, _ = run_cli(["pdf", "--h_points", "5", "--out", str(path)])

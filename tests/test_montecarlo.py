@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,27 @@ def test_detect_noiseless_loop():
         h = rng.lognormal(-0.1, 0.3)
         j = rng.integers(0, m)
         assert ml_detect(0.5 * h * j * spacing, 0.5 * h, m, p) == j
+
+
+def test_screened_detect_equals_full_rule():
+    # r[1] and r[2] are midpoint ties
+    base = [0.0, 0.5, -0.5, math.inf, -math.inf,
+            np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+            np.nextafter(-0.5, 0.0), np.nextafter(-0.5, -1.0)]
+    for m in (2, 4, 16, 1024):
+        screen = 0.5 - m * 2.0**-50
+        r = np.array(base + [s * np.nextafter(screen, x) for s in (1.0, -1.0)
+                             for x in (0.0, 1.0)] + [screen, -screen])
+        for j in sorted({0, m // 2, m - 1}):
+            j_sent = np.full(r.size, j)
+            full = np.clip(np.ceil(j_sent + r - 0.5), 0, m - 1).astype(np.int64)
+            idx, decided = montecarlo._screened_detect(j_sent, r, m)
+            screened = j_sent.copy()
+            screened[idx] = decided
+            np.testing.assert_array_equal(screened, full, err_msg=f"M={m} j={j}")
+            # a midpoint tie breaks to the lower level
+            assert screened[1] == j
+            assert screened[2] == max(j - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +230,47 @@ def test_mcconfig_validation():
         McConfig(n_symbols=10, seed=1, batch_size=0)
     with pytest.raises(ValueError):
         McConfig(n_symbols=10, seed=1, workers=0)
+
+
+# ---------------------------------------------------------------------------
+# the batch against its unfused form
+
+def _unfused_batch(op, seed, batch_index, n, fixed_gain=None):
+    """One batch as computed before the fused sampler and the screened
+    detection: a log-normal gain times the inverse-CDF Rayleigh pointing gain,
+    the received signal y, and y over the scaled spacing, decided for every
+    symbol as ml_detect does."""
+    rng = np.random.Generator(np.random.Philox(key=(batch_index << 64) | seed))
+    m, geo, fm = op.modulation_order_m, op.geometry, op.fading
+    j_sent = rng.integers(0, m, size=n)
+    if fixed_gain is not None:
+        h = fixed_gain
+    else:
+        h_a = rng.lognormal(mean=fm.delta, sigma=math.sqrt(fm.sigma2), size=n)
+        r_sq = -2.0 * fm.jitter_sigma_s**2 * np.log(1.0 - rng.random(size=n))
+        h = fm.hg_hl * h_a * (fm.kappa * np.exp(-2.0 * r_sq / geo.wz_hat_sq))
+    noise = rng.normal(0.0, geo.noise_sigma_n, size=n)
+    spacing = 2.0 * op.transmit_power_p / (m - 1)
+    y = geo.eta * h * (j_sent * spacing) + noise
+    t = y / (geo.eta * h * 2.0 * op.transmit_power_p / (m - 1))
+    j_hat = np.clip(np.ceil(t - 0.5), 0, m - 1).astype(np.int64)
+    gray = (j_sent ^ (j_sent >> 1)) ^ (j_hat ^ (j_hat >> 1))
+    return int(np.count_nonzero(j_hat != j_sent)), int(np.bitwise_count(gray).sum())
+
+
+@pytest.mark.parametrize("sigma_s", [0.05, 0.35, 5.0])
+def test_batch_counts_equal_unfused_batch(sigma_s):
+    # the domain's corners in turbulence, order and power, at each jitter
+    for rytov, m, p_dbm in itertools.product((1e-4, 0.1, 1.0), (2, 16, 1024),
+                                             (-30.0, 0.0, 20.0, 80.0)):
+        op = make_op(sigma_s, rytov, m, p_dbm)
+        assert (montecarlo._run_batch(op, 13, 2, 50_000)
+                == _unfused_batch(op, 13, 2, 50_000)), (rytov, m, p_dbm)
+
+
+def test_fixed_gain_batch_counts_equal_unfused_batch():
+    op = make_op(*PINK, 4, 0.0)
+    h = op.fading.h_hat
+    counts = montecarlo._run_batch(op, 17, 0, 50_000, h)
+    assert counts[0] > 0
+    assert counts == _unfused_batch(op, 17, 0, 50_000, h)
