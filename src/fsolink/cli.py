@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -53,7 +54,6 @@ class RunConfig:
     modulation_m: int = 2
     n_symbols: int = 10_000_000
     seed: int = 1
-    workers: int = 1
     expressions: tuple[str, ...] = ("exact",)
     ber_threshold: float = 3.84e-3
     ser_threshold: float = 1e-3
@@ -86,8 +86,6 @@ class RunConfig:
                               "overflows a double")
         if self.n_symbols < 1:
             raise ConfigError("n_symbols must be >= 1")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ConfigError("workers must be an integer >= 1")
         for name in ("ber_threshold", "ser_threshold"):
             if not 0.0 < getattr(self, name) < 1.0:  # false for nan too
                 raise ConfigError(f"{name} must lie in (0, 1)")
@@ -136,7 +134,7 @@ class RunConfig:
 # replacing a value of this copy does not change what they compute.
 EXPRESSIONS = dict(er.AVERAGES)
 
-_INT_FIELDS = {"modulation_m", "n_symbols", "seed", "workers", "h_points"}
+_INT_FIELDS = {"modulation_m", "n_symbols", "seed", "h_points"}
 _OPTIONAL_FLOAT_FIELDS = {"jitter_sigma_m", "jitter_angle_mrad"}
 
 
@@ -314,9 +312,11 @@ def cmd_mc(cfg: RunConfig, out) -> int:
               "n_symbols", "ci95_ser", "ci95_ber", "seed"]
     rows = []
     op = cfg.operating_point()
+    # a thread per core, at most one per batch: the counts do not depend on it
+    workers = min(os.cpu_count() or 1, -(-cfg.n_symbols // McConfig.batch_size))
+    mc = McConfig(n_symbols=cfg.n_symbols, seed=cfg.seed, workers=workers)
     for p in grid:
-        est = simulate(op.with_power(dbm_to_watts(p)),
-                       McConfig(n_symbols=cfg.n_symbols, seed=cfg.seed, workers=cfg.workers))
+        est = simulate(op.with_power(dbm_to_watts(p)), mc)
         rows.append([_fmt_db(p), str(cfg.modulation_m),
                      _fmt_prob(est.ser_hat), _fmt_prob(est.ber_hat),
                      str(est.symbol_errors), str(est.bit_errors),

@@ -237,27 +237,22 @@ def test_mc_seed_echo_and_determinism():
 
 
 def test_mc_output_independent_of_workers(monkeypatch):
-    workers = []
+    seen = []
     simulate = cli.simulate
     monkeypatch.setattr(cli, "simulate",
-                        lambda op, mc: workers.append(mc.workers) or simulate(op, mc))
-    # three batches of the default 10^6 symbols at each of two powers
-    argv = ["mc", "--p_dbm_min", "6", "--p_dbm_max", "7", "--p_dbm_step", "1",
-            "--modulation_m", "4", "--n_symbols", "2000001"]
-    code1, out1 = run_cli(argv)
-    code3, out3 = run_cli(argv + ["--workers", "3"])
-    assert code1 == code3 == 0
-    assert workers == [1, 1, 3, 3]
-    assert out1 == out3
-    assert len(rows_of(out1)) == 3
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "1.5", "two", ""])
-def test_mc_bad_workers_is_config_error(value, capsys):
-    code, out = run_cli(["mc", "--n_symbols", "1000", "--workers", value])
-    assert code == 2
-    assert out == ""
-    assert "config error: " in capsys.readouterr().err
+                        lambda op, mc: seen.append(mc.workers) or simulate(op, mc))
+    # three batches of the default 10^6 symbols: a thread per core, at most three
+    argv = ["mc", "--p_dbm_min", "6", "--p_dbm_max", "6", "--modulation_m", "4",
+            "--n_symbols", "2000001"]
+    outs = []
+    for cores in (None, 1, 2, 4):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cores=cores: cores)
+        code, out = run_cli(argv)
+        assert code == 0
+        outs.append(out)
+    assert seen == [1, 1, 2, 3]
+    assert outs[1:] == outs[:1] * 3
+    assert len(rows_of(outs[0])) == 2
 
 
 def test_out_file_written(tmp_path):
