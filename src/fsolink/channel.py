@@ -333,7 +333,7 @@ EXACT_WEIGHT = (erfc, special.erfcx)
 
 
 def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
-                    y_lo: float = 0.0, y_extra=()):
+                    y_lo: float = 0.0, y_extra=(), columns=()):
     """The average of h^h_power cond(h, u) over the composite density, for
     each entry of u at once; cond decays on the h-scale 1 / u.
 
@@ -347,8 +347,9 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     y / sqrt(2 sig2). With s_hat = u h_hat, the lower piece starts from the
     panels of low_w_plan and y_up is y_cut, capped at y* + 45 sigma; the
     upper piece is split by y_splits with y_extra. cond receives the gains
-    as an array and u as a matching column. Every piece of every entry is
-    integrated in one quadrature.integrate_panels batch.
+    as an array, then u and each per-entry sequence of columns as matching
+    columns. Every piece of every entry is integrated in one
+    quadrature.integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan.
@@ -368,20 +369,24 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
             hi += edges[1:]
             owner += [i] * (len(edges) - 1)
             is_low += [low] * (len(edges) - 1)
-    u, owner, is_low = np.array(u, dtype=float), np.array(owner, dtype=np.intp), np.array(is_low)
+    owner, is_low = np.array(owner, dtype=np.intp), np.array(is_low)
+    # u and each of columns as a column with one row per panel
+    panel_cols = [np.array(c, dtype=float)[owner][:, None] for c in (u, *columns)]
 
     def integrand(x, root):
         out = np.empty_like(x)
-        u_col = u[owner[root]][:, None]
+        cols = [c[root] for c in panel_cols]
         low = is_low[root]
         if low.any():
             w = x[low]
             out[low] = (np.exp(par.log_amp - (par.g2 + h_power) * w) * w_low(-w / par.sqrt2s)
-                        * cond(par.h_hat * np.exp(-w), u_col[low]))
+                        * cond(par.h_hat * np.exp(-w), *[c[low] for c in cols]))
         if not low.all():
-            y = x[~low]
-            out[~low] = (np.exp(-((y - par.y_star) ** 2) / (2.0 * par.sig2) + h_power * y)
-                         * w_high(y / par.sqrt2s) * cond(par.h_hat * np.exp(y), u_col[~low]))
+            high = ~low
+            y = x[high]
+            out[high] = (np.exp(-((y - par.y_star) ** 2) / (2.0 * par.sig2) + h_power * y)
+                         * w_high(y / par.sqrt2s)
+                         * cond(par.h_hat * np.exp(y), *[c[high] for c in cols]))
         return out
 
     value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))

@@ -17,7 +17,6 @@ cross-validation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,12 +73,13 @@ def conditional_ber_approx(m_order: int, a_snr: float) -> float:
     return conditional_ser_pam(m_order, a_snr) / m_bits
 
 
-def _u(op: OperatingPoint, p_watts, scale: float = 1.0) -> list[float]:
-    """eta P / sqrt(2 sigma_n^2) / scale at each transmit power P: the
-    conditional erfc argument per unit gain, scale being the M - 1 or M the
-    conditional divides it by."""
+def _u(op: OperatingPoint, p_watts, scales) -> list[float]:
+    """eta P / sqrt(2 sigma_n^2) / scale at each transmit power P and its
+    scale: the conditional erfc argument per unit gain, scale being the
+    M - 1 or M the conditional divides it by."""
     geo = op.geometry
-    return [geo.eta * p / math.sqrt(2.0 * geo.noise_sigma_n**2) / scale for p in p_watts]
+    return [geo.eta * p / math.sqrt(2.0 * geo.noise_sigma_n**2) / scale
+            for p, scale in zip(p_watts, scales)]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def _integrate_nested(f, lo, hi, splits):
 def _avg_ser_nested(op: OperatingPoint) -> float:
     m_order = op.modulation_order_m
     par = log_gain_params(op.fading)
-    (u,) = _u(op, [op.transmit_power_p])
+    (u,) = _u(op, [op.transmit_power_p], [1.0])
     coeff = (m_order - 1) / m_order
     scale = float(m_order - 1)
     s_hat = u * par.h_hat / scale
@@ -156,9 +156,11 @@ def _avg_ser_nested(op: OperatingPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# average expressions. Each is a batch over transmit powers,
-# batch(op, p_watts) -> (values, errors) as channel.density_average returns
-# them, and a one-power call op -> value at op's own power.
+# average expressions. Each is a batch over transmit powers and modulation
+# orders, batch(op, p_watts, orders) -> (values, errors) as
+# channel.density_average returns them, entry i at power p_watts[i] and order
+# orders[i] over op's channel, and a one-power call op -> value at op's own
+# power and order.
 
 # the erfc weight pairs of the approximations; see channel.EXACT_WEIGHT
 _PIECEWISE = (erfc_piecewise_negative, erfcx_piecewise_approx)
@@ -171,7 +173,7 @@ def _one_power(batch):
     """The one-power call of batch, which carries batch's name without its
     leading underscore and batch's docstring."""
     def average(op: OperatingPoint) -> float:
-        return single_value(batch(op, [op.transmit_power_p]))
+        return single_value(batch(op, [op.transmit_power_p], [op.modulation_order_m]))
 
     average.__name__ = average.__qualname__ = batch.__name__.lstrip("_")
     average.__doc__ = batch.__doc__
@@ -179,22 +181,28 @@ def _one_power(batch):
     return average
 
 
-def _ser(op, p_watts, weight, erfc_form, dense: bool = False):
+def _ser(op, p_watts, orders, weight, erfc_form, dense: bool = False):
     """Average SER with erfc_form in the conditional SER; dense replaces its
-    M - 1 by M."""
-    m_order = op.modulation_order_m
-    coeff, scale = (1.0, m_order) if dense else ((m_order - 1) / m_order, m_order - 1)
-    return density_average(op.fading, _u(op, p_watts, scale), weight,
-                           lambda h, u: coeff * erfc_form(u * h))
+    M - 1 by M. The conditional multiplies in the coefficient (M - 1) / M, or
+    1: a scalar when every entry has one order, else a per-entry column,
+    which costs more per integrand call. Either way an entry's value does
+    not depend on the orders of the others."""
+    coeff = [1.0 if dense else (m - 1) / m for m in orders]
+    u = _u(op, p_watts, [m if dense else m - 1 for m in orders])
+    if len(set(coeff)) == 1:
+        (c,) = set(coeff)
+        return density_average(op.fading, u, weight, lambda h, u: c * erfc_form(u * h))
+    return density_average(op.fading, u, weight, lambda h, u, c: c * erfc_form(u * h),
+                           columns=(coeff,))
 
 
-def _require_ook(op: OperatingPoint):
-    if op.modulation_order_m != 2:
+def _require_ook(orders):
+    if any(m != 2 for m in orders):
         raise ValueError("OOK expressions require M = 2")
 
 
-def _ser_exact(op, p_watts):
-    return _ser(op, p_watts, EXACT_WEIGHT, erfc)
+def _ser_exact(op, p_watts, orders):
+    return _ser(op, p_watts, orders, EXACT_WEIGHT, erfc)
 
 
 def avg_ser_exact(op: OperatingPoint, nested: bool = False) -> float:
@@ -205,7 +213,7 @@ def avg_ser_exact(op: OperatingPoint, nested: bool = False) -> float:
     """
     if nested:
         return _avg_ser_nested(op)
-    return single_value(_ser_exact(op, [op.transmit_power_p]))
+    return single_value(_ser_exact(op, [op.transmit_power_p], [op.modulation_order_m]))
 
 
 _BATCHED[avg_ser_exact] = _ser_exact
@@ -213,38 +221,38 @@ _BATCHED[avg_ser_exact] = _ser_exact
 
 def avg_ber_ook_exact(op: OperatingPoint, nested: bool = False) -> float:
     """Exact average OOK BER (the M = 2 case of the exact SER)."""
-    _require_ook(op)
+    _require_ook([op.modulation_order_m])
     return avg_ser_exact(op, nested=nested)
 
 
-def _avg_ser_approx(op, p_watts):
+def _avg_ser_approx(op, p_watts, orders):
     """Piecewise-erfc approximation of the average SER (two 1-D integrals):
     the exact average with every erfc replaced by erfc_piecewise_approx."""
-    return _ser(op, p_watts, _PIECEWISE, erfc_piecewise_positive)
+    return _ser(op, p_watts, orders, _PIECEWISE, erfc_piecewise_positive)
 
 
-def _avg_ber_ook_approx_piecewise(op, p_watts):
+def _avg_ber_ook_approx_piecewise(op, p_watts, orders):
     """Piecewise-erfc approximation of the average OOK BER."""
-    _require_ook(op)
-    return _avg_ser_approx(op, p_watts)
+    _require_ook(orders)
+    return _avg_ser_approx(op, p_watts, orders)
 
 
-def _avg_ser_dense(op, p_watts):
+def _avg_ser_dense(op, p_watts, orders):
     """Dense-constellation SER approximation (M - 1 replaced by M)."""
-    return _ser(op, p_watts, _PIECEWISE, erfc_piecewise_positive, dense=True)
+    return _ser(op, p_watts, orders, _PIECEWISE, erfc_piecewise_positive, dense=True)
 
 
-def _avg_ser_dense_highpower(op, p_watts):
+def _avg_ser_dense_highpower(op, p_watts, orders):
     """Dense-constellation SER at high transmit power (4/pi guard dropped)."""
     if op.fading.gamma**2 <= 1.0:
         raise ValueError("high-power dense form requires gamma^2 > 1")
     # the positive erfc branch without its 4/pi guard is exp(-s^2) / (s sqrt(pi)),
     # s = u h, whose 1/h is carried as h_power = -1
-    return density_average(op.fading, _u(op, p_watts, op.modulation_order_m), _PIECEWISE,
+    return density_average(op.fading, _u(op, p_watts, orders), _PIECEWISE,
                            lambda h, u: np.exp(-(u * h) ** 2) / (u * _SQRT_PI), h_power=-1.0)
 
 
-def _avg_ber_ook_approx_simple(op, p_watts):
+def _avg_ber_ook_approx_simple(op, p_watts, orders):
     """Single-integral OOK BER approximation using the one-term erfc tail.
 
     The one-term tail replaces erfc both in the density and in the
@@ -253,10 +261,10 @@ def _avg_ber_ook_approx_simple(op, p_watts):
     h_hat; integration starts at h_hat (1 + 1e-12), the excluded sliver being
     numerically negligible.
     """
-    _require_ook(op)
+    _require_ook(orders)
     # geometric ladder resolves the truncated logarithmic end-point blow-up
     ladder = tuple(10.0**k for k in range(-10, 0, 2))
-    return density_average(op.fading, _u(op, p_watts), _SIMPLE_TAIL,
+    return density_average(op.fading, _u(op, p_watts, [1.0] * len(p_watts)), _SIMPLE_TAIL,
                            lambda h, u: 0.5 * erfc_simple_tail(u * h),
                            y_lo=math.log1p(1e-12), y_extra=ladder)
 
@@ -286,7 +294,7 @@ def avg_ber_mpam(op: OperatingPoint, mode: str = "ser-over-m",
         a_per_u = math.sqrt(8.0) * (m_order - 1)
         # dominant Q term decays on the same scale as the SER
         return single_value(density_average(
-            op.fading, _u(op, [op.transmit_power_p], m_order - 1), EXACT_WEIGHT,
+            op.fading, _u(op, [op.transmit_power_p], [m_order - 1]), EXACT_WEIGHT,
             lambda h, u: conditional_ber_exact(m_order, a_per_u * u * h)))
     if mode == "ser-over-m":
         ser = avg_ser_approx(op) if approx else avg_ser_exact(op)
@@ -304,21 +312,25 @@ AVERAGES = {
 }
 
 
-def _evaluations(expression, op: OperatingPoint, p_watts):
-    """Iterate (value, error) of expression at op moved to each transmit power
-    in p_watts: an average with a batch form as one batch, any other
-    callable lazily, point by point."""
+def _evaluations(expression, points, p_watts):
+    """Iterate (value, error) of expression at each operating point of points,
+    which share one channel, moved to the matching transmit power of p_watts:
+    an average with a batch form as one batch, each entry at its point's
+    modulation order, any other callable lazily, point by point."""
     batch = _BATCHED.get(expression)
     if batch is None:
-        for p in p_watts:
+        for op, p in zip(points, p_watts):
             try:
                 yield expression(op.with_power(p)), None
             except (QuadratureError, ValueError) as exc:
                 yield math.nan, exc
         return
+    if not p_watts:
+        return
     invalid = [power_error(p) for p in p_watts]
+    valid = [(p, op.modulation_order_m) for op, p, e in zip(points, p_watts, invalid) if e is None]
     try:
-        results = zip(*batch(op, [p for p, e in zip(p_watts, invalid) if e is None]))
+        results = zip(*batch(points[0], [p for p, _ in valid], [m for _, m in valid]))
     except ValueError as exc:
         results = itertools.repeat((math.nan, exc))
     for error in invalid:
@@ -335,7 +347,7 @@ def averages_at_powers(expression, op: OperatingPoint, p_watts):
     power that is not positive and finite is the ValueError OperatingPoint
     raises for it.
     """
-    pairs = list(_evaluations(expression, op, p_watts))
+    pairs = list(_evaluations(expression, [op] * len(p_watts), p_watts))
     return [v for v, _ in pairs], [e for _, e in pairs]
 
 
@@ -401,58 +413,113 @@ def delta_gap(exact: ErrorRateCurve, approx: ErrorRateCurve, threshold: float) -
     return crossing_power(approx, threshold) - crossing_power(exact, threshold)
 
 
-# the coarse power grid (dBm) on which _power_at_target brackets its target
-_SCAN_DBM = tuple(-40.0 + 2.0 * i for i in range(51))
+# the power grid (dBm) on which the power solve brackets its target: 2 dB
+# cells up to the top of the accepted power domain
+_SCAN_DBM = tuple(-40.0 + 2.0 * i for i in range(61))
 
 
-def _power_at_target(op: OperatingPoint, expression, target: float) -> float:
-    """Power (dBm) where expression(op) reaches target: the first sign change
-    on _SCAN_DBM brackets it, then it is refined on log10. The averages of
-    this module evaluate the grid as one batch, and a failure at a grid point
-    past the bracket does not matter; any other callable is scanned point by
-    point up to the bracket."""
-    def curve(p_dbm):
-        return math.log10(expression(op.with_power(dbm_to_watts(p_dbm))))
+def _first_not_above(curve, n_lanes, lazy):
+    """For each of n_lanes lanes, the first index of _SCAN_DBM where the
+    lane's curve is not above 0, len(_SCAN_DBM) if there is none, and the
+    curve's (value, error) at each index probed.
 
+    Each lane holds a cell of grid indices, at first (-1, len(_SCAN_DBM)),
+    whose lower end is above 0 and whose upper end is not, the two first
+    ends being counted so. Each round is one curve call with one probe per
+    lane whose cell spans more than one step: its midpoint, or for lazy
+    lanes the next index up, so that those scan the grid point by point and
+    stop at the first index not above 0. A probe that failed is not above 0:
+    it bounds the search from above. For a non-increasing curve both find
+    the first cell where it crosses 0.
+    """
+    probes = [{} for _ in range(n_lanes)]
+    cells = [(-1, len(_SCAN_DBM))] * n_lanes
+    while mids := {i: lo + 1 if lazy else (lo + hi) // 2
+                   for i, (lo, hi) in enumerate(cells) if hi - lo > 1}:
+        values, errors = curve(list(mids), [_SCAN_DBM[k] for k in mids.values()])
+        for (i, k), value, error in zip(mids.items(), values, errors):
+            probes[i][k] = value, error
+            cells[i] = (k, cells[i][1]) if error is None and value > 0.0 else (cells[i][0], k)
+    return [hi for _, hi in cells], probes
+
+
+def _powers_at_target(op: OperatingPoint, orders, expression, target: float):
+    """Power (dBm) where expression, at op's channel and each modulation order
+    of orders, reaches target, all orders solved in lockstep.
+
+    Each order is a lane. _first_not_above brackets its target in a cell of
+    _SCAN_DBM, where log10(value) - log10(target) changes sign: an average
+    of 0 counts as below the target, and a failure past the cell does not
+    matter. Then quadrature.brentq_lanes refines every cell on log10 to
+    1e-5 dB, evaluating all unfinished lanes in one batch per round. As the
+    engine's values do not depend on the batch, each lane's power is the
+    one a scan and a one-order Brent solve would give.
+
+    Returns (powers, errors): errors[i] is None, or the NoCrossingError,
+    QuadratureError or ValueError that stopped order i, whose power is then
+    nan.
+    """
+    lanes = [op.with_modulation(m) for m in orders]
     lt = math.log10(target)
-    prev_p, prev_v = None, None
-    for p, (v, error) in zip(_SCAN_DBM, _evaluations(expression, op,
-                                                     [dbm_to_watts(p) for p in _SCAN_DBM])):
+
+    def curve(ids, p_dbm):
+        # log10 of expression at lanes[i] and power p, less lt, for each pair of
+        # ids and p_dbm, evaluated as _evaluations does; an average of 0 gives -inf
+        pairs = list(_evaluations(expression, [lanes[i] for i in ids],
+                                  [dbm_to_watts(p) for p in p_dbm]))
+        return ([math.log10(v) - lt if v > 0.0 else -math.inf for v, _ in pairs],
+                [e for _, e in pairs])
+
+    first, probes = _first_not_above(curve, len(lanes), _BATCHED.get(expression) is None)
+    powers, errors = [math.nan] * len(lanes), [None] * len(lanes)
+    refined, cells = [], []
+    for i, k in enumerate(first):
+        value, error = probes[i].get(k, (math.inf, None))  # past the grid: above
         if error is not None:
-            raise error
-        v = math.log10(v)
-        if prev_v is not None and (prev_v - lt) * (v - lt) <= 0.0:
-            return quadrature.find_crossing(curve, lt, prev_p, p, tol=1e-5)
-        prev_p, prev_v = p, v
-    raise NoCrossingError(f"target {target} not reached in "
-                          f"[{_SCAN_DBM[0]}, {_SCAN_DBM[-1]}] dBm")
+            errors[i] = error
+        elif value == 0.0:
+            powers[i] = _SCAN_DBM[k]
+        elif k in (0, len(_SCAN_DBM)):  # below the target on the whole grid, or above it
+            errors[i] = NoCrossingError(f"target {target} not reached in "
+                                        f"[{_SCAN_DBM[0]}, {_SCAN_DBM[-1]}] dBm")
+        elif value == -math.inf:
+            errors[i] = QuadratureError(f"average falls from above target {target} to 0 "
+                                        f"on [{_SCAN_DBM[k - 1]}, {_SCAN_DBM[k]}] dBm")
+        else:
+            refined.append(i)
+            cells.append((_SCAN_DBM[k - 1], _SCAN_DBM[k], probes[i][k - 1][0], value, 1e-5))
+    roots, failures = quadrature.brentq_lanes(
+        lambda ids, p_dbm: curve([refined[j] for j in ids], p_dbm), cells)
+    for i, root, error in zip(refined, roots, failures):
+        powers[i], errors[i] = root, error
+    return powers, errors
 
 
 def power_steps(op: OperatingPoint, m_bits, target_ser: float, expression=avg_ser_exact):
     """Extra power (dB) to go from 2^m-PAM to 2^(m+1)-PAM at the same SER, for
-    each m in m_bits. Each order's power is solved once and shared by the
-    steps on either side of it.
+    each m in m_bits. The power of every order the steps need is solved once,
+    all orders in lockstep, and shared by the steps on either side of it.
 
     Returns (steps, errors): errors[i] is None, or the QuadratureError or
     ValueError that stopped step i, whose value is then nan.
     """
-    @functools.cache
-    def solve(m):
-        return _power_at_target(op.with_modulation(2**m), expression, target_ser)
-
+    m_bits = list(m_bits)
+    valid = 0.0 < target_ser < 0.5
+    orders = sorted({2**k for m in m_bits if m >= 1 for k in (m, m + 1)})
+    solved = {}
+    if valid and orders:
+        solved = dict(zip(orders, zip(*_powers_at_target(op, orders, expression, target_ser))))
     steps, errors = [], []
     for m in m_bits:
-        try:
-            if m < 1:
-                raise ValueError("m_bits must be >= 1")
-            if not (0.0 < target_ser < 0.5):
-                raise ValueError("target_ser must lie in (0, 0.5)")
-            p1 = solve(m)
-            steps.append(solve(m + 1) - p1)
-            errors.append(None)
-        except (QuadratureError, ValueError) as exc:
-            steps.append(math.nan)
-            errors.append(exc)
+        if m < 1:
+            error = ValueError("m_bits must be >= 1")
+        elif not valid:
+            error = ValueError("target_ser must lie in (0, 0.5)")
+        else:
+            (p1, e1), (p2, e2) = solved[2**m], solved[2 ** (m + 1)]
+            error = e1 if e1 is not None else e2
+        steps.append(math.nan if error is not None else p2 - p1)
+        errors.append(error)
     return steps, errors
 
 

@@ -1,13 +1,14 @@
 """Adaptive 1-D integration on finite and semi-infinite intervals, a batched
 Gauss-Kronrod integrator for many integrals at once, and monotone-curve root
-finding.
+finding for one curve or many in lockstep.
 
 `integrate` is backed by QUADPACK (scipy.integrate.quad, a Gauss-Kronrod
 adaptive rule), which `quadpack` imports on its first call, and root finding
 by Brent's method (Brent, Algorithms for Minimization without Derivatives,
 1973), both wrapped behind error-reporting contracts. `integrate_panels`
 evaluates the integrand of a whole batch of integrals as one numpy array per
-round of bisection.
+round of bisection, and `brentq_lanes` the functions of a whole batch of
+roots as one call per step.
 """
 
 from __future__ import annotations
@@ -140,16 +141,68 @@ def find_crossing(curve, target, lo, hi, tol=1e-4):
     return _brentq(lambda x: curve(x) - target, float(lo), float(hi), f_lo, f_hi, tol)
 
 
-_RTOL = 4.0 * np.finfo(float).eps
+_RTOL = 4.0 * float(np.finfo(float).eps)
 _MAXITER = 100
 
 
 def _brentq(f, xpre, xcur, fpre, fcur, xtol):
     """Root of f in [xpre, xcur], where f takes the values fpre and fcur, of
-    opposite signs and not zero: scipy.optimize.brentq (its brentq.c) step
-    for step, with rtol 4 eps and at most 100 steps, so its roots are
-    bit-identical. Raises QuadratureError, value the last iterate, when it
-    does not converge, or when f is not finite at an iterate."""
+    opposite signs and not zero: the one-lane case of brentq_lanes. Raises
+    its QuadratureError, and any exception of f."""
+    (root,), (error,) = brentq_lanes(lambda lanes, xs: ([f(xs[0])], [None]),
+                                     [(xpre, xcur, fpre, fcur, xtol)])
+    if error is not None:
+        raise error
+    return root
+
+
+def brentq_lanes(f, brackets):
+    """Roots of many functions at once, one lane each, by Brent's method.
+
+    Lane i searches [xpre, xcur] of brackets[i] = (xpre, xcur, fpre, fcur,
+    xtol), where its function takes the values fpre and fcur, of opposite
+    signs and not zero. Every lane takes the steps of scipy.optimize.brentq
+    (its brentq.c), with rtol 4 eps and at most 100 steps, so its root is
+    bit-identical. Each round evaluates every unfinished lane at once:
+    f(lanes, xs) returns (values, errors), errors[k] None or the exception of
+    lane lanes[k] at xs[k].
+
+    Returns (roots, errors): errors[i] is None, or the exception that
+    stopped lane i alone, whose root is then nan. A lane that does not
+    converge, or whose function is not finite at an iterate, fails with
+    QuadratureError, value its last iterate.
+    """
+    roots, errors = [math.nan] * len(brackets), [None] * len(brackets)
+    steps = {i: _brent_steps(*bracket) for i, bracket in enumerate(brackets)}
+    iterate = {}
+
+    def advance(i, value):
+        try:
+            iterate[i] = steps[i].send(value)
+        except StopIteration as stop:
+            roots[i] = stop.value
+        except QuadratureError as exc:
+            errors[i] = exc
+        else:
+            return
+        del steps[i]
+
+    for i in list(steps):
+        advance(i, None)
+    while steps:
+        lanes = list(steps)
+        for i, value, error in zip(lanes, *f(lanes, [iterate[i] for i in lanes])):
+            if error is None:
+                advance(i, value)
+            else:
+                errors[i] = error
+                del steps[i]
+    return roots, errors
+
+
+def _brent_steps(xpre, xcur, fpre, fcur, xtol):
+    """brentq.c as a generator: it yields each iterate, is sent the function's
+    value there, and returns the root."""
     xblk = fblk = spre = scur = 0.0
     for _ in range(_MAXITER):
         if (fpre < 0.0) != (fcur < 0.0):
@@ -177,7 +230,7 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+        fcur = yield xcur
         if not math.isfinite(fcur):
             raise QuadratureError(f"curve value at {xcur} is not finite", value=xcur)
     raise QuadratureError(f"root not found to {xtol} in {_MAXITER} steps", value=xcur)

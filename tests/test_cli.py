@@ -176,6 +176,30 @@ def test_power_step_rows():
     assert rows[3][1] == "%.4f" % (10.0 * math.log10(2.0))
 
 
+def test_power_step_solves_up_to_the_domain_top():
+    # gamma^2 = 0.68: SER ~ P^-0.68, so 256- to 1024-PAM reach 1e-3 only
+    # above 60 dBm, at 60.5, 63.5 and 66.5 dBm
+    point = ["--jitter_sigma_m", "1.2", "--rytov_variance", "0.33"]
+    code, out = run_cli(["power-step", "--target-ser", "1e-3"] + point)
+    assert code == 0
+    rows = rows_of(out)
+    assert [r[1] for r in rows[7:10]] == ["3.0524", "3.0313", "3.0208"]
+    # the high-power closed form, to four decimals
+    g2 = RunConfig(jitter_sigma_m=1.2, rytov_variance=0.33).operating_point().fading.gamma**2
+    assert g2 == pytest.approx(0.681, abs=5e-4)
+    for m, row in zip((7, 8, 9), rows[7:10]):
+        k = 2**m
+        closed = (10.0 * math.log10((2 * k - 1) / (k - 1))
+                  + 10.0 / g2 * math.log10((2 * k - 1) / (2 * (k - 1))))
+        assert row[1] == "%.4f" % closed
+    # 1e-6 lies beyond 80 dBm for every order from M = 4 up
+    code, out = run_cli(["power-step", "--target-ser", "1e-6"] + point)
+    assert code == 3
+    rows = rows_of(out)
+    assert all(r[1] == "nan" and r[2] == "target 1e-06 not reached in [-40.0, 80.0] dBm"
+               for r in rows[1:10])
+
+
 @pytest.mark.parametrize("flags", [["--ber_threshold", v] for v in ("0", "-1", "nan", "inf", "2")]
                          + [["--modulation_m", "4", "--ser_threshold", "0"]])
 def test_delta_threshold_outside_unit_interval_is_config_error(flags, capsys):

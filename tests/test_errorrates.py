@@ -22,7 +22,7 @@ from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
 from fsolink.montecarlo import McConfig, simulate
 from fsolink.quadrature import QuadratureError
 from fsolink.specfun import q_function
-from support import HEADLINE_POINTS, make_op
+from support import GRID_POINTS, HEADLINE_POINTS, make_op
 
 PINK = (0.35, 0.1)
 
@@ -294,6 +294,13 @@ def test_power_increase_validation():
         power_increase_for_next_bit(op, 2, 0.7)
 
 
+@pytest.mark.parametrize("target", [0.0, -1.0, math.nan, 0.5])
+def test_power_steps_bad_target_fails_every_row(target):
+    steps, errors = power_steps(make_op(*PINK, 2, 0.0), [0, 1], target)
+    assert [str(e) for e in errors] == ["m_bits must be >= 1", "target_ser must lie in (0, 0.5)"]
+    assert all(math.isnan(d) for d in steps)
+
+
 def test_power_increase_first_step():
     op = make_op(*PINK, 2, 0.0)
     assert power_increase_for_next_bit(op, 1, 1e-3) == pytest.approx(5.067, abs=0.01)
@@ -305,6 +312,87 @@ def test_power_steps_equal_one_step_calls():
     steps, errors = power_steps(op, range(1, 10), 1e-3)
     assert errors == [None] * 9
     assert steps == [power_increase_for_next_bit(op, m, 1e-3) for m in range(1, 10)]
+
+
+def _parent_power_at_target(op, target):
+    """Reference one-order power solve: the first sign change of
+    log10(SER) - log10(target) on a 2 dB grid from -40 to 60 dBm, evaluated
+    as one batch, refined by scalar Brent to 1e-5 dB."""
+    from scipy.optimize import brentq
+
+    grid = [-40.0 + 2.0 * i for i in range(51)]
+    lt = math.log10(target)
+    values, errors = averages_at_powers(avg_ser_exact, op, [dbm_to_watts(p) for p in grid])
+    assert errors == [None] * len(grid)
+    logs = [math.log10(v) for v in values]
+    for i in range(1, len(grid)):
+        if (logs[i - 1] - lt) * (logs[i] - lt) <= 0.0:
+            return brentq(lambda p: math.log10(avg_ser_exact(op.with_power(dbm_to_watts(p)))) - lt,
+                          grid[i - 1], grid[i], xtol=1e-5)
+    raise NoCrossingError(target)
+
+
+@pytest.mark.parametrize("point", GRID_POINTS)
+def test_power_steps_equal_parent_solve(point):
+    op = make_op(*point, 2, 0.0)
+    powers = [_parent_power_at_target(op.with_modulation(2**m), 1e-3) for m in range(1, 11)]
+    steps, errors = power_steps(op, range(1, 10), 1e-3)
+    assert errors == [None] * 9
+    assert steps == [b - a for a, b in zip(powers, powers[1:])]
+
+
+def test_power_steps_fail_only_at_a_failing_order():
+    # 2-PAM fails while bracketing; 4- and 8-PAM are still refined in lockstep
+    op = make_op(*PINK, 2, 0.0)
+
+    def without_ook(op):
+        if op.modulation_order_m == 2:
+            raise ValueError("no 2-PAM here")
+        return avg_ser_exact(op)
+
+    steps, errors = power_steps(op, [1, 2, 3], 1e-3, without_ook)
+    assert str(errors[0]) == "no 2-PAM here" and math.isnan(steps[0])
+    assert errors[1:] == [None, None]
+    assert steps[1:] == power_steps(op, [2, 3], 1e-3)[0]
+
+
+def test_power_steps_evaluate_all_orders_per_engine_call(monkeypatch):
+    calls = []
+    engine = errorrates.density_average
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(errorrates, "density_average", counted)
+    steps, errors = power_steps(make_op(*PINK, 2, 0.0), range(1, 10), 1e-3)
+    assert errors == [None] * 9
+    # 6 bisection rounds on the 61-point grid and the lockstep Brent rounds;
+    # a scan and a scalar solve per order would take about 70 calls
+    assert len(calls) <= 16
+    assert calls[0] == 10  # one probe of each order M = 2 ... 1024
+
+
+def test_power_solve_at_a_zero_average():
+    # gamma^2 = 109: the exact SER underflows to 0 well inside the power domain
+    op = make_op(0.095, 0.154, 2, 80.0)
+    assert op.fading.gamma**2 == pytest.approx(108.67, abs=0.01)
+    assert avg_ser_exact(op) == 0.0
+    steps, errors = power_steps(op, range(1, 10), 1e-3)
+    assert errors == [None] * 9
+    assert all(3.0 < d < 5.1 for d in steps)
+    # a target below SER(60 dBm) = 7.1e-246 (M = 2) and 3.5e-208 (M = 4):
+    # each row solves or carries its own error
+    steps, errors = power_steps(op, range(1, 10), 1e-250)
+    assert all(math.isfinite(d) for d, e in zip(steps, errors) if e is None)
+    assert [type(e) for e in errors[5:]] == [NoCrossingError] * 4
+    # the target lies in the cells where the SER falls to 0: for M = 2 from
+    # 4.8e-316 at 68 dBm to 0 at 70 dBm, for M = 4 from 1.0e-308 at 72 dBm
+    steps, errors = power_steps(op, range(1, 3), 1e-316)
+    assert [str(e) for e in errors] == [
+        f"average falls from above target 1e-316 to 0 on [{a}, {b}] dBm"
+        for a, b in ((68.0, 70.0), (72.0, 74.0))]
+    assert all(isinstance(e, QuadratureError) for e in errors)
 
 
 # ---------------------------------------------------------------------------

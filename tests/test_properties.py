@@ -1,6 +1,7 @@
 """Property tests over the whole accepted input domain: Rytov variance
 log-uniform in [1e-4, 1], jitter sigma_s log-uniform in [0.05, 5] m, M from
-2 to 1024 and transmit power in [-30, 80] dBm."""
+2 to 1024, transmit power in [-30, 80] dBm and target SER log-uniform in
+[1e-9, 0.3]."""
 
 import math
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsolink.channel import composite_expectation, dbm_to_watts
-from fsolink.errorrates import averages_at_powers, avg_ser_exact
+from fsolink.errorrates import (NoCrossingError, _powers_at_target, averages_at_powers,
+                                avg_ser_exact)
 from support import make_fading, make_op
 
 # a fixed set of examples, so that the suite's run is repeatable
@@ -20,6 +22,7 @@ rytov = st.floats(-4.0, 0.0).map(lambda x: 10.0**x)
 sigma_s = st.floats(math.log10(0.05), math.log10(5.0)).map(lambda x: 10.0**x)
 order = st.integers(1, 10).map(lambda k: 2**k)
 p_dbm = st.floats(-30.0, 80.0)
+target_ser = st.floats(-9.0, math.log10(0.3)).map(lambda x: 10.0**x)
 
 
 @DOMAIN
@@ -47,3 +50,23 @@ def test_exact_matches_nested_oracle(s, r, m, p):
     # 1e-300 is the nested oracle's absolute tolerance
     assert avg_ser_exact(op, nested=True) == pytest.approx(avg_ser_exact(op), rel=1e-8,
                                                            abs=1e-300)
+
+
+@DOMAIN
+@given(sigma_s, rytov, st.integers(1, 9), target_ser)
+def test_power_solve_brackets_target(s, r, m, target):
+    # the two orders of one power step, solved in lockstep
+    op = make_op(s, r, 2)
+    orders = [2**m, 2 ** (m + 1)]
+    powers, errors = _powers_at_target(op, orders, avg_ser_exact, target)
+    for order, p, error in zip(orders, powers, errors):
+        lane = op.with_modulation(order)
+        if error is None:
+            assert -40.0 <= p <= 80.0
+            (above, below), no_errors = averages_at_powers(
+                avg_ser_exact, lane, [dbm_to_watts(p - 1e-4), dbm_to_watts(p + 1e-4)])
+            assert no_errors == [None, None]
+            assert above >= target >= below
+        else:
+            assert isinstance(error, NoCrossingError)
+            assert avg_ser_exact(lane.with_power(dbm_to_watts(80.0))) > target

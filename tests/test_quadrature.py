@@ -151,6 +151,53 @@ def test_brentq_matches_scipy_bit_for_bit(f, lo, hi, xtol):
     assert root == expected
 
 
+def test_brentq_lanes_match_scipy_bit_for_bit():
+    # every case is a lane of one solve, each round one call for all
+    # unfinished lanes; the non-converging lane fails alone
+    from scipy.optimize import brentq
+
+    rounds = []
+
+    def f(lanes, xs):
+        rounds.append(lanes)
+        return [_BRENT_CASES[i][0](x) for i, x in zip(lanes, xs)], [None] * len(lanes)
+
+    brackets = [(lo, hi, g(lo), g(hi), xtol) for g, lo, hi, xtol in _BRENT_CASES]
+    roots, errors = quadrature.brentq_lanes(f, brackets)
+    calls, converged = [], []
+    for (g, lo, hi, xtol), root, error in zip(_BRENT_CASES, roots, errors):
+        expected, result = brentq(g, lo, hi, xtol=xtol, full_output=True, disp=False)
+        calls.append(result.function_calls - 2)  # scipy counts both endpoints
+        converged.append(result.converged)
+        if result.converged:
+            assert error is None and root == expected
+        else:
+            assert isinstance(error, QuadratureError) and math.isnan(root)
+            assert error.value == expected  # its last iterate
+    assert any(converged) and not all(converged)
+    # round k evaluates exactly the lanes that take more than k steps
+    assert rounds == [[i for i, c in enumerate(calls) if c > k] for k in range(max(calls))]
+
+
+def test_brentq_lanes_fail_alone():
+    # a lane whose function reports an error, or is not finite at an iterate,
+    # stops alone; the others keep the roots of their own solves
+    def f(lanes, xs):
+        values, errors = [], []
+        for i, x in zip(lanes, xs):
+            values.append(-math.inf if i == 1 and x > 1.2 else x * x - 2.0)
+            errors.append(RuntimeError("lane 2 fails") if i == 2 else None)
+        return values, errors
+
+    roots, errors = quadrature.brentq_lanes(f, [(0.0, 3.0, -2.0, 7.0, 1e-12)] * 4)
+    alone = quadrature._brentq(lambda x: x * x - 2.0, 0.0, 3.0, -2.0, 7.0, 1e-12)
+    assert roots[0] == roots[3] == alone
+    assert isinstance(errors[1], QuadratureError) and "not finite" in str(errors[1])
+    assert str(errors[2]) == "lane 2 fails"
+    assert math.isnan(roots[1]) and math.isnan(roots[2])
+    assert errors[0] is None and errors[3] is None
+
+
 def test_error_estimate_accumulates_over_splits():
     spec = QuadratureSpec(split_points=(1.0, 2.0))
     value, err = integrate(lambda x: math.exp(-x), 0.0, math.inf, spec)
