@@ -183,6 +183,13 @@ class FadingModel:
         """Breakpoint h_g h_l kappa exp(-mu) where v changes sign."""
         return self.hg_hl * self.kappa * math.exp(-self.mu)
 
+    @cached_property
+    def log_gain_params(self) -> LogGainParams:
+        """The constants of the composite density in log-gain coordinates."""
+        g2, sig2 = self.gamma**2, self.sigma2
+        return LogGainParams(g2, sig2, self.h_hat, -(g2 * g2) * sig2 / 2.0,
+                             math.sqrt(2.0 * sig2), g2 * sig2, g2 * sig2 + 45.0 * math.sqrt(sig2))
+
 
 def power_error(p_watts: float) -> ValueError | None:
     """The error of a transmit power that is not positive and finite, or None."""
@@ -266,11 +273,11 @@ class LogGainParams:
     y_star: float      # centre of the Gaussian bump above h_hat
     y_top: float       # its upper end, 45 standard deviations above the centre
 
-
-def log_gain_params(fm: FadingModel) -> LogGainParams:
-    g2, sig2 = fm.gamma**2, fm.sigma2
-    return LogGainParams(g2, sig2, fm.h_hat, -(g2 * g2) * sig2 / 2.0, math.sqrt(2.0 * sig2),
-                         g2 * sig2, g2 * sig2 + 45.0 * math.sqrt(sig2))
+    @cached_property
+    def y_plan(self) -> tuple[float, ...]:
+        """The engine's splits of the upper piece: y_splits, and y* + 10 sigma,
+        where the bump has fallen to e^-50."""
+        return tuple(sorted({*y_splits(self), self.y_star + 10.0 * math.sqrt(self.sig2)}))
 
 
 def pdf_composite(h, model: FadingModel):
@@ -282,7 +289,7 @@ def pdf_composite(h, model: FadingModel):
     h = np.asarray(h, dtype=float)
     if np.any(h <= 0.0):
         raise ValueError("composite gain must be positive")
-    par = log_gain_params(model)
+    par = model.log_gain_params
     y = np.log(h / par.h_hat)
     # each branch sees y clamped to its own side of h_hat, where it cannot overflow
     y_low, y_high = np.minimum(y, 0.0), np.maximum(y, 0.0)
@@ -294,12 +301,10 @@ def pdf_composite(h, model: FadingModel):
     return float(out) if out.ndim == 0 else out
 
 
-def y_splits(par: LogGainParams, extra=()):
-    """Splits of the upper piece at y* + k sigma (k = -6, -3, 0, 3, 6) and at extra."""
+def y_splits(par: LogGainParams):
+    """Splits of the upper piece at y* + k sigma (k = -6, -3, 0, 3, 6) above 0."""
     s = math.sqrt(par.sig2)
-    base = {par.y_star + k * s for k in (-6, -3, 0, 3, 6)}
-    base.update(extra)
-    return tuple(p for p in sorted(base) if p > 0.0)
+    return tuple(p for p in sorted({par.y_star + k * s for k in (-6, -3, 0, 3, 6)}) if p > 0.0)
 
 
 def low_w_splits(s_hat: float):
@@ -313,10 +318,10 @@ def low_w_splits(s_hat: float):
 def low_w_plan(par: LogGainParams, s_hat: float):
     """Initial panel edges of the lower piece, at the scales of its integrand:
     the knee of erfc(-w / sqrt(2 sig2)) at 1 and 4 times sqrt(2 sig2), the
-    decay of e^(-g2 w) at 1, 8 and 64 times 1 / g2, and low_w_splits(s_hat)
+    decay of e^(-g2 w) at 1, 8, 24 and 64 times 1 / g2, and low_w_splits(s_hat)
     around the conditional's onset."""
-    return (par.sqrt2s, 4.0 * par.sqrt2s, 1.0 / par.g2, 8.0 / par.g2, 64.0 / par.g2,
-            *low_w_splits(s_hat))
+    return (par.sqrt2s, 4.0 * par.sqrt2s, 1.0 / par.g2, 8.0 / par.g2, 24.0 / par.g2,
+            64.0 / par.g2, *low_w_splits(s_hat))
 
 
 def y_cut(s_hat: float) -> float:
@@ -346,17 +351,17 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     e^(-(y - y*)^2 / (2 sig2) + h_power y) times the upper form at
     y / sqrt(2 sig2). With s_hat = u h_hat, the lower piece starts from the
     panels of low_w_plan and y_up is y_cut, capped at y* + 45 sigma; the
-    upper piece is split by y_splits with y_extra. cond receives the gains
-    as an array, then u and each per-entry sequence of columns as matching
-    columns. Every piece of every entry is integrated in one
+    upper piece is split at LogGainParams.y_plan and y_extra. cond receives
+    the gains as an array, then u and each per-entry sequence of columns as
+    matching columns. Every piece of every entry is integrated in one
     quadrature.integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan.
     """
-    par = log_gain_params(fm)
+    par = fm.log_gain_params
     w_low, w_high = weight
-    splits_up = y_splits(par, y_extra)
+    splits_up = tuple(sorted({*par.y_plan, *y_extra})) if y_extra else par.y_plan
     lo, hi, owner, is_low = [], [], [], []
     for i, s_hat in enumerate(x * par.h_hat for x in u):
         pieces = [] if w_low is None else [(True, 0.0, 700.0 / par.g2, low_w_plan(par, s_hat))]

@@ -86,9 +86,11 @@ class RunConfig:
                               "overflows a double")
         if self.n_symbols < 1:
             raise ConfigError("n_symbols must be >= 1")
+        # a threshold below the smallest normal double is subnormal, as are the
+        # averages near it, which have lost precision there
         for name in ("ber_threshold", "ser_threshold"):
-            if not 0.0 < getattr(self, name) < 1.0:  # false for nan too
-                raise ConfigError(f"{name} must lie in (0, 1)")
+            if not sys.float_info.min <= getattr(self, name) < 1.0:  # false for nan too
+                raise ConfigError(f"{name} must lie in [{sys.float_info.min!r}, 1)")
         unknown = set(self.expressions) - set(EXPRESSIONS)
         if unknown:
             raise ConfigError(f"unknown expressions: {sorted(unknown)}; "

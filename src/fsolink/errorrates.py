@@ -25,8 +25,8 @@ import numpy as np
 
 from . import quadrature
 from .channel import (ARG_CUTOFF, EXACT_WEIGHT, OperatingPoint, dbm_to_watts,
-                      density_average, log_gain_params, low_w_splits, power_error,
-                      single_value, y_cut, y_splits)
+                      density_average, low_w_splits, power_error, single_value, y_cut,
+                      y_splits)
 from .quadrature import QuadratureError
 from .specfun import (erfc, erfc_piecewise_negative, erfc_piecewise_positive,
                       erfc_simple_tail, erfcx_piecewise_approx, erfcx_simple_tail,
@@ -125,7 +125,7 @@ def _integrate_nested(f, lo, hi, splits):
 
 def _avg_ser_nested(op: OperatingPoint) -> float:
     m_order = op.modulation_order_m
-    par = log_gain_params(op.fading)
+    par = op.fading.log_gain_params
     (u,) = _u(op, [op.transmit_power_p], [1.0])
     coeff = (m_order - 1) / m_order
     scale = float(m_order - 1)
@@ -390,7 +390,9 @@ class NoCrossingError(ValueError):
 
 def crossing_power(curve: ErrorRateCurve, threshold: float, tol: float = 1e-4) -> float:
     """Power (dBm) at which the curve crosses the threshold, refined on
-    log10(value) via the evaluator when available, else linear interpolation."""
+    log10(value) via the evaluator when available, else linear interpolation.
+    Raises QuadratureError when the first cell that crosses it has an
+    average of 0 at one end, where log10 has no value to work on."""
     logs = [math.log10(v) if v > 0.0 else -math.inf for v in curve.values]
     lt = math.log10(threshold)
     for i in range(len(logs) - 1):
@@ -399,6 +401,12 @@ def crossing_power(curve: ErrorRateCurve, threshold: float, tol: float = 1e-4) -
             return curve.p_dbm[i]
         if (a - lt) * (b - lt) < 0.0 or (b - lt) == 0.0:
             p_a, p_b = curve.p_dbm[i], curve.p_dbm[i + 1]
+            if b == -math.inf:
+                raise QuadratureError(f"average falls from above threshold {threshold} "
+                                      f"to 0 on [{p_a}, {p_b}] dBm")
+            if a == -math.inf:
+                raise QuadratureError(f"average rises from 0 to above threshold {threshold} "
+                                      f"on [{p_a}, {p_b}] dBm")
             if curve.evaluator is not None:
                 return quadrature.find_crossing(
                     lambda p: math.log10(curve.evaluator(p)), lt, p_a, p_b, tol=tol)

@@ -263,23 +263,32 @@ _FRACTIONS = (np.arange(_SPLIT + 1) / _SPLIT)[:, None]
 
 
 def _gk21(f, lo, hi, root):
-    """Gauss-Kronrod value and QUADPACK's error estimate (qk21) of each panel."""
+    """Gauss-Kronrod value and QUADPACK's error estimate (qk21) of each panel,
+    in chunks of at most _CHUNK panels."""
+    if lo.size <= _CHUNK:
+        return _gk21_chunk(f, lo, hi, root)
     value, error = np.empty(lo.size), np.empty(lo.size)
     for s in range(0, lo.size, _CHUNK):
-        a, b = lo[s:s + _CHUNK], hi[s:s + _CHUNK]
-        half = 0.5 * (b - a)
-        fx = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES, root[s:s + _CHUNK])
-        # row-wise sums, so that a panel's result does not depend on its batch
-        resk, resg = (fx[:, None, :] * _WEIGHTS).sum(axis=2).T
-        resabs = (np.abs(fx) * _KRONROD).sum(axis=1)
-        resasc = (np.abs(fx - 0.5 * resk[:, None]) * _KRONROD).sum(axis=1)
-        err = np.abs(resk - resg)
-        big = (resasc > 0.0) & (err > 0.0)
-        err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)
-        err = np.where(resabs > _ROUNDOFF_MIN, np.maximum(_ROUNDOFF * resabs, err), err)
-        value[s:s + _CHUNK] = half * resk
-        error[s:s + _CHUNK] = half * err
+        part = slice(s, s + _CHUNK)
+        value[part], error[part] = _gk21_chunk(f, lo[part], hi[part], root[part])
     return value, error
+
+
+def _gk21_chunk(f, a, b, root):
+    half = 0.5 * (b - a)
+    fx = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES, root)
+    # row-wise sums, so that a panel's result does not depend on its batch
+    resk, resg = (fx[:, None, :] * _WEIGHTS).sum(axis=2).T
+    resabs = (np.abs(fx) * _KRONROD).sum(axis=1)
+    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _KRONROD).sum(axis=1)
+    err = np.abs(resk - resg)
+    big = (resasc > 0.0) & (err > 0.0)
+    if big.all():
+        err = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    else:
+        err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)
+    err = np.where(resabs > _ROUNDOFF_MIN, np.maximum(_ROUNDOFF * resabs, err), err)
+    return half * resk, half * err
 
 
 def integrate_panels(f, lo, hi, owner, n_owners):
@@ -302,15 +311,11 @@ def integrate_panels(f, lo, hi, owner, n_owners):
     share the batch.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    ids = np.stack([np.arange(lo.size), np.asarray(owner, dtype=np.intp)])  # root, owner
+    root, owner = np.arange(lo.size), np.asarray(owner, dtype=np.intp)
+    val, err = _gk21(f, lo, hi, root)
     value, error = np.zeros(n_owners), np.zeros(n_owners)
     ok = np.ones(n_owners, dtype=bool)
-    kept = np.empty((4, 0))  # lo, hi, value, error of panels kept from earlier rounds
-    kept_ids = np.empty((2, 0), dtype=np.intp)
-    while lo.size:
-        panels = np.concatenate([kept, [lo, hi, *_gk21(f, lo, hi, ids[0])]], axis=1)
-        ids = np.concatenate([kept_ids, ids], axis=1)
-        owner, val, err = ids[1], panels[2], panels[3]
+    while True:
         count = np.bincount(owner, minlength=n_owners)
         total = np.bincount(owner, val, n_owners)
         estimate = np.bincount(owner, err, n_owners)
@@ -325,8 +330,12 @@ def integrate_panels(f, lo, hi, owner, n_owners):
             return value, error, ok
         busy = busy[owner]
         cut = busy & (err * count[owner] > tol[owner])
-        kept, kept_ids = panels[:, busy & ~cut], ids[:, busy & ~cut]
-        edges = panels[0, cut] + (panels[1, cut] - panels[0, cut]) * _FRACTIONS
-        lo, hi = edges[:-1].ravel(), edges[1:].ravel()
-        ids = np.concatenate([ids[:, cut]] * _SPLIT, axis=1)
-    return value, error, ok
+        if not cut.any():  # no panel misses its share: the sum does by rounding alone
+            return value, error, ok
+        edges = lo[cut] + (hi[cut] - lo[cut]) * _FRACTIONS
+        parts = (edges[:-1].ravel(), edges[1:].ravel(), np.concatenate([root[cut]] * _SPLIT))
+        new = (*parts, np.concatenate([owner[cut]] * _SPLIT), *_gk21(f, *parts))
+        # the panels kept from this round first, then the parts of those cut
+        keep = busy & ~cut
+        lo, hi, root, owner, val, err = (np.concatenate([old[keep], part]) for old, part
+                                         in zip((lo, hi, root, owner, val, err), new))

@@ -117,6 +117,28 @@ def test_derived_constants_computed_once(monkeypatch):
     assert fm == fresh and hash(fm) == hash(fresh)
 
 
+def test_log_gain_params_computed_once(monkeypatch):
+    fm = make_fading(0.35, 0.1)
+    par = fm.log_gain_params
+    plan = par.y_plan
+
+    def recomputed(*args):
+        raise AssertionError("log-gain constant recomputed")
+
+    for name in ("LogGainParams", "y_splits", "pointing_params"):
+        monkeypatch.setattr(channel, name, recomputed)
+    assert fm.log_gain_params is par and par.y_plan is plan
+    composite_expectation(fm)  # the engine reads the cached constants and splits
+    monkeypatch.undo()
+    # the engine's splits are y_splits and y* + 10 sigma; equality and
+    # hashing ignore the cached values
+    sigma = math.sqrt(par.sig2)
+    assert plan == tuple(sorted({*channel.y_splits(par), par.y_star + 10.0 * sigma}))
+    fresh = make_fading(0.35, 0.1)
+    assert fm == fresh and hash(fm) == hash(fresh)
+    assert fresh.log_gain_params == par
+
+
 # ---------------------------------------------------------------------------
 # component densities
 

@@ -209,6 +209,34 @@ def test_delta_threshold_outside_unit_interval_is_config_error(flags, capsys):
     assert "config error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--ser_threshold", "1e-320"], ["--ser_threshold", "2e-308"],
+                                   ["--ber_threshold", "1e-310", "--modulation_m", "2"]])
+def test_delta_subnormal_threshold_is_config_error(flags, capsys):
+    # below the smallest normal double the averages have lost precision
+    point = ["--jitter_sigma_m", "0.095", "--rytov_variance", "0.154", "--modulation_m", "4",
+             "--p_dbm_min", "70", "--p_dbm_max", "80", "--p_dbm_step", "1",
+             "--expressions", "exact,approx,dense"]
+    code, out = run_cli(["delta"] + point + flags)
+    assert code == 2
+    assert out == ""
+    assert "must lie in [2.2250738585072014e-308, 1)" in capsys.readouterr().err
+    assert RunConfig(ser_threshold=sys.float_info.min).ser_threshold == sys.float_info.min
+
+
+def test_delta_crossing_into_a_zero_average_exit_code():
+    # gamma^2 = 109: the SER of 4-PAM falls from 1.5e-299 at 71 dBm to 0 at
+    # 74 dBm, across the threshold
+    code, out = run_cli(["delta", "--jitter_sigma_m", "0.095", "--rytov_variance", "0.154",
+                         "--modulation_m", "4", "--p_dbm_min", "71", "--p_dbm_max", "80",
+                         "--p_dbm_step", "3", "--ser_threshold", "1e-300",
+                         "--expressions", "exact,approx,dense"])
+    assert code == 3
+    rows = rows_of(out)
+    assert [r[3] for r in rows[1:]] == ["approx-vs-exact", "dense-vs-exact"]
+    assert all(r[5] == "nan" and r[6] == "average falls from above threshold 1e-300 to 0 "
+               "on [71.0, 74.0] dBm" for r in rows[1:])
+
+
 @pytest.mark.parametrize("flags", [["--target-ser", "0"], ["--target-ser", "-1"],
                                    ["--target-ser", "nan"], ["--target-ser", "0.5"],
                                    ["--target-ser", "1e-3", "--m-min", "0"],

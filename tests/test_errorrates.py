@@ -1,5 +1,7 @@
 import csv
 import math
+import random
+import re
 import statistics
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from scipy import special
 
 from fsolink import cli, errorrates, quadrature
-from fsolink.channel import composite_expectation, dbm_to_watts
+from fsolink.channel import composite_expectation, dbm_to_watts, y_splits
 from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
                                 averages_at_powers, avg_ber_mpam,
                                 avg_ber_ook_approx_piecewise,
@@ -122,6 +124,25 @@ def test_nested_oracle_agreement_off_grid(point):
     # has v near 30
     op = make_op(*point)
     assert avg_ser_exact(op, nested=True) == pytest.approx(avg_ser_exact(op), rel=1e-8)
+
+
+def test_nested_oracle_keeps_its_own_splits(monkeypatch):
+    # the engine's split at y* + 10 sigma is not the oracle's: above the
+    # breakpoint QUADPACK starts from the splits of y_splits alone
+    op = make_op(*PINK, 4, -10.0)
+    pieces = []
+    integrate = quadrature.integrate
+
+    def recording(f, lo, hi, spec):
+        pieces.append((lo, hi, spec.split_points))
+        return integrate(f, lo, hi, spec)
+
+    monkeypatch.setattr(quadrature, "integrate", recording)
+    avg_ser_exact(op, nested=True)
+    par = op.fading.log_gain_params
+    _, hi, splits = pieces[-1]
+    assert par.y_star + 10.0 * math.sqrt(par.sig2) < hi
+    assert splits == tuple(p for p in y_splits(par) if p < hi)
 
 
 def test_exact_monotone_in_power_and_order():
@@ -278,6 +299,23 @@ def test_crossing_power_refines_with_evaluator():
     pstar = crossing_power(curve, 3.84e-3)
     assert avg_ber_ook_exact(op.with_power(dbm_to_watts(pstar))) == pytest.approx(
         3.84e-3, rel=1e-3)
+
+
+def test_crossing_power_into_a_zero_average():
+    # the first cell that crosses the threshold ends at an average of 0:
+    # there is no log10 to refine or interpolate on
+    def evaluator(p_dbm):
+        return 10.0 ** (-3.0 - p_dbm) if p_dbm < 2.5 else 0.0
+
+    message = "average falls from above threshold 1e-06 to 0 on [2.0, 3.0] dBm"
+    for refine in (evaluator, None):
+        curve = ErrorRateCurve([0.0, 1.0, 2.0, 3.0], [evaluator(p) for p in range(4)], refine)
+        with pytest.raises(QuadratureError, match=re.escape(message)):
+            crossing_power(curve, 1e-6)
+        assert crossing_power(curve, 1e-4) == pytest.approx(1.0, abs=1e-9)
+    rising = ErrorRateCurve([0.0, 1.0], [0.0, 1e-2])
+    with pytest.raises(QuadratureError, match="rises from 0 to above threshold"):
+        crossing_power(rising, 1e-6)
 
 
 def test_crossing_power_no_crossing_raises():
@@ -500,6 +538,52 @@ def test_single_point_rounds(monkeypatch):
             call(make_op(*point))
             rounds.append(len(calls))
         assert statistics.median(rounds) <= 2, rounds
+
+
+def test_normalisation_converges_in_one_round(monkeypatch):
+    # the split at y* + 10 sigma resolves the bump's upper tail, so the
+    # normalisation needs no round of cuts at the median point
+    calls = []
+    gk21 = quadrature._gk21
+
+    def counting(*args):
+        calls.append(None)
+        return gk21(*args)
+
+    monkeypatch.setattr(quadrature, "_gk21", counting)
+    rounds = []
+    for point in OFF_GRID:
+        calls.clear()
+        assert composite_expectation(make_op(*point).fading) == pytest.approx(1.0, abs=1e-9)
+        rounds.append(len(calls))
+    assert statistics.median(rounds) == 1, rounds
+
+
+def test_single_point_work_budget(monkeypatch):
+    # Gauss-Kronrod rounds and panels of the single-point averages over 200
+    # points drawn like the benchmark's domain workload, at most 5 % above
+    # the 1,376 rounds and 20,239 panels that the plan of low_w_plan and
+    # LogGainParams.y_plan takes; without the 24/g2 and y* + 10 sigma points
+    # it took 1,659 and 23,487
+    panels = []
+    gk21 = quadrature._gk21
+
+    def counting(f, lo, hi, root):
+        panels.append(lo.size)
+        return gk21(f, lo, hi, root)
+
+    monkeypatch.setattr(quadrature, "_gk21", counting)
+    rng = random.Random(8)
+    for _ in range(200):
+        rytov = 10.0 ** rng.uniform(-4.0, 0.0)
+        sigma_s = 10.0 ** rng.uniform(math.log10(0.05), math.log10(5.0))
+        m = 2 ** rng.randint(1, 10)
+        op = make_op(sigma_s, rytov, m, rng.uniform(-30.0, 80.0))
+        composite_expectation(op.fading)
+        for average in (avg_ser_exact, avg_ser_approx, avg_ser_dense):
+            average(op)
+    assert len(panels) <= 1.05 * 1376, len(panels)
+    assert sum(panels) <= 1.05 * 20239, sum(panels)
 
 
 # the OFF_GRID points whose exact SER lies in [1e-3, 0.3], and OFF_GRID[1]

@@ -203,3 +203,114 @@ def test_error_estimate_accumulates_over_splits():
     value, err = integrate(lambda x: math.exp(-x), 0.0, math.inf, spec)
     assert value == pytest.approx(1.0, rel=1e-10)
     assert err >= 0.0
+
+
+# (integrand on an array of nodes, lo, hi, initial panels) for one
+# integrate_panels batch that mixes every way an integral ends
+_FLAT_CASES = [
+    (np.sqrt, 0.0, 1.0, 1),  # the derivative is singular at 0: many rounds
+    (lambda x: x * x, 0.0, 1.0, 1),  # exact in round 1
+    (lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0, 4),  # not finite
+    (lambda x: (1e7 * x) % 1.0, 0.0, 1.0, 1),  # never converges: over _MAX_PANELS
+    (np.exp, -1.0, 2.0, 1500),  # with the others, over _CHUNK panels in round 1
+]
+
+
+def _integrate_cases(cases, engine=None):
+    """Integrate each of cases as one integral of one integrate_panels batch,
+    counting the panels of each _gk21 call in rounds."""
+    engine = engine or quadrature.integrate_panels
+    lo, hi, owner = [], [], []
+    for i, (_, a, b, n) in enumerate(cases):
+        edges = np.linspace(a, b, n + 1)
+        lo += edges[:-1].tolist()
+        hi += edges[1:].tolist()
+        owner += [i] * n
+    case_of_root = np.array(owner)
+
+    def f(x, root):
+        out = np.empty_like(x)
+        for i, (g, *_) in enumerate(cases):
+            rows = case_of_root[root] == i
+            out[rows] = g(x[rows])
+        return out
+
+    return engine(f, lo, hi, owner, len(cases))
+
+
+def _stacked_integrate_panels(f, lo, hi, owner, n_owners):
+    """The reference engine: panels stacked as one 4 x n and one 2 x n array
+    per round, each round evaluated in chunks of _CHUNK panels."""
+    def gk21(lo, hi, root):
+        value, error = np.empty(lo.size), np.empty(lo.size)
+        for s in range(0, lo.size, quadrature._CHUNK):
+            a, b = lo[s:s + quadrature._CHUNK], hi[s:s + quadrature._CHUNK]
+            half = 0.5 * (b - a)
+            fx = f((0.5 * (a + b))[:, None] + half[:, None] * quadrature._NODES,
+                   root[s:s + quadrature._CHUNK])
+            resk, resg = (fx[:, None, :] * quadrature._WEIGHTS).sum(axis=2).T
+            resabs = (np.abs(fx) * quadrature._KRONROD).sum(axis=1)
+            resasc = (np.abs(fx - 0.5 * resk[:, None]) * quadrature._KRONROD).sum(axis=1)
+            err = np.abs(resk - resg)
+            big = (resasc > 0.0) & (err > 0.0)
+            err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)
+            err = np.where(resabs > quadrature._ROUNDOFF_MIN,
+                           np.maximum(quadrature._ROUNDOFF * resabs, err), err)
+            value[s:s + quadrature._CHUNK] = half * resk
+            error[s:s + quadrature._CHUNK] = half * err
+        return value, error
+
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    ids = np.stack([np.arange(lo.size), np.asarray(owner, dtype=np.intp)])
+    value, error = np.zeros(n_owners), np.zeros(n_owners)
+    ok = np.ones(n_owners, dtype=bool)
+    kept, kept_ids = np.empty((4, 0)), np.empty((2, 0), dtype=np.intp)
+    while lo.size:
+        panels = np.concatenate([kept, [lo, hi, *gk21(lo, hi, ids[0])]], axis=1)
+        ids = np.concatenate([kept_ids, ids], axis=1)
+        owner, val, err = ids[1], panels[2], panels[3]
+        count = np.bincount(owner, minlength=n_owners)
+        total = np.bincount(owner, val, n_owners)
+        estimate = np.bincount(owner, err, n_owners)
+        ok[owner[~np.isfinite(val + err)]] = False
+        tol = np.maximum(quadrature._ABS_TOL, quadrature._REL_TOL * np.abs(total))
+        busy = ok & (estimate > tol)
+        ok[busy & (count > quadrature._MAX_PANELS)] = False
+        busy &= ok
+        done = (count > 0) & ~busy
+        value[done], error[done] = total[done], estimate[done]
+        if not busy.any():
+            return value, error, ok
+        busy = busy[owner]
+        cut = busy & (err * count[owner] > tol[owner])
+        kept, kept_ids = panels[:, busy & ~cut], ids[:, busy & ~cut]
+        edges = panels[0, cut] + (panels[1, cut] - panels[0, cut]) * quadrature._FRACTIONS
+        lo, hi = edges[:-1].ravel(), edges[1:].ravel()
+        ids = np.concatenate([ids[:, cut]] * quadrature._SPLIT, axis=1)
+    return value, error, ok
+
+
+def test_flat_rounds_bit_for_bit(monkeypatch):
+    # each integral of a mixed batch gets the (value, error, ok) of its own
+    # one-entry call, and the whole batch that of the stacked reference engine
+    rounds = []
+    gk21 = quadrature._gk21
+
+    def counting(f, lo, hi, root):
+        rounds.append(lo.size)
+        return gk21(f, lo, hi, root)
+
+    monkeypatch.setattr(quadrature, "_gk21", counting)
+    batch = _integrate_cases(_FLAT_CASES)
+    assert max(rounds) > quadrature._CHUNK
+    assert batch[2].tolist() == [True, True, False, False, True]
+    for i, case in enumerate(_FLAT_CASES):
+        rounds.clear()
+        alone = _integrate_cases([case])
+        # exact equality, nan equal to nan
+        np.testing.assert_array_equal([r[i] for r in batch], [r[0] for r in alone])
+        assert len(rounds) >= 3 if i in (0, 3) else len(rounds) == 1
+    reference = _integrate_cases(_FLAT_CASES, _stacked_integrate_panels)
+    for got, expected in zip(batch, reference):
+        np.testing.assert_array_equal(got, expected)
+    assert batch[0][1] == 1.0 / 3.0 and batch[0][4] == pytest.approx(math.e**2 - 1.0 / math.e)
