@@ -338,7 +338,7 @@ EXACT_WEIGHT = (erfc, special.erfcx)
 
 
 def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
-                    y_lo: float = 0.0, y_extra=(), columns=()):
+                    y_lo: float = 0.0, y_extra=()):
     """The average of h^h_power cond(h, u) over the composite density, for
     each entry of u at once; cond decays on the h-scale 1 / u.
 
@@ -352,9 +352,8 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     y / sqrt(2 sig2). With s_hat = u h_hat, the lower piece starts from the
     panels of low_w_plan and y_up is y_cut, capped at y* + 45 sigma; the
     upper piece is split at LogGainParams.y_plan and y_extra. cond receives
-    the gains as an array, then u and each per-entry sequence of columns as
-    matching columns. Every piece of every entry is integrated in one
-    quadrature.integrate_panels batch.
+    the gains as an array and u as a matching column. Every piece of every
+    entry is integrated in one quadrature.integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan.
@@ -375,23 +374,21 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
             owner += [i] * (len(edges) - 1)
             is_low += [low] * (len(edges) - 1)
     owner, is_low = np.array(owner, dtype=np.intp), np.array(is_low)
-    # u and each of columns as a column with one row per panel
-    panel_cols = [np.array(c, dtype=float)[owner][:, None] for c in (u, *columns)]
+    u_col = np.array(u, dtype=float)[owner][:, None]  # one row per panel
 
     def integrand(x, root):
         out = np.empty_like(x)
-        cols = [c[root] for c in panel_cols]
-        low = is_low[root]
+        u_root, low = u_col[root], is_low[root]
         if low.any():
             w = x[low]
             out[low] = (np.exp(par.log_amp - (par.g2 + h_power) * w) * w_low(-w / par.sqrt2s)
-                        * cond(par.h_hat * np.exp(-w), *[c[low] for c in cols]))
+                        * cond(par.h_hat * np.exp(-w), u_root[low]))
         if not low.all():
             high = ~low
             y = x[high]
             out[high] = (np.exp(-((y - par.y_star) ** 2) / (2.0 * par.sig2) + h_power * y)
                          * w_high(y / par.sqrt2s)
-                         * cond(par.h_hat * np.exp(y), *[c[high] for c in cols]))
+                         * cond(par.h_hat * np.exp(y), u_root[high]))
         return out
 
     value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))

@@ -234,7 +234,7 @@ def cmd_sweep(cfg: RunConfig, out) -> int:
     op = cfg.operating_point()
     watts = [dbm_to_watts(p) for p in grid]
     names = list(cfg.expressions)
-    columns = [er.averages_at_powers(er.AVERAGES[name], op, watts) for name in names]
+    results = [er.averages_at_powers(er.AVERAGES[name], op, watts) for name in names]
     header = ["p_dbm", "snr_opt_db", "snr_elec_db"] + names + ["errors"]
     rows = []
     any_failure = False
@@ -242,7 +242,7 @@ def cmd_sweep(cfg: RunConfig, out) -> int:
         op_p = op.with_power(w)
         row = [_fmt_db(p), _fmt_db(snr_optical(op_p)), _fmt_db(snr_electrical(op_p))]
         errs = []
-        for name, (values, errors) in zip(names, columns):
+        for name, (values, errors) in zip(names, results):
             if errors[i] is None:
                 row.append(_fmt_prob(values[i]))
             else:
@@ -290,8 +290,7 @@ def cmd_delta(cfg: RunConfig, out) -> int:
     return EXIT_NUMERIC if any_failure else EXIT_OK
 
 
-def cmd_power_step(cfg: RunConfig, out, target_ser: float,
-                   m_min: int = 1, m_max: int = 9) -> int:
+def cmd_power_step(cfg: RunConfig, out, target_ser: float, m_min: int, m_max: int) -> int:
     op = cfg.operating_point()
     header = ["m", "delta_p_db", "error"]
     rows = []
@@ -371,8 +370,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, _collect_overrides(args))
         cfg.operating_point()  # surface model-domain violations as config errors
         if args.command == "power-step":
-            if not 0.0 < args.target_ser < 0.5:
-                raise ConfigError("target-ser must lie in (0, 0.5)")
+            if not sys.float_info.min <= args.target_ser < 0.5:  # false for nan too
+                raise ConfigError(f"target-ser must lie in [{sys.float_info.min!r}, 0.5)")
             if not 1 <= args.m_min <= args.m_max:
                 raise ConfigError("m-min and m-max must satisfy 1 <= m-min <= m-max")
     except (ConfigError, OSError, ValueError) as exc:

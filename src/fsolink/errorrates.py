@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,17 +184,14 @@ def _one_power(batch):
 
 def _ser(op, p_watts, orders, weight, erfc_form, dense: bool = False):
     """Average SER with erfc_form in the conditional SER; dense replaces its
-    M - 1 by M. The conditional multiplies in the coefficient (M - 1) / M, or
-    1: a scalar when every entry has one order, else a per-entry column,
-    which costs more per integrand call. Either way an entry's value does
-    not depend on the orders of the others."""
-    coeff = [1.0 if dense else (m - 1) / m for m in orders]
+    M - 1 by M. Each entry's average of erfc_form is multiplied by its
+    coefficient (M - 1) / M, or 1, so an entry's value does not depend on the
+    orders of the others."""
     u = _u(op, p_watts, [m if dense else m - 1 for m in orders])
-    if len(set(coeff)) == 1:
-        (c,) = set(coeff)
-        return density_average(op.fading, u, weight, lambda h, u: c * erfc_form(u * h))
-    return density_average(op.fading, u, weight, lambda h, u, c: c * erfc_form(u * h),
-                           columns=(coeff,))
+    values, errors = density_average(op.fading, u, weight, lambda h, u: erfc_form(u * h))
+    if not dense:
+        values = [(m - 1) / m * v for m, v in zip(orders, values)]
+    return values, errors
 
 
 def _require_ook(orders):
@@ -313,28 +311,29 @@ AVERAGES = {
 
 
 def _evaluations(expression, points, p_watts):
-    """Iterate (value, error) of expression at each operating point of points,
-    which share one channel, moved to the matching transmit power of p_watts:
-    an average with a batch form as one batch, each entry at its point's
-    modulation order, any other callable lazily, point by point."""
+    """expression at each operating point of points, which share one channel,
+    moved to the matching transmit power of p_watts: an average with a batch
+    form as one batch, each entry at its point's modulation order, any other
+    callable point by point. Returns (values, errors) as averages_at_powers
+    does."""
     batch = _BATCHED.get(expression)
+    pairs = []
     if batch is None:
         for op, p in zip(points, p_watts):
             try:
-                yield expression(op.with_power(p)), None
+                pairs.append((expression(op.with_power(p)), None))
             except (QuadratureError, ValueError) as exc:
-                yield math.nan, exc
-        return
-    if not p_watts:
-        return
-    invalid = [power_error(p) for p in p_watts]
-    valid = [(p, op.modulation_order_m) for op, p, e in zip(points, p_watts, invalid) if e is None]
-    try:
-        results = zip(*batch(points[0], [p for p, _ in valid], [m for _, m in valid]))
-    except ValueError as exc:
-        results = itertools.repeat((math.nan, exc))
-    for error in invalid:
-        yield next(results) if error is None else (math.nan, error)
+                pairs.append((math.nan, exc))
+    elif p_watts:
+        invalid = [power_error(p) for p in p_watts]
+        valid = [(p, op.modulation_order_m)
+                 for op, p, e in zip(points, p_watts, invalid) if e is None]
+        try:
+            results = zip(*batch(points[0], [p for p, _ in valid], [m for _, m in valid]))
+        except ValueError as exc:
+            results = itertools.repeat((math.nan, exc))
+        pairs = [next(results) if error is None else (math.nan, error) for error in invalid]
+    return [v for v, _ in pairs], [e for _, e in pairs]
 
 
 def averages_at_powers(expression, op: OperatingPoint, p_watts):
@@ -347,8 +346,7 @@ def averages_at_powers(expression, op: OperatingPoint, p_watts):
     power that is not positive and finite is the ValueError OperatingPoint
     raises for it.
     """
-    pairs = list(_evaluations(expression, [op] * len(p_watts), p_watts))
-    return [v for v, _ in pairs], [e for _, e in pairs]
+    return _evaluations(expression, [op] * len(p_watts), p_watts)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +386,13 @@ class NoCrossingError(ValueError):
     """The curve does not cross the requested threshold in its power range."""
 
 
-def crossing_power(curve: ErrorRateCurve, threshold: float, tol: float = 1e-4) -> float:
-    """Power (dBm) at which the curve crosses the threshold, refined on
-    log10(value) via the evaluator when available, else linear interpolation.
-    Raises QuadratureError when the first cell that crosses it has an
-    average of 0 at one end, where log10 has no value to work on."""
+def crossing_power(curve: ErrorRateCurve, threshold: float) -> float:
+    """Power (dBm) at which the curve crosses the threshold: refined on
+    log10(value) to 1e-4 dB by Brent's method via the evaluator when
+    available, starting from the curve's own values at the ends of the cell,
+    else by linear interpolation. Raises QuadratureError when the first cell
+    that crosses it has an average of 0 at one end, where log10 has no value
+    to work on."""
     logs = [math.log10(v) if v > 0.0 else -math.inf for v in curve.values]
     lt = math.log10(threshold)
     for i in range(len(logs) - 1):
@@ -407,9 +407,11 @@ def crossing_power(curve: ErrorRateCurve, threshold: float, tol: float = 1e-4) -
             if a == -math.inf:
                 raise QuadratureError(f"average rises from 0 to above threshold {threshold} "
                                       f"on [{p_a}, {p_b}] dBm")
+            if (b - lt) == 0.0:
+                return p_b
             if curve.evaluator is not None:
-                return quadrature.find_crossing(
-                    lambda p: math.log10(curve.evaluator(p)), lt, p_a, p_b, tol=tol)
+                return quadrature._brentq(lambda p: math.log10(curve.evaluator(p)) - lt,
+                                          p_a, p_b, a - lt, b - lt, 1e-4)
             return p_a + (p_b - p_a) * (lt - a) / (b - a)
     raise NoCrossingError(f"threshold {threshold} not crossed on "
                           f"[{curve.p_dbm[0]}, {curve.p_dbm[-1]}] dBm")
@@ -426,7 +428,7 @@ def delta_gap(exact: ErrorRateCurve, approx: ErrorRateCurve, threshold: float) -
 _SCAN_DBM = tuple(-40.0 + 2.0 * i for i in range(61))
 
 
-def _first_not_above(curve, n_lanes, lazy):
+def _first_not_above(curve, n_lanes):
     """For each of n_lanes lanes, the first index of _SCAN_DBM where the
     lane's curve is not above 0, len(_SCAN_DBM) if there is none, and the
     curve's (value, error) at each index probed.
@@ -434,16 +436,13 @@ def _first_not_above(curve, n_lanes, lazy):
     Each lane holds a cell of grid indices, at first (-1, len(_SCAN_DBM)),
     whose lower end is above 0 and whose upper end is not, the two first
     ends being counted so. Each round is one curve call with one probe per
-    lane whose cell spans more than one step: its midpoint, or for lazy
-    lanes the next index up, so that those scan the grid point by point and
-    stop at the first index not above 0. A probe that failed is not above 0:
-    it bounds the search from above. For a non-increasing curve both find
-    the first cell where it crosses 0.
+    lane whose cell spans more than one step, at its midpoint. A probe that
+    failed is not above 0: it bounds the search from above. For a
+    non-increasing curve this finds the first cell where it crosses 0.
     """
     probes = [{} for _ in range(n_lanes)]
     cells = [(-1, len(_SCAN_DBM))] * n_lanes
-    while mids := {i: lo + 1 if lazy else (lo + hi) // 2
-                   for i, (lo, hi) in enumerate(cells) if hi - lo > 1}:
+    while mids := {i: (lo + hi) // 2 for i, (lo, hi) in enumerate(cells) if hi - lo > 1}:
         values, errors = curve(list(mids), [_SCAN_DBM[k] for k in mids.values()])
         for (i, k), value, error in zip(mids.items(), values, errors):
             probes[i][k] = value, error
@@ -473,12 +472,11 @@ def _powers_at_target(op: OperatingPoint, orders, expression, target: float):
     def curve(ids, p_dbm):
         # log10 of expression at lanes[i] and power p, less lt, for each pair of
         # ids and p_dbm, evaluated as _evaluations does; an average of 0 gives -inf
-        pairs = list(_evaluations(expression, [lanes[i] for i in ids],
-                                  [dbm_to_watts(p) for p in p_dbm]))
-        return ([math.log10(v) - lt if v > 0.0 else -math.inf for v, _ in pairs],
-                [e for _, e in pairs])
+        values, errors = _evaluations(expression, [lanes[i] for i in ids],
+                                      [dbm_to_watts(p) for p in p_dbm])
+        return [math.log10(v) - lt if v > 0.0 else -math.inf for v in values], errors
 
-    first, probes = _first_not_above(curve, len(lanes), _BATCHED.get(expression) is None)
+    first, probes = _first_not_above(curve, len(lanes))
     powers, errors = [math.nan] * len(lanes), [None] * len(lanes)
     refined, cells = [], []
     for i, k in enumerate(first):
@@ -512,7 +510,8 @@ def power_steps(op: OperatingPoint, m_bits, target_ser: float, expression=avg_se
     ValueError that stopped step i, whose value is then nan.
     """
     m_bits = list(m_bits)
-    valid = 0.0 < target_ser < 0.5
+    # a subnormal target would be compared with averages that have lost precision
+    valid = sys.float_info.min <= target_ser < 0.5
     orders = sorted({2**k for m in m_bits if m >= 1 for k in (m, m + 1)})
     solved = {}
     if valid and orders:
@@ -522,7 +521,7 @@ def power_steps(op: OperatingPoint, m_bits, target_ser: float, expression=avg_se
         if m < 1:
             error = ValueError("m_bits must be >= 1")
         elif not valid:
-            error = ValueError("target_ser must lie in (0, 0.5)")
+            error = ValueError(f"target_ser must lie in [{sys.float_info.min!r}, 0.5)")
         else:
             (p1, e1), (p2, e2) = solved[2**m], solved[2 ** (m + 1)]
             error = e1 if e1 is not None else e2

@@ -265,8 +265,6 @@ _FRACTIONS = (np.arange(_SPLIT + 1) / _SPLIT)[:, None]
 def _gk21(f, lo, hi, root):
     """Gauss-Kronrod value and QUADPACK's error estimate (qk21) of each panel,
     in chunks of at most _CHUNK panels."""
-    if lo.size <= _CHUNK:
-        return _gk21_chunk(f, lo, hi, root)
     value, error = np.empty(lo.size), np.empty(lo.size)
     for s in range(0, lo.size, _CHUNK):
         part = slice(s, s + _CHUNK)
@@ -283,10 +281,7 @@ def _gk21_chunk(f, a, b, root):
     resasc = (np.abs(fx - 0.5 * resk[:, None]) * _KRONROD).sum(axis=1)
     err = np.abs(resk - resg)
     big = (resasc > 0.0) & (err > 0.0)
-    if big.all():
-        err = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    else:
-        err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)
+    err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)
     err = np.where(resabs > _ROUNDOFF_MIN, np.maximum(_ROUNDOFF * resabs, err), err)
     return half * resk, half * err
 

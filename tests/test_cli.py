@@ -240,7 +240,9 @@ def test_delta_crossing_into_a_zero_average_exit_code():
 @pytest.mark.parametrize("flags", [["--target-ser", "0"], ["--target-ser", "-1"],
                                    ["--target-ser", "nan"], ["--target-ser", "0.5"],
                                    ["--target-ser", "1e-3", "--m-min", "0"],
-                                   ["--target-ser", "1e-3", "--m-min", "5", "--m-max", "2"]])
+                                   ["--target-ser", "1e-3", "--m-min", "5", "--m-max", "2"],
+                                   # subnormal, as the thresholds below 2.2e-308 are
+                                   ["--target-ser", "1e-316"], ["--target-ser", "5e-324"]])
 def test_power_step_bad_arguments_are_config_errors(flags, capsys):
     code, out = run_cli(["power-step"] + flags)
     assert code == 2

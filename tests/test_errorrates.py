@@ -301,6 +301,35 @@ def test_crossing_power_refines_with_evaluator():
         3.84e-3, rel=1e-3)
 
 
+def test_crossing_power_never_evaluates_the_cell_ends():
+    # the refinement starts from the curve's own values at the ends of its
+    # cell, and takes the steps of find_crossing, which evaluates them again
+    op = make_op(*PINK, 4, 0.0)
+    grid = [-4.0 + 2.0 * i for i in range(10)]
+    curve = sweep_curve(op, avg_ser_exact, grid)
+    evaluator, seen = curve.evaluator, []
+
+    def recording(p_dbm):
+        seen.append(p_dbm)
+        return evaluator(p_dbm)
+
+    curve.evaluator = recording
+    pstar = crossing_power(curve, 1e-3)
+    assert seen and not set(seen) & set(grid)
+    i = next(i for i, (a, b) in enumerate(zip(curve.values, curve.values[1:])) if a > 1e-3 > b)
+    assert pstar == quadrature.find_crossing(lambda p: math.log10(evaluator(p)), -3.0,
+                                             grid[i], grid[i + 1])
+
+
+def test_crossing_power_at_a_cell_end():
+    # a grid value on the threshold is the crossing, with no evaluation
+    def evaluator(p_dbm):
+        raise AssertionError(f"evaluated at {p_dbm} dBm")
+
+    curve = ErrorRateCurve([0.0, 1.0, 2.0], [1e-2, 1e-3, 1e-4], evaluator)
+    assert crossing_power(curve, 1e-3) == 1.0
+
+
 def test_crossing_power_into_a_zero_average():
     # the first cell that crosses the threshold ends at an average of 0:
     # there is no log10 to refine or interpolate on
@@ -332,10 +361,12 @@ def test_power_increase_validation():
         power_increase_for_next_bit(op, 2, 0.7)
 
 
-@pytest.mark.parametrize("target", [0.0, -1.0, math.nan, 0.5])
+@pytest.mark.parametrize("target", [0.0, -1.0, math.nan, 0.5, 1e-316])
 def test_power_steps_bad_target_fails_every_row(target):
+    # a subnormal target is refused as a subnormal threshold is
     steps, errors = power_steps(make_op(*PINK, 2, 0.0), [0, 1], target)
-    assert [str(e) for e in errors] == ["m_bits must be >= 1", "target_ser must lie in (0, 0.5)"]
+    assert [str(e) for e in errors] == [
+        "m_bits must be >= 1", "target_ser must lie in [2.2250738585072014e-308, 0.5)"]
     assert all(math.isnan(d) for d in steps)
 
 
@@ -424,12 +455,14 @@ def test_power_solve_at_a_zero_average():
     steps, errors = power_steps(op, range(1, 10), 1e-250)
     assert all(math.isfinite(d) for d, e in zip(steps, errors) if e is None)
     assert [type(e) for e in errors[5:]] == [NoCrossingError] * 4
-    # the target lies in the cells where the SER falls to 0: for M = 2 from
-    # 4.8e-316 at 68 dBm to 0 at 70 dBm, for M = 4 from 1.0e-308 at 72 dBm
-    steps, errors = power_steps(op, range(1, 3), 1e-316)
+    # gamma^2 = 302: the target lies in the cells where the SER falls to 0,
+    # for M = 2 from 2.3e-266 at 14 dBm to 0 at 16 dBm, for M = 4 from
+    # 2.8e-303 at 20 dBm to 0 at 22 dBm
+    op = make_op(0.057, 2.4e-4, 2, 0.0)
+    steps, errors = power_steps(op, range(1, 3), 1e-304)
     assert [str(e) for e in errors] == [
-        f"average falls from above target 1e-316 to 0 on [{a}, {b}] dBm"
-        for a, b in ((68.0, 70.0), (72.0, 74.0))]
+        f"average falls from above target 1e-304 to 0 on [{a}, {b}] dBm"
+        for a, b in ((14.0, 16.0), (20.0, 22.0))]
     assert all(isinstance(e, QuadratureError) for e in errors)
 
 
@@ -449,6 +482,21 @@ def test_batch_equals_one_power_calls(name):
     # a point's value does not depend on which other powers share its batch
     part, _ = averages_at_powers(AVERAGES[name], op, watts[::-7])
     assert part == values[::-7]
+
+
+@pytest.mark.parametrize("name", ["exact", "approx", "dense", "dense_highpower"])
+def test_mixed_order_batch_equals_one_order_batches(name):
+    # an entry's value does not depend on the orders of the others
+    op = make_op(*PINK, 2, 0.0)
+    batch = errorrates._BATCHED[AVERAGES[name]]
+    orders = [2**k for k in range(1, 11)]
+    watts = [dbm_to_watts(p) for p in (-5.0, 10.0, 30.0, 60.0)]
+    values, errors = batch(op, [w for w in watts for _ in orders], orders * len(watts))
+    assert errors == [None] * len(values)
+    for j, m in enumerate(orders):
+        alone, errors = batch(op, watts, [m] * len(watts))
+        assert errors == [None] * len(watts)
+        assert values[j::len(orders)] == alone
 
 
 @pytest.mark.parametrize("expression", [avg_ser_exact, lambda op: avg_ser_exact(op)],
@@ -481,15 +529,18 @@ def test_power_solve_ignores_failures_past_the_bracket(monkeypatch):
     assert isinstance(errors[0], QuadratureError)
     assert power_increase_for_next_bit(op, 1, 1e-3) == reference
     monkeypatch.undo()
-    # point by point: the scan stops at the bracket
-    seen = []
 
-    def recording(op):
-        seen.append(op.transmit_power_p)
+    # point by point: a callable that fails above 10 dBm bisects to the same cell
+    def failing_above(op):
+        if op.transmit_power_p > dbm_to_watts(10.0):
+            raise ValueError("no average above 10 dBm")
         return avg_ser_exact(op)
 
-    assert power_increase_for_next_bit(op, 1, 1e-3, recording) == reference
-    assert max(seen) <= dbm_to_watts(10.0)
+    assert power_increase_for_next_bit(op, 1, 1e-3, failing_above) == reference
+    # and takes the probes and Brent iterates of the batched solve
+    steps, errors = power_steps(op, range(1, 10), 1e-3, lambda op: avg_ser_exact(op))
+    assert errors == [None] * 9
+    assert steps == power_steps(op, range(1, 10), 1e-3)[0]
 
 
 def test_sweep_failure_marks_only_its_row(monkeypatch, tmp_path):
