@@ -13,6 +13,7 @@ with dBm conversion helpers for the CLI layer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -337,6 +338,13 @@ def y_cut(s_hat: float) -> float:
 EXACT_WEIGHT = (erfc, special.erfcx)
 
 
+def flush_subnormal(x: float) -> float:
+    """x, or 0.0 where |x| is below the smallest normal double: an average
+    there has lost its relative precision, as the engine converges only to
+    abs 1e-319."""
+    return 0.0 if abs(x) < sys.float_info.min else x
+
+
 def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
                     y_lo: float = 0.0, y_extra=()):
     """The average of h^h_power cond(h, u) over the composite density, for
@@ -356,7 +364,8 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     entry is integrated in one quadrature.integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
-    entry i, whose value is then nan.
+    entry i, whose value is then nan. A value below the smallest normal
+    double is returned as 0, as flush_subnormal does.
     """
     par = fm.log_gain_params
     w_low, w_high = weight
@@ -398,7 +407,7 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
         else "integrand produced a non-finite value", value=v, error_estimate=e)
         for good, v, e in zip(ok, value.tolist(), error.tolist())]
     value[~ok] = math.nan
-    return value.tolist(), errors
+    return [flush_subnormal(v) for v in value.tolist()], errors
 
 
 def single_value(result) -> float:

@@ -17,6 +17,7 @@ cross-validation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import quadrature
 from .channel import (ARG_CUTOFF, EXACT_WEIGHT, OperatingPoint, dbm_to_watts,
-                      density_average, low_w_splits, power_error, single_value, y_cut,
-                      y_splits)
+                      density_average, flush_subnormal, low_w_splits, power_error,
+                      single_value, y_cut, y_splits)
 from .quadrature import QuadratureError
 from .specfun import (erfc, erfc_piecewise_negative, erfc_piecewise_positive,
                       erfc_simple_tail, erfcx_piecewise_approx, erfcx_simple_tail,
@@ -86,19 +87,46 @@ def _u(op: OperatingPoint, p_watts, scales) -> list[float]:
 # ---------------------------------------------------------------------------
 # nested oracle: the exact SER with every erfc re-computed by QUADPACK
 
+# the anchors of the tail are sqrt(2 k), evenly spaced in x^2, so that the
+# piece from any x up to its anchor spans at most a factor e^2 of decay
+_ANCHOR_STEP = 2.0
+
+
+@functools.cache
+def _anchor_tail(k: int) -> float:
+    """QUADPACK's upper Gaussian tail integral from the anchor sqrt(2 k)."""
+    val, _ = quadrature.quadpack(lambda t: math.exp(-t * t), math.sqrt(_ANCHOR_STEP * k),
+                                 math.inf, epsabs=1e-300, epsrel=1e-13, limit=500)
+    return val
+
+
 def _gauss_tail(x: float) -> float:
     """Independent quadrature of the upper Gaussian tail integral of exp(-t^2).
 
-    A negative x is reflected, the tail from x being sqrt(pi) less the tail
-    from -x, so QUADPACK never integrates across the bulk of the Gaussian.
+    The tail from x is the tail from the first anchor a at or above x,
+    computed once per anchor, plus the integral over [x, a], a short finite
+    piece on which QUADPACK converges in its first pass. A negative x is
+    reflected, the tail from x being sqrt(pi) less the tail from -x, so
+    QUADPACK never integrates across the bulk of the Gaussian.
     """
     if x > ARG_CUTOFF:
         return 0.0
     if x < 0.0:
         return _SQRT_PI - _gauss_tail(-x)
-    val, _ = quadrature.quadpack(lambda t: math.exp(-t * t), x, math.inf,
-                                 epsabs=1e-300, epsrel=1e-13, limit=500)
-    return val
+    k = math.ceil(x * x / _ANCHOR_STEP)
+    # the first anchor at or above x, which the rounding of x^2 can miss by one
+    if k > 0 and math.sqrt(_ANCHOR_STEP * (k - 1)) >= x:
+        k -= 1
+    elif math.sqrt(_ANCHOR_STEP * k) < x:
+        k += 1
+    anchor = math.sqrt(_ANCHOR_STEP * k)
+    if x == anchor:
+        return _anchor_tail(k)
+    # the piece is exp(-x^2) times the integral of exp(-s (2x + s)) over
+    # s = t - x, which the rounding of t^2 cannot make noisy where it is short
+    piece, _ = quadrature.quadpack(lambda s: math.exp(-s * (2.0 * x + s)), 0.0, anchor - x,
+                                   epsabs=1e-300, epsrel=1e-13, limit=500)
+    return _anchor_tail(k) + math.exp(-x * x) * piece
 
 
 def _erfc_nested(x: float) -> float:
@@ -153,7 +181,7 @@ def _avg_ser_nested(op: OperatingPoint) -> float:
                 * _erfcx_nested(v) * cond(h))
 
     high = _integrate_nested(f_high, 0.0, min(par.y_top, y_cut(s_hat)), y_splits(par))
-    return par.g2 / 2.0 * (math.exp(par.log_amp) * low + high)
+    return flush_subnormal(par.g2 / 2.0 * (math.exp(par.log_amp) * low + high))
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +214,11 @@ def _ser(op, p_watts, orders, weight, erfc_form, dense: bool = False):
     """Average SER with erfc_form in the conditional SER; dense replaces its
     M - 1 by M. Each entry's average of erfc_form is multiplied by its
     coefficient (M - 1) / M, or 1, so an entry's value does not depend on the
-    orders of the others."""
+    orders of the others; a product below the smallest normal double is 0."""
     u = _u(op, p_watts, [m if dense else m - 1 for m in orders])
     values, errors = density_average(op.fading, u, weight, lambda h, u: erfc_form(u * h))
     if not dense:
-        values = [(m - 1) / m * v for m, v in zip(orders, values)]
+        values = [flush_subnormal((m - 1) / m * v) for m, v in zip(orders, values)]
     return values, errors
 
 
@@ -296,7 +324,7 @@ def avg_ber_mpam(op: OperatingPoint, mode: str = "ser-over-m",
             lambda h, u: conditional_ber_exact(m_order, a_per_u * u * h)))
     if mode == "ser-over-m":
         ser = avg_ser_approx(op) if approx else avg_ser_exact(op)
-        return ser / m_bits
+        return flush_subnormal(ser / m_bits)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -223,6 +223,18 @@ def test_delta_subnormal_threshold_is_config_error(flags, capsys):
     assert RunConfig(ser_threshold=sys.float_info.min).ser_threshold == sys.float_info.min
 
 
+def test_sweep_prints_averages_below_the_smallest_normal_as_zero():
+    code, out = run_cli(["sweep", "--jitter_sigma_m", "0.114", "--rytov_variance", "0.05473",
+                         "--modulation_m", "2", "--p_dbm_min", "50", "--p_dbm_max", "60",
+                         "--p_dbm_step", "2", "--expressions", "exact,dense"])
+    assert code == 0
+    cells = {row[0]: row[3:5] for row in rows_of(out)[1:]}
+    # the exact SER at 52 dBm (8.9e-309) and the dense one at 56 dBm (6.1e-316) lie
+    # below the smallest normal double
+    assert cells["52.0000"][0] == cells["56.0000"][1] == "0.000000000000e+00"
+    assert cells["50.0000"][0] == "1.108722778607e-293"
+
+
 def test_delta_crossing_into_a_zero_average_exit_code():
     # gamma^2 = 109: the SER of 4-PAM falls from 1.5e-299 at 71 dBm to 0 at
     # 74 dBm, across the threshold

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +144,75 @@ def test_nested_oracle_keeps_its_own_splits(monkeypatch):
     _, hi, splits = pieces[-1]
     assert par.y_star + 10.0 * math.sqrt(par.sig2) < hi
     assert splits == tuple(p for p in y_splits(par) if p < hi)
+
+
+def _anchors_and_neighbours():
+    for k in range(451):
+        a = math.sqrt(2.0 * k)
+        yield from (math.nextafter(a, -math.inf), a, math.nextafter(a, math.inf))
+
+
+def test_gauss_tail_matches_erfc():
+    # dense over [-6, 26.5], with every anchor sqrt(2 k) and one ulp either side
+    xs = [*np.linspace(-6.0, 26.5, 3251).tolist(), *_anchors_and_neighbours()]
+    checked = 0
+    for x in xs:
+        want = math.erfc(x) * math.sqrt(math.pi) / 2.0
+        if want >= 1e-300:
+            assert errorrates._gauss_tail(x) == pytest.approx(want, rel=2e-12, abs=0.0), x
+            checked += 1
+    assert checked > 3000
+
+
+def test_gauss_tail_makes_at_most_one_finite_call_once_anchored(monkeypatch):
+    xs = [*np.linspace(0.0, 29.9, 300).tolist(), *_anchors_and_neighbours()]
+    for x in xs:
+        errorrates._gauss_tail(x)  # fills its anchor
+    calls = []
+    quadpack = quadrature.quadpack
+
+    def recording(f, lo, hi, **options):
+        calls.append((lo, hi))
+        return quadpack(f, lo, hi, **options)
+
+    monkeypatch.setattr(quadrature, "quadpack", recording)
+    for x in xs:
+        calls.clear()
+        errorrates._gauss_tail(x)
+        assert len(calls) <= 1 and all(math.isfinite(hi) for _, hi in calls), (x, calls)
+    calls.clear()
+    errorrates._gauss_tail(math.sqrt(8.0))  # on its anchor: no piece
+    assert calls == []
+
+
+def test_nested_oracle_computes_every_erfc_itself(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("library erfc called")
+
+    for module, name in ((special, "erfc"), (special, "erfcx"), (math, "erfc")):
+        monkeypatch.setattr(module, name, refuse)
+    for point in [(*PINK, 4, 10.0), (0.095, 0.154, 1024, 18.9)]:
+        assert avg_ser_exact(make_op(*point), nested=True) > 0.0
+
+
+# at this point the exact SER of OOK falls below the smallest normal double
+# near 52 dBm and the dense one near 56 dBm
+SUBNORMAL_POINT = (0.114, 0.05473)
+
+
+@pytest.mark.parametrize("name", sorted(AVERAGES))
+def test_averages_below_the_smallest_normal_are_zero(name):
+    op = make_op(*SUBNORMAL_POINT, 2)
+    grid = np.arange(50.0, 60.01, 0.25)
+    values, errors = averages_at_powers(AVERAGES[name], op, [dbm_to_watts(p) for p in grid])
+    assert errors == [None] * len(grid)
+    assert not any(0.0 < abs(v) < sys.float_info.min for v in values)
+    assert values[-1] == 0.0
+
+
+def test_nested_average_below_the_smallest_normal_is_zero():
+    assert avg_ser_exact(make_op(*SUBNORMAL_POINT, 2, 50.0), nested=True) > 1e-294
+    assert avg_ser_exact(make_op(*SUBNORMAL_POINT, 2, 52.0), nested=True) == 0.0
 
 
 def test_exact_monotone_in_power_and_order():

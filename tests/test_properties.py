@@ -43,7 +43,7 @@ def test_exact_ser_bounded_and_monotone(s, r, m, p_lo, step):
     assert all(b <= a * (1.0 + 1e-10) for a, b in zip(values, values[1:]))
 
 
-@settings(DOMAIN, max_examples=25)
+@DOMAIN
 @given(sigma_s, rytov, order, p_dbm)
 def test_exact_matches_nested_oracle(s, r, m, p):
     op = make_op(s, r, m, p)
