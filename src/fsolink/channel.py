@@ -102,10 +102,10 @@ class LinkGeometry:
         for name in ("wavelength", "distance_z", "divergence_theta",
                      "aperture_radius_a", "conversion_alpha",
                      "responsivity_beta", "noise_sigma_n"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.attenuation_sigma_lambda < 0.0:
-            raise ValueError("attenuation_sigma_lambda must be >= 0")
+            if not 0.0 < getattr(self, name) < math.inf:  # false for nan too
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.attenuation_sigma_lambda < math.inf:
+            raise ValueError("attenuation_sigma_lambda must be >= 0 and finite")
 
     @property
     def beam_waist_wz(self) -> float:
@@ -149,8 +149,8 @@ class FadingModel:
     def __post_init__(self):
         if not (0.0 < self.rytov_var_sigma_r2 <= 1.0):
             raise ValueError("rytov variance must lie in (0, 1] for weak turbulence")
-        if self.jitter_sigma_s <= 0.0:
-            raise ValueError("jitter_sigma_s must be positive")
+        if not 0.0 < self.jitter_sigma_s < math.inf:
+            raise ValueError("jitter_sigma_s must be positive and finite")
 
     @property
     def sigma2(self) -> float:
@@ -275,10 +275,24 @@ class LogGainParams:
     y_top: float       # its upper end, 45 standard deviations above the centre
 
     @cached_property
-    def y_plan(self) -> tuple[float, ...]:
-        """The engine's splits of the upper piece: y_splits, and y* + 10 sigma,
-        where the bump has fallen to e^-50."""
-        return tuple(sorted({*y_splits(self), self.y_star + 10.0 * math.sqrt(self.sig2)}))
+    def y_plan(self) -> np.ndarray:
+        """The points of the upper piece's plan: -inf and inf (its ends), 0
+        (h_hat), y* + k sigma for k in Y_SIGMAS, and the offsets Y_COND from
+        the conditional's anchor y_c."""
+        s = math.sqrt(self.sig2)
+        return np.array([-math.inf, math.inf, 0.0, *(self.y_star + k * s for k in Y_SIGMAS),
+                         *Y_COND])
+
+    @cached_property
+    def w_plan(self) -> np.ndarray:
+        """The points of the lower piece's plan, in w: -inf and inf (its
+        ends), the knee of the lower form at W_KNEES times sqrt(2 sig2), and
+        the offsets from the conditional's peak w*: W_LADDER over g2,
+        W_WIDTHS times the peak's width 1 / sqrt(2 g2), and W_BELOW."""
+        width = 1.0 / math.sqrt(2.0 * self.g2)
+        return np.array([-math.inf, math.inf, *(k * self.sqrt2s for k in W_KNEES),
+                         *(k / self.g2 for k in W_LADDER), *(j * width for j in W_WIDTHS),
+                         *W_BELOW])
 
 
 def pdf_composite(h, model: FadingModel):
@@ -316,20 +330,56 @@ def low_w_splits(s_hat: float):
     return (w_c / 2.0, w_c, 2.0 * w_c)
 
 
-def low_w_plan(par: LogGainParams, s_hat: float):
-    """Initial panel edges of the lower piece, at the scales of its integrand:
-    the knee of erfc(-w / sqrt(2 sig2)) at 1 and 4 times sqrt(2 sig2), the
-    decay of e^(-g2 w) at 1, 8, 24 and 64 times 1 / g2, and low_w_splits(s_hat)
-    around the conditional's onset."""
-    return (par.sqrt2s, 4.0 * par.sqrt2s, 1.0 / par.g2, 8.0 / par.g2, 24.0 / par.g2,
-            64.0 / par.g2, *low_w_splits(s_hat))
-
-
 def y_cut(s_hat: float) -> float:
     """Upper y beyond which exp(-(s_hat e^y)^2) underflows."""
     if s_hat <= 0:
         return math.inf
     return math.log(ARG_CUTOFF / s_hat) if s_hat < math.inf else -math.inf
+
+
+# The engine's panel plans, LogGainParams.w_plan and y_plan. A plan's row for
+# an anchor x is its points + x mask: the points of mask 1 are offsets from
+# the anchor, the others fixed. The first two points, -inf and inf, stand for
+# the ends of the piece.
+#
+# The lower piece's plan is anchored at the conditional's peak. A conditional
+# with a Gaussian tail in t = s_hat e^-w, c(t) ~ e^(-t^2), makes the integrand
+# e^(-g2 w) c(t) peak where d/dw (-g2 w - t^2) = -g2 + 2 t^2 = 0: at
+# t* = sqrt(g2 / 2), so w* = ln(s_hat / t*) if s_hat > t* and 0 otherwise.
+# There its log has curvature -4 t*^2 = -2 g2, a width of 1 / sqrt(2 g2).
+# Past the peak the integrand decays as e^(-g2 (w - w*)), on a ladder of
+# 1 / g2 scales down to e^-64. Below it t^2 grows by e^2 per unit of w, so the
+# integrand falls as e^(-g2 (e^(2 d) - 1 - 2 d) / 2) at d = w* - w: within a
+# few widths where g2 is large, within a few units of w where it is small.
+# The knee of the lower form is at sqrt(2 sig2) and 4 sqrt(2 sig2), where
+# erfc(-4) is 2 - 1.5e-8; the piecewise form 2 / (1 + e^(2.565 z)) comes within
+# e^-25 of 2 only at z = -10.
+W_KNEES = (1.0, 4.0, 10.0)  # times sqrt(2 sig2)
+W_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)  # times 1 / g2 past w*
+W_WIDTHS = (-6.0, -4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0)  # times the peak's width
+W_BELOW = (-1.0, -2.0, -3.0)  # below w*
+# The upper piece's plan is anchored at y_c = -ln(s_hat), where the
+# conditional's argument t = s_hat e^y is 1. Past y_c + d, c(t) ~ e^(-t^2)
+# with t^2 = e^(2 d): each half step multiplies t^2 by e, from d = -2, where
+# erfc(t) is still 0.85, to t^2 = e^6 = 403 at d = 3, short of
+# y_cut = y_c + ln 30.
+Y_COND = (-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+# The Gaussian bump's splits: y_splits, and y* -+ 10 sigma, where it has
+# fallen to e^-50 on either side. Without y* - 10 sigma, a bump far above
+# h_hat (y* >> 6 sigma) leaves its lower tail in the one cell [0, y* - 6 sigma].
+Y_SIGMAS = (-10.0, -6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
+W_MASK = np.array([0.0] * (2 + len(W_KNEES)) + [1.0] * (len(W_LADDER) + len(W_WIDTHS)
+                                                      + len(W_BELOW)))
+Y_MASK = np.array([0.0] * (3 + len(Y_SIGMAS)) + [1.0] * len(Y_COND))
+
+
+def low_w_plan(par: LogGainParams, y_c):
+    """Initial panel edges of the lower piece in w = -ln(h / h_hat), one row
+    for each entry of the array y_c = -ln(s_hat) (finite), -inf and inf
+    standing for the piece's ends: the plan par.w_plan anchored at the
+    conditional's peak w* = max(ln(s_hat / t*), 0)."""
+    w_star = np.maximum(-0.5 * math.log(par.g2 / 2.0) - y_c, 0.0)
+    return w_star[:, None] * W_MASK + par.w_plan
 
 
 # the density's erfc factor as a pair: erfc(v) for v <= 0 below h_hat, and
@@ -351,17 +401,19 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     each entry of u at once; cond decays on the h-scale 1 / u.
 
     weight is the density's erfc factor as a pair (lower form, upper form),
-    EXACT_WEIGHT or an approximation of it; without a lower form (None) the
-    lower piece is dropped. Below h_hat the integral runs in
-    w = -ln(h / h_hat) over [0, 700 / g2] against e^(-(g2 + h_power) w)
-    times the lower form at -w / sqrt(2 sig2); above it in y = ln(h / h_hat)
-    over [y_lo, y_up] against the Gaussian bump
+    EXACT_WEIGHT or an approximation of it. The integral runs in
+    y = ln(h / h_hat). Below h_hat, over [-700 / g2, 0], it is taken against
+    e^(log_amp + (g2 + h_power) y) times the lower form at y / sqrt(2 sig2);
+    above it, over [0, y_up], against the Gaussian bump
     e^(-(y - y*)^2 / (2 sig2) + h_power y) times the upper form at
-    y / sqrt(2 sig2). With s_hat = u h_hat, the lower piece starts from the
-    panels of low_w_plan and y_up is y_cut, capped at y* + 45 sigma; the
-    upper piece is split at LogGainParams.y_plan and y_extra. cond receives
-    the gains as an array and u as a matching column. Every piece of every
-    entry is integrated in one quadrature.integrate_panels batch.
+    y / sqrt(2 sig2). Without a lower form (None) the lower piece is dropped
+    and the upper one starts at y_lo. With s_hat = u h_hat, y_up is y_cut,
+    capped at y* + 45 sigma. The initial panels of an entry are cut at the
+    points of low_w_plan below h_hat, and above it at those of
+    LogGainParams.y_plan anchored at y_c = -ln(s_hat), and at y_extra.
+    cond receives the gains as an array and u as a matching column. Every
+    panel of every entry is integrated in one quadrature.integrate_panels
+    batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan. A value below the smallest normal
@@ -369,36 +421,35 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     """
     par = fm.log_gain_params
     w_low, w_high = weight
-    splits_up = tuple(sorted({*par.y_plan, *y_extra})) if y_extra else par.y_plan
-    lo, hi, owner, is_low = [], [], [], []
-    for i, s_hat in enumerate(x * par.h_hat for x in u):
-        pieces = [] if w_low is None else [(True, 0.0, 700.0 / par.g2, low_w_plan(par, s_hat))]
-        y_up = min(par.y_top, y_cut(s_hat))
-        if y_up > y_lo:
-            pieces.append((False, y_lo, y_up, splits_up))
-        for low, a, b, splits in pieces:
-            edges = [a, *sorted(p for p in splits if a < p < b), b]
-            lo += edges[:-1]
-            hi += edges[1:]
-            owner += [i] * (len(edges) - 1)
-            is_low += [low] * (len(edges) - 1)
-    owner, is_low = np.array(owner, dtype=np.intp), np.array(is_low)
-    u_col = np.array(u, dtype=float)[owner][:, None]  # one row per panel
+    s_hat = [x * par.h_hat for x in u]
+    y_up = np.array([max(y_lo, min(par.y_top, y_cut(s))) for s in s_hat])
+    # the plans' anchor, kept finite where s_hat is 0 or inf
+    y_c = np.array([min(max(-math.log(s), -800.0), 800.0) if s > 0.0 else 800.0
+                    for s in s_hat])
+    mask, points = Y_MASK, par.y_plan
+    if y_extra:
+        mask, points = np.append(mask, np.zeros(len(y_extra))), np.append(points, y_extra)
+    # the edges of each entry as one row, the upper piece's and the lower one's
+    edges = np.minimum(np.maximum(y_c[:, None] * mask + points, y_lo), y_up[:, None])
+    if w_low is not None:
+        low = np.minimum(np.maximum(low_w_plan(par, y_c), 0.0), 700.0 / par.g2)
+        edges = np.concatenate([-low, edges], axis=1)
+    edges.sort(axis=1)
+    keep = edges[:, 1:] > edges[:, :-1]
+    lo, hi, owner = edges[:, :-1][keep], edges[:, 1:][keep], keep.nonzero()[0]
+    is_low, u_col = hi <= 0.0, np.array(u, dtype=float)[owner][:, None]  # one row per panel
 
-    def integrand(x, root):
-        out = np.empty_like(x)
-        u_root, low = u_col[root], is_low[root]
+    def integrand(y, root):
+        out = np.empty_like(y)
+        low = is_low[root]
         if low.any():
-            w = x[low]
-            out[low] = (np.exp(par.log_amp - (par.g2 + h_power) * w) * w_low(-w / par.sqrt2s)
-                        * cond(par.h_hat * np.exp(-w), u_root[low]))
+            out[low] = (np.exp(par.log_amp + (par.g2 + h_power) * y[low])
+                        * w_low(y[low] / par.sqrt2s))
         if not low.all():
             high = ~low
-            y = x[high]
-            out[high] = (np.exp(-((y - par.y_star) ** 2) / (2.0 * par.sig2) + h_power * y)
-                         * w_high(y / par.sqrt2s)
-                         * cond(par.h_hat * np.exp(y), u_root[high]))
-        return out
+            out[high] = (np.exp(-((y[high] - par.y_star) ** 2) / (2.0 * par.sig2)
+                                + h_power * y[high]) * w_high(y[high] / par.sqrt2s))
+        return out * cond(par.h_hat * np.exp(y), u_col[root])
 
     value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
     value *= par.g2 / 2.0 * par.h_hat**h_power

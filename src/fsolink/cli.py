@@ -86,6 +86,12 @@ class RunConfig:
                               "overflows a double")
         if self.n_symbols < 1:
             raise ConfigError("n_symbols must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
+        if not (0.0 < self.h_min < math.inf and 0.0 < self.h_max < math.inf):
+            raise ConfigError("h_min and h_max must be positive and finite")
+        if self.h_points < 1:
+            raise ConfigError("h_points must be >= 1")
         # a threshold below the smallest normal double is subnormal, as are the
         # averages near it, which have lost precision there
         for name in ("ber_threshold", "ser_threshold"):

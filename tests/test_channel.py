@@ -11,6 +11,7 @@ from fsolink.channel import (FadingModel, OperatingPoint, beer_lambert_loss,
                              pdf_composite, pdf_pointing, pdf_turbulence,
                              pointing_params, rytov_variance, sample_composite,
                              snr_electrical, snr_optical, watts_to_dbm)
+from fsolink.errorrates import avg_ser_exact
 from support import GRID_POINTS, HEADLINE_POINTS, make_fading, make_geometry, make_op
 
 # published mean channel gains for the nine (sigma_s, rytov) grid points
@@ -120,20 +121,27 @@ def test_derived_constants_computed_once(monkeypatch):
 def test_log_gain_params_computed_once(monkeypatch):
     fm = make_fading(0.35, 0.1)
     par = fm.log_gain_params
-    plan = par.y_plan
+    plans = par.y_plan, par.w_plan
 
     def recomputed(*args):
         raise AssertionError("log-gain constant recomputed")
 
     for name in ("LogGainParams", "y_splits", "pointing_params"):
         monkeypatch.setattr(channel, name, recomputed)
-    assert fm.log_gain_params is par and par.y_plan is plan
-    composite_expectation(fm)  # the engine reads the cached constants and splits
+    assert fm.log_gain_params is par
+    assert par.y_plan is plans[0] and par.w_plan is plans[1]
+    composite_expectation(fm)  # the engine reads the cached constants and plans
+    avg_ser_exact(OperatingPoint(fm.geometry, fm, 4, 1e-3))
     monkeypatch.undo()
-    # the engine's splits are y_splits and y* + 10 sigma; equality and
-    # hashing ignore the cached values
+    # the upper plan's fixed points are its ends, h_hat, y* + k sigma for
+    # k = -10, -6, -3, 0, 3, 6, 10, and so y_splits; equality and hashing
+    # ignore the cached values
     sigma = math.sqrt(par.sig2)
-    assert plan == tuple(sorted({*channel.y_splits(par), par.y_star + 10.0 * sigma}))
+    fixed = plans[0][channel.Y_MASK == 0.0]
+    assert fixed.tolist() == [-math.inf, math.inf, 0.0] + [
+        par.y_star + k * sigma for k in (-10, -6, -3, 0, 3, 6, 10)]
+    assert set(channel.y_splits(par)) <= set(fixed.tolist())
+    assert plans[0][channel.Y_MASK == 1.0].tolist() == list(channel.Y_COND)
     fresh = make_fading(0.35, 0.1)
     assert fm == fresh and hash(fm) == hash(fresh)
     assert fresh.log_gain_params == par

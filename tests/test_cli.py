@@ -350,6 +350,45 @@ def test_non_finite_power_exit_code(flags):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # a SER of 0 with exit 0
+    ["mc", "--n_symbols", "10", "--p_dbm_min", "0", "--p_dbm_max", "0", "--jitter_sigma_m", "nan"],
+    # SER 0 and SNR inf with exit 0
+    ["sweep", "--alpha_w_per_a", "inf"],
+    # tracebacks
+    ["sweep", "--jitter_sigma_m", "inf"], ["sweep", "--attenuation_per_km", "inf"],
+    ["sweep", "--noise_sigma_a", "inf"],
+    # non-finite integrands
+    ["sweep", "--link_distance_km", "nan"], ["sweep", "--divergence_mrad", "nan"],
+    ["sweep", "--aperture_radius_m", "nan"], ["sweep", "--jitter_angle_mrad", "nan"]])
+def test_non_finite_link_parameter_is_config_error(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert " and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pdf", "--h_min", "0"], "h_min and h_max must be positive and finite"),
+    (["pdf", "--h_max", "inf"], "h_min and h_max must be positive and finite"),
+    (["pdf", "--h_points", "-1"], "h_points must be >= 1"),
+    # a header alone, with exit 0, before
+    (["pdf", "--h_points", "0"], "h_points must be >= 1"),
+    (["mc", "--seed", "-1"], "seed must lie in [0, 2**64)"),
+    (["mc", "--seed", str(2**64)], "seed must lie in [0, 2**64)")])
+def test_pdf_grid_and_mc_seed_are_config_errors(argv, message, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert message in capsys.readouterr().err
+
+
+def test_pdf_grid_and_mc_seed_limits_are_accepted():
+    for kw in (dict(seed=0), dict(seed=2**64 - 1), dict(h_points=1),
+               dict(h_min=5e-324, h_max=1.7e308)):
+        RunConfig(**kw)
+
+
 @pytest.mark.parametrize("command", ["sweep", "mc"])
 @pytest.mark.parametrize("flags", [["--p_dbm_min", "0", "--p_dbm_max", "4000",
                                     "--p_dbm_step", "1000"],

@@ -4,12 +4,14 @@ log-uniform in [1e-4, 1], jitter sigma_s log-uniform in [0.05, 5] m, M from
 [1e-9, 0.3]."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsolink import quadrature
 from fsolink.channel import composite_expectation, dbm_to_watts
 from fsolink.errorrates import (NoCrossingError, _powers_at_target, averages_at_powers,
                                 avg_ser_exact)
@@ -29,6 +31,34 @@ target_ser = st.floats(-9.0, math.log10(0.3)).map(lambda x: 10.0**x)
 @given(sigma_s, rytov)
 def test_density_normalised(s, r):
     assert abs(composite_expectation(make_fading(s, r)) - 1.0) <= 1e-9
+
+
+def test_single_point_rounds_over_domain(monkeypatch):
+    # the mode-anchored panel plan: the normalisation converges in the first
+    # Gauss-Kronrod round at every point, and the exact SER takes at most
+    # 1.25 rounds on average
+    calls, exact_rounds = [], []
+    gk21 = quadrature._gk21
+
+    def counting(*args):
+        calls.append(None)
+        return gk21(*args)
+
+    monkeypatch.setattr(quadrature, "_gk21", counting)
+
+    @DOMAIN
+    @given(sigma_s, rytov, order, p_dbm)
+    def rounds(s, r, m, p):
+        op = make_op(s, r, m, p)
+        calls.clear()
+        composite_expectation(op.fading)
+        assert len(calls) == 1
+        calls.clear()
+        avg_ser_exact(op)
+        exact_rounds.append(len(calls))
+
+    rounds()
+    assert statistics.mean(exact_rounds) <= 1.25, exact_rounds
 
 
 @DOMAIN
