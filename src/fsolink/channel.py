@@ -151,6 +151,11 @@ class FadingModel:
             raise ValueError("rytov variance must lie in (0, 1] for weak turbulence")
         if not 0.0 < self.jitter_sigma_s < math.inf:
             raise ValueError("jitter_sigma_s must be positive and finite")
+        # the log-gain coordinates ln(h / h_hat) need a normal h_hat
+        if not self.h_hat >= sys.float_info.min:
+            raise ValueError(f"the breakpoint h_hat = h_g h_l kappa exp(-mu) = {self.h_hat!r} "
+                             f"is not a positive normal double (mu = {self.mu:g}, "
+                             f"h_g h_l = {self.hg_hl:g})")
 
     @property
     def sigma2(self) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import math
 import os
 import sys
@@ -275,21 +274,21 @@ def cmd_delta(cfg: RunConfig, out) -> int:
         _write_rows(out, header, [["", "", "", "", "", "", str(exc)]])
         return EXIT_NUMERIC
 
-    @functools.cache
-    def exact_crossing():
-        return er.crossing_power(exact_curve, threshold)
-
-    for name in cfg.expressions:
-        if name == "exact":
-            continue
+    names = [name for name in cfg.expressions if name != "exact"]
+    curves = []
+    for name in names:
+        try:
+            curves.append(er.sweep_curve(op, er.AVERAGES[name], grid))
+        except (QuadratureError, ValueError) as exc:
+            curves.append(exc)
+    # every crossing in one lockstep solve; a row's sweep error comes first
+    for name, d, error in zip(names, *er.delta_gaps(exact_curve, curves, threshold)):
         row = [f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
                f"{name}-vs-exact", _fmt_prob(threshold)]
-        try:
-            approx_curve = er.sweep_curve(op, er.AVERAGES[name], grid)
-            d = er.crossing_power(approx_curve, threshold) - exact_crossing()
+        if error is None:
             row += [_fmt_db(d), ""]
-        except (QuadratureError, ValueError) as exc:
-            row += ["nan", str(exc)]
+        else:
+            row += ["nan", str(error)]
             any_failure = True
         rows.append(row)
     _write_rows(out, header, rows)

@@ -338,30 +338,30 @@ AVERAGES = {
 }
 
 
-def _evaluations(expression, points, p_watts):
-    """expression at each operating point of points, which share one channel,
-    moved to the matching transmit power of p_watts: an average with a batch
-    form as one batch, each entry at its point's modulation order, any other
-    callable point by point. Returns (values, errors) as averages_at_powers
-    does."""
-    batch = _BATCHED.get(expression)
-    pairs = []
-    if batch is None:
-        for op, p in zip(points, p_watts):
+def _evaluations(points, p_watts):
+    """Each (expression, op) pair of points, expression a callable op ->
+    value, at op moved to the matching transmit power of p_watts. The pairs
+    of an average of this module are evaluated as one batch per average and
+    channel, each entry at its op's modulation order, any other callable
+    point by point. Returns (values, errors) as averages_at_powers does."""
+    values, errors, batches = [math.nan] * len(points), [power_error(p) for p in p_watts], {}
+    for k, (expression, op) in enumerate(points):
+        if errors[k] is None and expression in _BATCHED:
+            batches.setdefault((expression, op.fading), []).append(k)
+        elif errors[k] is None:
             try:
-                pairs.append((expression(op.with_power(p)), None))
+                values[k] = expression(op.with_power(p_watts[k]))
             except (QuadratureError, ValueError) as exc:
-                pairs.append((math.nan, exc))
-    elif p_watts:
-        invalid = [power_error(p) for p in p_watts]
-        valid = [(p, op.modulation_order_m)
-                 for op, p, e in zip(points, p_watts, invalid) if e is None]
+                errors[k] = exc
+    for (expression, _), ks in batches.items():
         try:
-            results = zip(*batch(points[0], [p for p, _ in valid], [m for _, m in valid]))
+            results = zip(*_BATCHED[expression](points[ks[0]][1], [p_watts[k] for k in ks],
+                                                [points[k][1].modulation_order_m for k in ks]))
         except ValueError as exc:
             results = itertools.repeat((math.nan, exc))
-        pairs = [next(results) if error is None else (math.nan, error) for error in invalid]
-    return [v for v, _ in pairs], [e for _, e in pairs]
+        for k, (value, error) in zip(ks, results):
+            values[k], errors[k] = value, error
+    return values, errors
 
 
 def averages_at_powers(expression, op: OperatingPoint, p_watts):
@@ -374,7 +374,7 @@ def averages_at_powers(expression, op: OperatingPoint, p_watts):
     power that is not positive and finite is the ValueError OperatingPoint
     raises for it.
     """
-    return _evaluations(expression, [op] * len(p_watts), p_watts)
+    return _evaluations([(expression, op)] * len(p_watts), p_watts)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +382,13 @@ def averages_at_powers(expression, op: OperatingPoint, p_watts):
 
 @dataclass
 class ErrorRateCurve:
-    """Sampled error-rate curve in dBm, with an optional exact evaluator for
-    crossing refinement."""
+    """Sampled error-rate curve in dBm, with the expression (a callable
+    op -> value) and operating point it samples, for crossing refinement."""
 
     p_dbm: list[float]
     values: list[float]
-    evaluator: object = None  # callable p_dbm -> value, optional
+    expression: object = None
+    op: OperatingPoint | None = None
 
     def __post_init__(self):
         if len(self.p_dbm) != len(self.values):
@@ -400,55 +401,100 @@ def sweep_curve(op: OperatingPoint, expression, p_dbm_grid) -> ErrorRateCurve:
     """Evaluate expression (a callable op -> value) at op moved to each power
     of a dBm grid; the averages of this module are evaluated as one batch.
     Raises the first point's error, if any."""
-    def evaluator(p_dbm):
-        return expression(op.with_power(dbm_to_watts(p_dbm)))
-
     values, errors = averages_at_powers(expression, op, [dbm_to_watts(p) for p in p_dbm_grid])
     for error in errors:
         if error is not None:
             raise error
-    return ErrorRateCurve(list(p_dbm_grid), values, evaluator=evaluator)
+    return ErrorRateCurve(list(p_dbm_grid), values, expression, op)
 
 
 class NoCrossingError(ValueError):
     """The curve does not cross the requested threshold in its power range."""
 
 
+def _log_gaps(points, p_dbm, lt):
+    """log10(value) - lt of each (expression, op) pair of points at the
+    matching power of p_dbm (dBm), -inf for 0, as (gaps, errors)."""
+    values, errors = _evaluations(points, [dbm_to_watts(p) for p in p_dbm])
+    return [math.log10(v) - lt if v > 0.0 else -math.inf for v in values], errors
+
+
+def _crossings(cells, level: float):
+    """The power (dBm) where each cell crosses level, refined in lockstep.
+
+    cells[i] is the error of entry i, or (expression, op, p_a, p_b, d_a, d_b,
+    tol): the cell [p_a, p_b] (dBm) of expression at op, at whose ends
+    log10(value) - log10(level) is d_a and d_b, of opposite signs or 0. An
+    end at 0 is the crossing. An end whose average is 0 fails with
+    QuadratureError, as log10 has no value there. Any other cell is a lane of
+    one quadrature.brentq_lanes run to tol dB, each round one _log_gaps call.
+    Returns (powers, errors): errors[i] is None, or the error of entry i,
+    whose power is then nan.
+    """
+    powers, errors, lanes = [math.nan] * len(cells), [None] * len(cells), []
+    for i, cell in enumerate(cells):
+        if isinstance(cell, Exception):
+            errors[i] = cell
+            continue
+        expression, op, p_a, p_b, d_a, d_b, _ = cell
+        if 0.0 in (d_a, d_b):
+            powers[i] = p_a if d_a == 0.0 else p_b
+        elif -math.inf in (d_a, d_b):
+            errors[i] = QuadratureError(f"average is 0 at an end of [{p_a}, {p_b}] dBm, "
+                                        f"the cell where it crosses {level}")
+        elif expression is None or op is None:
+            errors[i] = ValueError("the curve has no expression and operating point to refine "
+                                   "its crossing on")
+        else:
+            lanes.append(i)
+    lt = math.log10(level)
+    roots, failures = quadrature.brentq_lanes(
+        lambda ids, p_dbm: _log_gaps([cells[lanes[j]][:2] for j in ids], p_dbm, lt),
+        [cells[i][2:] for i in lanes])
+    for i, root, error in zip(lanes, roots, failures):
+        powers[i], errors[i] = root, error
+    return powers, errors
+
+
+def _first_crossing_cell(curve: ErrorRateCurve, threshold: float):
+    """The cell of _crossings, to 1e-4 dB, where the curve first crosses the
+    threshold, or the NoCrossingError of a curve that does not."""
+    d = [math.log10(v) - math.log10(threshold) if v > 0.0 else -math.inf
+         for v in curve.values]
+    for i, (a, b) in enumerate(zip(d, d[1:])):
+        if a == 0.0 or a * b < 0.0 or b == 0.0:
+            return (curve.expression, curve.op, curve.p_dbm[i], curve.p_dbm[i + 1], a, b, 1e-4)
+    return NoCrossingError(f"threshold {threshold} not crossed on "
+                           f"[{curve.p_dbm[0]}, {curve.p_dbm[-1]}] dBm")
+
+
 def crossing_power(curve: ErrorRateCurve, threshold: float) -> float:
-    """Power (dBm) at which the curve crosses the threshold: refined on
-    log10(value) to 1e-4 dB by Brent's method via the evaluator when
-    available, starting from the curve's own values at the ends of the cell,
-    else by linear interpolation. Raises QuadratureError when the first cell
-    that crosses it has an average of 0 at one end, where log10 has no value
-    to work on."""
-    logs = [math.log10(v) if v > 0.0 else -math.inf for v in curve.values]
-    lt = math.log10(threshold)
-    for i in range(len(logs) - 1):
-        a, b = logs[i], logs[i + 1]
-        if (a - lt) == 0.0:
-            return curve.p_dbm[i]
-        if (a - lt) * (b - lt) < 0.0 or (b - lt) == 0.0:
-            p_a, p_b = curve.p_dbm[i], curve.p_dbm[i + 1]
-            if b == -math.inf:
-                raise QuadratureError(f"average falls from above threshold {threshold} "
-                                      f"to 0 on [{p_a}, {p_b}] dBm")
-            if a == -math.inf:
-                raise QuadratureError(f"average rises from 0 to above threshold {threshold} "
-                                      f"on [{p_a}, {p_b}] dBm")
-            if (b - lt) == 0.0:
-                return p_b
-            if curve.evaluator is not None:
-                return quadrature._brentq(lambda p: math.log10(curve.evaluator(p)) - lt,
-                                          p_a, p_b, a - lt, b - lt, 1e-4)
-            return p_a + (p_b - p_a) * (lt - a) / (b - a)
-    raise NoCrossingError(f"threshold {threshold} not crossed on "
-                          f"[{curve.p_dbm[0]}, {curve.p_dbm[-1]}] dBm")
+    """Power (dBm) at which the curve first crosses the threshold, as
+    _crossings finds it in the first cell that crosses it: by Brent's method
+    through the curve's expression, from the curve's values at its ends."""
+    return single_value(_crossings([_first_crossing_cell(curve, threshold)], threshold))
+
+
+def delta_gaps(exact: ErrorRateCurve, approx, threshold: float):
+    """Horizontal dB gaps P*_approx - P*_exact at a threshold between each
+    curve of approx and the exact curve, every crossing refined in one
+    lockstep solve, the exact one once. An entry of approx may instead be
+    the error of its sweep. Returns (gaps, errors): errors[i] is None, or
+    approx[i]'s error, or that of its crossing, or else of the exact one."""
+    if not approx:
+        return [], []
+    (p_exact, *powers), (e_exact, *errors) = _crossings(
+        [c if isinstance(c, Exception) else _first_crossing_cell(c, threshold)
+         for c in (exact, *approx)], threshold)
+    errors = [e_exact if error is None else error for error in errors]
+    return [p - p_exact if error is None else math.nan
+            for p, error in zip(powers, errors)], errors
 
 
 def delta_gap(exact: ErrorRateCurve, approx: ErrorRateCurve, threshold: float) -> float:
     """Horizontal dB gap between an approximation and the exact curve at a
     threshold: P*_approx - P*_exact."""
-    return crossing_power(approx, threshold) - crossing_power(exact, threshold)
+    return single_value(delta_gaps(exact, [approx], threshold))
 
 
 # the power grid (dBm) on which the power solve brackets its target: 2 dB
@@ -456,77 +502,40 @@ def delta_gap(exact: ErrorRateCurve, approx: ErrorRateCurve, threshold: float) -
 _SCAN_DBM = tuple(-40.0 + 2.0 * i for i in range(61))
 
 
-def _first_not_above(curve, n_lanes):
-    """For each of n_lanes lanes, the first index of _SCAN_DBM where the
-    lane's curve is not above 0, len(_SCAN_DBM) if there is none, and the
-    curve's (value, error) at each index probed.
-
-    Each lane holds a cell of grid indices, at first (-1, len(_SCAN_DBM)),
-    whose lower end is above 0 and whose upper end is not, the two first
-    ends being counted so. Each round is one curve call with one probe per
-    lane whose cell spans more than one step, at its midpoint. A probe that
-    failed is not above 0: it bounds the search from above. For a
-    non-increasing curve this finds the first cell where it crosses 0.
-    """
-    probes = [{} for _ in range(n_lanes)]
-    cells = [(-1, len(_SCAN_DBM))] * n_lanes
-    while mids := {i: (lo + hi) // 2 for i, (lo, hi) in enumerate(cells) if hi - lo > 1}:
-        values, errors = curve(list(mids), [_SCAN_DBM[k] for k in mids.values()])
-        for (i, k), value, error in zip(mids.items(), values, errors):
-            probes[i][k] = value, error
-            cells[i] = (k, cells[i][1]) if error is None and value > 0.0 else (cells[i][0], k)
-    return [hi for _, hi in cells], probes
-
-
 def _powers_at_target(op: OperatingPoint, orders, expression, target: float):
     """Power (dBm) where expression, at op's channel and each modulation order
     of orders, reaches target, all orders solved in lockstep.
 
-    Each order is a lane. _first_not_above brackets its target in a cell of
-    _SCAN_DBM, where log10(value) - log10(target) changes sign: an average
-    of 0 counts as below the target, and a failure past the cell does not
-    matter. Then quadrature.brentq_lanes refines every cell on log10 to
-    1e-5 dB, evaluating all unfinished lanes in one batch per round. As the
-    engine's values do not depend on the batch, each lane's power is the
-    one a scan and a one-order Brent solve would give.
-
-    Returns (powers, errors): errors[i] is None, or the NoCrossingError,
-    QuadratureError or ValueError that stopped order i, whose power is then
-    nan.
+    Each order is a lane, which brackets its target by bisection on the
+    indices of _SCAN_DBM from (-1, len(_SCAN_DBM)), two ends just outside the
+    grid counted as above and below it: each round one _log_gaps call probes
+    the midpoint of every cell wider than one step. A probe above the target
+    raises its cell's lower end, any other (0 or a failure) lowers its upper
+    end, so for a non-increasing curve this finds the first cell that
+    crosses it, and a failure past that cell does not matter. Then
+    _crossings refines every cell to 1e-5 dB. Returns (powers, errors):
+    errors[i] is None, or the error that stopped order i, whose power is
+    then nan.
     """
-    lanes = [op.with_modulation(m) for m in orders]
+    points = [(expression, op.with_modulation(m)) for m in orders]
     lt = math.log10(target)
-
-    def curve(ids, p_dbm):
-        # log10 of expression at lanes[i] and power p, less lt, for each pair of
-        # ids and p_dbm, evaluated as _evaluations does; an average of 0 gives -inf
-        values, errors = _evaluations(expression, [lanes[i] for i in ids],
-                                      [dbm_to_watts(p) for p in p_dbm])
-        return [math.log10(v) - lt if v > 0.0 else -math.inf for v in values], errors
-
-    first, probes = _first_not_above(curve, len(lanes))
-    powers, errors = [math.nan] * len(lanes), [None] * len(lanes)
-    refined, cells = [], []
-    for i, k in enumerate(first):
-        value, error = probes[i].get(k, (math.inf, None))  # past the grid: above
-        if error is not None:
-            errors[i] = error
-        elif value == 0.0:
-            powers[i] = _SCAN_DBM[k]
-        elif k in (0, len(_SCAN_DBM)):  # below the target on the whole grid, or above it
-            errors[i] = NoCrossingError(f"target {target} not reached in "
-                                        f"[{_SCAN_DBM[0]}, {_SCAN_DBM[-1]}] dBm")
-        elif value == -math.inf:
-            errors[i] = QuadratureError(f"average falls from above target {target} to 0 "
-                                        f"on [{_SCAN_DBM[k - 1]}, {_SCAN_DBM[k]}] dBm")
-        else:
-            refined.append(i)
-            cells.append((_SCAN_DBM[k - 1], _SCAN_DBM[k], probes[i][k - 1][0], value, 1e-5))
-    roots, failures = quadrature.brentq_lanes(
-        lambda ids, p_dbm: curve([refined[j] for j in ids], p_dbm), cells)
-    for i, root, error in zip(refined, roots, failures):
-        powers[i], errors[i] = root, error
-    return powers, errors
+    probes, bounds = [{} for _ in points], [(-1, len(_SCAN_DBM))] * len(points)
+    while mids := {i: (lo + hi) // 2 for i, (lo, hi) in enumerate(bounds) if hi - lo > 1}:
+        gaps, errors = _log_gaps([points[i] for i in mids],
+                                 [_SCAN_DBM[k] for k in mids.values()], lt)
+        for (i, k), gap, error in zip(mids.items(), gaps, errors):
+            probes[i][k] = gap, error
+            bounds[i] = (k, bounds[i][1]) if error is None and gap > 0.0 else (bounds[i][0], k)
+    cells = []
+    for point, (_, k), probe in zip(points, bounds, probes):
+        value, error = probe.get(k, (math.inf, None))  # past the grid: above
+        if error is None and value != 0.0 and k in (0, len(_SCAN_DBM)):  # never crossed
+            error = NoCrossingError(f"target {target} not reached in "
+                                    f"[{_SCAN_DBM[0]}, {_SCAN_DBM[-1]}] dBm")
+        # at k = 0 a value of 0 makes the cell's upper end the power
+        cells.append(error or (*point, _SCAN_DBM[max(k - 1, 0)], _SCAN_DBM[k],
+                               probe.get(k - 1, (math.inf, None))[0], value, 1e-5))
+    return _crossings(cells, target)
 
 
 def power_steps(op: OperatingPoint, m_bits, target_ser: float, expression=avg_ser_exact):
@@ -541,9 +550,8 @@ def power_steps(op: OperatingPoint, m_bits, target_ser: float, expression=avg_se
     # a subnormal target would be compared with averages that have lost precision
     valid = sys.float_info.min <= target_ser < 0.5
     orders = sorted({2**k for m in m_bits if m >= 1 for k in (m, m + 1)})
-    solved = {}
-    if valid and orders:
-        solved = dict(zip(orders, zip(*_powers_at_target(op, orders, expression, target_ser))))
+    powers = _powers_at_target(op, orders, expression, target_ser) if valid else ([], [])
+    solved = dict(zip(orders, zip(*powers)))
     steps, errors = [], []
     for m in m_bits:
         if m < 1:

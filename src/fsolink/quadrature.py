@@ -138,22 +138,15 @@ def find_crossing(curve, target, lo, hi, tol=1e-4):
             f"target {target} not bracketed on [{lo}, {hi}]: "
             f"curve endpoints {f_lo + target}, {f_hi + target}"
         )
-    return _brentq(lambda x: curve(x) - target, float(lo), float(hi), f_lo, f_hi, tol)
+    (root,), (error,) = brentq_lanes(lambda lanes, xs: ([curve(xs[0]) - target], [None]),
+                                     [(float(lo), float(hi), f_lo, f_hi, tol)])
+    if error is not None:
+        raise error
+    return root
 
 
 _RTOL = 4.0 * float(np.finfo(float).eps)
 _MAXITER = 100
-
-
-def _brentq(f, xpre, xcur, fpre, fcur, xtol):
-    """Root of f in [xpre, xcur], where f takes the values fpre and fcur, of
-    opposite signs and not zero: the one-lane case of brentq_lanes. Raises
-    its QuadratureError, and any exception of f."""
-    (root,), (error,) = brentq_lanes(lambda lanes, xs: ([f(xs[0])], [None]),
-                                     [(xpre, xcur, fpre, fcur, xtol)])
-    if error is not None:
-        raise error
-    return root
 
 
 def brentq_lanes(f, brackets):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +94,16 @@ def test_fading_model_rejects_strong_turbulence():
         FadingModel(geo, 0.5, -0.1)
 
 
+def test_fading_model_rejects_an_underflowing_breakpoint():
+    # h_hat = h_g h_l kappa exp(-mu) leaves the normal doubles below
+    # sigma_s = 0.0374 m at sigma_R^2 = 1, and below 0.0118 m at 0.1
+    geo = make_geometry()
+    for r, s in ((1.0, 0.0374), (0.1, 0.0118)):
+        assert FadingModel(geo, r, 1.01 * s).h_hat >= sys.float_info.min
+        with pytest.raises(ValueError, match=r"not a positive normal double \(mu = "):
+            FadingModel(geo, r, 0.99 * s)
+
+
 def test_breakpoint_gain():
     fm = make_fading(0.35, 0.1)
     assert fm.h_hat == pytest.approx(fm.hg_hl * fm.kappa * math.exp(-fm.mu), rel=1e-14)
@@ -105,6 +116,8 @@ def test_derived_constants_computed_once(monkeypatch):
     names = ("gamma", "kappa", "mu", "hg_hl", "h_hat")
     geo_names = ("h_l", "v0", "h_g", "wz_hat_sq")
     first = [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names]
+    # built before the patch, as a model checks its breakpoint when it is built
+    fresh = make_fading(0.35, 0.1)
 
     def recomputed(*args):
         raise AssertionError("derived constant recomputed")
@@ -114,7 +127,6 @@ def test_derived_constants_computed_once(monkeypatch):
         monkeypatch.setattr(channel, name, recomputed)
     assert [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names] == first
     # the cached values are not fields: equality and hashing ignore them
-    fresh = make_fading(0.35, 0.1)
     assert fm == fresh and hash(fm) == hash(fresh)
 
 

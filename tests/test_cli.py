@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fsolink import cli
+from fsolink import errorrates as er
 from fsolink.cli import (ConfigError, RunConfig, load_config, main,
                          parse_config_text, serialize_config)
 
@@ -245,8 +246,37 @@ def test_delta_crossing_into_a_zero_average_exit_code():
     assert code == 3
     rows = rows_of(out)
     assert [r[3] for r in rows[1:]] == ["approx-vs-exact", "dense-vs-exact"]
-    assert all(r[5] == "nan" and r[6] == "average falls from above threshold 1e-300 to 0 "
-               "on [71.0, 74.0] dBm" for r in rows[1:])
+    assert all(r[5] == "nan" and r[6] == "average is 0 at an end of [71.0, 74.0] dBm, "
+               "the cell where it crosses 1e-300" for r in rows[1:])
+
+
+def test_delta_row_errors_keep_their_order(monkeypatch):
+    # a row carries its sweep's error, else its own crossing's, else the exact
+    # crossing's, which is solved once for every row
+    watts = {cli.dbm_to_watts(p) for p in range(-10, 21)}
+    off_grid = []
+
+    def on_grid_only(name, average):
+        def expression(op):
+            if op.transmit_power_p not in watts:
+                off_grid.append(name)
+                raise er.QuadratureError(f"{name} crossing fails")
+            return average(op)
+        return expression
+
+    def failing_sweep(op):
+        raise er.QuadratureError("approx sweep fails")
+
+    for name in ("exact", "dense"):
+        monkeypatch.setitem(er.AVERAGES, name, on_grid_only(name, er.AVERAGES[name]))
+    monkeypatch.setitem(er.AVERAGES, "approx", failing_sweep)
+    code, out = run_cli(["delta", "--p_dbm_step", "1",
+                         "--expressions", "exact,approx,dense,ook_simple,dense_highpower"])
+    assert code == 3
+    assert [r[5:] for r in rows_of(out)[1:]] == [
+        ["nan", "approx sweep fails"], ["nan", "dense crossing fails"],
+        ["nan", "exact crossing fails"], ["nan", "exact crossing fails"]]
+    assert sorted(off_grid) == ["dense", "exact"]
 
 
 @pytest.mark.parametrize("flags", [["--target-ser", "0"], ["--target-ser", "-1"],
@@ -366,6 +396,26 @@ def test_non_finite_link_parameter_is_config_error(argv, capsys):
     assert code == 2
     assert out == ""
     assert " and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # a density of 0 everywhere, with exit 0
+    ["pdf", "--jitter_sigma_m", "0.005", "--rytov_variance", "0.5"],
+    # non-finite integrands, and a ZeroDivisionError traceback
+    ["sweep", "--jitter_sigma_m", "0.005", "--rytov_variance", "0.5", "--p_dbm_min", "0",
+     "--p_dbm_max", "0"],
+    ["sweep", "--jitter_sigma_m", "0.005", "--rytov_variance", "0.5", "--p_dbm_min", "0",
+     "--p_dbm_max", "0", "--expressions", "dense_highpower"],
+    # counts on a channel no average can be computed on
+    ["mc", "--jitter_sigma_m", "0.005", "--rytov_variance", "0.5", "--n_symbols", "10",
+     "--p_dbm_min", "0", "--p_dbm_max", "0"],
+    # h_l = exp(-900) = 0: a math domain error, and a density of 0
+    ["sweep", "--attenuation_per_km", "300"], ["pdf", "--attenuation_per_km", "300"]])
+def test_underflowing_breakpoint_is_config_error(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert "is not a positive normal double (mu = " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

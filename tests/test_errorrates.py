@@ -10,7 +10,7 @@ import pytest
 from scipy import special
 
 from fsolink import cli, errorrates, quadrature
-from fsolink.channel import composite_expectation, dbm_to_watts, y_splits
+from fsolink.channel import composite_expectation, dbm_to_watts, watts_to_dbm, y_splits
 from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
                                 averages_at_powers, avg_ber_mpam,
                                 avg_ber_ook_approx_piecewise,
@@ -19,7 +19,7 @@ from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
                                 avg_ser_dense_highpower, avg_ser_exact,
                                 conditional_ber_approx, conditional_ber_exact,
                                 conditional_ber_ook, conditional_ser_pam,
-                                crossing_power, delta_gap,
+                                crossing_power, delta_gap, delta_gaps,
                                 power_increase_for_next_bit, power_steps,
                                 sweep_curve)
 from fsolink.montecarlo import McConfig, simulate
@@ -351,15 +351,26 @@ def test_curve_validation():
         ErrorRateCurve([0.0, 0.0], [0.1, 0.2])
 
 
+def _dbm_curve(fn, p_dbm):
+    """The curve of fn (a function of the power in dBm) on p_dbm, whose
+    expression evaluates fn at an operating point's power."""
+    return ErrorRateCurve(p_dbm, [fn(p) for p in p_dbm],
+                          lambda op: fn(watts_to_dbm(op.transmit_power_p)), make_op(*PINK))
+
+
 def test_delta_gap_identical_curves_is_zero():
-    curve = ErrorRateCurve([0.0, 1.0, 2.0], [1e-2, 1e-3, 1e-4])
+    curve = _dbm_curve(lambda p: 10.0 ** (-2.0 - p), [0.0, 1.0, 2.0])
     assert delta_gap(curve, curve, 5e-4) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_crossing_power_linear_interpolation():
-    curve = ErrorRateCurve([0.0, 2.0], [1e-2, 1e-4])
+    curve = _dbm_curve(lambda p: 10.0 ** (-2.0 - p), [0.0, 2.0])
     # log-linear midpoint
     assert crossing_power(curve, 1e-3) == pytest.approx(1.0, abs=1e-9)
+    # without an expression and a point there is nothing to refine the cell on
+    for expression, op in ((None, None), (curve.expression, None), (None, curve.op)):
+        with pytest.raises(ValueError, match="no expression and operating point to refine"):
+            crossing_power(ErrorRateCurve(curve.p_dbm, curve.values, expression, op), 1e-3)
 
 
 def test_crossing_power_refines_with_evaluator():
@@ -371,49 +382,91 @@ def test_crossing_power_refines_with_evaluator():
         3.84e-3, rel=1e-3)
 
 
+def _scipy_crossing(curve, threshold):
+    """scipy's brentq on log10 of the curve's expression over its first cell
+    that crosses the threshold, to 1e-4 dB: its root and its number of
+    evaluations inside the cell."""
+    from scipy.optimize import brentq
+
+    i = next(i for i, (a, b) in enumerate(zip(curve.values, curve.values[1:]))
+             if a > threshold > b)
+    lt = math.log10(threshold)
+    root, result = brentq(
+        lambda p: math.log10(curve.expression(curve.op.with_power(dbm_to_watts(p)))) - lt,
+        curve.p_dbm[i], curve.p_dbm[i + 1], xtol=1e-4, full_output=True)
+    return root, result.function_calls - 2  # scipy counts both ends
+
+
 def test_crossing_power_never_evaluates_the_cell_ends():
     # the refinement starts from the curve's own values at the ends of its
-    # cell, and takes the steps of find_crossing, which evaluates them again
+    # cell, and takes the steps of scipy's brentq, which evaluates them again
     op = make_op(*PINK, 4, 0.0)
     grid = [-4.0 + 2.0 * i for i in range(10)]
     curve = sweep_curve(op, avg_ser_exact, grid)
-    evaluator, seen = curve.evaluator, []
+    seen = []
 
-    def recording(p_dbm):
-        seen.append(p_dbm)
-        return evaluator(p_dbm)
+    def recording(op):
+        seen.append(op.transmit_power_p)
+        return avg_ser_exact(op)
 
-    curve.evaluator = recording
+    curve.expression = recording
     pstar = crossing_power(curve, 1e-3)
-    assert seen and not set(seen) & set(grid)
-    i = next(i for i, (a, b) in enumerate(zip(curve.values, curve.values[1:])) if a > 1e-3 > b)
-    assert pstar == quadrature.find_crossing(lambda p: math.log10(evaluator(p)), -3.0,
-                                             grid[i], grid[i + 1])
+    assert seen and not set(seen) & {dbm_to_watts(p) for p in grid}
+    curve.expression = avg_ser_exact
+    assert pstar == _scipy_crossing(curve, 1e-3)[0]
+
+
+def test_delta_crossings_solved_in_lockstep(monkeypatch):
+    # at a headline channel every crossing of delta_gaps is scipy's brentq on
+    # its expression's log10 curve, bit for bit, and each round evaluates
+    # every unfinished lane, one batch per expression
+    op = make_op(0.25, 0.5, 4, 0.0)
+    grid = [-10.0 + i for i in range(51)]
+    curves = [sweep_curve(op, AVERAGES[name], grid)
+              for name in ("exact", "approx", "dense", "dense_highpower")]
+    calls = []
+    for average, batch in [(c.expression, errorrates._BATCHED[c.expression]) for c in curves]:
+        monkeypatch.setitem(errorrates._BATCHED, average,
+                            lambda *args, average=average, batch=batch:
+                            calls.append(average) or batch(*args))
+    gaps, errors = delta_gaps(curves[0], curves[1:], 1e-3)
+    (p_exact, _), *solves = solved = [_scipy_crossing(c, 1e-3) for c in curves]
+    assert errors == [None] * 3
+    assert gaps == [p - p_exact for p, _ in solves]
+    assert calls == [c.expression for k in range(max(n for _, n in solved))
+                     for c, (_, n) in zip(curves, solved) if n > k]
+    # a failing exact crossing fails every gap, and is solved once, not per gap
+    failed = []
+
+    def failing(op):
+        failed.append(op)
+        raise QuadratureError("exact fails")
+
+    curves[0].expression = failing
+    gaps, errors = delta_gaps(curves[0], curves[1:], 1e-3)
+    assert len(failed) == 1
+    assert [str(e) for e in errors] == ["exact fails"] * 3 and all(map(math.isnan, gaps))
 
 
 def test_crossing_power_at_a_cell_end():
     # a grid value on the threshold is the crossing, with no evaluation
-    def evaluator(p_dbm):
-        raise AssertionError(f"evaluated at {p_dbm} dBm")
+    def expression(op):
+        raise AssertionError(f"evaluated at {op.transmit_power_p} W")
 
-    curve = ErrorRateCurve([0.0, 1.0, 2.0], [1e-2, 1e-3, 1e-4], evaluator)
+    curve = ErrorRateCurve([0.0, 1.0, 2.0], [1e-2, 1e-3, 1e-4], expression, make_op(*PINK))
     assert crossing_power(curve, 1e-3) == 1.0
 
 
 def test_crossing_power_into_a_zero_average():
     # the first cell that crosses the threshold ends at an average of 0:
-    # there is no log10 to refine or interpolate on
-    def evaluator(p_dbm):
-        return 10.0 ** (-3.0 - p_dbm) if p_dbm < 2.5 else 0.0
-
-    message = "average falls from above threshold 1e-06 to 0 on [2.0, 3.0] dBm"
-    for refine in (evaluator, None):
-        curve = ErrorRateCurve([0.0, 1.0, 2.0, 3.0], [evaluator(p) for p in range(4)], refine)
-        with pytest.raises(QuadratureError, match=re.escape(message)):
-            crossing_power(curve, 1e-6)
-        assert crossing_power(curve, 1e-4) == pytest.approx(1.0, abs=1e-9)
+    # there is no log10 to refine on
+    curve = _dbm_curve(lambda p: 10.0 ** (-3.0 - p) if p < 2.5 else 0.0, [0.0, 1.0, 2.0, 3.0])
+    message = "average is 0 at an end of [2.0, 3.0] dBm, the cell where it crosses 1e-06"
+    with pytest.raises(QuadratureError, match=re.escape(message)):
+        crossing_power(curve, 1e-6)
+    assert crossing_power(curve, 1e-4) == pytest.approx(1.0, abs=1e-9)
     rising = ErrorRateCurve([0.0, 1.0], [0.0, 1e-2])
-    with pytest.raises(QuadratureError, match="rises from 0 to above threshold"):
+    with pytest.raises(QuadratureError, match=re.escape("average is 0 at an end of [0.0, 1.0]")):
         crossing_power(rising, 1e-6)
 
 
@@ -531,7 +584,7 @@ def test_power_solve_at_a_zero_average():
     op = make_op(0.057, 2.4e-4, 2, 0.0)
     steps, errors = power_steps(op, range(1, 3), 1e-304)
     assert [str(e) for e in errors] == [
-        f"average falls from above target 1e-304 to 0 on [{a}, {b}] dBm"
+        f"average is 0 at an end of [{a}, {b}] dBm, the cell where it crosses 1e-304"
         for a, b in ((14.0, 16.0), (20.0, 22.0))]
     assert all(isinstance(e, QuadratureError) for e in errors)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -178,33 +179,17 @@ def test_simulate_matches_quadrature_at_crossing():
     assert abs(est.ser_hat - 1e-3) < 3.0 * se
 
 
-def test_early_stop_reports_actual_trials():
-    op = make_op(*PINK, 2, -5.0)  # high error rate, stops at first check
-    cfg = McConfig(n_symbols=2_000_000, seed=31, batch_size=100_000,
-                   min_errors=100, early_stop=True)
-    est = simulate(op, cfg)
-    assert est.n_symbols == 100_000
-    assert est.symbol_errors >= 100
-    # stopping point is worker-count independent
-    est2 = simulate(op, McConfig(n_symbols=2_000_000, seed=31, batch_size=100_000,
-                                 min_errors=100, early_stop=True, workers=3))
-    assert est == est2
-
-
-def test_early_stop_with_one_worker_runs_no_batch_past_it(monkeypatch):
-    started = []
+def test_one_worker_runs_every_batch_on_the_calling_thread(monkeypatch):
+    threads = []
     run_batch = montecarlo._run_batch
 
-    def recording(op, seed, b, n, fixed_gain):
-        started.append(b)
-        return run_batch(op, seed, b, n, fixed_gain)
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return run_batch(*args)
 
     monkeypatch.setattr(montecarlo, "_run_batch", recording)
-    op = make_op(*PINK, 2, -5.0)  # stops after the first batch
-    est = simulate(op, McConfig(n_symbols=2_000_000, seed=31, batch_size=100_000,
-                                min_errors=100, early_stop=True))
-    assert est.n_symbols == 100_000
-    assert started == [0]
+    simulate(make_op(*PINK, 2, 0.0), McConfig(n_symbols=300_000, seed=31, batch_size=100_000))
+    assert threads == [threading.get_ident()] * 3
 
 
 def test_early_stop_disabled_runs_full_n():

@@ -143,7 +143,7 @@ def test_brentq_matches_scipy_bit_for_bit(f, lo, hi, xtol):
 
     expected, result = brentq(f, lo, hi, xtol=xtol, full_output=True, disp=False)
     try:
-        root = quadrature._brentq(f, lo, hi, f(lo), f(hi), xtol)
+        root = find_crossing(f, 0.0, lo, hi, tol=xtol)
         converged = True
     except QuadratureError as exc:
         root, converged = exc.value, False
@@ -182,6 +182,8 @@ def test_brentq_lanes_match_scipy_bit_for_bit():
 def test_brentq_lanes_fail_alone():
     # a lane whose function reports an error, or is not finite at an iterate,
     # stops alone; the others keep the roots of their own solves
+    from scipy.optimize import brentq
+
     def f(lanes, xs):
         values, errors = [], []
         for i, x in zip(lanes, xs):
@@ -190,7 +192,7 @@ def test_brentq_lanes_fail_alone():
         return values, errors
 
     roots, errors = quadrature.brentq_lanes(f, [(0.0, 3.0, -2.0, 7.0, 1e-12)] * 4)
-    alone = quadrature._brentq(lambda x: x * x - 2.0, 0.0, 3.0, -2.0, 7.0, 1e-12)
+    alone = brentq(lambda x: x * x - 2.0, 0.0, 3.0, xtol=1e-12)
     assert roots[0] == roots[3] == alone
     assert isinstance(errors[1], QuadratureError) and "not finite" in str(errors[1])
     assert str(errors[2]) == "lane 2 fails"
