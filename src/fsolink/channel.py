@@ -120,12 +120,16 @@ class LinkGeometry:
         return beer_lambert_loss(self.attenuation_sigma_lambda, self.distance_z / 1000.0)
 
     @cached_property
-    def v0(self) -> float:
-        return geometric_spread(self.aperture_radius_a, self.beam_waist_wz)[0]
+    def _spread(self) -> tuple[float, float]:
+        return geometric_spread(self.aperture_radius_a, self.beam_waist_wz)
 
-    @cached_property
+    @property
+    def v0(self) -> float:
+        return self._spread[0]
+
+    @property
     def h_g(self) -> float:
-        return geometric_spread(self.aperture_radius_a, self.beam_waist_wz)[1]
+        return self._spread[1]
 
     @cached_property
     def wz_hat_sq(self) -> float:
@@ -166,19 +170,21 @@ class FadingModel:
         return -self.sigma2
 
     @cached_property
+    def _pointing(self) -> tuple[float, float, float]:
+        return pointing_params(self.geometry.wz_hat_sq, self.jitter_sigma_s,
+                               self.rytov_var_sigma_r2)
+
+    @property
     def gamma(self) -> float:
-        return pointing_params(self.geometry.wz_hat_sq, self.jitter_sigma_s,
-                               self.rytov_var_sigma_r2)[0]
+        return self._pointing[0]
 
-    @cached_property
+    @property
     def kappa(self) -> float:
-        return pointing_params(self.geometry.wz_hat_sq, self.jitter_sigma_s,
-                               self.rytov_var_sigma_r2)[1]
+        return self._pointing[1]
 
-    @cached_property
+    @property
     def mu(self) -> float:
-        return pointing_params(self.geometry.wz_hat_sq, self.jitter_sigma_s,
-                               self.rytov_var_sigma_r2)[2]
+        return self._pointing[2]
 
     @cached_property
     def hg_hl(self) -> float:

@@ -343,7 +343,9 @@ def _add_config_flags(parser: argparse.ArgumentParser):
         parser.add_argument(f"--{f.name}", default=None, metavar="V")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for the command line argv. Only the subcommand argv names
+    first gets the configuration flags, most of the parser's cost."""
     parser = argparse.ArgumentParser(
         prog="fsolink",
         description="Average BER/SER computation for M-PAM free-space optical "
@@ -351,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("pdf", "sweep", "delta", "power-step", "mc"):
         p = sub.add_parser(name)
-        _add_config_flags(p)
+        if name in argv[:1]:
+            _add_config_flags(p)
         if name == "power-step":
             p.add_argument("--target-ser", type=float, required=True)
             p.add_argument("--m-min", type=int, default=1)
@@ -370,7 +373,8 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         cfg = load_config(args.config, _collect_overrides(args))
         cfg.operating_point()  # surface model-domain violations as config errors

@@ -268,10 +268,12 @@ def _gk21(f, lo, hi, root):
 def _gk21_chunk(f, a, b, root):
     half = 0.5 * (b - a)
     fx = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES, root)
-    # row-wise sums, so that a panel's result does not depend on its batch
-    resk, resg = (fx[:, None, :] * _WEIGHTS).sum(axis=2).T
-    resabs = (np.abs(fx) * _KRONROD).sum(axis=1)
-    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _KRONROD).sum(axis=1)
+    # einsum's own loops add a row's products in one order whatever the batch
+    # (BLAS, by @, dot or optimize=True, does not); order "F" adds them in
+    # node order, which integrates x^2 on [0, 1] to the double nearest 1/3
+    resk, resg = np.einsum("kj,ij->ik", _WEIGHTS, fx, order="F").T
+    resabs = np.einsum("kj,j->k", np.abs(fx), _KRONROD)
+    resasc = np.einsum("kj,j->k", np.abs(fx - 0.5 * resk[:, None]), _KRONROD)
     err = np.abs(resk - resg)
     big = (resasc > 0.0) & (err > 0.0)
     err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)

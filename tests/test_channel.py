@@ -111,19 +111,33 @@ def test_breakpoint_gain():
 
 
 def test_derived_constants_computed_once(monkeypatch):
+    helpers = ("pointing_params", "geometric_spread", "equivalent_beam_width_sq",
+               "beer_lambert_loss")
+    calls = []
+
+    def counted(name, helper):
+        def wrapper(*args):
+            calls.append(name)
+            return helper(*args)
+        return wrapper
+
+    for name in helpers:
+        monkeypatch.setattr(channel, name, counted(name, getattr(channel, name)))
+    # from building a model through reading every constant, each helper runs once
     fm = make_fading(0.35, 0.1)
     geo = fm.geometry
     names = ("gamma", "kappa", "mu", "hg_hl", "h_hat")
     geo_names = ("h_l", "v0", "h_g", "wz_hat_sq")
     first = [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names]
+    assert fm.log_gain_params.g2 == fm.gamma**2
+    assert sorted(calls) == sorted(helpers)
     # built before the patch, as a model checks its breakpoint when it is built
     fresh = make_fading(0.35, 0.1)
 
     def recomputed(*args):
         raise AssertionError("derived constant recomputed")
 
-    for name in ("pointing_params", "geometric_spread", "equivalent_beam_width_sq",
-                 "beer_lambert_loss"):
+    for name in helpers:
         monkeypatch.setattr(channel, name, recomputed)
     assert [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names] == first
     # the cached values are not fields: equality and hashing ignore them

@@ -1,9 +1,11 @@
+import argparse
 import csv
 import io
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -477,3 +479,45 @@ def test_power_step_requires_target_ser():
     with pytest.raises(SystemExit) as exc_info:
         cli.build_parser().parse_args(["power-step"])
     assert exc_info.value.code == 2
+
+
+def test_parser_builds_only_the_invoked_commands_flags(monkeypatch):
+    # the top-level parser and the five subcommands add their -h each, and
+    # power-step its three flags; of the subcommands, sweep alone gets
+    # --config, --out and a flag per RunConfig field
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "0"])
+    assert code == 0 and len(rows_of(out)) == 2
+    assert len(calls) == 6 + 3 + 2 + len(fields(RunConfig))
+
+
+def test_command_line_read_from_sys_argv(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["fsolink", "pdf", "--h_points", "3"])
+    code, out = run_cli(None)
+    assert code == 0 and len(rows_of(out)) == 4
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["sweep", "--target-ser", "1e-3"],
+                                  ["pdf", "--m-min", "2"], ["--p_dbm_min", "0", "sweep"]])
+def test_bad_command_lines_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    assert "fsolink: error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pdf", "sweep", "delta", "power-step", "mc"])
+def test_command_help_lists_every_config_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == 0
+    text = capsys.readouterr().out
+    assert all(f"--{f.name} V" in text for f in fields(RunConfig))
+    assert "--config PATH" in text and "--out PATH" in text

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsolink import quadrature
 from fsolink.quadrature import (BracketError, QuadratureError, QuadratureSpec,
@@ -250,9 +252,10 @@ def _stacked_integrate_panels(f, lo, hi, owner, n_owners):
             half = 0.5 * (b - a)
             fx = f((0.5 * (a + b))[:, None] + half[:, None] * quadrature._NODES,
                    root[s:s + quadrature._CHUNK])
-            resk, resg = (fx[:, None, :] * quadrature._WEIGHTS).sum(axis=2).T
-            resabs = (np.abs(fx) * quadrature._KRONROD).sum(axis=1)
-            resasc = (np.abs(fx - 0.5 * resk[:, None]) * quadrature._KRONROD).sum(axis=1)
+            resk, resg = np.einsum("kj,ij->ik", quadrature._WEIGHTS, fx, order="F").T
+            resabs = np.einsum("kj,j->k", np.abs(fx), quadrature._KRONROD)
+            resasc = np.einsum("kj,j->k", np.abs(fx - 0.5 * resk[:, None]),
+                               quadrature._KRONROD)
             err = np.abs(resk - resg)
             big = (resasc > 0.0) & (err > 0.0)
             err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)
@@ -316,3 +319,27 @@ def test_flat_rounds_bit_for_bit(monkeypatch):
     for got, expected in zip(batch, reference):
         np.testing.assert_array_equal(got, expected)
     assert batch[0][1] == 1.0 / 3.0 and batch[0][4] == pytest.approx(math.e**2 - 1.0 / math.e)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5000), st.integers(0, 2**32 - 1))
+def test_gk21_panels_batch_invariant(n, seed):
+    # panel i's integrand is scale[i] (x - c[i]) (x - d[i]) above cut[i] and 0
+    # below it, scale[i] 0 or of magnitude 1e-300 to 1e300: exactly rounded
+    # arithmetic, whose values do not depend on the batch either
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 1.0, n)
+    hi = lo + rng.uniform(0.0, 1.0, n)
+    scale = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    scale[rng.random(n) < 0.1] = 0.0
+    c, d, cut = rng.uniform(-1.0, 2.0, (3, n))
+
+    def f(x, root):
+        s, c_, d_, cut_ = (a[root][:, None] for a in (scale, c, d, cut))
+        return np.where(x > cut_, s * (x - c_) * (x - d_), 0.0)
+
+    root = np.arange(n)
+    batch = np.stack(quadrature._gk21(f, lo, hi, root))
+    alone = np.hstack([quadrature._gk21(f, lo[i:i + 1], hi[i:i + 1], root[i:i + 1])
+                       for i in range(n)])
+    np.testing.assert_array_equal(batch, alone)
