@@ -18,8 +18,7 @@ from .errorrates import (ErrorRateCurve, NoCrossingError,
                          power_increase_for_next_bit, sweep_curve)
 from .montecarlo import (McConfig, McEstimate, brgc_decode, brgc_encode,
                          ml_detect, simulate)
-from .quadrature import (BracketError, QuadratureError, QuadratureSpec,
-                         find_crossing, integrate)
+from .quadrature import BracketError, QuadratureError, find_crossing, integrate
 from .specfun import erfc, erfc_piecewise_approx, erfc_simple_tail, q_function
 
 __version__ = "0.1.0"

@@ -448,11 +448,11 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     edges.sort(axis=1)
     keep = edges[:, 1:] > edges[:, :-1]
     lo, hi, owner = edges[:, :-1][keep], edges[:, 1:][keep], keep.nonzero()[0]
-    is_low, u_col = hi <= 0.0, np.array(u, dtype=float)[owner][:, None]  # one row per panel
+    u_col = np.array(u, dtype=float)[:, None]
 
-    def integrand(y, root):
+    def integrand(y, owner):
         out = np.empty_like(y)
-        low = is_low[root]
+        low = y[:, 10] < 0.0  # the side of h_hat of each panel's centre: y = 0 is an edge
         if low.any():
             out[low] = (np.exp(par.log_amp + (par.g2 + h_power) * y[low])
                         * w_low(y[low] / par.sqrt2s))
@@ -460,7 +460,7 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
             high = ~low
             out[high] = (np.exp(-((y[high] - par.y_star) ** 2) / (2.0 * par.sig2)
                                 + h_power * y[high]) * w_high(y[high] / par.sqrt2s))
-        return out * cond(par.h_hat * np.exp(y), u_col[root])
+        return out * cond(par.h_hat * np.exp(y), u_col[owner])
 
     value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
     value *= par.g2 / 2.0 * par.h_hat**h_power

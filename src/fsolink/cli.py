@@ -66,8 +66,8 @@ class RunConfig:
         if self.jitter_sigma_m is None and self.jitter_angle_mrad is None:
             raise ConfigError("set exactly one of jitter_sigma_m / jitter_angle_mrad")
         m = self.modulation_m
-        if m < 2 or (m & (m - 1)) != 0:
-            raise ConfigError("modulation_m must be a power of two >= 2")
+        if not 2 <= m <= 1024 or (m & (m - 1)) != 0:
+            raise ConfigError("modulation_m must be a power of two from 2 to 1024")
         sweep = (self.p_dbm_min, self.p_dbm_max, self.p_dbm_step)
         if (not all(math.isfinite(v) for v in sweep)
                 or self.p_dbm_step <= 0 or self.p_dbm_max < self.p_dbm_min):
@@ -226,17 +226,15 @@ def _write_rows(out, header, rows):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_pdf(cfg: RunConfig, out) -> int:
-    model = cfg.fading()
+def cmd_pdf(cfg: RunConfig, op: OperatingPoint, out) -> int:
     grid = np.logspace(math.log10(cfg.h_min), math.log10(cfg.h_max), cfg.h_points)
-    rows = [[_fmt_prob(h), _fmt_prob(p)] for h, p in zip(grid, pdf_composite(grid, model))]
+    rows = [[_fmt_prob(h), _fmt_prob(p)] for h, p in zip(grid, pdf_composite(grid, op.fading))]
     _write_rows(out, ["h", "pdf"], rows)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, out) -> int:
+def cmd_sweep(cfg: RunConfig, op: OperatingPoint, out) -> int:
     grid = cfg.power_grid()
-    op = cfg.operating_point()
     watts = [dbm_to_watts(p) for p in grid]
     names = list(cfg.expressions)
     results = [er.averages_at_powers(er.AVERAGES[name], op, watts) for name in names]
@@ -260,10 +258,9 @@ def cmd_sweep(cfg: RunConfig, out) -> int:
     return EXIT_NUMERIC if any_failure else EXIT_OK
 
 
-def cmd_delta(cfg: RunConfig, out) -> int:
+def cmd_delta(cfg: RunConfig, op: OperatingPoint, out) -> int:
     grid = cfg.power_grid()
     threshold = cfg.ber_threshold if cfg.modulation_m == 2 else cfg.ser_threshold
-    op = cfg.operating_point()
     header = ["jitter_sigma_m", "rytov_variance", "m", "pair", "threshold", "delta_db",
               "error"]
     rows = []
@@ -295,8 +292,7 @@ def cmd_delta(cfg: RunConfig, out) -> int:
     return EXIT_NUMERIC if any_failure else EXIT_OK
 
 
-def cmd_power_step(cfg: RunConfig, out, target_ser: float, m_min: int, m_max: int) -> int:
-    op = cfg.operating_point()
+def cmd_power_step(op: OperatingPoint, out, target_ser: float, m_min: int, m_max: int) -> int:
     header = ["m", "delta_p_db", "error"]
     rows = []
     any_failure = False
@@ -312,12 +308,11 @@ def cmd_power_step(cfg: RunConfig, out, target_ser: float, m_min: int, m_max: in
     return EXIT_NUMERIC if any_failure else EXIT_OK
 
 
-def cmd_mc(cfg: RunConfig, out) -> int:
+def cmd_mc(cfg: RunConfig, op: OperatingPoint, out) -> int:
     grid = cfg.power_grid()
     header = ["p_dbm", "m", "ser_hat", "ber_hat", "symbol_errors", "bit_errors",
               "n_symbols", "ci95_ser", "ci95_ber", "seed"]
     rows = []
-    op = cfg.operating_point()
     # a thread per core, at most one per batch: the counts do not depend on it
     workers = min(os.cpu_count() or 1, -(-cfg.n_symbols // McConfig.batch_size))
     mc = McConfig(n_symbols=cfg.n_symbols, seed=cfg.seed, workers=workers)
@@ -377,12 +372,13 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         cfg = load_config(args.config, _collect_overrides(args))
-        cfg.operating_point()  # surface model-domain violations as config errors
+        op = cfg.operating_point()  # surface model-domain violations as config errors
         if args.command == "power-step":
             if not sys.float_info.min <= args.target_ser < 0.5:  # false for nan too
                 raise ConfigError(f"target-ser must lie in [{sys.float_info.min!r}, 0.5)")
-            if not 1 <= args.m_min <= args.m_max:
-                raise ConfigError("m-min and m-max must satisfy 1 <= m-min <= m-max")
+            # m-max 9 steps up to 1024-PAM, the largest order an average accepts
+            if not 1 <= args.m_min <= args.m_max <= 9:
+                raise ConfigError("m-min and m-max must satisfy 1 <= m-min <= m-max <= 9")
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -390,15 +386,15 @@ def main(argv=None) -> int:
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if args.command == "pdf":
-            return cmd_pdf(cfg, sink)
+            return cmd_pdf(cfg, op, sink)
         if args.command == "sweep":
-            return cmd_sweep(cfg, sink)
+            return cmd_sweep(cfg, op, sink)
         if args.command == "delta":
-            return cmd_delta(cfg, sink)
+            return cmd_delta(cfg, op, sink)
         if args.command == "power-step":
-            return cmd_power_step(cfg, sink, args.target_ser, args.m_min, args.m_max)
+            return cmd_power_step(op, sink, args.target_ser, args.m_min, args.m_max)
         if args.command == "mc":
-            return cmd_mc(cfg, sink)
+            return cmd_mc(cfg, op, sink)
         raise AssertionError(f"unhandled command {args.command}")
     finally:
         if sink is not sys.stdout:

@@ -142,16 +142,6 @@ def _erfcx_nested(v: float) -> float:
     return 2.0 / _SQRT_PI * math.exp(v * v) * _gauss_tail(v)
 
 
-def _integrate_nested(f, lo, hi, splits):
-    if hi <= lo:
-        return 0.0
-    spec = quadrature.QuadratureSpec(
-        rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=2000,
-        split_points=tuple(sorted(p for p in splits if lo < p < hi)))
-    val, _ = quadrature.integrate(f, lo, hi, spec)
-    return val
-
-
 def _avg_ser_nested(op: OperatingPoint) -> float:
     m_order = op.modulation_order_m
     par = op.fading.log_gain_params
@@ -171,8 +161,8 @@ def _avg_ser_nested(op: OperatingPoint) -> float:
 
     # QUADPACK can miss the erfc knee at sqrt(2 sig2) when sig2 is small
     # against 700 / g2: it is split off, as the conditional's onset is
-    low = _integrate_nested(f_low, 0.0, 700.0 / par.g2,
-                            (sqrt2s, 4.0 * sqrt2s, *low_w_splits(s_hat)))
+    low, _ = quadrature.integrate(f_low, 0.0, 700.0 / par.g2,
+                                  (sqrt2s, 4.0 * sqrt2s, *low_w_splits(s_hat)))
 
     def f_high(y):
         v = y / sqrt2s
@@ -180,7 +170,9 @@ def _avg_ser_nested(op: OperatingPoint) -> float:
         return (math.exp(-((y - par.y_star) ** 2) / (2.0 * par.sig2))
                 * _erfcx_nested(v) * cond(h))
 
-    high = _integrate_nested(f_high, 0.0, min(par.y_top, y_cut(s_hat)), y_splits(par))
+    # y_cut falls below 0 at high power, where the upper piece is empty
+    y_up = min(par.y_top, y_cut(s_hat))
+    high = quadrature.integrate(f_high, 0.0, y_up, y_splits(par))[0] if y_up > 0.0 else 0.0
     return flush_subnormal(par.g2 / 2.0 * (math.exp(par.log_amp) * low + high))
 
 

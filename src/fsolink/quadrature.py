@@ -14,7 +14,6 @@ roots as one call per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,26 +29,6 @@ class QuadratureError(RuntimeError):
 
 class BracketError(ValueError):
     """The supplied interval does not bracket the target value."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
-    split_points: tuple[float, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be non-negative")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        pts = tuple(float(p) for p in self.split_points)
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("split_points must be strictly increasing")
-        object.__setattr__(self, "split_points", pts)
 
 
 _quad = None  # scipy.integrate.quad, bound by quadpack on its first call
@@ -68,46 +47,27 @@ def quadpack(f, lo, hi, **options):
     return _quad(f, lo, hi, **options)
 
 
-def _quad_piece(f, lo, hi, spec):
-    value, err, info, *rest = quadpack(
-        f,
-        lo,
-        hi,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=True,
-    )
-    if rest:
-        # QUADPACK reported a failure message
-        msg = rest[0]
-        raise QuadratureError(msg, value=value, error_estimate=err)
-    if math.isnan(value):
-        raise QuadratureError("integrand produced NaN", value=value, error_estimate=err)
-    return value, err
+def integrate(f, lo, hi, split_points=()):
+    """Integrate f over [lo, hi], hi may be +inf, by QUADPACK.
 
-
-def integrate(f, lo, hi, spec=None):
-    """Integrate f over [lo, hi], hi may be +inf.
-
-    Splits the domain at spec.split_points lying strictly inside (lo, hi),
-    so integrand breakpoints (e.g. a piecewise kink) land on panel edges.
-    Returns (value, error_estimate); raises QuadratureError on
-    non-convergence or NaN.
+    Splits the domain at the split_points lying strictly inside (lo, hi),
+    so integrand breakpoints (e.g. a piecewise kink) land on panel edges,
+    and integrates each piece to epsrel 1e-11 and epsabs 1e-300 in at most
+    2,000 subdivisions. Returns (value, error_estimate); raises
+    QuadratureError on non-convergence or NaN.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    edges = [lo]
-    for p in spec.split_points:
-        if lo < p < hi:
-            edges.append(p)
-    edges.append(hi)
+    edges = [lo, *sorted(p for p in split_points if lo < p < hi), hi]
     total = 0.0
     total_err = 0.0
     for a, b in zip(edges, edges[1:]):
-        v, e = _quad_piece(f, a, b, spec)
-        total += v
-        total_err += e
+        value, err, _, *message = quadpack(f, a, b, epsabs=1e-300, epsrel=1e-11, limit=2000,
+                                           full_output=True)
+        if message:
+            raise QuadratureError(message[0], value=value, error_estimate=err)
+        if math.isnan(value):
+            raise QuadratureError("integrand produced NaN", value=value, error_estimate=err)
+        total += value
+        total_err += err
     return total, total_err
 
 
@@ -255,19 +215,19 @@ _MAX_PANELS = 2000  # per integral
 _FRACTIONS = (np.arange(_SPLIT + 1) / _SPLIT)[:, None]
 
 
-def _gk21(f, lo, hi, root):
+def _gk21(f, lo, hi, owner):
     """Gauss-Kronrod value and QUADPACK's error estimate (qk21) of each panel,
     in chunks of at most _CHUNK panels."""
     value, error = np.empty(lo.size), np.empty(lo.size)
     for s in range(0, lo.size, _CHUNK):
         part = slice(s, s + _CHUNK)
-        value[part], error[part] = _gk21_chunk(f, lo[part], hi[part], root[part])
+        value[part], error[part] = _gk21_chunk(f, lo[part], hi[part], owner[part])
     return value, error
 
 
-def _gk21_chunk(f, a, b, root):
+def _gk21_chunk(f, a, b, owner):
     half = 0.5 * (b - a)
-    fx = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES, root)
+    fx = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES, owner)
     # einsum's own loops add a row's products in one order whatever the batch
     # (BLAS, by @, dot or optimize=True, does not); order "F" adds them in
     # node order, which integrates x^2 on [0, 1] to the double nearest 1/3
@@ -284,10 +244,10 @@ def _gk21_chunk(f, a, b, root):
 def integrate_panels(f, lo, hi, owner, n_owners):
     """Integrate n_owners integrals at once, each the sum of f over its panels.
 
-    Panel i spans [lo[i], hi[i]] and belongs to integral owner[i]. f(x, root)
+    Panel i spans [lo[i], hi[i]] and belongs to integral owner[i]. f(x, owner)
     returns the integrand at x, an array of shape (k, 21) holding the nodes of
-    k panels, where root[j] is the index of the panel that panel j was cut
-    from. Every panel is integrated by the 21-point Gauss-Kronrod rule, with
+    k panels, where owner[j] is the integral of panel j; x[:, 10] holds their
+    centres. Every panel is integrated by the 21-point Gauss-Kronrod rule, with
     the embedded 10-point Gauss rule giving QUADPACK's error estimate. While
     an integral's summed estimate exceeds rel 1e-11 of its value, each of
     its panels whose estimate exceeds an equal share of that tolerance is
@@ -301,8 +261,8 @@ def integrate_panels(f, lo, hi, owner, n_owners):
     share the batch.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    root, owner = np.arange(lo.size), np.asarray(owner, dtype=np.intp)
-    val, err = _gk21(f, lo, hi, root)
+    owner = np.asarray(owner, dtype=np.intp)
+    val, err = _gk21(f, lo, hi, owner)
     value, error = np.zeros(n_owners), np.zeros(n_owners)
     ok = np.ones(n_owners, dtype=bool)
     while True:
@@ -323,9 +283,9 @@ def integrate_panels(f, lo, hi, owner, n_owners):
         if not cut.any():  # no panel misses its share: the sum does by rounding alone
             return value, error, ok
         edges = lo[cut] + (hi[cut] - lo[cut]) * _FRACTIONS
-        parts = (edges[:-1].ravel(), edges[1:].ravel(), np.concatenate([root[cut]] * _SPLIT))
-        new = (*parts, np.concatenate([owner[cut]] * _SPLIT), *_gk21(f, *parts))
+        parts = (edges[:-1].ravel(), edges[1:].ravel(), np.concatenate([owner[cut]] * _SPLIT))
+        new = (*parts, *_gk21(f, *parts))
         # the panels kept from this round first, then the parts of those cut
         keep = busy & ~cut
-        lo, hi, root, owner, val, err = (np.concatenate([old[keep], part]) for old, part
-                                         in zip((lo, hi, root, owner, val, err), new))
+        lo, hi, owner, val, err = (np.concatenate([old[keep], part]) for old, part
+                                   in zip((lo, hi, owner, val, err), new))

@@ -224,12 +224,11 @@ def test_composite_density_pointwise_positive():
 def test_composite_density_integrates_to_one_off_grid(sigma_s, rytov):
     # gamma^2 = 109 and 0.039; at 109 the density's bulk lies where
     # h^(gamma^2 - 1) overflows and erfc(v) underflows
-    from fsolink.quadrature import QuadratureSpec, integrate
+    from fsolink.quadrature import integrate
     fm = make_fading(sigma_s, rytov)
     pdf = pdf_composite(np.logspace(-8.0, -2.0, 241), fm)
     assert np.all(np.isfinite(pdf)) and np.all(pdf >= 0.0)
-    total, _ = integrate(lambda h: pdf_composite(h, fm), 0.0, math.inf,
-                         QuadratureSpec(split_points=(fm.h_hat,)))
+    total, _ = integrate(lambda h: pdf_composite(h, fm), 0.0, math.inf, (fm.h_hat,))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 

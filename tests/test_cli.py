@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fsolink import cli
+from fsolink import channel, cli
 from fsolink import errorrates as er
 from fsolink.cli import (ConfigError, RunConfig, load_config, main,
                          parse_config_text, serialize_config)
@@ -286,7 +286,10 @@ def test_delta_row_errors_keep_their_order(monkeypatch):
                                    ["--target-ser", "1e-3", "--m-min", "0"],
                                    ["--target-ser", "1e-3", "--m-min", "5", "--m-max", "2"],
                                    # subnormal, as the thresholds below 2.2e-308 are
-                                   ["--target-ser", "1e-316"], ["--target-ser", "5e-324"]])
+                                   ["--target-ser", "1e-316"], ["--target-ser", "5e-324"],
+                                   # steps to 2048-PAM, and an OverflowError traceback
+                                   ["--target-ser", "1e-3", "--m-max", "10"],
+                                   ["--target-ser", "1e-3", "--m-min", "1023", "--m-max", "1024"]])
 def test_power_step_bad_arguments_are_config_errors(flags, capsys):
     code, out = run_cli(["power-step"] + flags)
     assert code == 2
@@ -427,7 +430,11 @@ def test_underflowing_breakpoint_is_config_error(argv, capsys):
     # a header alone, with exit 0, before
     (["pdf", "--h_points", "0"], "h_points must be >= 1"),
     (["mc", "--seed", "-1"], "seed must lie in [0, 2**64)"),
-    (["mc", "--seed", str(2**64)], "seed must lie in [0, 2**64)")])
+    (["mc", "--seed", str(2**64)], "seed must lie in [0, 2**64)"),
+    # a result with exit 0 before, and an OverflowError or ValueError traceback
+    (["sweep", "--modulation_m", "2048"], "modulation_m must be a power of two from 2 to 1024"),
+    (["sweep", "--modulation_m", str(2**1030)], "modulation_m must be a power of two from 2 to"),
+    (["mc", "--modulation_m", str(2**1030)], "modulation_m must be a power of two from 2 to")])
 def test_pdf_grid_and_mc_seed_are_config_errors(argv, message, capsys):
     code, out = run_cli(argv)
     assert code == 2
@@ -496,6 +503,21 @@ def test_parser_builds_only_the_invoked_commands_flags(monkeypatch):
     code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "0"])
     assert code == 0 and len(rows_of(out)) == 2
     assert len(calls) == 6 + 3 + 2 + len(fields(RunConfig))
+
+
+def test_command_builds_the_channel_model_once(monkeypatch):
+    # main validates the operating point, and the command reuses it
+    calls = []
+    pointing_params = channel.pointing_params
+
+    def counting(*args):
+        calls.append(args)
+        return pointing_params(*args)
+
+    monkeypatch.setattr(channel, "pointing_params", counting)
+    code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "0"])
+    assert code == 0 and len(rows_of(out)) == 2
+    assert len(calls) == 1
 
 
 def test_command_line_read_from_sys_argv(monkeypatch):

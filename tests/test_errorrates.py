@@ -134,9 +134,9 @@ def test_nested_oracle_keeps_its_own_splits(monkeypatch):
     pieces = []
     integrate = quadrature.integrate
 
-    def recording(f, lo, hi, spec):
-        pieces.append((lo, hi, spec.split_points))
-        return integrate(f, lo, hi, spec)
+    def recording(f, lo, hi, split_points):
+        pieces.append((lo, hi, tuple(p for p in split_points if lo < p < hi)))
+        return integrate(f, lo, hi, split_points)
 
     monkeypatch.setattr(quadrature, "integrate", recording)
     avg_ser_exact(op, nested=True)
@@ -742,9 +742,9 @@ def test_single_point_work_budget(monkeypatch):
     panels = []
     gk21 = quadrature._gk21
 
-    def counting(f, lo, hi, root):
+    def counting(f, lo, hi, owner):
         panels.append(lo.size)
-        return gk21(f, lo, hi, root)
+        return gk21(f, lo, hi, owner)
 
     monkeypatch.setattr(quadrature, "_gk21", counting)
     rng = random.Random(8)

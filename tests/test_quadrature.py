@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsolink import quadrature
-from fsolink.quadrature import (BracketError, QuadratureError, QuadratureSpec,
-                                find_crossing, integrate)
+from fsolink.quadrature import BracketError, QuadratureError, find_crossing, integrate
 
 # (integrand, lo, hi, exact value) — a varied battery for checking that the
 # reported error estimate actually bounds the true error
@@ -45,14 +44,12 @@ def test_known_integrals_within_reported_error(f, lo, hi, exact):
 def test_split_points_land_on_panel_edges():
     # a kink at 0.3 is resolved exactly when declared as a split point
     f = lambda x: abs(x - 0.3)
-    spec = QuadratureSpec(split_points=(0.3,))
-    value, _ = integrate(f, 0.0, 1.0, spec)
+    value, _ = integrate(f, 0.0, 1.0, (0.3,))
     assert value == pytest.approx(0.3**2 / 2 + 0.7**2 / 2, rel=1e-12)
 
 
 def test_split_points_outside_interval_ignored():
-    spec = QuadratureSpec(split_points=(-5.0, 0.5, 99.0))
-    value, _ = integrate(lambda x: x, 0.0, 1.0, spec)
+    value, _ = integrate(lambda x: x, 0.0, 1.0, (-5.0, 0.5, 99.0))
     assert value == pytest.approx(0.5, rel=1e-12)
 
 
@@ -62,23 +59,13 @@ def test_nan_integrand_raises():
 
 
 def test_nonconvergence_raises_with_estimate():
-    # highly oscillatory with a tiny subdivision budget
-    spec = QuadratureSpec(max_subdivisions=1)
-    with pytest.raises(QuadratureError) as exc_info:
-        integrate(lambda x: math.sin(1000.0 * x * x), 0.0, 30.0, spec)
-    assert math.isfinite(exc_info.value.error_estimate) or \
-        math.isinf(exc_info.value.error_estimate)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(split_points=(2.0, 1.0))
+    # oscillating too fast for the 2,000 subdivisions
+    with pytest.raises(QuadratureError, match=r"maximum number of subdivisions \(2000\)") \
+            as exc_info:
+        integrate(lambda x: math.sin(1000.0 * x * x), 0.0, 30.0)
+    error = exc_info.value
+    assert math.isfinite(error.value)
+    assert math.isfinite(error.error_estimate) and error.error_estimate > 0.0
 
 
 def test_find_crossing_monotone():
@@ -203,8 +190,7 @@ def test_brentq_lanes_fail_alone():
 
 
 def test_error_estimate_accumulates_over_splits():
-    spec = QuadratureSpec(split_points=(1.0, 2.0))
-    value, err = integrate(lambda x: math.exp(-x), 0.0, math.inf, spec)
+    value, err = integrate(lambda x: math.exp(-x), 0.0, math.inf, (1.0, 2.0))
     assert value == pytest.approx(1.0, rel=1e-10)
     assert err >= 0.0
 
@@ -230,12 +216,11 @@ def _integrate_cases(cases, engine=None):
         lo += edges[:-1].tolist()
         hi += edges[1:].tolist()
         owner += [i] * n
-    case_of_root = np.array(owner)
 
-    def f(x, root):
+    def f(x, owner):
         out = np.empty_like(x)
         for i, (g, *_) in enumerate(cases):
-            rows = case_of_root[root] == i
+            rows = owner == i
             out[rows] = g(x[rows])
         return out
 
@@ -243,15 +228,15 @@ def _integrate_cases(cases, engine=None):
 
 
 def _stacked_integrate_panels(f, lo, hi, owner, n_owners):
-    """The reference engine: panels stacked as one 4 x n and one 2 x n array
-    per round, each round evaluated in chunks of _CHUNK panels."""
-    def gk21(lo, hi, root):
+    """The reference engine: panels stacked as one 4 x n array and one owner
+    array per round, each round evaluated in chunks of _CHUNK panels."""
+    def gk21(lo, hi, owner):
         value, error = np.empty(lo.size), np.empty(lo.size)
         for s in range(0, lo.size, quadrature._CHUNK):
             a, b = lo[s:s + quadrature._CHUNK], hi[s:s + quadrature._CHUNK]
             half = 0.5 * (b - a)
             fx = f((0.5 * (a + b))[:, None] + half[:, None] * quadrature._NODES,
-                   root[s:s + quadrature._CHUNK])
+                   owner[s:s + quadrature._CHUNK])
             resk, resg = np.einsum("kj,ij->ik", quadrature._WEIGHTS, fx, order="F").T
             resabs = np.einsum("kj,j->k", np.abs(fx), quadrature._KRONROD)
             resasc = np.einsum("kj,j->k", np.abs(fx - 0.5 * resk[:, None]),
@@ -266,14 +251,14 @@ def _stacked_integrate_panels(f, lo, hi, owner, n_owners):
         return value, error
 
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    ids = np.stack([np.arange(lo.size), np.asarray(owner, dtype=np.intp)])
+    owner = np.asarray(owner, dtype=np.intp)
     value, error = np.zeros(n_owners), np.zeros(n_owners)
     ok = np.ones(n_owners, dtype=bool)
-    kept, kept_ids = np.empty((4, 0)), np.empty((2, 0), dtype=np.intp)
+    kept, kept_owner = np.empty((4, 0)), np.empty(0, dtype=np.intp)
     while lo.size:
-        panels = np.concatenate([kept, [lo, hi, *gk21(lo, hi, ids[0])]], axis=1)
-        ids = np.concatenate([kept_ids, ids], axis=1)
-        owner, val, err = ids[1], panels[2], panels[3]
+        panels = np.concatenate([kept, [lo, hi, *gk21(lo, hi, owner)]], axis=1)
+        owner = np.concatenate([kept_owner, owner])
+        val, err = panels[2], panels[3]
         count = np.bincount(owner, minlength=n_owners)
         total = np.bincount(owner, val, n_owners)
         estimate = np.bincount(owner, err, n_owners)
@@ -288,10 +273,10 @@ def _stacked_integrate_panels(f, lo, hi, owner, n_owners):
             return value, error, ok
         busy = busy[owner]
         cut = busy & (err * count[owner] > tol[owner])
-        kept, kept_ids = panels[:, busy & ~cut], ids[:, busy & ~cut]
+        kept, kept_owner = panels[:, busy & ~cut], owner[busy & ~cut]
         edges = panels[0, cut] + (panels[1, cut] - panels[0, cut]) * quadrature._FRACTIONS
         lo, hi = edges[:-1].ravel(), edges[1:].ravel()
-        ids = np.concatenate([ids[:, cut]] * quadrature._SPLIT, axis=1)
+        owner = np.concatenate([owner[cut]] * quadrature._SPLIT)
     return value, error, ok
 
 
@@ -301,9 +286,9 @@ def test_flat_rounds_bit_for_bit(monkeypatch):
     rounds = []
     gk21 = quadrature._gk21
 
-    def counting(f, lo, hi, root):
+    def counting(f, lo, hi, owner):
         rounds.append(lo.size)
-        return gk21(f, lo, hi, root)
+        return gk21(f, lo, hi, owner)
 
     monkeypatch.setattr(quadrature, "_gk21", counting)
     batch = _integrate_cases(_FLAT_CASES)
@@ -334,12 +319,12 @@ def test_gk21_panels_batch_invariant(n, seed):
     scale[rng.random(n) < 0.1] = 0.0
     c, d, cut = rng.uniform(-1.0, 2.0, (3, n))
 
-    def f(x, root):
-        s, c_, d_, cut_ = (a[root][:, None] for a in (scale, c, d, cut))
+    def f(x, owner):
+        s, c_, d_, cut_ = (a[owner][:, None] for a in (scale, c, d, cut))
         return np.where(x > cut_, s * (x - c_) * (x - d_), 0.0)
 
-    root = np.arange(n)
-    batch = np.stack(quadrature._gk21(f, lo, hi, root))
-    alone = np.hstack([quadrature._gk21(f, lo[i:i + 1], hi[i:i + 1], root[i:i + 1])
+    owner = np.arange(n)  # every panel its own integral
+    batch = np.stack(quadrature._gk21(f, lo, hi, owner))
+    alone = np.hstack([quadrature._gk21(f, lo[i:i + 1], hi[i:i + 1], owner[i:i + 1])
                        for i in range(n)])
     np.testing.assert_array_equal(batch, alone)
