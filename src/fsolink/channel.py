@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from . import quadrature
-from .specfun import erfc
+from .specfun import erfc, erfcx
 
 
 def beer_lambert_loss(sigma_lambda: float, z_km: float) -> float:
@@ -245,7 +244,7 @@ def pdf_turbulence(h_a, sigma2: float):
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     h_a = np.asarray(h_a, dtype=float)
-    if np.any(h_a <= 0.0):
+    if not np.all(h_a > 0.0):  # false for nan too
         raise ValueError("turbulence gain must be positive")
     out = np.exp(-((np.log(h_a) + sigma2) ** 2) / (2.0 * sigma2)) / (
         h_a * math.sqrt(2.0 * math.pi * sigma2)
@@ -258,7 +257,7 @@ def pdf_pointing(h_p, gamma: float, kappa: float):
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     h_p = np.asarray(h_p, dtype=float)
-    if np.any(h_p < 0.0):
+    if not np.all(h_p >= 0.0):  # false for nan too
         raise ValueError("pointing gain must be non-negative")
     g2 = gamma * gamma
     out = np.where(h_p <= kappa, g2 / kappa**g2 * h_p ** (g2 - 1.0), 0.0)
@@ -313,7 +312,7 @@ def pdf_composite(h, model: FadingModel):
     h_hat and (g2 / 2h) e^(-(y - y*)^2 / (2 sig2)) erfcx(v) above it, so no
     factor overflows where the other underflows."""
     h = np.asarray(h, dtype=float)
-    if np.any(h <= 0.0):
+    if not np.all(h > 0.0):  # false for nan too
         raise ValueError("composite gain must be positive")
     par = model.log_gain_params
     y = np.log(h / par.h_hat)
@@ -323,7 +322,7 @@ def pdf_composite(h, model: FadingModel):
         y <= 0.0,
         np.exp(par.log_amp + par.g2 * y_low) * erfc(y_low / par.sqrt2s),
         np.exp(-((y_high - par.y_star) ** 2) / (2.0 * par.sig2))
-        * special.erfcx(y_high / par.sqrt2s))
+        * erfcx(y_high / par.sqrt2s))
     return float(out) if out.ndim == 0 else out
 
 
@@ -396,7 +395,7 @@ def low_w_plan(par: LogGainParams, y_c):
 # the density's erfc factor as a pair: erfc(v) for v <= 0 below h_hat, and
 # exp(v^2) erfc(v) for v >= 0 above it, its exp(-v^2) being folded into the
 # Gaussian bump
-EXACT_WEIGHT = (erfc, special.erfcx)
+EXACT_WEIGHT = (erfc, erfcx)
 
 
 def flush_subnormal(x: float) -> float:

@@ -379,11 +379,11 @@ def main(argv=None) -> int:
             # m-max 9 steps up to 1024-PAM, the largest order an average accepts
             if not 1 <= args.m_min <= args.m_max <= 9:
                 raise ConfigError("m-min and m-max must satisfy 1 <= m-min <= m-max <= 9")
+        sink = open(args.out, "w", newline="") if args.out else sys.stdout
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if args.command == "pdf":
             return cmd_pdf(cfg, op, sink)

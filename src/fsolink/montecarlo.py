@@ -12,7 +12,6 @@ the nearest-level rule only on symbols whose noise can reach a midpoint.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +141,7 @@ def simulate(op: OperatingPoint, mc: McConfig, fixed_gain=None) -> McEstimate:
     The counts are summed over the batches, so they do not depend on the
     worker count.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here: at import it cost every start 15 ms
     sizes = [min(mc.batch_size, mc.n_symbols - s) for s in range(0, mc.n_symbols, mc.batch_size)]
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
         # one worker runs the batches on the calling thread. In a pool thread

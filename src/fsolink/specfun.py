@@ -7,10 +7,35 @@ All functions are pure and accept scalars or numpy arrays.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import types
 
 import numpy as np
-from scipy import special
 
+
+def _scipy_ufuncs():
+    """scipy.special, or where it is not imported yet its ufunc extension
+    alone, imported through a bare stand-in for the package: the package's
+    __init__ loads scipy's array-API layer, most of a start's time. A later
+    `import scipy.special` runs the real __init__ and reuses the extension."""
+    if "scipy.special" not in sys.modules:
+        import scipy
+        sys.modules["scipy.special"] = bare = types.ModuleType("scipy.special")
+        bare.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
+        try:
+            from scipy.special import _ufuncs
+            return _ufuncs
+        except ImportError:
+            pass
+        finally:
+            del sys.modules["scipy.special"]
+    from scipy import special
+    return special
+
+
+_special = _scipy_ufuncs()
+erfcx = _special.erfcx  # exp(z^2) erfc(z), the ufunc scipy.special exports
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _NEG_BRANCH_RATE = 2.0 * math.pi / math.sqrt(6.0)
 
@@ -19,14 +44,14 @@ def erfc(z):
     """erfc(z) = (2/sqrt(pi)) * integral of exp(-t^2) from z to infinity."""
     if np.isscalar(z):
         return math.erfc(z)
-    return special.erfc(z)
+    return _special.erfc(z)
 
 
 def q_function(z):
     """Gaussian tail probability Q(z) = erfc(z / sqrt(2)) / 2."""
     if np.isscalar(z):
         return 0.5 * math.erfc(z / math.sqrt(2.0))
-    return 0.5 * special.erfc(np.asarray(z) / math.sqrt(2.0))
+    return 0.5 * _special.erfc(np.asarray(z) / math.sqrt(2.0))
 
 
 def erfc_piecewise_approx(z):

@@ -1,5 +1,11 @@
 """Shared constants and helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fsolink
 from fsolink.channel import FadingModel, LinkGeometry, OperatingPoint, dbm_to_watts
 
 # default link budget used throughout the headline results
@@ -36,3 +42,12 @@ def make_op(sigma_s: float, rytov: float, m: int = 2, p_dbm: float = 0.0,
             geometry=None) -> OperatingPoint:
     fm = make_fading(sigma_s, rytov, geometry)
     return OperatingPoint(fm.geometry, fm, m, dbm_to_watts(p_dbm))
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this fsolink."""
+    src = str(Path(fsolink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)

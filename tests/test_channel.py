@@ -220,6 +220,26 @@ def test_composite_density_pointwise_positive():
         assert pdf_composite(h, fm) > 0.0
 
 
+def test_turbulence_density_rejects_nan_gain():
+    for h_a in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="turbulence gain must be positive"):
+            pdf_turbulence(h_a, 0.5)
+
+
+def test_pointing_density_rejects_nan_gain():
+    fm = make_fading(0.35, 0.1)
+    for h_p in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="pointing gain must be non-negative"):
+            pdf_pointing(h_p, fm.gamma, fm.kappa)
+
+
+def test_composite_density_rejects_nan_gain():
+    fm = make_fading(0.25, 0.5)
+    for h in (math.nan, np.array([5e-4, math.nan])):
+        with pytest.raises(ValueError, match="composite gain must be positive"):
+            pdf_composite(h, fm)
+
+
 @pytest.mark.parametrize("sigma_s, rytov", [(0.095, 0.154), (5.0, 0.01)])
 def test_composite_density_integrates_to_one_off_grid(sigma_s, rytov):
     # gamma^2 = 109 and 0.039; at 109 the density's bulk lies where

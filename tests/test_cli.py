@@ -2,11 +2,8 @@ import argparse
 import csv
 import io
 import math
-import os
-import subprocess
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
 
@@ -14,6 +11,7 @@ from fsolink import channel, cli
 from fsolink import errorrates as er
 from fsolink.cli import (ConfigError, RunConfig, load_config, main,
                          parse_config_text, serialize_config)
+from support import run_python
 
 
 def run_cli(argv):
@@ -298,13 +296,21 @@ def test_power_step_bad_arguments_are_config_errors(flags, capsys):
 
 
 def test_commands_load_neither_quadpack_nor_optimize(tmp_path):
-    """Start-up and every command's default path run on numpy and
-    scipy.special alone."""
+    """Start-up and every command's default path run on numpy and scipy's
+    special-function extension alone: neither the scipy.special package, whose
+    __init__ loads scipy's array-API layer, nor QUADPACK or scipy.optimize.
+    Start-up does not load concurrent.futures either; only mc runs a pool."""
     out = tmp_path / "out.csv"
     code = f"""
 import sys
 import fsolink.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m in ("scipy.special", "scipy._lib._array_api")
+                  or m.startswith(("scipy.integrate", "scipy.optimize")))
+
 cli.RunConfig().operating_point()
+assert loaded() == [] and "concurrent.futures" not in sys.modules, sorted(sys.modules)
 out = ["--out", {str(out)!r}]
 grid = ["--p_dbm_min", "-5", "--p_dbm_max", "30", "--p_dbm_step", "1"]
 for argv in (["sweep", "--expressions", "exact,approx,dense,ook_simple"] + grid,
@@ -314,15 +320,12 @@ for argv in (["sweep", "--expressions", "exact,approx,dense,ook_simple"] + grid,
              ["mc", "--n_symbols", "1000", "--p_dbm_min", "0", "--p_dbm_max", "10",
               "--p_dbm_step", "5"]):
     assert cli.main(argv + out) == 0, argv
-print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.optimize"))))
+    assert loaded() == [], (argv, loaded())
+print("ok")
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120)
+    result = run_python(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "ok"
 
 
 def test_mc_seed_echo_and_determinism():
@@ -374,6 +377,13 @@ def test_config_error_exit_code():
     assert code == 2
     code, _ = run_cli(["mc", "--n_symbols", "0"])
     assert code == 2
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "out.csv", tmp_path):
+        code, out = run_cli(["pdf", "--h_points", "5", "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("flags", [["--p_dbm_min", "nan", "--p_dbm_max", "nan"],

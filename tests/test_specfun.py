@@ -6,6 +6,7 @@ from scipy import special
 
 from fsolink.specfun import (erfc, erfc_piecewise_approx, erfc_simple_tail,
                              q_function)
+from support import run_python
 
 
 def test_erfc_matches_reference_scalar():
@@ -83,3 +84,26 @@ def test_piecewise_approx_array_shape():
     out = erfc_piecewise_approx(z)
     assert out.shape == z.shape
     assert out[0, 0] == pytest.approx(erfc_piecewise_approx(-1.0))
+
+
+@pytest.mark.parametrize("imports", ["import scipy.special; import fsolink",
+                                     "import fsolink; import scipy.special, scipy.integrate"])
+def test_specfun_shares_scipys_ufuncs_in_either_import_order(imports):
+    """Whichever of scipy.special and fsolink loads first, specfun's erfc and
+    erfcx are scipy's own ufuncs, and scipy.special is the real package."""
+    code = f"""
+{imports}
+import sys
+import numpy as np
+import scipy.special
+from fsolink import channel, specfun
+assert channel.EXACT_WEIGHT[1] is specfun.erfcx is scipy.special.erfcx
+z = np.linspace(-6.0, 30.0, 73)
+assert np.array_equal(specfun.erfc(z), scipy.special.erfc(z))
+assert sys.modules["scipy.special"] is scipy.special
+assert scipy.special.__file__.endswith("__init__.py")
+print("ok")
+"""
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
