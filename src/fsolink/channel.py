@@ -260,7 +260,12 @@ def pdf_pointing(h_p, gamma: float, kappa: float):
     if not np.all(h_p >= 0.0):  # false for nan too
         raise ValueError("pointing gain must be non-negative")
     g2 = gamma * gamma
-    out = np.where(h_p <= kappa, g2 / kappa**g2 * h_p ** (g2 - 1.0), 0.0)
+    # (h_p / kappa)^(g2 - 1), raised on the support alone, where no factor
+    # overflows for g2 >= 1; at h_p = 0 with g2 < 1 it is the density's own
+    # value there, inf
+    with np.errstate(divide="ignore"):
+        power = np.power(h_p / kappa, g2 - 1.0, out=np.zeros_like(h_p), where=h_p <= kappa)
+    out = g2 / kappa * power
     return float(out) if out.ndim == 0 else out
 
 
@@ -326,20 +331,6 @@ def pdf_composite(h, model: FadingModel):
     return float(out) if out.ndim == 0 else out
 
 
-def y_splits(par: LogGainParams):
-    """Splits of the upper piece at y* + k sigma (k = -6, -3, 0, 3, 6) above 0."""
-    s = math.sqrt(par.sig2)
-    return tuple(p for p in sorted({par.y_star + k * s for k in (-6, -3, 0, 3, 6)}) if p > 0.0)
-
-
-def low_w_splits(s_hat: float):
-    """Splits around the onset of decay of exp(-(s_hat e^-w)^2) below h_hat."""
-    if s_hat <= 1.0:
-        return ()
-    w_c = math.log(s_hat)
-    return (w_c / 2.0, w_c, 2.0 * w_c)
-
-
 def y_cut(s_hat: float) -> float:
     """Upper y beyond which exp(-(s_hat e^y)^2) underflows."""
     if s_hat <= 0:
@@ -374,9 +365,10 @@ W_BELOW = (-1.0, -2.0, -3.0)  # below w*
 # erfc(t) is still 0.85, to t^2 = e^6 = 403 at d = 3, short of
 # y_cut = y_c + ln 30.
 Y_COND = (-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-# The Gaussian bump's splits: y_splits, and y* -+ 10 sigma, where it has
-# fallen to e^-50 on either side. Without y* - 10 sigma, a bump far above
-# h_hat (y* >> 6 sigma) leaves its lower tail in the one cell [0, y* - 6 sigma].
+# The Gaussian bump's splits: y* + k sigma for k = -6, -3, 0, 3, 6, and
+# y* -+ 10 sigma, where it has fallen to e^-50 on either side. Without
+# y* - 10 sigma, a bump far above h_hat (y* >> 6 sigma) leaves its lower tail
+# in the one cell [0, y* - 6 sigma].
 Y_SIGMAS = (-10.0, -6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
 W_MASK = np.array([0.0] * (2 + len(W_KNEES)) + [1.0] * (len(W_LADDER) + len(W_WIDTHS)
                                                       + len(W_BELOW)))

@@ -11,13 +11,13 @@ this keeps every integrand bounded and smooth. One engine,
 channel.density_average, evaluates every average for a whole array of
 transmit powers at once by batched Gauss-Kronrod quadrature; the expressions
 differ only in the erfc weight and the conditional function they pass to
-it. A nested mode re-computes the inner tails by QUADPACK quadrature for
-cross-validation.
+it. A nested mode cross-validates the exact SER by an independent oracle:
+the pointing factor averaged in closed form, then one QUADPACK integral over
+the turbulence normal.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -26,13 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .channel import (ARG_CUTOFF, EXACT_WEIGHT, OperatingPoint, dbm_to_watts,
-                      density_average, flush_subnormal, low_w_splits, power_error,
-                      single_value, y_cut, y_splits)
+from .channel import (EXACT_WEIGHT, OperatingPoint, dbm_to_watts, density_average,
+                      flush_subnormal, power_error, single_value)
 from .quadrature import QuadratureError
 from .specfun import (erfc, erfc_piecewise_negative, erfc_piecewise_positive,
                       erfc_simple_tail, erfcx_piecewise_approx, erfcx_simple_tail,
-                      q_function)
+                      gammainc, gammaincc, gammaln, hyp1f1, q_function)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -85,95 +84,44 @@ def _u(op: OperatingPoint, p_watts, scales) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# nested oracle: the exact SER with every erfc re-computed by QUADPACK
+# pointing-integrated oracle: the exact SER as one Gaussian integral
 
-# the anchors of the tail are sqrt(2 k), evenly spaced in x^2, so that the
-# piece from any x up to its anchor spans at most a factor e^2 of decay
-_ANCHOR_STEP = 2.0
+def _avg_ser_pointing_integrated(op: OperatingPoint) -> float:
+    """Exact average SER with the pointing factor averaged in closed form.
 
-
-@functools.cache
-def _anchor_tail(k: int) -> float:
-    """QUADPACK's upper Gaussian tail integral from the anchor sqrt(2 k)."""
-    val, _ = quadrature.quadpack(lambda t: math.exp(-t * t), math.sqrt(_ANCHOR_STEP * k),
-                                 math.inf, epsabs=1e-300, epsrel=1e-13, limit=500)
-    return val
-
-
-def _gauss_tail(x: float) -> float:
-    """Independent quadrature of the upper Gaussian tail integral of exp(-t^2).
-
-    The tail from x is the tail from the first anchor a at or above x,
-    computed once per anchor, plus the integral over [x, a], a short finite
-    piece on which QUADPACK converges in its first pass. A negative x is
-    reflected, the tail from x being sqrt(pi) less the tail from -x, so
-    QUADPACK never integrates across the bulk of the Gaussian.
+    The gain is H = A e^(sigma Z - sigma^2) U^(1 / g2), A = h_g h_l kappa,
+    with Z standard normal and U uniform on (0, 1] (the sampler model of
+    Farid & Hranilovic, JLT 2007). With s = (g2 + 1) / 2, integration by
+    parts gives the U-average of erfc(a U^(1 / g2)) in closed form:
+    g(a) = erfc(a) + a^(-g2) Gamma(s) P(s, a^2) / sqrt(pi)
+         = erfc(a) + a e^(-a^2) 1F1(1; s + 1; a^2) / (s sqrt(pi)),
+    P the regularized lower incomplete gamma function. erfc(a) is taken as
+    Q(1/2, a^2), the regularized upper one, so that the oracle shares no erfc
+    routine with the engine. The 1F1 form is used
+    below a^2 = 600, as P(s, a^2) underflows at large g2, and the log of
+    the gamma form above it, as 1F1 nears overflow. The SER is
+    ((M - 1) / M) E_Z[g(u A e^(sigma Z - sigma^2))], integrated by QUADPACK
+    over Z in [-40, 40], split at 0 and at -g2 sigma, where
+    e^(-Z^2 / 2) a^(-g2) peaks.
     """
-    if x > ARG_CUTOFF:
-        return 0.0
-    if x < 0.0:
-        return _SQRT_PI - _gauss_tail(-x)
-    k = math.ceil(x * x / _ANCHOR_STEP)
-    # the first anchor at or above x, which the rounding of x^2 can miss by one
-    if k > 0 and math.sqrt(_ANCHOR_STEP * (k - 1)) >= x:
-        k -= 1
-    elif math.sqrt(_ANCHOR_STEP * k) < x:
-        k += 1
-    anchor = math.sqrt(_ANCHOR_STEP * k)
-    if x == anchor:
-        return _anchor_tail(k)
-    # the piece is exp(-x^2) times the integral of exp(-s (2x + s)) over
-    # s = t - x, which the rounding of t^2 cannot make noisy where it is short
-    piece, _ = quadrature.quadpack(lambda s: math.exp(-s * (2.0 * x + s)), 0.0, anchor - x,
-                                   epsabs=1e-300, epsrel=1e-13, limit=500)
-    return _anchor_tail(k) + math.exp(-x * x) * piece
+    fm, m_order = op.fading, op.modulation_order_m
+    g2, sigma = fm.gamma**2, math.sqrt(fm.sigma2)
+    s = (g2 + 1.0) / 2.0
+    (u,) = _u(op, [op.transmit_power_p], [m_order - 1])
+    log_a0 = math.log(u * fm.hg_hl * fm.kappa) + fm.delta
+    log_gamma_s = float(gammaln(s))
 
+    def f(z):
+        a = math.exp(log_a0 + sigma * z)
+        a2 = a * a
+        if a2 < 600.0:
+            tail = a * math.exp(-a2) * float(hyp1f1(1.0, s + 1.0, a2)) / s
+        else:
+            tail = math.exp(-g2 * math.log(a) + log_gamma_s + math.log(float(gammainc(s, a2))))
+        return math.exp(-z * z / 2.0) * (float(gammaincc(0.5, a2)) + tail / _SQRT_PI)
 
-def _erfc_nested(x: float) -> float:
-    return 2.0 / _SQRT_PI * _gauss_tail(x)
-
-
-def _erfcx_nested(v: float) -> float:
-    if v > 25.0:
-        # exp(v^2) nears overflow: the asymptotic series to 105 x^4, x = 1 / (2 v^2),
-        # whose first term left out, 945 x^5, is below 4e-13 here
-        x = 0.5 / (v * v)
-        return (1.0 - x * (1.0 - 3.0 * x * (1.0 - 5.0 * x * (1.0 - 7.0 * x)))) / (v * _SQRT_PI)
-    return 2.0 / _SQRT_PI * math.exp(v * v) * _gauss_tail(v)
-
-
-def _avg_ser_nested(op: OperatingPoint) -> float:
-    m_order = op.modulation_order_m
-    par = op.fading.log_gain_params
-    (u,) = _u(op, [op.transmit_power_p], [1.0])
-    coeff = (m_order - 1) / m_order
-    scale = float(m_order - 1)
-    s_hat = u * par.h_hat / scale
-    sqrt2s = par.sqrt2s
-
-    def cond(h):
-        return coeff * _erfc_nested(u * h / scale)
-
-    def f_low(w):
-        v = -w / sqrt2s
-        h = par.h_hat * math.exp(-w)
-        return math.exp(-par.g2 * w) * _erfc_nested(v) * cond(h)
-
-    # QUADPACK can miss the erfc knee at sqrt(2 sig2) when sig2 is small
-    # against 700 / g2: it is split off, as the conditional's onset is
-    low, _ = quadrature.integrate(f_low, 0.0, 700.0 / par.g2,
-                                  (sqrt2s, 4.0 * sqrt2s, *low_w_splits(s_hat)))
-
-    def f_high(y):
-        v = y / sqrt2s
-        h = par.h_hat * math.exp(y)
-        return (math.exp(-((y - par.y_star) ** 2) / (2.0 * par.sig2))
-                * _erfcx_nested(v) * cond(h))
-
-    # y_cut falls below 0 at high power, where the upper piece is empty
-    y_up = min(par.y_top, y_cut(s_hat))
-    high = quadrature.integrate(f_high, 0.0, y_up, y_splits(par))[0] if y_up > 0.0 else 0.0
-    return flush_subnormal(par.g2 / 2.0 * (math.exp(par.log_amp) * low + high))
+    value, _ = quadrature.integrate(f, -40.0, 40.0, (0.0, -g2 * sigma))
+    return flush_subnormal((m_order - 1) / m_order * value / math.sqrt(2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +174,13 @@ def _ser_exact(op, p_watts, orders):
 def avg_ser_exact(op: OperatingPoint, nested: bool = False) -> float:
     """Exact average SER for M-PAM over the composite channel.
 
-    nested=True re-computes every erfc by QUADPACK quadrature of the Gaussian
-    tail instead: a slow, independent check of the batched engine.
+    nested=True computes it instead by the pointing-integrated oracle, one
+    QUADPACK integral over the turbulence normal with the pointing factor
+    averaged in closed form: an independent check of the batched engine,
+    sharing none of its log-gain split or quadrature.
     """
     if nested:
-        return _avg_ser_nested(op)
+        return _avg_ser_pointing_integrated(op)
     return single_value(_ser_exact(op, [op.transmit_power_p], [op.modulation_order_m]))
 
 

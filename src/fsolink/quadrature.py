@@ -3,7 +3,7 @@ Gauss-Kronrod integrator for many integrals at once, and monotone-curve root
 finding for one curve or many in lockstep.
 
 `integrate` is backed by QUADPACK (scipy.integrate.quad, a Gauss-Kronrod
-adaptive rule), which `quadpack` imports on its first call, and root finding
+adaptive rule), which it imports on its first call, and root finding
 by Brent's method (Brent, Algorithms for Minimization without Derivatives,
 1973), both wrapped behind error-reporting contracts. `integrate_panels`
 evaluates the integrand of a whole batch of integrals as one numpy array per
@@ -31,20 +31,7 @@ class BracketError(ValueError):
     """The supplied interval does not bracket the target value."""
 
 
-_quad = None  # scipy.integrate.quad, bound by quadpack on its first call
-
-
-def quadpack(f, lo, hi, **options):
-    """scipy.integrate.quad(f, lo, hi, **options).
-
-    scipy.integrate is imported on the first call and bound once: only
-    `integrate` and the nested oracle use QUADPACK, and the import costs
-    about a third of a second.
-    """
-    global _quad
-    if _quad is None:
-        from scipy.integrate import quad as _quad
-    return _quad(f, lo, hi, **options)
+_quad = None  # scipy.integrate.quad, bound by integrate on its first call
 
 
 def integrate(f, lo, hi, split_points=()):
@@ -54,14 +41,19 @@ def integrate(f, lo, hi, split_points=()):
     so integrand breakpoints (e.g. a piecewise kink) land on panel edges,
     and integrates each piece to epsrel 1e-11 and epsabs 1e-300 in at most
     2,000 subdivisions. Returns (value, error_estimate); raises
-    QuadratureError on non-convergence or NaN.
+    QuadratureError on non-convergence or NaN. scipy.integrate is imported
+    on the first call and bound once: the import costs about a third of a
+    second, and only the pointing-integrated oracle uses QUADPACK.
     """
+    global _quad
+    if _quad is None:
+        from scipy.integrate import quad as _quad
     edges = [lo, *sorted(p for p in split_points if lo < p < hi), hi]
     total = 0.0
     total_err = 0.0
     for a, b in zip(edges, edges[1:]):
-        value, err, _, *message = quadpack(f, a, b, epsabs=1e-300, epsrel=1e-11, limit=2000,
-                                           full_output=True)
+        value, err, _, *message = _quad(f, a, b, epsabs=1e-300, epsrel=1e-11, limit=2000,
+                                        full_output=True)
         if message:
             raise QuadratureError(message[0], value=value, error_estimate=err)
         if math.isnan(value):

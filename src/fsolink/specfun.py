@@ -35,7 +35,12 @@ def _scipy_ufuncs():
 
 
 _special = _scipy_ufuncs()
-erfcx = _special.erfcx  # exp(z^2) erfc(z), the ufunc scipy.special exports
+# the ufuncs scipy.special exports: exp(z^2) erfc(z), and the confluent
+# hypergeometric 1F1, regularized lower and upper incomplete gamma and
+# log-gamma functions of the pointing-integrated oracle
+erfcx, hyp1f1, gammainc, gammaincc, gammaln = (_special.erfcx, _special.hyp1f1,
+                                               _special.gammainc, _special.gammaincc,
+                                               _special.gammaln)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _NEG_BRANCH_RATE = 2.0 * math.pi / math.sqrt(6.0)
 

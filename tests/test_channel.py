@@ -152,7 +152,7 @@ def test_log_gain_params_computed_once(monkeypatch):
     def recomputed(*args):
         raise AssertionError("log-gain constant recomputed")
 
-    for name in ("LogGainParams", "y_splits", "pointing_params"):
+    for name in ("LogGainParams", "pointing_params"):
         monkeypatch.setattr(channel, name, recomputed)
     assert fm.log_gain_params is par
     assert par.y_plan is plans[0] and par.w_plan is plans[1]
@@ -160,13 +160,12 @@ def test_log_gain_params_computed_once(monkeypatch):
     avg_ser_exact(OperatingPoint(fm.geometry, fm, 4, 1e-3))
     monkeypatch.undo()
     # the upper plan's fixed points are its ends, h_hat, y* + k sigma for
-    # k = -10, -6, -3, 0, 3, 6, 10, and so y_splits; equality and hashing
-    # ignore the cached values
+    # k = -10, -6, -3, 0, 3, 6, 10; equality and hashing ignore the cached
+    # values
     sigma = math.sqrt(par.sig2)
     fixed = plans[0][channel.Y_MASK == 0.0]
     assert fixed.tolist() == [-math.inf, math.inf, 0.0] + [
         par.y_star + k * sigma for k in (-10, -6, -3, 0, 3, 6, 10)]
-    assert set(channel.y_splits(par)) <= set(fixed.tolist())
     assert plans[0][channel.Y_MASK == 1.0].tolist() == list(channel.Y_COND)
     fresh = make_fading(0.35, 0.1)
     assert fm == fresh and hash(fm) == hash(fresh)
@@ -231,6 +230,20 @@ def test_pointing_density_rejects_nan_gain():
     for h_p in (math.nan, np.array([0.5, math.nan])):
         with pytest.raises(ValueError, match="pointing gain must be non-negative"):
             pdf_pointing(h_p, fm.gamma, fm.kappa)
+
+
+def test_pointing_density_does_not_overflow():
+    # h_p^(gamma^2 - 1) at h_p = 1e10 and gamma^2 = 100 would overflow beyond
+    # kappa, and kappa^(gamma^2) = 10^400 inside it
+    assert pdf_pointing(1e10, 10.0, 1.0) == 0.0
+    assert pdf_pointing(np.array([0.5, 1e10]), 10.0, 1.0).tolist() == [100.0 * 0.5**99, 0.0]
+    assert pdf_pointing(0.5, 20.0, 10.0) == 0.0
+
+
+def test_pointing_density_is_inf_at_zero_gain_below_gamma_one():
+    # h_p^(gamma^2 - 1) with gamma^2 < 1 diverges at 0: the density's value, with no warning
+    assert pdf_pointing(0.0, 0.5, 1.0) == math.inf
+    assert pdf_pointing(np.array([0.0, 1.0]), 0.5, 1.0).tolist() == [math.inf, 0.25]
 
 
 def test_composite_density_rejects_nan_gain():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fsolink import cli, errorrates, quadrature, specfun
-from fsolink.channel import composite_expectation, dbm_to_watts, watts_to_dbm, y_splits
+from fsolink import channel, cli, errorrates, quadrature, specfun
+from fsolink.channel import composite_expectation, dbm_to_watts, watts_to_dbm
 from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
                                 averages_at_powers, avg_ber_mpam,
                                 avg_ber_ook_approx_piecewise,
@@ -128,8 +128,8 @@ def test_nested_oracle_agreement_off_grid(point):
 
 
 def test_nested_oracle_keeps_its_own_splits(monkeypatch):
-    # the engine's split at y* + 10 sigma is not the oracle's: above the
-    # breakpoint QUADPACK starts from the splits of y_splits alone
+    # none of the engine's log-gain splits: one QUADPACK integral over the
+    # turbulence normal, split at 0 and at -gamma^2 sigma alone
     op = make_op(*PINK, 4, -10.0)
     pieces = []
     integrate = quadrature.integrate
@@ -140,49 +140,8 @@ def test_nested_oracle_keeps_its_own_splits(monkeypatch):
 
     monkeypatch.setattr(quadrature, "integrate", recording)
     avg_ser_exact(op, nested=True)
-    par = op.fading.log_gain_params
-    _, hi, splits = pieces[-1]
-    assert par.y_star + 10.0 * math.sqrt(par.sig2) < hi
-    assert splits == tuple(p for p in y_splits(par) if p < hi)
-
-
-def _anchors_and_neighbours():
-    for k in range(451):
-        a = math.sqrt(2.0 * k)
-        yield from (math.nextafter(a, -math.inf), a, math.nextafter(a, math.inf))
-
-
-def test_gauss_tail_matches_erfc():
-    # dense over [-6, 26.5], with every anchor sqrt(2 k) and one ulp either side
-    xs = [*np.linspace(-6.0, 26.5, 3251).tolist(), *_anchors_and_neighbours()]
-    checked = 0
-    for x in xs:
-        want = math.erfc(x) * math.sqrt(math.pi) / 2.0
-        if want >= 1e-300:
-            assert errorrates._gauss_tail(x) == pytest.approx(want, rel=2e-12, abs=0.0), x
-            checked += 1
-    assert checked > 3000
-
-
-def test_gauss_tail_makes_at_most_one_finite_call_once_anchored(monkeypatch):
-    xs = [*np.linspace(0.0, 29.9, 300).tolist(), *_anchors_and_neighbours()]
-    for x in xs:
-        errorrates._gauss_tail(x)  # fills its anchor
-    calls = []
-    quadpack = quadrature.quadpack
-
-    def recording(f, lo, hi, **options):
-        calls.append((lo, hi))
-        return quadpack(f, lo, hi, **options)
-
-    monkeypatch.setattr(quadrature, "quadpack", recording)
-    for x in xs:
-        calls.clear()
-        errorrates._gauss_tail(x)
-        assert len(calls) <= 1 and all(math.isfinite(hi) for _, hi in calls), (x, calls)
-    calls.clear()
-    errorrates._gauss_tail(math.sqrt(8.0))  # on its anchor: no piece
-    assert calls == []
+    fm = op.fading
+    assert pieces == [(-40.0, 40.0, (0.0, -fm.gamma**2 * math.sqrt(fm.sigma2)))]
 
 
 def test_nested_oracle_computes_every_erfc_itself(monkeypatch):
@@ -191,6 +150,18 @@ def test_nested_oracle_computes_every_erfc_itself(monkeypatch):
 
     for module, name in ((special, "erfc"), (special, "erfcx"), (specfun._special, "erfc"),
                          (specfun._special, "erfcx"), (math, "erfc")):
+        monkeypatch.setattr(module, name, refuse)
+    for point in [(*PINK, 4, 10.0), (0.095, 0.154, 1024, 18.9)]:
+        assert avg_ser_exact(make_op(*point), nested=True) > 0.0
+
+
+def test_nested_oracle_calls_neither_the_engine_nor_the_density(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("engine or composite density called")
+
+    for module, name in ((channel, "density_average"), (errorrates, "density_average"),
+                         (quadrature, "integrate_panels"), (channel, "pdf_composite"),
+                         (channel, "composite_expectation")):
         monkeypatch.setattr(module, name, refuse)
     for point in [(*PINK, 4, 10.0), (0.095, 0.154, 1024, 18.9)]:
         assert avg_ser_exact(make_op(*point), nested=True) > 0.0

@@ -77,8 +77,10 @@ def test_exact_ser_bounded_and_monotone(s, r, m, p_lo, step):
 @given(sigma_s, rytov, order, p_dbm)
 def test_exact_matches_nested_oracle(s, r, m, p):
     op = make_op(s, r, m, p)
-    # 1e-300 is the nested oracle's absolute tolerance
-    assert avg_ser_exact(op, nested=True) == pytest.approx(avg_ser_exact(op), rel=1e-8,
+    # the pointing-integrated oracle and the engine converge to rel 1e-11;
+    # near the smallest normal double both lose relative precision, and 1e-300
+    # is QUADPACK's absolute tolerance
+    assert avg_ser_exact(op, nested=True) == pytest.approx(avg_ser_exact(op), rel=1e-10,
                                                            abs=1e-300)
 
 
