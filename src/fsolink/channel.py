@@ -290,13 +290,21 @@ class LogGainParams:
     y_top: float       # its upper end, 45 standard deviations above the centre
 
     @cached_property
+    def plan(self) -> np.ndarray:
+        """The points of both pieces' plans as rows of shape (2, 1, B), to go
+        with PLAN_MASK: w_plan, then y_plan padded with its -inf end."""
+        s, width = math.sqrt(self.sig2), 1.0 / math.sqrt(2.0 * self.g2)
+        w_plan = [-math.inf, math.inf, *(k * self.sqrt2s for k in W_KNEES),
+                  *(k / self.g2 for k in W_LADDER), *(j * width for j in W_WIDTHS), *W_BELOW]
+        y_plan = [-math.inf, math.inf, 0.0, *(self.y_star + k * s for k in Y_SIGMAS), *Y_COND]
+        return np.array([[w_plan], [y_plan + [-math.inf] * (len(w_plan) - len(y_plan))]])
+
+    @cached_property
     def y_plan(self) -> np.ndarray:
         """The points of the upper piece's plan: -inf and inf (its ends), 0
         (h_hat), y* + k sigma for k in Y_SIGMAS, and the offsets Y_COND from
         the conditional's anchor y_c."""
-        s = math.sqrt(self.sig2)
-        return np.array([-math.inf, math.inf, 0.0, *(self.y_star + k * s for k in Y_SIGMAS),
-                         *Y_COND])
+        return self.plan[1, 0, :len(Y_MASK)]
 
     @cached_property
     def w_plan(self) -> np.ndarray:
@@ -304,10 +312,7 @@ class LogGainParams:
         ends), the knee of the lower form at W_KNEES times sqrt(2 sig2), and
         the offsets from the conditional's peak w*: W_LADDER over g2,
         W_WIDTHS times the peak's width 1 / sqrt(2 g2), and W_BELOW."""
-        width = 1.0 / math.sqrt(2.0 * self.g2)
-        return np.array([-math.inf, math.inf, *(k * self.sqrt2s for k in W_KNEES),
-                         *(k / self.g2 for k in W_LADDER), *(j * width for j in W_WIDTHS),
-                         *W_BELOW])
+        return self.plan[0, 0]
 
 
 def pdf_composite(h, model: FadingModel):
@@ -373,15 +378,7 @@ Y_SIGMAS = (-10.0, -6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
 W_MASK = np.array([0.0] * (2 + len(W_KNEES)) + [1.0] * (len(W_LADDER) + len(W_WIDTHS)
                                                       + len(W_BELOW)))
 Y_MASK = np.array([0.0] * (3 + len(Y_SIGMAS)) + [1.0] * len(Y_COND))
-
-
-def low_w_plan(par: LogGainParams, y_c):
-    """Initial panel edges of the lower piece in w = -ln(h / h_hat), one row
-    for each entry of the array y_c = -ln(s_hat) (finite), -inf and inf
-    standing for the piece's ends: the plan par.w_plan anchored at the
-    conditional's peak w* = max(ln(s_hat / t*), 0)."""
-    w_star = np.maximum(-0.5 * math.log(par.g2 / 2.0) - y_c, 0.0)
-    return w_star[:, None] * W_MASK + par.w_plan
+PLAN_MASK = np.array([[W_MASK], [np.append(Y_MASK, [0.0] * (len(W_MASK) - len(Y_MASK)))]])
 
 
 # the density's erfc factor as a pair: erfc(v) for v <= 0 below h_hat, and
@@ -409,13 +406,13 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     above it, over [0, y_up], against the Gaussian bump
     e^(-(y - y*)^2 / (2 sig2) + h_power y) times the upper form at
     y / sqrt(2 sig2). Without a lower form (None) the lower piece is dropped
-    and the upper one starts at y_lo. With s_hat = u h_hat, y_up is y_cut,
-    capped at y* + 45 sigma. The initial panels of an entry are cut at the
-    points of low_w_plan below h_hat, and above it at those of
-    LogGainParams.y_plan anchored at y_c = -ln(s_hat), and at y_extra.
-    cond receives the gains as an array and u as a matching column. Every
-    panel of every entry is integrated in one quadrature.integrate_panels
-    batch.
+    and the upper one starts at y_lo (with one, y_lo > 0 leaves out
+    [0, y_lo]). With s_hat = u h_hat, y_up is y_cut,
+    capped at y* + 45 sigma. An entry's initial panels are cut at the
+    points of LogGainParams.plan, anchored below h_hat at the conditional's
+    peak w* and above it at y_c = -ln(s_hat), and at y_extra. cond receives
+    the gains as an array and u as a matching column. Every panel of every
+    entry is integrated in one quadrature.integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan. A value below the smallest normal
@@ -423,43 +420,51 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     """
     par = fm.log_gain_params
     w_low, w_high = weight
-    s_hat = [x * par.h_hat for x in u]
-    y_up = np.array([max(y_lo, min(par.y_top, y_cut(s))) for s in s_hat])
-    # the plans' anchor, kept finite where s_hat is 0 or inf
-    y_c = np.array([min(max(-math.log(s), -800.0), 800.0) if s > 0.0 else 800.0
-                    for s in s_hat])
-    mask, points = Y_MASK, par.y_plan
+    # without a lower form the lower piece is empty, and no node sees its form
+    w_low, w_end = (w_low, 700.0 / par.g2) if w_low is not None else (np.zeros_like, 0.0)
+    # per entry, both pieces' anchors and bounds, the lower piece's in w first:
+    # w* and y_c (finite where s_hat is 0 or inf), [0, w_end] and [y_lo, y_up]
+    w_peak = -0.5 * math.log(par.g2 / 2.0)  # -ln t*
+    rows = []
+    for s_hat in (x * par.h_hat for x in u):
+        y_c = min(max(-math.log(s_hat), -800.0), 800.0) if s_hat > 0.0 else 800.0
+        rows.append((max(w_peak - y_c, 0.0), y_c, 0.0, y_lo,
+                     w_end, max(y_lo, min(par.y_top, y_cut(s_hat)))))
+    anchor, lower, upper = np.array(rows).T.reshape(3, 2, len(rows), 1)
+    mask, points = PLAN_MASK, par.plan
     if y_extra:
-        mask, points = np.append(mask, np.zeros(len(y_extra))), np.append(points, y_extra)
-    # the edges of each entry as one row, the upper piece's and the lower one's
-    edges = np.minimum(np.maximum(y_c[:, None] * mask + points, y_lo), y_up[:, None])
-    if w_low is not None:
-        low = np.minimum(np.maximum(low_w_plan(par, y_c), 0.0), 700.0 / par.g2)
-        edges = np.concatenate([-low, edges], axis=1)
-    edges.sort(axis=1)
-    keep = edges[:, 1:] > edges[:, :-1]
-    lo, hi, owner = edges[:, :-1][keep], edges[:, 1:][keep], keep.nonzero()[0]
-    u_col = np.array(u, dtype=float)[:, None]
+        mask = np.concatenate([mask, np.zeros((2, 1, len(y_extra)))], axis=2)
+        points = np.concatenate([points, [[[-math.inf] * len(y_extra)], [y_extra]]], axis=2)
+    # each piece's edges of each entry as one row in y, the lower piece first
+    edges = np.minimum(np.maximum(anchor * mask + points, lower), upper)
+    np.negative(edges[0], out=edges[0])
+    edges.sort()
+    keep = edges[..., 1:] > edges[..., :-1]
+    lo, hi, owner = edges[..., :-1][keep], edges[..., 1:][keep], keep.nonzero()[1]
+    u = np.array(u, dtype=float)
 
     def integrand(y, owner):
-        out = np.empty_like(y)
-        low = y[:, 10] < 0.0  # the side of h_hat of each panel's centre: y = 0 is an edge
-        if low.any():
-            out[low] = (np.exp(par.log_amp + (par.g2 + h_power) * y[low])
-                        * w_low(y[low] / par.sqrt2s))
-        if not low.all():
-            high = ~low
-            out[high] = (np.exp(-((y[high] - par.y_star) ** 2) / (2.0 * par.sig2)
-                                + h_power * y[high]) * w_high(y[high] / par.sqrt2s))
-        return out * cond(par.h_hat * np.exp(y), u_col[owner])
+        # the panels below h_hat come first: the lower piece's are given first,
+        # later rounds are in ascending order, and y = 0 is an edge
+        n = np.count_nonzero(y[:, 10] < 0.0)
+        low, high, out = y[:n], y[n:], np.empty_like(y)
+        np.multiply(np.exp(par.log_amp + (par.g2 + h_power) * low), w_low(low / par.sqrt2s),
+                    out=out[:n])
+        np.multiply(np.exp((high - par.y_star) ** 2 / (-2.0 * par.sig2) + h_power * high),
+                    w_high(high / par.sqrt2s), out=out[n:])
+        out *= cond(par.h_hat * np.exp(y), u[owner][:, None])
+        return out
 
     value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
-    value *= par.g2 / 2.0 * par.h_hat**h_power
-    errors = [None if good else quadrature.QuadratureError(
-        "no convergence within the panel budget" if math.isfinite(v + e)
-        else "integrand produced a non-finite value", value=v, error_estimate=e)
-        for good, v, e in zip(ok, value.tolist(), error.tolist())]
-    value[~ok] = math.nan
+    # not in place: without panels, bincount's sums are integer zeros
+    value = value * (par.g2 / 2.0 * par.h_hat**h_power)
+    errors = [None] * len(u)
+    for i in (~ok).nonzero()[0].tolist():
+        v, e = value.item(i), error.item(i)
+        errors[i] = quadrature.QuadratureError(
+            "no convergence within the panel budget" if math.isfinite(v + e)
+            else "integrand produced a non-finite value", value=v, error_estimate=e)
+        value[i] = math.nan
     return [flush_subnormal(v) for v in value.tolist()], errors
 
 

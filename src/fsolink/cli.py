@@ -100,6 +100,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown expressions: {sorted(unknown)}; "
                               f"available: {sorted(EXPRESSIONS)}")
+        if not self.expressions or len(set(self.expressions)) < len(self.expressions):
+            raise ConfigError(f"expressions must be distinct and one or more: {self.expressions}")
 
     @property
     def jitter_m(self) -> float:
@@ -373,6 +375,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, _collect_overrides(args))
         op = cfg.operating_point()  # surface model-domain violations as config errors
+        if args.command == "delta" and not set(cfg.expressions) - {"exact"}:
+            raise ConfigError("delta needs an expression besides exact to compare with it")
         if args.command == "power-step":
             if not sys.float_info.min <= args.target_ser < 0.5:  # false for nan too
                 raise ConfigError(f"target-ser must lie in [{sys.float_info.min!r}, 0.5)")

@@ -213,24 +213,31 @@ def _gk21(f, lo, hi, owner):
     value, error = np.empty(lo.size), np.empty(lo.size)
     for s in range(0, lo.size, _CHUNK):
         part = slice(s, s + _CHUNK)
-        value[part], error[part] = _gk21_chunk(f, lo[part], hi[part], owner[part])
+        _gk21_chunk(f, lo[part], hi[part], owner[part], value[part], error[part])
     return value, error
 
 
-def _gk21_chunk(f, a, b, owner):
+def _gk21_chunk(f, a, b, owner, value, error):
     half = 0.5 * (b - a)
     fx = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES, owner)
     # einsum's own loops add a row's products in one order whatever the batch
     # (BLAS, by @, dot or optimize=True, does not); order "F" adds them in
     # node order, which integrates x^2 on [0, 1] to the double nearest 1/3
     resk, resg = np.einsum("kj,ij->ik", _WEIGHTS, fx, order="F").T
-    resabs = np.einsum("kj,j->k", np.abs(fx), _KRONROD)
-    resasc = np.einsum("kj,j->k", np.abs(fx - 0.5 * resk[:, None]), _KRONROD)
+    dev = np.empty((2, *fx.shape))  # |fx| and |fx - resk / 2|
+    np.abs(fx, out=dev[0])
+    np.abs(np.subtract(fx, 0.5 * resk[:, None], out=dev[1]), out=dev[1])
+    resabs, resasc = np.einsum("kj,j->k", dev.reshape(-1, 21), _KRONROD).reshape(2, -1)
+    # qk21 rescales err where resasc and err are not 0; at err = 0 the
+    # rescaled err is 0 too, so resasc > 0 alone selects the same values
     err = np.abs(resk - resg)
-    big = (resasc > 0.0) & (err > 0.0)
-    err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)
-    err = np.where(resabs > _ROUNDOFF_MIN, np.maximum(_ROUNDOFF * resabs, err), err)
-    return half * resk, half * err
+    big = resasc > 0.0
+    ratio = 200.0 * err
+    np.divide(ratio, resasc, out=ratio, where=big)
+    np.multiply(resasc, np.minimum(1.0, ratio ** 1.5), out=err, where=big)
+    np.maximum(_ROUNDOFF * resabs, err, out=err, where=resabs > _ROUNDOFF_MIN)
+    np.multiply(half, resk, out=value)
+    np.multiply(half, err, out=error)
 
 
 def integrate_panels(f, lo, hi, owner, n_owners):
@@ -239,45 +246,41 @@ def integrate_panels(f, lo, hi, owner, n_owners):
     Panel i spans [lo[i], hi[i]] and belongs to integral owner[i]. f(x, owner)
     returns the integrand at x, an array of shape (k, 21) holding the nodes of
     k panels, where owner[j] is the integral of panel j; x[:, 10] holds their
-    centres. Every panel is integrated by the 21-point Gauss-Kronrod rule, with
-    the embedded 10-point Gauss rule giving QUADPACK's error estimate. While
-    an integral's summed estimate exceeds rel 1e-11 of its value, each of
-    its panels whose estimate exceeds an equal share of that tolerance is
-    cut into eight equal parts: three levels of bisection in one round, as
-    every round costs a fixed overhead.
+    centres; it gets the first round's panels in the order given, and later
+    rounds' in ascending order of lo. Every panel is integrated by the
+    21-point Gauss-Kronrod rule, with the embedded 10-point Gauss rule giving
+    QUADPACK's error estimate. While an integral's summed estimate exceeds
+    rel 1e-11 of its value, each of its panels whose estimate exceeds an
+    equal share of that tolerance is cut into eight equal parts: three
+    levels of bisection in one round, as every round costs a fixed overhead.
 
     Returns (value, error, ok), one entry per integral. An integral fails,
-    with ok False, when f gives a non-finite value on one of its panels or
-    it needs more than 2,000 panels; value and error then hold the last
-    estimates. An integral's result does not depend on which other integrals
-    share the batch.
+    with ok False, when its value or error is not finite, as where f gives a
+    non-finite value on one of its panels, or it needs more than 2,000
+    panels; value and error then hold the last estimates. An integral's
+    result does not depend on which other integrals share the batch.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     owner = np.asarray(owner, dtype=np.intp)
     val, err = _gk21(f, lo, hi, owner)
-    value, error = np.zeros(n_owners), np.zeros(n_owners)
-    ok = np.ones(n_owners, dtype=bool)
     while True:
-        count = np.bincount(owner, minlength=n_owners)
-        total = np.bincount(owner, val, n_owners)
-        estimate = np.bincount(owner, err, n_owners)
-        ok[owner[~np.isfinite(val + err)]] = False
+        # a finished integral's panels stay, summed again in the same order
+        total, estimate = np.bincount(owner, val, n_owners), np.bincount(owner, err, n_owners)
+        ok = np.isfinite(total + estimate)
         tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
         busy = ok & (estimate > tol)
-        ok[busy & (count > _MAX_PANELS)] = False
-        busy &= ok
-        done = (count > 0) & ~busy
-        value[done], error[done] = total[done], estimate[done]
-        if not busy.any():
-            return value, error, ok
-        busy = busy[owner]
+        if not np.count_nonzero(busy):
+            return total, estimate, ok
+        count = np.bincount(owner, minlength=n_owners)
+        ok &= ~busy | (count <= _MAX_PANELS)
+        busy = (busy & ok)[owner]
         cut = busy & (err * count[owner] > tol[owner])
-        if not cut.any():  # no panel misses its share: the sum does by rounding alone
-            return value, error, ok
+        if not np.count_nonzero(cut):  # no panel misses its share: the sum does by rounding alone
+            return total, estimate, ok
         edges = lo[cut] + (hi[cut] - lo[cut]) * _FRACTIONS
         parts = (edges[:-1].ravel(), edges[1:].ravel(), np.concatenate([owner[cut]] * _SPLIT))
-        new = (*parts, *_gk21(f, *parts))
+        order = np.argsort(parts[0])  # f sees them sorted; their sums are in the arrays' order
+        new = np.array(_gk21(f, *(part[order] for part in parts)))[:, np.argsort(order)]
         # the panels kept from this round first, then the parts of those cut
-        keep = busy & ~cut
-        lo, hi, owner, val, err = (np.concatenate([old[keep], part]) for old, part
-                                   in zip((lo, hi, owner, val, err), new))
+        lo, hi, owner, val, err = (np.concatenate([old[~cut], part]) for old, part
+                                   in zip((lo, hi, owner, val, err), (*parts, *new)))

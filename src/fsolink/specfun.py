@@ -47,7 +47,7 @@ _NEG_BRANCH_RATE = 2.0 * math.pi / math.sqrt(6.0)
 
 def erfc(z):
     """erfc(z) = (2/sqrt(pi)) * integral of exp(-t^2) from z to infinity."""
-    if np.isscalar(z):
+    if not isinstance(z, np.ndarray) and np.isscalar(z):
         return math.erfc(z)
     return _special.erfc(z)
 

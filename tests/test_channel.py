@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from fsolink import channel
+from fsolink import channel, quadrature
 from fsolink.channel import (FadingModel, OperatingPoint, beer_lambert_loss,
                              composite_expectation, dbm_to_watts,
                              equivalent_beam_width_sq, geometric_spread,
@@ -170,6 +170,54 @@ def test_log_gain_params_computed_once(monkeypatch):
     fresh = make_fading(0.35, 0.1)
     assert fm == fresh and hash(fm) == hash(fresh)
     assert fresh.log_gain_params == par
+
+
+def test_batch_entries_match_their_one_entry_calls(monkeypatch):
+    # a conditional that oscillates in ln h makes the second round cut panels
+    # on both sides of h_hat for several entries, and is nan for the entry
+    # with u = 0.5; each entry gets the value and error estimate of its own
+    # one-entry call, and the failing entry its QuadratureError
+    fm = make_fading(0.35, 0.1)
+    h_hat = fm.log_gain_params.h_hat
+    u = [10.0**k / h_hat for k in (-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0)] + [0.5]
+
+    def cond(h, u):
+        return np.where(u == 0.5, np.nan, 1.5 + np.sin(20.0 * np.log(h * u)))
+
+    rounds, results = [], []
+    gk21, integrate_panels = quadrature._gk21, quadrature.integrate_panels
+
+    def recording_gk21(f, lo, hi, owner):
+        rounds.append((lo, owner))
+        return gk21(f, lo, hi, owner)
+
+    def recording_integrate_panels(*args):
+        results.append(integrate_panels(*args))
+        return results[-1]
+
+    monkeypatch.setattr(quadrature, "_gk21", recording_gk21)
+    monkeypatch.setattr(quadrature, "integrate_panels", recording_integrate_panels)
+    values, errors = channel.density_average(fm, u, channel.EXACT_WEIGHT, cond)
+    (first, _), (second, owner) = rounds
+    # the first round's panels below h_hat come first, the second round's
+    # panels in ascending order
+    below = first < 0.0
+    assert below[:np.count_nonzero(below)].all()
+    assert np.all(second[1:] >= second[:-1])
+    sides = [np.unique(second[owner == i] >= 0.0).size for i in range(len(u))]
+    assert sides.count(2) >= 3, sides
+    _, batch_error, ok = results[0]
+    assert ok.tolist() == [True] * 7 + [False]
+    for i, x in enumerate(u):
+        (value,), (error,) = channel.density_average(fm, [x], channel.EXACT_WEIGHT, cond)
+        # exact equality, nan equal to nan
+        np.testing.assert_array_equal([values[i], batch_error[i]], [value, results[-1][1][0]])
+        if i < 7:
+            assert errors[i] is None and error is None
+        else:
+            assert str(errors[i]) == str(error) == "integrand produced a non-finite value"
+            np.testing.assert_array_equal([errors[i].value, errors[i].error_estimate],
+                                          [error.value, error.error_estimate])
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,19 @@ def test_delta_threshold_outside_unit_interval_is_config_error(flags, capsys):
     assert "config error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [[], ["--expressions", "exact"]])
+def test_delta_without_an_approximation_is_config_error(flags, monkeypatch, capsys):
+    # it swept the exact curve and wrote a header alone, with exit 0; now it
+    # stops before computing any average
+    def swept(*args):
+        raise AssertionError("an average was computed")
+
+    monkeypatch.setattr(er, "sweep_curve", swept)
+    code, out = run_cli(["delta"] + flags)
+    assert (code, out) == (2, "")
+    assert "delta needs an expression besides exact" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--ser_threshold", "1e-320"], ["--ser_threshold", "2e-308"],
                                    ["--ber_threshold", "1e-310", "--modulation_m", "2"]])
 def test_delta_subnormal_threshold_is_config_error(flags, capsys):
@@ -377,6 +390,12 @@ def test_config_error_exit_code():
     assert code == 2
     code, _ = run_cli(["mc", "--n_symbols", "0"])
     assert code == 2
+    # an empty list wrote the SNR columns alone, and a repeated name its
+    # column or row twice, each with exit 0
+    for argv in (["sweep", "--expressions", ","], ["sweep", "--expressions", "exact,exact"],
+                 ["delta", "--expressions", "exact,approx,approx"]):
+        code, out = run_cli(argv)
+        assert (code, out) == (2, "")
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):
