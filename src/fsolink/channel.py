@@ -220,8 +220,8 @@ class OperatingPoint:
 
     def __post_init__(self):
         m = self.modulation_order_m
-        if m < 2 or (m & (m - 1)) != 0:
-            raise ValueError("modulation order must be a power of two >= 2")
+        if not 2 <= m <= 1024 or (m & (m - 1)) != 0:
+            raise ValueError("modulation order must be a power of two from 2 to 1024")
         error = power_error(self.transmit_power_p)
         if error is not None:
             raise error
@@ -456,8 +456,7 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
         return out
 
     value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
-    # not in place: without panels, bincount's sums are integer zeros
-    value = value * (par.g2 / 2.0 * par.h_hat**h_power)
+    value *= par.g2 / 2.0 * par.h_hat**h_power
     errors = [None] * len(u)
     for i in (~ok).nonzero()[0].tolist():
         v, e = value.item(i), error.item(i)

@@ -18,6 +18,7 @@ the turbulence normal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -31,7 +32,7 @@ from .channel import (EXACT_WEIGHT, OperatingPoint, dbm_to_watts, density_averag
 from .quadrature import QuadratureError
 from .specfun import (erfc, erfc_piecewise_negative, erfc_piecewise_positive,
                       erfc_simple_tail, erfcx_piecewise_approx, erfcx_simple_tail,
-                      gammainc, gammaincc, gammaln, hyp1f1, q_function)
+                      gammainc, gammaincc, gammaln, hyp1f1)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -51,21 +52,35 @@ def conditional_ber_ook(a_snr: float) -> float:
     return 0.5 * erfc(a_snr / math.sqrt(8.0))
 
 
-# signed Q-function sums for the exact Gray-mapped conditional BER
-_BER_EXACT_TERMS = {
-    8: (12.0, 14.0, ((7, 1), (6, 3), (-1, 5), (1, 9), (-1, 13))),
-    16: (32.0, 30.0, ((15, 1), (14, 3), (-1, 5), (5, 9), (4, 11), (-5, 13),
-                      (-4, 15), (5, 17), (4, 19), (-3, 21), (-2, 23), (1, 25),
-                      (-1, 29))),
-}
+@functools.cache
+def _gray_ber_terms(m_order: int):
+    """The nonzero c_k, and their 2k + 1, of the conditional BER of Gray-mapped M-PAM,
+    sum_k c_k erfc((2k + 1) t) at the conditional SER's erfc argument t (Cho & Yoon, IEEE
+    Trans. Commun. 50(7), 2002): level j is taken for i, d = |i - j| > 0 away, with probability
+    (erfc((2d - 1) t) - erfc((2d + 1) t)) / 2, the second term absent at an outer i, at the
+    cost of the Hamming distance of their Gray words, summed in total by d."""
+    if not 2 <= m_order <= 1024 or m_order & (m_order - 1):
+        raise ValueError("exact conditional BER needs M a power of two from 2 to 1024")
+    level = np.arange(m_order)
+    bits = np.bitwise_count((level ^ level >> 1) ^ (level ^ level >> 1)[:, None])
+    total = np.bincount(np.abs(level - level[:, None]).ravel(), bits.ravel(), m_order + 1)
+    counts = total[1:] - total[:-1] + bits[0] + bits[-1, ::-1]
+    (k,) = counts.nonzero()
+    return counts[k] / (2.0 * m_order * (m_order.bit_length() - 1)), 2.0 * k + 1.0
+
+
+def _gray_ber(terms, t):
+    """sum_k c_k erfc((2k + 1) t) over the terms of _gray_ber_terms, added in place."""
+    out = np.zeros_like(t)
+    for c, k in zip(*terms):
+        out += c * erfc(k * t)
+    return out
 
 
 def conditional_ber_exact(m_order: int, a_snr: float) -> float:
-    """Exact Gray-mapped conditional BER for 8-PAM or 16-PAM."""
-    if m_order not in _BER_EXACT_TERMS:
-        raise ValueError("exact conditional BER is tabulated for M in {8, 16} only")
-    denom, scale, terms = _BER_EXACT_TERMS[m_order]
-    return sum(c * q_function(k * a_snr / scale) for c, k in terms) / denom
+    """Exact conditional BER of Gray-mapped M-PAM at conditional amplitude SNR A."""
+    terms = _gray_ber_terms(m_order)  # first: it raises for M = 1 too, before M - 1 divides
+    return float(_gray_ber(terms, a_snr / (2.0 * math.sqrt(2.0) * (m_order - 1))))
 
 
 def conditional_ber_approx(m_order: int, a_snr: float) -> float:
@@ -165,6 +180,7 @@ def _ser(op, p_watts, orders, weight, erfc_form, dense: bool = False):
 def _require_ook(orders):
     if any(m != 2 for m in orders):
         raise ValueError("OOK expressions require M = 2")
+    return orders
 
 
 def _ser_exact(op, p_watts, orders):
@@ -184,13 +200,14 @@ def avg_ser_exact(op: OperatingPoint, nested: bool = False) -> float:
     return single_value(_ser_exact(op, [op.transmit_power_p], [op.modulation_order_m]))
 
 
-_BATCHED[avg_ser_exact] = _ser_exact
-
-
 def avg_ber_ook_exact(op: OperatingPoint, nested: bool = False) -> float:
     """Exact average OOK BER (the M = 2 case of the exact SER)."""
     _require_ook([op.modulation_order_m])
     return avg_ser_exact(op, nested=nested)
+
+
+_BATCHED[avg_ser_exact] = _ser_exact
+_BATCHED[avg_ber_ook_exact] = lambda op, p, orders: _ser_exact(op, p, _require_ook(orders))
 
 
 def _avg_ser_approx(op, p_watts, orders):
@@ -201,8 +218,7 @@ def _avg_ser_approx(op, p_watts, orders):
 
 def _avg_ber_ook_approx_piecewise(op, p_watts, orders):
     """Piecewise-erfc approximation of the average OOK BER."""
-    _require_ook(orders)
-    return _avg_ser_approx(op, p_watts, orders)
+    return _avg_ser_approx(op, p_watts, _require_ook(orders))
 
 
 def _avg_ser_dense(op, p_watts, orders):
@@ -246,27 +262,15 @@ avg_ber_ook_approx_simple = _one_power(_avg_ber_ook_approx_simple)
 
 def avg_ber_mpam(op: OperatingPoint, mode: str = "ser-over-m",
                  approx: bool = False) -> float:
-    """Average M-PAM BER.
-
-    mode "exact-for-8-16" integrates the signed Q-sum conditional BER
-    (M in {8, 16}); mode "ser-over-m" divides the average SER by the bits
-    per symbol (approx selects the piecewise SER approximation).
-    """
-    m_order = op.modulation_order_m
-    m_bits = op.bits_per_symbol
-    if mode == "exact-for-8-16":
-        if m_order == 2:
-            return avg_ber_ook_exact(op)
-        if m_order not in _BER_EXACT_TERMS:
-            raise ValueError("exact BER mode supports M in {2, 8, 16}")
-        a_per_u = math.sqrt(8.0) * (m_order - 1)
-        # dominant Q term decays on the same scale as the SER
-        return single_value(density_average(
-            op.fading, _u(op, [op.transmit_power_p], [m_order - 1]), EXACT_WEIGHT,
-            lambda h, u: conditional_ber_exact(m_order, a_per_u * u * h)))
+    """Average M-PAM BER: mode "exact" averages conditional_ber_exact; "ser-over-m"
+    divides the average SER (with approx, its piecewise form) by the bits per symbol."""
+    if mode == "exact":
+        m, terms = op.modulation_order_m, _gray_ber_terms(op.modulation_order_m)
+        return single_value(density_average(op.fading, _u(op, [op.transmit_power_p], [m - 1]),
+                                            EXACT_WEIGHT, lambda h, u: _gray_ber(terms, u * h)))
     if mode == "ser-over-m":
         ser = avg_ser_approx(op) if approx else avg_ser_exact(op)
-        return flush_subnormal(ser / m_bits)
+        return flush_subnormal(ser / op.bits_per_symbol)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -491,13 +495,13 @@ def power_steps(op: OperatingPoint, m_bits, target_ser: float, expression=avg_se
     m_bits = list(m_bits)
     # a subnormal target would be compared with averages that have lost precision
     valid = sys.float_info.min <= target_ser < 0.5
-    orders = sorted({2**k for m in m_bits if m >= 1 for k in (m, m + 1)})
+    orders = sorted({2**k for m in m_bits if 1 <= m <= 9 for k in (m, m + 1)})
     powers = _powers_at_target(op, orders, expression, target_ser) if valid else ([], [])
     solved = dict(zip(orders, zip(*powers)))
     steps, errors = [], []
     for m in m_bits:
-        if m < 1:
-            error = ValueError("m_bits must be >= 1")
+        if not 1 <= m <= 9:  # 2^(m + 1) up to 1024, the largest order OperatingPoint accepts
+            error = ValueError("m_bits must be >= 1" if m < 1 else "m_bits must be <= 9")
         elif not valid:
             error = ValueError(f"target_ser must lie in [{sys.float_info.min!r}, 0.5)")
         else:

@@ -257,10 +257,12 @@ def integrate_panels(f, lo, hi, owner, n_owners):
     Returns (value, error, ok), one entry per integral. An integral fails,
     with ok False, when its value or error is not finite, as where f gives a
     non-finite value on one of its panels, or it needs more than 2,000
-    panels; value and error then hold the last estimates. An integral's
-    result does not depend on which other integrals share the batch.
+    panels; value and error then hold the last estimates. An integral without
+    panels is 0. Its result does not depend on which others share the batch.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not lo.size:  # np.bincount's sums of no panels would be integer zeros
+        return np.zeros(n_owners), np.zeros(n_owners), np.ones(n_owners, dtype=bool)
     owner = np.asarray(owner, dtype=np.intp)
     val, err = _gk21(f, lo, hi, owner)
     while True:

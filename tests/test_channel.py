@@ -458,6 +458,12 @@ def test_operating_point_validation():
     for p in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             OperatingPoint(geo, fm, 4, p)
+    # the orders an average accepts end at 1024: beyond it, M - 1 overflows a
+    # double at 2^1030 and the exact BER has no coefficients
+    for m in (2048, 2**1030):
+        with pytest.raises(ValueError, match="power of two from 2 to 1024"):
+            OperatingPoint(geo, fm, m, 1e-3)
+    assert OperatingPoint(geo, fm, 1024, 1e-3).bits_per_symbol == 10
     op = OperatingPoint(geo, fm, 16, 1e-3)
     assert op.bits_per_symbol == 4
     assert op.with_modulation(8).modulation_order_m == 8

@@ -22,7 +22,7 @@ from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
                                 crossing_power, delta_gap, delta_gaps,
                                 power_increase_for_next_bit, power_steps,
                                 sweep_curve)
-from fsolink.montecarlo import McConfig, simulate
+from fsolink.montecarlo import McConfig, brgc_encode, simulate
 from fsolink.quadrature import QuadratureError
 from fsolink.specfun import q_function
 from support import GRID_POINTS, HEADLINE_POINTS, make_op
@@ -68,8 +68,51 @@ def test_conditional_ber_exact_approaches_ser_over_m():
 
 
 def test_conditional_ber_exact_rejects_other_orders():
-    with pytest.raises(ValueError):
-        conditional_ber_exact(4, 1.0)
+    # every power of two from 2 to 1024 has an exact BER; nothing else does
+    for m in (1, 3, 2048):
+        with pytest.raises(ValueError, match="power of two from 2 to 1024"):
+            conditional_ber_exact(m, 1.0)
+
+
+# the Gray-mapped conditional BER of 8- and 16-PAM as signed Q-function sums,
+# sum c Q(k A / scale) / denom: (denom, scale, ((c, k), ...)), tabulated by hand
+BER_TABLES = {
+    8: (12.0, 14.0, ((7, 1), (6, 3), (-1, 5), (1, 9), (-1, 13))),
+    16: (32.0, 30.0, ((15, 1), (14, 3), (-1, 5), (5, 9), (4, 11), (-5, 13), (-4, 15), (5, 17),
+                      (4, 19), (-3, 21), (-2, 23), (1, 25), (-1, 29))),
+}
+
+
+@pytest.mark.parametrize("m", sorted(BER_TABLES))
+def test_conditional_ber_exact_matches_the_tables(m):
+    denom, scale, terms = BER_TABLES[m]
+    assert scale == 2 * (m - 1)  # Q(k A / scale) = erfc(k t) / 2, t = A / (2 sqrt(2) (M - 1))
+    for a in [0.0, *np.geomspace(1e-3, 400.0, 60)]:
+        t = a / (2.0 * math.sqrt(2.0) * (m - 1))
+        expect = sum(c * 0.5 * math.erfc(k * t) for c, k in terms) / denom
+        assert abs(conditional_ber_exact(m, a) - expect) <= 1e-14 * expect, a
+
+
+def _brute_force_ber(m, a):
+    """Conditional BER of Gray-mapped M-PAM by enumerating every sent and
+    detected level: P(i | j) is the difference of the Gaussian tails beyond
+    the two edges of level i's decision cell, each taken on the tail side."""
+    words = brgc_encode(np.arange(m), m.bit_length() - 1)
+    hamming = np.count_nonzero(words[:, None, :] != words[None, :, :], axis=-1)
+    d = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])  # d[j, i]
+    spacing = a / (m - 1)  # the level spacing over the noise deviation
+    outer = (np.arange(m)[None, :] == 0) | (np.arange(m)[None, :] == m - 1)
+    beyond_far_edge = np.where(outer, 0.0, special.ndtr(-(d + 0.5) * spacing))
+    p = special.ndtr(-(d - 0.5) * spacing) - beyond_far_edge
+    np.fill_diagonal(p, 0.0)
+    return float((hamming * p).sum() / (m * (m.bit_length() - 1)))
+
+
+@pytest.mark.parametrize("m", [2, 4, 32, 256])
+def test_conditional_ber_exact_matches_gray_enumeration(m):
+    for a in (0.5, 10.0, 300.0):
+        expect = _brute_force_ber(m, a)
+        assert abs(conditional_ber_exact(m, a) - expect) <= 1e-12 * expect, (a, expect)
 
 
 def test_conditional_ser_rejects_bad_order():
@@ -285,15 +328,16 @@ def test_highpower_dominates_dense():
 
 def test_ber_modes_agree_for_ook():
     op = make_op(*PINK, 2, 2.0)
-    assert avg_ber_mpam(op, "exact-for-8-16") == pytest.approx(
-        avg_ber_ook_exact(op), rel=1e-10)
+    assert avg_ber_mpam(op, "exact") == pytest.approx(avg_ber_ook_exact(op), rel=1e-15, abs=0.0)
     assert avg_ber_mpam(op, "ser-over-m") == pytest.approx(
         avg_ber_ook_exact(op), rel=1e-10)
 
 
 def test_ber_exact_mode_orders():
-    with pytest.raises(ValueError):
-        avg_ber_mpam(make_op(*PINK, 4, 5.0), "exact-for-8-16")
+    # every order OperatingPoint accepts has an exact BER, below its SER
+    for k in range(1, 11):
+        op = make_op(*PINK, 2**k, 20.0)
+        assert 0.0 < avg_ber_mpam(op, "exact") <= avg_ser_exact(op), 2**k
     with pytest.raises(ValueError):
         avg_ber_mpam(make_op(*PINK, 8, 5.0), "no-such-mode")
 
@@ -302,15 +346,15 @@ def test_ber_exact_vs_ser_over_m_convergence():
     # the two BER routes agree within 2% once the power is high enough
     for m, p in ((8, 15.0), (16, 18.0)):
         op = make_op(*PINK, m, p)
-        exact = avg_ber_mpam(op, "exact-for-8-16")
+        exact = avg_ber_mpam(op, "exact")
         ratio = avg_ber_mpam(op, "ser-over-m") / exact
         assert ratio == pytest.approx(1.0, abs=0.02), (m, p)
 
 
 def test_ber_ordering_in_m():
     p = 10.0
-    assert avg_ber_mpam(make_op(*PINK, 16, p), "exact-for-8-16") > \
-        avg_ber_mpam(make_op(*PINK, 8, p), "exact-for-8-16")
+    assert avg_ber_mpam(make_op(*PINK, 16, p), "exact") > \
+        avg_ber_mpam(make_op(*PINK, 8, p), "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +500,14 @@ def test_power_increase_validation():
         power_increase_for_next_bit(op, 2, 0.7)
 
 
+def test_power_steps_above_the_largest_order_fail_alone():
+    # m = 10 would step to 2048-PAM, beyond the orders OperatingPoint accepts
+    op = make_op(*PINK, 2, 0.0)
+    steps, errors = power_steps(op, [9, 10], 1e-3)
+    assert errors[0] is None and str(errors[1]) == "m_bits must be <= 9"
+    assert steps[0] == power_steps(op, [9], 1e-3)[0][0] and math.isnan(steps[1])
+
+
 @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, 0.5, 1e-316])
 def test_power_steps_bad_target_fails_every_row(target):
     # a subnormal target is refused as a subnormal threshold is
@@ -577,6 +629,25 @@ def test_batch_equals_one_power_calls(name):
     # a point's value does not depend on which other powers share its batch
     part, _ = averages_at_powers(AVERAGES[name], op, watts[::-7])
     assert part == values[::-7]
+
+
+def test_exact_ook_ber_sweep_is_one_engine_call(monkeypatch):
+    op = make_op(*PINK, 2, 0.0)
+    watts = [dbm_to_watts(p) for p in GRID_121]
+    alone = [avg_ber_ook_exact(op.with_power(w)) for w in watts]
+    calls = []
+    engine = errorrates.density_average
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(errorrates, "density_average", counted)
+    values, errors = averages_at_powers(avg_ber_ook_exact, op, watts)
+    assert calls == [121] and errors == [None] * 121
+    assert values == alone
+    with pytest.raises(ValueError, match="OOK expressions require M = 2"):
+        sweep_curve(op.with_modulation(4), avg_ber_ook_exact, GRID_121)
 
 
 @pytest.mark.parametrize("name", ["exact", "approx", "dense", "dense_highpower"])

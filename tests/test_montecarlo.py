@@ -7,7 +7,8 @@ import pytest
 
 from fsolink import montecarlo
 from fsolink.channel import dbm_to_watts
-from fsolink.errorrates import avg_ser_exact, conditional_ser_pam, crossing_power, sweep_curve
+from fsolink.errorrates import (avg_ber_mpam, avg_ser_exact, conditional_ser_pam, crossing_power,
+                                sweep_curve)
 from fsolink.montecarlo import (McConfig, brgc_decode, brgc_encode, ml_detect,
                                 simulate)
 from support import make_geometry, make_fading, make_op
@@ -146,6 +147,21 @@ def test_simulate_seed_sensitivity():
     est1 = simulate(op, McConfig(n_symbols=500_000, seed=1))
     est2 = simulate(op, McConfig(n_symbols=500_000, seed=2))
     assert est1.symbol_errors != est2.symbol_errors
+
+
+@pytest.mark.parametrize("m, p_dbm", [(4, 0.0), (32, 10.0)])
+def test_bit_error_rate_matches_exact_ber(m, p_dbm):
+    # the exact Gray-mapped BER, and not SER / log2 M, is what the simulation
+    # counts: at M = 4, 0 dBm SER / 2 is 3.6 % below it
+    op = make_op(*PINK, m, p_dbm)
+    ber, ser_over_bits = avg_ber_mpam(op, "exact"), avg_ser_exact(op) / op.bits_per_symbol
+    assert ber >= 1e-3
+    est = simulate(op, McConfig(n_symbols=1_000_000, seed=3))
+    # a symbol's bit errors are correlated: bound the standard error of
+    # ber_hat by that of log2 M bits all in error at once, sqrt(BER / n)
+    se = math.sqrt(ber / est.n_symbols)
+    assert abs(est.ber_hat - ber) < 5.0 * se
+    assert abs(est.ber_hat - ser_over_bits) > 5.0 * se
 
 
 def test_bit_symbol_error_bracket():

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsolink import quadrature
-from fsolink.channel import composite_expectation, dbm_to_watts
-from fsolink.errorrates import (NoCrossingError, _powers_at_target, averages_at_powers,
+from fsolink.channel import composite_expectation, dbm_to_watts, flush_subnormal
+from fsolink.errorrates import (NoCrossingError, _powers_at_target, averages_at_powers, avg_ber_mpam,
                                 avg_ser_exact)
 from support import make_fading, make_op
 
@@ -71,6 +71,16 @@ def test_exact_ser_bounded_and_monotone(s, r, m, p_lo, step):
     assert all(0.0 <= v <= (m - 1) / m for v in values)
     # non-increasing in P, up to the engine's relative tolerance of 1e-11
     assert all(b <= a * (1.0 + 1e-10) for a, b in zip(values, values[1:]))
+
+
+@DOMAIN
+@given(sigma_s, rytov, order, p_dbm)
+def test_exact_ber_between_ser_over_bits_and_ser(s, r, m, p):
+    # a symbol error costs at least one bit and at most log2 M; a BER below
+    # the smallest normal double is 0, as every average is
+    op = make_op(s, r, m, p)
+    ber, ser = avg_ber_mpam(op, "exact"), avg_ser_exact(op)
+    assert flush_subnormal(ser / op.bits_per_symbol) * (1.0 - 1e-12) <= ber <= ser * (1.0 + 1e-12)
 
 
 @DOMAIN

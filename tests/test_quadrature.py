@@ -328,3 +328,14 @@ def test_gk21_panels_batch_invariant(n, seed):
     alone = np.hstack([quadrature._gk21(f, lo[i:i + 1], hi[i:i + 1], owner[i:i + 1])
                        for i in range(n)])
     np.testing.assert_array_equal(batch, alone)
+
+
+def test_integrate_panels_without_panels_returns_float_zeros():
+    def f(x, owner):
+        raise AssertionError("no panel to evaluate")
+
+    value, error, ok = quadrature.integrate_panels(f, [], [], [], 3)
+    for zeros in (value, error):
+        assert zeros.dtype == np.float64
+        np.testing.assert_array_equal(zeros, [0.0, 0.0, 0.0])
+    assert ok.tolist() == [True, True, True]
