@@ -52,6 +52,12 @@ def conditional_ber_ook(a_snr: float) -> float:
     return 0.5 * erfc(a_snr / math.sqrt(8.0))
 
 
+def _require_ber_order(m_order: int) -> None:
+    """Raises ValueError for an M that is not a power of two from 2 to 1024."""
+    if not 2 <= m_order <= 1024 or m_order & (m_order - 1):
+        raise ValueError("conditional BER needs M a power of two from 2 to 1024")
+
+
 @functools.cache
 def _gray_ber_terms(m_order: int):
     """The nonzero c_k, and their 2k + 1, of the conditional BER of Gray-mapped M-PAM,
@@ -59,8 +65,7 @@ def _gray_ber_terms(m_order: int):
     Trans. Commun. 50(7), 2002): level j is taken for i, d = |i - j| > 0 away, with probability
     (erfc((2d - 1) t) - erfc((2d + 1) t)) / 2, the second term absent at an outer i, at the
     cost of the Hamming distance of their Gray words, summed in total by d."""
-    if not 2 <= m_order <= 1024 or m_order & (m_order - 1):
-        raise ValueError("exact conditional BER needs M a power of two from 2 to 1024")
+    _require_ber_order(m_order)
     level = np.arange(m_order)
     bits = np.bitwise_count((level ^ level >> 1) ^ (level ^ level >> 1)[:, None])
     total = np.bincount(np.abs(level - level[:, None]).ravel(), bits.ravel(), m_order + 1)
@@ -69,24 +74,49 @@ def _gray_ber_terms(m_order: int):
     return counts[k] / (2.0 * m_order * (m_order.bit_length() - 1)), 2.0 * k + 1.0
 
 
+# erfc(x) is exactly 0 in double precision for every x above this
+_ERFC_ZERO = 27.3
+_GRAY_BLOCK = 64  # nodes summed at once by _gray_ber
+
+
 def _gray_ber(terms, t):
-    """sum_k c_k erfc((2k + 1) t) over the terms of _gray_ber_terms, added in place."""
-    out = np.zeros_like(t)
-    for c, k in zip(*terms):
-        out += c * erfc(k * t)
-    return out
+    """sum_k c_k erfc((2k + 1) t) at each node of the array t, over the terms of
+    _gray_ber_terms, each node's terms added in order. The multipliers 2k + 1
+    ascend and erfc is an exact 0 past _ERFC_ZERO, so the nodes are summed in
+    blocks of ascending t, and a block's sum stops before the first multiplier
+    that puts all of its nodes past _ERFC_ZERO: the terms it leaves out are
+    exact zeros."""
+    coeffs, mults = terms
+    flat = t.ravel()
+    order = np.argsort(flat)  # nan last
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _GRAY_BLOCK):
+        block = order[start:start + _GRAY_BLOCK]
+        tb = flat[block]
+        n = (np.searchsorted(mults * tb[0], _ERFC_ZERO, side="right") if tb[0] > 0.0
+             else mults.size)
+        # the running sum of each row, term by term, as the loop over terms adds it
+        out[block] = np.cumsum(coeffs[:n] * erfc(np.multiply.outer(tb, mults[:n])),
+                               axis=1)[:, -1] if n else 0.0
+    return out.reshape(t.shape)
 
 
 def conditional_ber_exact(m_order: int, a_snr: float) -> float:
-    """Exact conditional BER of Gray-mapped M-PAM at conditional amplitude SNR A."""
+    """Exact conditional BER of Gray-mapped M-PAM at conditional amplitude SNR A:
+    the sum of _gray_ber at one point, up to its first exact zero."""
     terms = _gray_ber_terms(m_order)  # first: it raises for M = 1 too, before M - 1 divides
-    return float(_gray_ber(terms, a_snr / (2.0 * math.sqrt(2.0) * (m_order - 1))))
+    t, total = a_snr / (2.0 * math.sqrt(2.0) * (m_order - 1)), 0.0
+    for c, k in zip(*(x.tolist() for x in terms)):
+        if k * t > _ERFC_ZERO:
+            break
+        total += c * erfc(k * t)
+    return total
 
 
 def conditional_ber_approx(m_order: int, a_snr: float) -> float:
     """SER-over-bits conditional BER approximation, tight at high SNR."""
-    m_bits = int(math.log2(m_order))
-    return conditional_ser_pam(m_order, a_snr) / m_bits
+    _require_ber_order(m_order)
+    return conditional_ser_pam(m_order, a_snr) / int(math.log2(m_order))
 
 
 def _u(op: OperatingPoint, p_watts, scales) -> list[float]:
@@ -236,6 +266,12 @@ def _avg_ser_dense_highpower(op, p_watts, orders):
                            lambda h, u: np.exp(-(u * h) ** 2) / (u * _SQRT_PI), h_power=-1.0)
 
 
+# the single-tail form's edges above h_hat: half-decade steps, and steps of a
+# factor of 100 (see _avg_ber_ook_approx_simple)
+_LADDER = tuple(10.0 ** (k / 2.0) for k in range(-23, 0))
+_LADDER_SPARSE = tuple(10.0**k for k in range(-10, 0, 2))
+
+
 def _avg_ber_ook_approx_simple(op, p_watts, orders):
     """Single-integral OOK BER approximation using the one-term erfc tail.
 
@@ -246,8 +282,11 @@ def _avg_ber_ook_approx_simple(op, p_watts, orders):
     numerically negligible.
     """
     _require_ook(orders)
-    # geometric ladder resolves the truncated logarithmic end-point blow-up
-    ladder = tuple(10.0**k for k in range(-10, 0, 2))
+    # a geometric ladder resolves the truncated logarithmic end-point blow-up:
+    # half-decade steps up to 10^-0.5 converge in one round; where the density
+    # at h_hat is below e^-40 of the bump's peak, the end carries less than the
+    # tolerance, and steps of a factor of 100 up to 1e-2 do
+    ladder = _LADDER if op.fading.log_gain_params.log_amp > -40.0 else _LADDER_SPARSE
     return density_average(op.fading, _u(op, p_watts, [1.0] * len(p_watts)), _SIMPLE_TAIL,
                            lambda h, u: 0.5 * erfc_simple_tail(u * h),
                            y_lo=math.log1p(1e-12), y_extra=ladder)

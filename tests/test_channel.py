@@ -172,6 +172,17 @@ def test_log_gain_params_computed_once(monkeypatch):
     assert fresh.log_gain_params == par
 
 
+def test_lower_plan_merges_offsets_a_sliver_apart():
+    # at g2 = 8.006 (sigma_s = 0.35 m) the ladder's 2 / g2 and 4 / g2 fall
+    # within 1e-4 of one and two peak widths 1 / sqrt(2 g2), and w* - 1 of
+    # w* - 4 widths; each such pair is one point, so no sliver panel remains
+    par = make_fading(0.35, 0.1).log_gain_params
+    width = 1.0 / math.sqrt(2.0 * par.g2)
+    offsets = np.unique(par.w_plan[channel.W_MASK == 1.0])
+    assert np.diff(offsets).min() >= 0.05 * width
+    assert offsets.size == np.count_nonzero(channel.W_MASK) - 3
+
+
 def test_batch_entries_match_their_one_entry_calls(monkeypatch):
     # a conditional that oscillates in ln h makes the second round cut panels
     # on both sides of h_hat for several entries, and is nan for the entry
@@ -218,6 +229,66 @@ def test_batch_entries_match_their_one_entry_calls(monkeypatch):
             assert str(errors[i]) == str(error) == "integrand produced a non-finite value"
             np.testing.assert_array_equal([errors[i].value, errors[i].error_estimate],
                                           [error.value, error.error_estimate])
+
+
+def test_tail_bounds_call_cond_once_per_engine_call(monkeypatch):
+    # the ends come from one cond call on a few probe gains per engine call,
+    # besides the integrand's one call per Gauss-Kronrod chunk
+    fm = make_fading(0.35, 0.1)
+    h_hat = fm.log_gain_params.h_hat
+    chunks, calls = [], []
+    chunk = quadrature._gk21_chunk
+
+    def counting_chunk(*args):
+        chunks.append(None)
+        return chunk(*args)
+
+    def cond(h, u):
+        calls.append(h.shape)
+        return channel.erfc(u * h)
+
+    monkeypatch.setattr(quadrature, "_gk21_chunk", counting_chunk)
+    for u in ([1.0 / h_hat], [10.0**(k / 20.0) / h_hat for k in range(-60, 61)]):
+        chunks.clear()
+        calls.clear()
+        values, errors = channel.density_average(fm, u, channel.EXACT_WEIGHT, cond)
+        assert errors == [None] * len(u)
+        assert len(calls) <= len(chunks) + 1, (len(calls), len(chunks))
+    assert channel.density_average(fm, [], channel.EXACT_WEIGHT, cond) == ([], [])
+
+
+def test_an_unbounded_conditional_keeps_its_upper_end(monkeypatch):
+    # h has no finite envelope as h -> inf, so E[H] keeps the upper end
+    # y* + 45 sigma; the normalisation's envelope is 1, and its end moves in
+    fm = make_fading(0.35, 0.1)
+    tops = []
+    gk21 = quadrature._gk21
+
+    def recording(f, lo, hi, owner):
+        tops.append(hi.max())
+        return gk21(f, lo, hi, owner)
+
+    monkeypatch.setattr(quadrature, "_gk21", recording)
+    assert composite_expectation(fm, lambda h: h) == pytest.approx(moment_composite(fm, 1),
+                                                                   rel=1e-9)
+    assert tops[0] == fm.log_gain_params.y_top
+    tops.clear()
+    assert composite_expectation(fm) == pytest.approx(1.0, abs=1e-9)
+    assert tops[0] < fm.log_gain_params.y_top
+
+
+def test_tail_probes_emit_no_warning():
+    # cond is probed at h = 0 and h = inf, where u = 0 makes 0 inf and a log
+    # of h is -inf; pytest turns a RuntimeWarning into an error, and a probe
+    # that is not finite keeps its tail's end
+    fm = make_fading(0.35, 0.1)
+    values, errors = channel.density_average(
+        fm, [0.0, 1.0 / fm.log_gain_params.h_hat], channel.EXACT_WEIGHT,
+        lambda h, u: channel.erfc(u * h))
+    assert errors == [None, None] and values[0] == pytest.approx(1.0, abs=1e-9)
+    (value,), (error,) = channel.density_average(
+        fm, [0.0], channel.EXACT_WEIGHT, lambda h, u: 2.0 + np.arctan(np.log(h)))
+    assert error is None and 0.0 < value < 4.0
 
 
 # ---------------------------------------------------------------------------

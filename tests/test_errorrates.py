@@ -74,6 +74,43 @@ def test_conditional_ber_exact_rejects_other_orders():
             conditional_ber_exact(m, 1.0)
 
 
+def test_conditional_ber_approx_rejects_other_orders():
+    # the SER-over-bits form takes the orders the exact BER takes: 6 used to
+    # divide by a floored log2 M of 2, and 2048 to give 0.0908
+    for m in (1, 3, 6, 2048):
+        with pytest.raises(ValueError, match="power of two from 2 to 1024"):
+            conditional_ber_approx(m, 3.0)
+    assert conditional_ber_approx(8, 3.0) == conditional_ser_pam(8, 3.0) / 3
+
+
+def _full_gray_ber(terms, t):
+    # every term of the Gray-coded sum, in order, as the sum was first written
+    out = np.zeros_like(t)
+    for c, k in zip(*terms):
+        out += c * specfun.erfc(k * t)
+    return out
+
+
+def test_gray_ber_stops_early_bit_for_bit():
+    # the terms left out past erfc's last nonzero argument are exact zeros
+    terms = errorrates._gray_ber_terms(1024)
+    rng = np.random.default_rng(3)
+    for scale in (0.0, 1e-4, 0.03, 1.0, 40.0):
+        t = rng.uniform(0.0, 1.0, (40, 21)) * scale
+        t[5, 3], t[9, 0] = 0.0, np.inf
+        np.testing.assert_array_equal(errorrates._gray_ber(terms, t), _full_gray_ber(terms, t))
+    for a in (0.0, 3.0, 300.0, 1e5):
+        assert conditional_ber_exact(1024, a) == float(
+            _full_gray_ber(terms, np.float64(a / (2.0 * math.sqrt(2.0) * 1023))))
+    # the exact M = 1024 BER average equals the engine's with the full sum
+    for p in (0.0, 20.0, 40.0):
+        op = make_op(*PINK, 1024, p)
+        u = errorrates._u(op, [op.transmit_power_p], [1023])
+        full = channel.single_value(channel.density_average(
+            op.fading, u, channel.EXACT_WEIGHT, lambda h, u: _full_gray_ber(terms, u * h)))
+        assert avg_ber_mpam(op, "exact") == full
+
+
 # the Gray-mapped conditional BER of 8- and 16-PAM as signed Q-function sums,
 # sum c Q(k A / scale) / denom: (denom, scale, ((c, k), ...)), tabulated by hand
 BER_TABLES = {
@@ -779,9 +816,10 @@ def test_normalisation_converges_in_one_round(monkeypatch):
 def test_single_point_work_budget(monkeypatch):
     # Gauss-Kronrod rounds and panels of the single-point averages over 200
     # points drawn like the benchmark's domain workload, at most 5 % above
-    # the 845 rounds and 17,551 panels that the mode-anchored plan of
-    # low_w_plan and LogGainParams.y_plan takes; the plan of fixed offsets
-    # from h_hat took 1,376 and 20,239
+    # the 842 rounds and 13,427 panels that the mode-anchored plan takes with
+    # ends from the tail bounds; with the fixed ends -700 / g2 and y_up it
+    # took 845 and 17,551, and the plan of fixed offsets from h_hat 1,376 and
+    # 20,239
     panels = []
     gk21 = quadrature._gk21
 
@@ -799,8 +837,46 @@ def test_single_point_work_budget(monkeypatch):
         composite_expectation(op.fading)
         for average in (avg_ser_exact, avg_ser_approx, avg_ser_dense):
             average(op)
-    assert len(panels) <= 1.05 * 845, len(panels)
-    assert sum(panels) <= 1.05 * 17551, sum(panels)
+    assert len(panels) <= 1.05 * 842, len(panels)
+    assert sum(panels) <= 1.05 * 13427, sum(panels)
+
+
+def test_exact_ser_drops_a_lower_piece_that_carries_nothing(monkeypatch):
+    # at sigma_s = 0.2 m, sigma_R^2 = 0.9 the density at h_hat is e^-270 of
+    # the bump's peak: each of the 14 panels the fixed end -700 / g2 gave the
+    # lower piece at 30 dBm carried below 1e-106 of the SER
+    firsts = []
+    gk21 = quadrature._gk21
+
+    def recording(f, lo, hi, owner):
+        if not firsts:
+            firsts.append(lo)
+        return gk21(f, lo, hi, owner)
+
+    monkeypatch.setattr(quadrature, "_gk21", recording)
+    op = make_op(0.2, 0.9, 2, 30.0)
+    assert avg_ser_exact(op) == pytest.approx(avg_ser_exact(op, nested=True), rel=1e-10)
+    assert np.all(firsts[0] >= 0.0)
+
+
+@pytest.mark.parametrize("point", HEADLINE_POINTS)
+def test_ook_simple_sweep_converges_in_one_round(monkeypatch, point):
+    # the half-decade ladder resolves the 1 / y end of the single-tail form
+    # where the density at h_hat is within e^-40 of its peak (sigma_R^2 = 0.1
+    # here); farther out the end carries less than the tolerance, and the
+    # ladder every factor of 100 up to 1e-2 does, with which the sweep at
+    # sigma_R^2 = 0.1 took three rounds
+    rounds = []
+    gk21 = quadrature._gk21
+
+    def counting(*args):
+        rounds.append(None)
+        return gk21(*args)
+
+    monkeypatch.setattr(quadrature, "_gk21", counting)
+    values, errors = averages_at_powers(avg_ber_ook_approx_simple, make_op(*point, 2, 0.0),
+                                        [dbm_to_watts(p) for p in GRID_121])
+    assert errors == [None] * 121 and len(rounds) == 1
 
 
 # the OFF_GRID points whose exact SER lies in [1e-3, 0.3], and OFF_GRID[1]
