@@ -292,8 +292,8 @@ class LogGainParams:
 
     @cached_property
     def plan(self) -> np.ndarray:
-        """The points of both pieces' plans as rows of shape (2, 1, B), to go
-        with PLAN_MASK: w_plan, then y_plan padded with its -inf end."""
+        """The points of both pieces' plans in y as rows of shape (2, 1, B), to
+        go with PLAN_MASK: -w_plan, then y_plan padded with its -inf end."""
         s, width = math.sqrt(self.sig2), 1.0 / math.sqrt(2.0 * self.g2)
         offsets = [*(k / self.g2 for k in W_LADDER), *(j * width for j in W_WIDTHS), *W_BELOW]
         # an offset within a twentieth of the peak's width of an earlier one
@@ -303,13 +303,20 @@ class LogGainParams:
             offsets[i] = next((y for y in offsets[:i] if abs(x - y) < 0.05 * width), x)
         w_plan = [-math.inf, math.inf, *(k * self.sqrt2s for k in W_KNEES), *offsets]
         y_plan = [-math.inf, math.inf, 0.0, *(self.y_star + k * s for k in Y_SIGMAS), *Y_COND]
-        return np.array([[w_plan], [y_plan + [-math.inf] * (len(w_plan) - len(y_plan))]])
+        return np.array([[[-w for w in w_plan]],
+                         [y_plan + [-math.inf] * (len(w_plan) - len(y_plan))]])
 
     @cached_property
-    def _tail_cache(self) -> dict:
-        """_tail_constants by (h_power, y_lo, w_end, upper form), filled by
-        density_average on first use."""
-        return {}
+    def tail_scales(self) -> tuple:
+        """The constants of _ends that depend on the density alone: w_peak =
+        -ln t* (the lower piece peaks at w* = w_peak - y_c, or at 0; see
+        W_LADDER), the half-width min(sigma, 1 / 2) of the upper piece's probe
+        panel, ln(sqrt(2 sig2) / sqrt(pi)), sigma sqrt(2) and
+        ln(sigma sqrt(pi / 2))."""
+        sigma = math.sqrt(self.sig2)
+        return (-0.5 * math.log(self.g2 / 2.0), min(sigma, 0.5),
+                math.log(self.sqrt2s / _SQRT_PI), sigma * math.sqrt(2.0),
+                math.log(sigma * math.sqrt(math.pi / 2.0)))
 
     @cached_property
     def y_plan(self) -> np.ndarray:
@@ -324,7 +331,7 @@ class LogGainParams:
         ends), the knee of the lower form at W_KNEES times sqrt(2 sig2), and
         the offsets from the conditional's peak w*: W_LADDER over g2,
         W_WIDTHS times the peak's width 1 / sqrt(2 g2), and W_BELOW."""
-        return self.plan[0, 0]
+        return -self.plan[0, 0]
 
 
 def pdf_composite(h, model: FadingModel):
@@ -402,8 +409,7 @@ def flush_subnormal(x: float) -> float:
 def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
                     y_lo: float = 0.0, y_extra=()):
     """The average of h^h_power cond(h, u) over the composite density, for
-    each entry of u at once; cond decays on the h-scale 1 / u, and is
-    non-negative and monotone in h.
+    each entry of u at once; cond decays on the h-scale 1 / u.
 
     weight is the density's erfc factor as a pair (lower form, upper form),
     EXACT_WEIGHT or an approximation of it. The integral runs in
@@ -412,12 +418,13 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     above it, against the Gaussian bump e^(-(y - y*)^2 / (2 sig2) + h_power y)
     times the upper form at y / sqrt(2 sig2). Without a lower form (None)
     the lower piece is dropped and the upper one starts at y_lo (with one,
-    y_lo > 0 leaves out [0, y_lo]). Each piece ends where closed-form bounds
-    put its tail below rel 1e-14 of the integral (see _ends), inside the
-    fixed ends -700 / g2 and, with s_hat = u h_hat, ln(ARG_CUTOFF / s_hat),
-    where exp(-(s_hat e^y)^2) underflows, capped at y* + 45 sigma; the bounds
-    read cond at a few probe gains of each entry, h = 0 and inf among them,
-    in one call per engine call. An entry's initial panels are cut at the
+    y_lo > 0 leaves out [0, y_lo]). The pieces' fixed ends are -700 / g2
+    and, with s_hat = u h_hat, y_cut = ln(ARG_CUTOFF / s_hat), where
+    exp(-(s_hat e^y)^2) underflows, capped at y* + 45 sigma. Where u > 0,
+    cond is taken to be non-negative and monotone in h, and each piece ends
+    sooner, where closed-form bounds put its tail below rel 1e-14 of the
+    integral (see _ends); an entry with u = 0, such as composite_expectation
+    passes, keeps the fixed ends. An entry's initial panels are cut at the
     points of LogGainParams.plan, anchored below h_hat at the conditional's
     peak w* and above it at y_c = -ln(s_hat), and at y_extra. cond receives
     the gains as an array and u as a matching column. Every panel of every
@@ -432,53 +439,28 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     w_low, w_high = weight
     # without a lower form the lower piece is empty, and no node sees its form
     w_low, w_end = (w_low, 700.0 / par.g2) if w_low is not None else (np.zeros_like, 0.0)
-    # per entry, the y of the gains the bounds probe cond at (see _ends), both
-    # pieces' anchors w* and y_c (finite where s_hat is 0 or inf) and the
-    # upper piece's end y_up
-    w_peak = -0.5 * math.log(par.g2 / 2.0)  # -ln t*
-    rate = par.g2 + h_power  # of the lower piece's exponential in w
-    a, b = (1.0 / rate if rate > 0.0 else 0.0), min(math.sqrt(par.sig2), 0.5)
-    far = -math.inf if w_end else y_lo  # h = 0, where there is a lower piece
-    log, inf, h_hat, y_star, y_top = math.log, math.inf, par.h_hat, par.y_star, par.y_top
-    rows = []
-    for x in u:
-        s_hat = x * h_hat
-        if 0.0 < s_hat < inf:
-            y_c, y_up = -log(s_hat), log(ARG_CUTOFF / s_hat)
-        else:
-            y_c, y_up = (-800.0, -inf) if s_hat == inf else (800.0, inf)
-        w_star = w_peak - y_c if w_peak > y_c else 0.0
-        y_up = y_lo if y_up < y_lo else y_top if y_top < y_up else y_up
-        # above h_hat the integrand peaks at y*, or below it where cond falls off
-        y_peak = y_star if y_star < y_c - 0.5 else y_c - 0.5
-        rows.append((far, y_lo, -(w_star + a if w_star + a < w_end else w_end),
-                     -(w_star - a if w_star > a else 0.0),
-                     y_peak - b if y_peak - b > y_lo else y_lo,
-                     y_peak + b if y_peak + b < y_up else y_up,
-                     y_c + 2.0, y_c + 2.5, inf, w_star, y_c, y_up))
     u = np.array(u, dtype=float)
-    logs = _log_probes(cond, h_hat, np.array(rows).reshape(-1, 12)[:, :9], u[:, None])
-    key = (h_power, y_lo, w_end, w_high)
-    consts = par._tail_cache.get(key) or par._tail_cache.setdefault(key, _tail_constants(par, *key))
-    ends = _ends(consts, rows, logs)
-    anchor, lower, upper = np.array(ends).reshape(-1, 7)[:, :6].T.reshape(3, 2, len(rows), 1)
+    ends = _ends(par, u, cond, h_power, y_lo, w_end, w_high)
+    anchor, lower, upper = ends[:6].reshape(3, 2, len(u), 1)
     mask, points = PLAN_MASK, par.plan
     if y_extra:
         mask = np.concatenate([mask, np.zeros((2, 1, len(y_extra)))], axis=2)
-        points = np.concatenate([points, [[[-math.inf] * len(y_extra)], [y_extra]]], axis=2)
-    # each piece's edges of each entry as one row in y, the lower piece first
+        points = np.concatenate([points, [[[math.inf] * len(y_extra)], [y_extra]]], axis=2)
+    # each piece's edges of each entry as one row, the lower piece first
     edges = np.minimum(np.maximum(anchor * mask + points, lower), upper)
-    np.negative(edges[0], out=edges[0])
     edges.sort()
     keep = edges[..., 1:] > edges[..., :-1]
     lo, hi, owner = edges[..., :-1][keep], edges[..., 1:][keep], keep.nonzero()[1]
 
     def integrand(y, owner):
         # the panels below h_hat come first: the lower piece's are given first,
-        # later rounds are in ascending order, and y = 0 is an edge
-        n = np.count_nonzero(y[:, 10] < 0.0)
-        low, high, out, v = y[:n], y[n:], np.empty_like(y), y / par.sqrt2s
-        np.multiply(np.exp(par.log_amp + (par.g2 + h_power) * low), w_low(v[:n]), out=out[:n])
+        # later rounds are in ascending order, and y = 0 is an edge, so no
+        # centre is -0.0
+        n = np.count_nonzero(np.signbit(y[:, 10]))
+        low, high, out, v = y[:n], y[n:], np.empty(y.shape), y / par.sqrt2s
+        if n:
+            np.multiply(np.exp(par.log_amp + (par.g2 + h_power) * low), w_low(v[:n]),
+                        out=out[:n])
         bump = (high - par.y_star) ** 2 / (-2.0 * par.sig2)
         if h_power:
             bump += h_power * high
@@ -488,62 +470,42 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
 
     value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
     scale = par.g2 / 2.0 * par.h_hat**h_power
-    value *= scale
-    errors = [None] * len(u)
-    if not ok.all():
+    values, errors = [flush_subnormal(v * scale) for v in value.tolist()], [None] * len(u)
+    if not all(ok.tolist()):
         for i in (~ok).nonzero()[0].tolist():
             # the estimate counts the bound of the tails left out
-            v, e = value.item(i), (error.item(i) + ends[i][6]) * scale
+            v, e = value.item(i) * scale, (error.item(i) + ends.item(6, i)) * scale
             errors[i] = quadrature.QuadratureError(
                 "no convergence within the panel budget" if math.isfinite(v + e)
                 else "integrand produced a non-finite value", value=v, error_estimate=e)
-            value[i] = math.nan
-    return [flush_subnormal(v) for v in value.tolist()], errors
+            values[i] = math.nan
+    return values, errors
 
 
 # A tail of an entry's integral goes where a closed-form bound puts it below
 # _TAIL_REL times a lower bound on the integral (see _ends)
 _TAIL_REL = 1e-14
+_LOG_TAIL_REL = math.log(_TAIL_REL)
 _LN2 = math.log(2.0)
+_COND_MIN = np.array(1e-300)  # the least value the bounds read cond as
+_INF = np.array(math.inf)  # 0-d, as numpy converts a Python float operand on every call
 
 
-@np.errstate(all="ignore")
-def _log_probes(cond, h_hat, y, u):
-    """ln cond at the gains h_hat e^y, each row with its u, as lists. nan
-    (cond nan, or below 0) is read as inf, which keeps every tail it bounds.
-    numpy's floating-point warnings are off: at h = 0 and inf cond may take
-    0 inf, or a log of 0."""
-    out = np.empty(y.shape)  # cond may return a scalar
-    out[...] = cond(h_hat * np.exp(y), u)
-    return np.fmin(np.log(out, out=out), math.inf, out=out).tolist()  # fmin: nan to inf
+def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
+    """Each entry's anchors, the ends its pieces are clipped to and the bound
+    of the tails beyond them, as rows of shape (7, len(u)): the lower piece's
+    peak -w* and the upper one's anchor y_c, the lower ends of both pieces,
+    their upper ends, all in y, and the bound.
 
-
-def _tail_constants(par, h_power, y_lo, w_end, w_high):
-    """The constants _ends reads. The bump e^(-(y - y*)^2 / (2 sig2) + h_power y)
-    is e^(k - (y - m)^2 / (2 sig2)); k_log is k - ln _TAIL_REL, and bump_log
-    adds the log of its integral over sigma, sqrt(pi / 2). The upper form's
-    envelope is its value at y_lo, its largest on the upper piece, and
-    sqrt(2 sig2) / (sqrt(pi) y) bounds it at y."""
-    sigma, rate = math.sqrt(par.sig2), par.g2 + h_power
-    k_log = h_power * par.y_star + h_power * h_power * par.sig2 / 2.0 - math.log(_TAIL_REL)
-    low_log = par.log_amp + math.log(2.0 / rate) - math.log(_TAIL_REL) if rate > 0.0 else math.inf
-    log_env = math.log(float(w_high(y_lo / par.sqrt2s)))
-    return (par.log_amp, rate, par.y_star, 0.5 / par.sig2, h_power, par.sqrt2s, y_lo, w_end,
-            log_env, math.log(par.sqrt2s / _SQRT_PI), par.y_star + h_power * par.sig2,
-            sigma * math.sqrt(2.0), k_log, k_log + math.log(sigma * math.sqrt(math.pi / 2.0)),
-            low_log)
-
-
-def _ends(consts, rows, logs):
-    """Each entry's anchors, the ends its pieces are clipped to, and the bound
-    of the tails beyond them, from ln cond at its probes: rows[i] holds their
-    y and logs[i] the values. The integrand is h^h_power cond times the
-    density's form (see density_average); cond is taken non-negative and
-    monotone in h, so over a tail it is at most c, the larger of its values
-    at the tail's two ends.
+    An entry with u = 0 keeps the fixed ends [-w_end, 0] and [y_lo, y_up].
+    Any other entry's bounds read cond, taken non-negative and monotone in
+    h, at nine probe gains, in one cond call for all entries: over a tail
+    cond is at most c, the larger of its values at the tail's two ends. The
+    integrand is h^h_power cond times the density's form (see
+    density_average).
 
     The integral is at least the larger of two panels' products of each
-    factor's minimum: [yl0, yl1] around the lower piece's peak w*, where the
+    factor's minimum: [yl0, yl1] around the lower piece's peak, where the
     lower form is at least 1, and [yu0, yu1] around the upper one's, where
     the upper form is at least 2 / (sqrt(pi) (v + sqrt(v^2 + 2))), as erfcx
     and its approximations are. A tail goes where its bound is below
@@ -557,25 +519,59 @@ def _ends(consts, rows, logs):
       form's integral there, at most its envelope or
       sqrt(2 sig2) / sqrt(pi) ln(y / y_lo).
     Each tail left out adds its bound, at most _TAIL_REL times the floor, to
-    the last entry of the entry's row."""
-    (log_amp, rate, y_star, inv_2sig2, h_power, sqrt2s, y_lo, w_end, log_env, log_scale, m,
-     sigma2, k_log, bump_log, low_log) = consts
+    the entry's bound. cond is read as at least _COND_MIN, and as inf where
+    it is nan, which keeps every tail it bounds."""
     exp, log, sqrt, inf = math.exp, math.log, math.sqrt, math.inf
+    w_peak, b, log_scale, s_sqrt2, log_bump = par.tail_scales
+    rate = par.g2 + h_power
+    a = 1.0 / rate if rate > 0.0 else 0.0  # the lower piece's probes, to either side of its peak
+    log_amp, y_star, inv_2sig2, sqrt2s = par.log_amp, par.y_star, 0.5 / par.sig2, par.sqrt2s
+    h_hat, y_top = par.h_hat, par.y_top
+    far = -w_end if w_end else y_lo  # the lower end of the lower piece, or of the upper one
+    rows, probes, u_list = [], [], u.tolist()
+    for x in u_list:
+        s_hat = x * h_hat
+        if 0.0 < s_hat < inf:
+            y_c, y_up = -log(s_hat), log(ARG_CUTOFF / s_hat)
+        else:
+            y_c, y_up = (-800.0, -inf) if s_hat == inf else (800.0, inf)
+        w_star = w_peak - y_c if w_peak > y_c else 0.0
+        y_up = y_lo if y_up < y_lo else y_top if y_top < y_up else y_up
+        # above h_hat the integrand peaks at y*, or below it where cond falls off
+        y_peak = y_star if y_star < y_c - 0.5 else y_c - 0.5
+        row = (-(w_star + a) if w_star + a < w_end else -w_end, a - w_star if w_star > a else 0.0,
+               y_peak - b if y_peak - b > y_lo else y_lo, y_peak + b if y_peak + b < y_up else y_up,
+               y_c + 2.0 if y_c + 2.0 < y_up else y_up, y_c + 2.5 if y_c + 2.5 < y_up else y_up)
+        rows.append((x > 0.0, w_star, y_c, y_up, *row))
+        probes.append((far, y_lo, *row, y_up))
+    logs = rows  # read only where an entry is probed, and so are the constants below
+    if any(u_list):
+        h = h_hat * np.exp(np.array(probes))
+        values = np.maximum(cond(h, u[:, None]), _COND_MIN, out=h)  # cond may return a scalar
+        logs = np.fmin(np.log(values, out=values), _INF, out=values).tolist()  # nan to inf
+        # the bump e^(-(y - y*)^2 / (2 sig2) + h_power y) is e^(k - (y - m)^2 / (2 sig2));
+        # k_log is k - ln _TAIL_REL, and bump_log adds the log of its integral over
+        # sigma, sqrt(pi / 2). The upper form's envelope is its value at y_lo, its
+        # largest on the upper piece, and sqrt(2 sig2) / (sqrt(pi) y) bounds it at y.
+        k_log = h_power * y_star + h_power * h_power * par.sig2 / 2.0 - _LOG_TAIL_REL
+        bump_log, m = k_log + log_bump, y_star + h_power * par.sig2
+        low_log = log_amp + log(2.0 / rate) - _LOG_TAIL_REL if rate > 0.0 else inf
+        log_env = log(float(w_high(y_lo / sqrt2s)))
     ends = []
-    for row, lc in zip(rows, logs):
-        _, _, yl0, yl1, yu0, yu1, y_2, y_3, _, w_star, y_c, y_up = row
-        l_far, l_lo, l_l0, l_l1, l_u0, l_u1, l_2, l_3, l_inf = lc
+    for (probed, w_star, y_c, y_up, yl0, yl1, yu0, yu1, y_2, y_3), lc in zip(rows, logs):
         floor = -inf  # its log
-        if yl1 > yl0:
-            floor = log(yl1 - yl0) + log_amp + rate * yl0 + (l_l0 if l_l0 < l_l1 else l_l1)
-        if yu1 > yu0:
-            v, e0, e1 = yu1 / sqrt2s, yu0 - y_star, yu1 - y_star
-            e0, e1 = h_power * yu0 - e0 * e0 * inv_2sig2, h_power * yu1 - e1 * e1 * inv_2sig2
-            up = (log(2.0 * (yu1 - yu0) / (_SQRT_PI * (v + sqrt(v * v + 2.0))))
-                  + (e0 if e0 < e1 else e1) + (l_u0 if l_u0 < l_u1 else l_u1))
-            floor = up if up > floor else floor
+        if probed:
+            l_far, l_lo, l_l0, l_l1, l_u0, l_u1, l_2, l_3, l_up = lc
+            if yl1 > yl0:
+                floor = log(yl1 - yl0) + log_amp + rate * yl0 + (l_l0 if l_l0 < l_l1 else l_l1)
+            if yu1 > yu0:
+                v, e0, e1 = yu1 / sqrt2s, yu0 - y_star, yu1 - y_star
+                e0, e1 = h_power * yu0 - e0 * e0 * inv_2sig2, h_power * yu1 - e1 * e1 * inv_2sig2
+                up = (log(2.0 * (yu1 - yu0) / (_SQRT_PI * (v + sqrt(v * v + 2.0))))
+                      + (e0 if e0 < e1 else e1) + (l_u0 if l_u0 < l_u1 else l_u1))
+                floor = up if up > floor else floor
         if not -inf < floor < inf:
-            ends.append((w_star, y_c, 0.0, y_lo, w_end, y_up, 0.0))
+            ends.append((-w_star, y_c, -w_end, y_lo, 0.0, y_up, 0.0))
             continue
         w_top, w_bot, y_bot, top, cuts = 0.0, w_end, y_lo, y_up, 0
         c = l_far if l_far > l_lo else l_lo
@@ -584,13 +580,13 @@ def _ends(consts, rows, logs):
             if w < w_end:
                 w_bot, cuts = (w if w > 0.0 else 0.0), 1
         for start, l_start in ((yu1, l_u1), (y_2, l_2), (y_3, l_3)):
-            c = l_start if l_start > l_inf else l_inf
+            c = l_start if l_start > l_up else l_up
             if start >= top or not c < inf:
                 continue
             env = log_scale - log(start) if start > 0.0 else log_env
             r = c + (env if env < log_env else log_env) + bump_log - floor
             if start >= 0.0:
-                end = start if r <= -_LN2 else m if r <= 0.0 else m + sigma2 * sqrt(r)
+                end = start if r <= -_LN2 else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
                 top = start if end < start else end if end < top else top
             elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= -_LN2
                   and (y_up <= y_lo or r <= -2.0 * _LN2)):
@@ -603,12 +599,12 @@ def _ends(consts, rows, logs):
                 x = log_scale + log(log(yu0 / y_lo))
                 weight = x if x < weight else weight
             r = c + weight + k_log - floor
-            bottom = yu0 if r <= 0.0 else m - sigma2 * sqrt(r)
+            bottom = yu0 if r <= 0.0 else m - s_sqrt2 * sqrt(r)
             if y_lo < bottom:
                 y_bot, cuts = (bottom if bottom < yu0 else yu0), cuts + 1
-        ends.append((w_star, y_c, w_top, y_bot, w_bot, top,
+        ends.append((-w_star, y_c, -w_bot, y_bot, -w_top, top,
                      cuts * _TAIL_REL * exp(floor) if cuts else 0.0))
-    return ends
+    return np.array(ends).T
 
 
 def single_value(result) -> float:
@@ -624,8 +620,11 @@ def composite_expectation(model: FadingModel, func=None) -> float:
     """E[func(H)] under pdf_composite, by density_average with EXACT_WEIGHT.
 
     func receives an array of gains and returns an array of the same shape,
-    or a scalar; it defaults to 1 (normalization). Raises QuadratureError
-    when the integral does not converge.
+    or a scalar; it defaults to 1 (normalization). It need not be monotone:
+    the entry's u = 0 keeps the engine's fixed ends -700 / g2 and
+    y* + 45 sigma, without the tail bounds that read the conditional at the
+    ends of its tails. Raises QuadratureError when the integral does not
+    converge.
     """
     cond = (lambda h, u: 1.0) if func is None else (lambda h, u: func(h))
     return single_value(density_average(model, [0.0], EXACT_WEIGHT, cond))

@@ -76,29 +76,32 @@ def _gray_ber_terms(m_order: int):
 
 # erfc(x) is exactly 0 in double precision for every x above this
 _ERFC_ZERO = 27.3
-_GRAY_BLOCK = 64  # nodes summed at once by _gray_ber
+_GRAY_CHUNK = 1 << 15  # nodes times terms per erfc call of _gray_ber, which bounds the temporaries
 
 
 def _gray_ber(terms, t):
     """sum_k c_k erfc((2k + 1) t) at each node of the array t, over the terms of
-    _gray_ber_terms, each node's terms added in order. The multipliers 2k + 1
-    ascend and erfc is an exact 0 past _ERFC_ZERO, so the nodes are summed in
-    blocks of ascending t, and a block's sum stops before the first multiplier
-    that puts all of its nodes past _ERFC_ZERO: the terms it leaves out are
-    exact zeros."""
+    _gray_ber_terms. The nodes are summed in chunks, all of a chunk's terms in one
+    erfc call, each node's terms added in order. The multipliers 2k + 1 ascend and
+    erfc is an exact 0 past _ERFC_ZERO, so a chunk's sum stops before the first
+    multiplier that puts its smallest t past it (a nan or a t <= 0 takes every
+    term): the terms it leaves out are exact zeros."""
+    flat, step = t.ravel(), max(1, _GRAY_CHUNK // terms[1].size)
+    if flat.size <= step:
+        return _gray_chunk(terms, flat).reshape(t.shape)
+    return np.concatenate([_gray_chunk(terms, flat[s:s + step])
+                           for s in range(0, flat.size, step)]).reshape(t.shape)
+
+
+def _gray_chunk(terms, t):
     coeffs, mults = terms
-    flat = t.ravel()
-    order = np.argsort(flat)  # nan last
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _GRAY_BLOCK):
-        block = order[start:start + _GRAY_BLOCK]
-        tb = flat[block]
-        n = (np.searchsorted(mults * tb[0], _ERFC_ZERO, side="right") if tb[0] > 0.0
-             else mults.size)
-        # the running sum of each row, term by term, as the loop over terms adds it
-        out[block] = np.cumsum(coeffs[:n] * erfc(np.multiply.outer(tb, mults[:n])),
-                               axis=1)[:, -1] if n else 0.0
-    return out.reshape(t.shape)
+    least = np.minimum.reduce(t)
+    n = np.searchsorted(mults * least, _ERFC_ZERO, side="right") if least > 0.0 else mults.size
+    if n < 2:
+        return coeffs[0] * erfc(mults[0] * t) if n else np.zeros_like(t)
+    # a reduction over the outer axis adds each node's terms in order, as a
+    # loop over the terms does
+    return np.add.reduce(coeffs[:n, None] * erfc(np.multiply.outer(mults[:n], t)), axis=0)
 
 
 def conditional_ber_exact(m_order: int, a_snr: float) -> float:
@@ -266,10 +269,9 @@ def _avg_ser_dense_highpower(op, p_watts, orders):
                            lambda h, u: np.exp(-(u * h) ** 2) / (u * _SQRT_PI), h_power=-1.0)
 
 
-# the single-tail form's edges above h_hat: half-decade steps, and steps of a
-# factor of 100 (see _avg_ber_ook_approx_simple)
+# the single-tail form's edges above h_hat, in half-decade steps (see
+# _avg_ber_ook_approx_simple)
 _LADDER = tuple(10.0 ** (k / 2.0) for k in range(-23, 0))
-_LADDER_SPARSE = tuple(10.0**k for k in range(-10, 0, 2))
 
 
 def _avg_ber_ook_approx_simple(op, p_watts, orders):
@@ -282,14 +284,12 @@ def _avg_ber_ook_approx_simple(op, p_watts, orders):
     numerically negligible.
     """
     _require_ook(orders)
-    # a geometric ladder resolves the truncated logarithmic end-point blow-up:
-    # half-decade steps up to 10^-0.5 converge in one round; where the density
-    # at h_hat is below e^-40 of the bump's peak, the end carries less than the
-    # tolerance, and steps of a factor of 100 up to 1e-2 do
-    ladder = _LADDER if op.fading.log_gain_params.log_amp > -40.0 else _LADDER_SPARSE
+    # a geometric ladder in half-decade steps up to 10^-0.5 resolves the
+    # truncated logarithmic end-point blow-up in one round; where that end
+    # carries nothing, the tail bounds clip its steps away
     return density_average(op.fading, _u(op, p_watts, [1.0] * len(p_watts)), _SIMPLE_TAIL,
                            lambda h, u: 0.5 * erfc_simple_tail(u * h),
-                           y_lo=math.log1p(1e-12), y_extra=ladder)
+                           y_lo=math.log1p(1e-12), y_extra=_LADDER)
 
 
 avg_ser_approx = _one_power(_avg_ser_approx)

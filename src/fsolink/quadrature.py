@@ -17,6 +17,14 @@ import math
 
 import numpy as np
 
+try:  # einsum, bincount and count_nonzero without the __array_function__
+    # dispatch, which costs up to a microsecond a call, as much as a small
+    # call's work
+    from numpy._core.multiarray import (bincount as _bincount, c_einsum as _einsum,
+                                        count_nonzero as _count_nonzero)
+except ImportError:  # pragma: no cover - numpy < 2
+    _bincount, _einsum, _count_nonzero = np.bincount, np.einsum, np.count_nonzero
+
 
 class QuadratureError(RuntimeError):
     """Integration did not converge; carries the best estimate so far."""
@@ -197,12 +205,18 @@ _KRONROD = np.array(_WK[:10] + _WK[::-1])
 _WEIGHTS = np.stack([_KRONROD, np.zeros(21)])  # Kronrod and Gauss weights
 _WEIGHTS[1, 1:10:2] = _WG
 _WEIGHTS[1, 11:20:2] = _WG[::-1]
-_ROUNDOFF = 50.0 * np.finfo(float).eps
+_HALF_WEIGHTS = 0.5 * _WEIGHTS
+_HALF_NODES = 0.5 * _NODES
+# the scalars of the per-round arithmetic as 0-d arrays: numpy converts a
+# Python float operand on every call, which costs a small call more than the
+# arithmetic
+_HALF, _ONE, _TWO_HUNDRED, _THREE_HALVES = (np.array(x) for x in (0.5, 1.0, 200.0, 1.5))
+_ROUNDOFF = np.array(50.0 * np.finfo(float).eps)
 _ROUNDOFF_MIN = np.finfo(float).tiny / _ROUNDOFF
 _CHUNK = 2048  # panels per integrand call, which bounds the temporaries
 _SPLIT = 8  # parts a panel that misses its tolerance is cut into
-_REL_TOL = 1e-11
-_ABS_TOL = 1e-319  # the relative tolerance down to the smallest normal double
+_REL_TOL = np.array(1e-11)
+_ABS_TOL = np.array(1e-319)  # the relative tolerance down to the smallest normal double
 _MAX_PANELS = 2000  # per integral
 _FRACTIONS = (np.arange(_SPLIT + 1) / _SPLIT)[:, None]
 
@@ -210,34 +224,40 @@ _FRACTIONS = (np.arange(_SPLIT + 1) / _SPLIT)[:, None]
 def _gk21(f, lo, hi, owner):
     """Gauss-Kronrod value and QUADPACK's error estimate (qk21) of each panel,
     in chunks of at most _CHUNK panels."""
-    value, error = np.empty(lo.size), np.empty(lo.size)
-    for s in range(0, lo.size, _CHUNK):
-        part = slice(s, s + _CHUNK)
-        _gk21_chunk(f, lo[part], hi[part], owner[part], value[part], error[part])
-    return value, error
+    if lo.size <= _CHUNK:
+        return _gk21_chunk(f, lo, hi, owner)
+    parts = [_gk21_chunk(f, lo[s:s + _CHUNK], hi[s:s + _CHUNK], owner[s:s + _CHUNK])
+             for s in range(0, lo.size, _CHUNK)]
+    return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts])
 
 
-def _gk21_chunk(f, a, b, owner, value, error):
-    half = 0.5 * (b - a)
-    fx = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES, owner)
+def _gk21_chunk(f, a, b, owner):
+    # the sums are taken with half the rule's weights and the nodes' offsets
+    # with half of theirs, which halves them exactly, and scaled by the
+    # panel's width b - a in place of its half
+    width = b - a
+    fx = f((_HALF * (a + b))[:, None] + width[:, None] * _HALF_NODES, owner)
     # einsum's own loops add a row's products in one order whatever the batch
     # (BLAS, by @, dot or optimize=True, does not); order "F" adds them in
     # node order, which integrates x^2 on [0, 1] to the double nearest 1/3
-    resk, resg = np.einsum("kj,ij->ik", _WEIGHTS, fx, order="F").T
-    dev = np.empty((2, *fx.shape))  # |fx| and |fx - resk / 2|
+    resk, resg = _einsum("kj,ij->ik", _HALF_WEIGHTS, fx, order="F").T
+    dev = np.empty((2, *fx.shape))  # |fx| and |fx - resk|, resk the rule's sum over 2
     np.abs(fx, out=dev[0])
-    np.abs(np.subtract(fx, 0.5 * resk[:, None], out=dev[1]), out=dev[1])
-    resabs, resasc = np.einsum("kj,j->k", dev.reshape(-1, 21), _KRONROD).reshape(2, -1)
+    np.abs(np.subtract(fx, resk[:, None], out=dev[1]), out=dev[1])
+    resabs, resasc = _einsum("kj,j->k", dev.reshape(-1, 21), _HALF_WEIGHTS[0]).reshape(2, -1)
     # qk21 rescales err where resasc and err are not 0; at err = 0 the
-    # rescaled err is 0 too, so resasc > 0 alone selects the same values
+    # rescaled err is 0 too, so resasc != 0 alone selects the same values (a
+    # nan resasc, from a non-finite fx, makes err nan where it was not finite)
     err = np.abs(resk - resg)
-    big = resasc > 0.0
-    ratio = 200.0 * err
+    big = resasc.astype(bool)
+    ratio = _TWO_HUNDRED * err
     np.divide(ratio, resasc, out=ratio, where=big)
-    np.multiply(resasc, np.minimum(1.0, ratio ** 1.5), out=err, where=big)
-    np.maximum(_ROUNDOFF * resabs, err, out=err, where=resabs > _ROUNDOFF_MIN)
-    np.multiply(half, resk, out=value)
-    np.multiply(half, err, out=error)
+    np.multiply(resasc, np.minimum(_ONE, ratio ** _THREE_HALVES), out=err, where=big)
+    # qk21 floors err at 50 eps resabs only where resabs exceeds _ROUNDOFF_MIN,
+    # so that the floor is a normal double; the same relative floor below it
+    # spares a comparison
+    np.maximum(_ROUNDOFF * resabs, err, out=err)
+    return width * resk, np.multiply(width, err, out=err)
 
 
 def integrate_panels(f, lo, hi, owner, n_owners):
@@ -267,17 +287,17 @@ def integrate_panels(f, lo, hi, owner, n_owners):
     val, err = _gk21(f, lo, hi, owner)
     while True:
         # a finished integral's panels stay, summed again in the same order
-        total, estimate = np.bincount(owner, val, n_owners), np.bincount(owner, err, n_owners)
+        total, estimate = _bincount(owner, val, n_owners), _bincount(owner, err, n_owners)
         ok = np.isfinite(total + estimate)
         tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
         busy = ok & (estimate > tol)
-        if not np.count_nonzero(busy):
+        if not _count_nonzero(busy):
             return total, estimate, ok
-        count = np.bincount(owner, minlength=n_owners)
+        count = _bincount(owner, minlength=n_owners)
         ok &= ~busy | (count <= _MAX_PANELS)
         busy = (busy & ok)[owner]
         cut = busy & (err * count[owner] > tol[owner])
-        if not np.count_nonzero(cut):  # no panel misses its share: the sum does by rounding alone
+        if not _count_nonzero(cut):  # no panel misses its share: the sum does by rounding alone
             return total, estimate, ok
         edges = lo[cut] + (hi[cut] - lo[cut]) * _FRACTIONS
         parts = (edges[:-1].ravel(), edges[1:].ravel(), np.concatenate([owner[cut]] * _SPLIT))

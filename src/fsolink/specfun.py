@@ -41,8 +41,11 @@ _special = _scipy_ufuncs()
 erfcx, hyp1f1, gammainc, gammaincc, gammaln = (_special.erfcx, _special.hyp1f1,
                                                _special.gammainc, _special.gammaincc,
                                                _special.gammaln)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_NEG_BRANCH_RATE = 2.0 * math.pi / math.sqrt(6.0)
+# the approximations' constants as 0-d arrays: numpy converts a Python float
+# operand on every call, which costs a small call more than the arithmetic
+_ONE, _TWO, _FOUR_OVER_PI, _TWO_OVER_SQRT_PI, _NEG_BRANCH_RATE = (
+    np.array(x) for x in (1.0, 2.0, 4.0 / math.pi, 2.0 / math.sqrt(math.pi),
+                          2.0 * math.pi / math.sqrt(6.0)))
 
 
 def erfc(z):
@@ -78,21 +81,23 @@ def erfc_piecewise_approx(z):
 
 
 def erfc_piecewise_positive(z):
-    """The z >= 0 branch of erfc_piecewise_approx."""
+    """The z >= 0 branch of erfc_piecewise_approx: exp(-z^2) times
+    erfcx_piecewise_approx, z^2 taken once."""
     z = np.asarray(z, dtype=float)
-    return np.exp(-z * z) * erfcx_piecewise_approx(z)
+    z2 = z * z
+    return np.exp(-z2) * (_TWO_OVER_SQRT_PI / (z + np.sqrt(z2 + _FOUR_OVER_PI)))
 
 
 def erfc_piecewise_negative(z):
     """The z < 0 branch of erfc_piecewise_approx: 2 / (1 + exp(2 pi z / sqrt(6)))."""
-    return 2.0 / (1.0 + np.exp(_NEG_BRANCH_RATE * np.asarray(z, dtype=float)))
+    return _TWO / (_ONE + np.exp(_NEG_BRANCH_RATE * np.asarray(z, dtype=float)))
 
 
 def erfcx_piecewise_approx(z):
     """exp(z^2) times the positive branch of erfc_piecewise_approx, for z >= 0:
     (2/sqrt(pi)) / (z + sqrt(z^2 + 4/pi)), finite where exp(-z^2) underflows."""
     z = np.asarray(z, dtype=float)
-    out = _TWO_OVER_SQRT_PI / (z + np.sqrt(z * z + 4.0 / math.pi))
+    out = _TWO_OVER_SQRT_PI / (z + np.sqrt(z * z + _FOUR_OVER_PI))
     return float(out) if out.ndim == 0 else out
 
 

@@ -257,37 +257,54 @@ def test_tail_bounds_call_cond_once_per_engine_call(monkeypatch):
     assert channel.density_average(fm, [], channel.EXACT_WEIGHT, cond) == ([], [])
 
 
-def test_an_unbounded_conditional_keeps_its_upper_end(monkeypatch):
-    # h has no finite envelope as h -> inf, so E[H] keeps the upper end
-    # y* + 45 sigma; the normalisation's envelope is 1, and its end moves in
+def test_composite_expectation_keeps_its_fixed_ends(monkeypatch):
+    # composite_expectation passes u = 0, which keeps the fixed ends -700 / g2
+    # and y* + 45 sigma for any func, monotone or not, without a probe call:
+    # h, the normalisation, and a func that peaks at y = 3, far in the bump's
+    # upper tail, and is below e^-70 of its peak at h_hat and at y* + 45 sigma
     fm = make_fading(0.35, 0.1)
-    tops = []
+    par = fm.log_gain_params
+    ends, calls = [], []
     gk21 = quadrature._gk21
 
     def recording(f, lo, hi, owner):
-        tops.append(hi.max())
+        ends.append((lo.min(), hi.max()))
         return gk21(f, lo, hi, owner)
 
+    def spike(h):
+        calls.append(None)
+        return 1e8 * np.exp(-8.0 * (np.log(h / par.h_hat) - 3.0) ** 2)
+
     monkeypatch.setattr(quadrature, "_gk21", recording)
-    assert composite_expectation(fm, lambda h: h) == pytest.approx(moment_composite(fm, 1),
-                                                                   rel=1e-9)
-    assert tops[0] == fm.log_gain_params.y_top
-    tops.clear()
-    assert composite_expectation(fm) == pytest.approx(1.0, abs=1e-9)
-    assert tops[0] < fm.log_gain_params.y_top
+    for func, expected in ((lambda h: h, moment_composite(fm, 1)), (None, 1.0)):
+        ends.clear()
+        assert composite_expectation(fm, func) == pytest.approx(expected, rel=1e-9)
+        assert ends[0] == (-700.0 / par.g2, par.y_top)
+    ends.clear()
+    value = composite_expectation(fm, spike)
+    assert ends[0] == (-700.0 / par.g2, par.y_top)
+    assert len(calls) == len(ends)  # no probe call besides the integrand's
+
+    def reference(y):
+        h = par.h_hat * math.exp(y)
+        return float(pdf_composite(h, fm)) * float(spike(h)) * h
+
+    quad, _ = quadrature.integrate(reference, 0.0, 12.0, (2.0, 3.0, 4.0))
+    assert value == pytest.approx(quad, rel=1e-8) and value > 1e-4
 
 
 def test_tail_probes_emit_no_warning():
-    # cond is probed at h = 0 and h = inf, where u = 0 makes 0 inf and a log
-    # of h is -inf; pytest turns a RuntimeWarning into an error, and a probe
-    # that is not finite keeps its tail's end
+    # cond is probed at the ends of the integration range, not at h = 0 or
+    # inf, where u h would be 0 inf; its zeros are read as 1e-300, so no log
+    # of 0 is taken, and pytest turns a RuntimeWarning into an error
     fm = make_fading(0.35, 0.1)
     values, errors = channel.density_average(
         fm, [0.0, 1.0 / fm.log_gain_params.h_hat], channel.EXACT_WEIGHT,
         lambda h, u: channel.erfc(u * h))
     assert errors == [None, None] and values[0] == pytest.approx(1.0, abs=1e-9)
     (value,), (error,) = channel.density_average(
-        fm, [0.0], channel.EXACT_WEIGHT, lambda h, u: 2.0 + np.arctan(np.log(h)))
+        fm, [1e-3 / fm.log_gain_params.h_hat], channel.EXACT_WEIGHT,
+        lambda h, u: 2.0 + np.arctan(np.log(u * h)))
     assert error is None and 0.0 < value < 4.0
 
 
