@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -491,6 +491,15 @@ _COND_MIN = np.array(1e-300)  # the least value the bounds read cond as
 _INF = np.array(math.inf)  # 0-d, as numpy converts a Python float operand on every call
 
 
+@lru_cache(maxsize=64)
+def _log_form(form, v: float) -> float:
+    """ln form(v) for a scalar v: the upper form's envelope, its value where
+    the upper piece starts, which is v = 0 for every model but the
+    single-tail form's. A piecewise form's call on a scalar costs about 3 us,
+    as much as the rest of the bound pass's constants."""
+    return math.log(float(form(v)))
+
+
 def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
     """Each entry's anchors, the ends its pieces are clipped to and the bound
     of the tails beyond them, as rows of shape (7, len(u)): the lower piece's
@@ -556,7 +565,7 @@ def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
         k_log = h_power * y_star + h_power * h_power * par.sig2 / 2.0 - _LOG_TAIL_REL
         bump_log, m = k_log + log_bump, y_star + h_power * par.sig2
         low_log = log_amp + log(2.0 / rate) - _LOG_TAIL_REL if rate > 0.0 else inf
-        log_env = log(float(w_high(y_lo / sqrt2s)))
+        log_env = _log_form(w_high, y_lo / sqrt2s)
     ends = []
     for (probed, w_star, y_c, y_up, yl0, yl1, yu0, yu1, y_2, y_3), lc in zip(rows, logs):
         floor = -inf  # its log

@@ -187,7 +187,9 @@ def test_batch_entries_match_their_one_entry_calls(monkeypatch):
     # a conditional that oscillates in ln h makes the second round cut panels
     # on both sides of h_hat for several entries, and is nan for the entry
     # with u = 0.5; each entry gets the value and error estimate of its own
-    # one-entry call, and the failing entry its QuadratureError
+    # one-entry call, and the failing entry its QuadratureError (it is not
+    # monotone, as the tail bounds take a conditional to be, but each entry's
+    # bounds read only its own probes, so its ends are those of its call)
     fm = make_fading(0.35, 0.1)
     h_hat = fm.log_gain_params.h_hat
     u = [10.0**k / h_hat for k in (-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0)] + [0.5]
