@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -307,16 +307,18 @@ class LogGainParams:
                          [y_plan + [-math.inf] * (len(w_plan) - len(y_plan))]])
 
     @cached_property
-    def tail_scales(self) -> tuple:
-        """The constants of _ends that depend on the density alone: w_peak =
-        -ln t* (the lower piece peaks at w* = w_peak - y_c, or at 0; see
-        W_LADDER), the half-width min(sigma, 1 / 2) of the upper piece's probe
-        panel, ln(sqrt(2 sig2) / sqrt(pi)), sigma sqrt(2) and
-        ln(sigma sqrt(pi / 2))."""
-        sigma = math.sqrt(self.sig2)
-        return (-0.5 * math.log(self.g2 / 2.0), min(sigma, 0.5),
-                math.log(self.sqrt2s / _SQRT_PI), sigma * math.sqrt(2.0),
-                math.log(sigma * math.sqrt(math.pi / 2.0)))
+    def operands(self) -> tuple:
+        """log_amp, y_star, -2 sig2, h_hat and sqrt2s as 0-d arrays, the
+        integrand's operands: numpy converts a Python float operand on every
+        call, about 0.3 us each."""
+        return tuple(np.array(x) for x in (self.log_amp, self.y_star, -2.0 * self.sig2,
+                                           self.h_hat, self.sqrt2s))
+
+    @cached_property
+    def bounds(self) -> dict:
+        """_bound_constants of this model, by (h_power, y_lo, w_end, upper
+        form): one per kind of average, filled by _ends."""
+        return {}
 
     @cached_property
     def y_plan(self) -> np.ndarray:
@@ -452,20 +454,22 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     keep = edges[..., 1:] > edges[..., :-1]
     lo, hi, owner = edges[..., :-1][keep], edges[..., 1:][keep], keep.nonzero()[1]
 
+    log_amp, y_star, minus_2sig2, h_hat, sqrt2s = par.operands
+    rate = np.array(par.g2 + h_power)
+
     def integrand(y, owner):
         # the panels below h_hat come first: the lower piece's are given first,
         # later rounds are in ascending order, and y = 0 is an edge, so no
         # centre is -0.0
         n = np.count_nonzero(np.signbit(y[:, 10]))
-        low, high, out, v = y[:n], y[n:], np.empty(y.shape), y / par.sqrt2s
+        low, high, out, v = y[:n], y[n:], np.empty(y.shape), y / sqrt2s
         if n:
-            np.multiply(np.exp(par.log_amp + (par.g2 + h_power) * low), w_low(v[:n]),
-                        out=out[:n])
-        bump = (high - par.y_star) ** 2 / (-2.0 * par.sig2)
+            np.multiply(np.exp(log_amp + rate * low), w_low(v[:n]), out=out[:n])
+        bump = (high - y_star) ** 2 / minus_2sig2
         if h_power:
             bump += h_power * high
         np.multiply(np.exp(bump), w_high(v[n:]), out=out[n:])
-        out *= cond(par.h_hat * np.exp(y), u[owner][:, None])
+        out *= cond(h_hat * np.exp(y), u[owner][:, None])
         return out
 
     value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
@@ -491,13 +495,33 @@ _COND_MIN = np.array(1e-300)  # the least value the bounds read cond as
 _INF = np.array(math.inf)  # 0-d, as numpy converts a Python float operand on every call
 
 
-@lru_cache(maxsize=64)
-def _log_form(form, v: float) -> float:
-    """ln form(v) for a scalar v: the upper form's envelope, its value where
-    the upper piece starts, which is v = 0 for every model but the
-    single-tail form's. A piecewise form's call on a scalar costs about 3 us,
-    as much as the rest of the bound pass's constants."""
-    return math.log(float(form(v)))
+def _bound_constants(par, h_power, y_lo, w_end, w_high) -> tuple:
+    """The constants of _ends for one model, h_power, y_lo, w_end and upper
+    form, in the order _ends unpacks them. w_peak = -ln t*: the lower piece
+    peaks at w* = w_peak - y_c, or at 0 (see W_LADDER). b = min(sigma, 1 / 2)
+    is the half-width of the upper piece's probe panel."""
+    log, sigma = math.log, math.sqrt(par.sig2)
+    rate = par.g2 + h_power
+    a = 1.0 / rate if rate > 0.0 else 0.0  # the lower piece's probes, to either side of its peak
+    # an entry whose lower piece peaks at 0 (w* = 0) probes it on [yl0_0, 0]: low_0, the
+    # log of that panel's width times the density's least value on it, is the lower
+    # floor of every such entry before cond's factor
+    yl0_0 = -a if a < w_end else -w_end
+    low_0 = log(-yl0_0) + par.log_amp + rate * yl0_0 if yl0_0 < 0.0 else None
+    # the bump e^(-(y - y*)^2 / (2 sig2) + h_power y) is e^(k - (y - m)^2 / (2 sig2));
+    # k_log is k - ln _TAIL_REL, and bump_log adds the log of its integral over
+    # sigma, sqrt(pi / 2). The upper form's envelope, log_env, is its value at y_lo,
+    # its largest on the upper piece, and sqrt(2 sig2) / (sqrt(pi) y) bounds it at y,
+    # log_scale being the log of that numerator.
+    k_log = h_power * par.y_star + h_power * h_power * par.sig2 / 2.0 - _LOG_TAIL_REL
+    return (-0.5 * log(par.g2 / 2.0), min(sigma, 0.5), log(par.sqrt2s / _SQRT_PI),
+            sigma * math.sqrt(2.0), rate, a,
+            -w_end if w_end else y_lo,  # far: the lower end of the lower piece, or of the upper one
+            yl0_0, low_0, k_log, k_log + log(sigma * math.sqrt(math.pi / 2.0)),
+            par.y_star + h_power * par.sig2,  # m
+            par.log_amp + log(2.0 / rate) - _LOG_TAIL_REL if rate > 0.0 else math.inf,  # low_log
+            log(float(w_high(y_lo / par.sqrt2s))),  # log_env
+            par.log_amp, par.y_star, 0.5 / par.sig2, par.sqrt2s, par.h_hat, par.y_top)
 
 
 def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
@@ -531,56 +555,56 @@ def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
     the entry's bound. cond is read as at least _COND_MIN, and as inf where
     it is nan, which keeps every tail it bounds."""
     exp, log, sqrt, inf = math.exp, math.log, math.sqrt, math.inf
-    w_peak, b, log_scale, s_sqrt2, log_bump = par.tail_scales
-    rate = par.g2 + h_power
-    a = 1.0 / rate if rate > 0.0 else 0.0  # the lower piece's probes, to either side of its peak
-    log_amp, y_star, inv_2sig2, sqrt2s = par.log_amp, par.y_star, 0.5 / par.sig2, par.sqrt2s
-    h_hat, y_top = par.h_hat, par.y_top
-    far = -w_end if w_end else y_lo  # the lower end of the lower piece, or of the upper one
-    rows, probes, u_list = [], [], u.tolist()
+    key = (h_power, y_lo, w_end, w_high)
+    constants = par.bounds.get(key)
+    if constants is None:
+        constants = par.bounds[key] = _bound_constants(par, *key)
+    (w_peak, b, log_scale, s_sqrt2, rate, a, far, yl0_0, low_0, k_log, bump_log, m, low_log,
+     log_env, log_amp, y_star, inv_2sig2, sqrt2s, h_hat, y_top) = constants
+    cutoff, sqrt_pi, ln_half, ln_quarter = ARG_CUTOFF, _SQRT_PI, -_LN2, -2.0 * _LN2  # as locals
+    rows, probes, u_list = [], [], u.tolist()  # probes: each entry's nine, flat
     for x in u_list:
         s_hat = x * h_hat
         if 0.0 < s_hat < inf:
-            y_c, y_up = -log(s_hat), log(ARG_CUTOFF / s_hat)
+            y_c, y_up = -log(s_hat), log(cutoff / s_hat)
         else:
             y_c, y_up = (-800.0, -inf) if s_hat == inf else (800.0, inf)
-        w_star = w_peak - y_c if w_peak > y_c else 0.0
+        if w_peak > y_c:
+            w_star = w_peak - y_c
+            yl0 = -(w_star + a) if w_star + a < w_end else -w_end
+            yl1 = a - w_star if w_star > a else 0.0
+            low = log(yl1 - yl0) + log_amp + rate * yl0 if yl1 > yl0 else None
+        else:
+            w_star, yl0, yl1, low = 0.0, yl0_0, 0.0, low_0
         y_up = y_lo if y_up < y_lo else y_top if y_top < y_up else y_up
         # above h_hat the integrand peaks at y*, or below it where cond falls off
         y_peak = y_star if y_star < y_c - 0.5 else y_c - 0.5
-        row = (-(w_star + a) if w_star + a < w_end else -w_end, a - w_star if w_star > a else 0.0,
-               y_peak - b if y_peak - b > y_lo else y_lo, y_peak + b if y_peak + b < y_up else y_up,
-               y_c + 2.0 if y_c + 2.0 < y_up else y_up, y_c + 2.5 if y_c + 2.5 < y_up else y_up)
-        rows.append((x > 0.0, w_star, y_c, y_up, *row))
-        probes.append((far, y_lo, *row, y_up))
-    logs = rows  # read only where an entry is probed, and so are the constants below
+        yu0 = y_peak - b if y_peak - b > y_lo else y_lo
+        yu1 = y_peak + b if y_peak + b < y_up else y_up
+        y_2 = y_c + 2.0 if y_c + 2.0 < y_up else y_up
+        y_3 = y_c + 2.5 if y_c + 2.5 < y_up else y_up
+        rows.append((x > 0.0, w_star, y_c, y_up, low, yu0, yu1, y_2, y_3))
+        probes += far, y_lo, yl0, yl1, yu0, yu1, y_2, y_3, y_up
+    logs = rows  # read only where an entry is probed
     if any(u_list):
-        h = h_hat * np.exp(np.array(probes))
+        h = h_hat * np.exp(np.fromiter(probes, float, len(probes)).reshape(len(u_list), 9))
         values = np.maximum(cond(h, u[:, None]), _COND_MIN, out=h)  # cond may return a scalar
         logs = np.fmin(np.log(values, out=values), _INF, out=values).tolist()  # nan to inf
-        # the bump e^(-(y - y*)^2 / (2 sig2) + h_power y) is e^(k - (y - m)^2 / (2 sig2));
-        # k_log is k - ln _TAIL_REL, and bump_log adds the log of its integral over
-        # sigma, sqrt(pi / 2). The upper form's envelope is its value at y_lo, its
-        # largest on the upper piece, and sqrt(2 sig2) / (sqrt(pi) y) bounds it at y.
-        k_log = h_power * y_star + h_power * h_power * par.sig2 / 2.0 - _LOG_TAIL_REL
-        bump_log, m = k_log + log_bump, y_star + h_power * par.sig2
-        low_log = log_amp + log(2.0 / rate) - _LOG_TAIL_REL if rate > 0.0 else inf
-        log_env = _log_form(w_high, y_lo / sqrt2s)
-    ends = []
-    for (probed, w_star, y_c, y_up, yl0, yl1, yu0, yu1, y_2, y_3), lc in zip(rows, logs):
+    ends = []  # each entry's seven, flat
+    for (probed, w_star, y_c, y_up, low, yu0, yu1, y_2, y_3), lc in zip(rows, logs):
         floor = -inf  # its log
         if probed:
             l_far, l_lo, l_l0, l_l1, l_u0, l_u1, l_2, l_3, l_up = lc
-            if yl1 > yl0:
-                floor = log(yl1 - yl0) + log_amp + rate * yl0 + (l_l0 if l_l0 < l_l1 else l_l1)
+            if low is not None:
+                floor = low + (l_l0 if l_l0 < l_l1 else l_l1)
             if yu1 > yu0:
                 v, e0, e1 = yu1 / sqrt2s, yu0 - y_star, yu1 - y_star
                 e0, e1 = h_power * yu0 - e0 * e0 * inv_2sig2, h_power * yu1 - e1 * e1 * inv_2sig2
-                up = (log(2.0 * (yu1 - yu0) / (_SQRT_PI * (v + sqrt(v * v + 2.0))))
+                up = (log(2.0 * (yu1 - yu0) / (sqrt_pi * (v + sqrt(v * v + 2.0))))
                       + (e0 if e0 < e1 else e1) + (l_u0 if l_u0 < l_u1 else l_u1))
                 floor = up if up > floor else floor
         if not -inf < floor < inf:
-            ends.append((-w_star, y_c, -w_end, y_lo, 0.0, y_up, 0.0))
+            ends += -w_star, y_c, -w_end, y_lo, 0.0, y_up, 0.0
             continue
         w_top, w_bot, y_bot, top, cuts = 0.0, w_end, y_lo, y_up, 0
         c = l_far if l_far > l_lo else l_lo
@@ -588,17 +612,19 @@ def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
             w = (low_log + c - floor) / rate
             if w < w_end:
                 w_bot, cuts = (w if w > 0.0 else 0.0), 1
-        for start, l_start in ((yu1, l_u1), (y_2, l_2), (y_3, l_3)):
+        for start, l_start in ((yu1, l_u1), (y_2, l_2), (y_3, l_3)):  # ascending
+            if start >= top:
+                break
             c = l_start if l_start > l_up else l_up
-            if start >= top or not c < inf:
+            if not c < inf:
                 continue
             env = log_scale - log(start) if start > 0.0 else log_env
             r = c + (env if env < log_env else log_env) + bump_log - floor
             if start >= 0.0:
-                end = start if r <= -_LN2 else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
+                end = start if r <= ln_half else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
                 top = start if end < start else end if end < top else top
-            elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= -_LN2
-                  and (y_up <= y_lo or r <= -2.0 * _LN2)):
+            elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= ln_half
+                  and (y_up <= y_lo or r <= ln_quarter)):
                 top, w_top = y_lo, -start
         cuts += top < y_up
         c = l_lo if l_lo > l_u0 else l_u0
@@ -611,9 +637,9 @@ def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
             bottom = yu0 if r <= 0.0 else m - s_sqrt2 * sqrt(r)
             if y_lo < bottom:
                 y_bot, cuts = (bottom if bottom < yu0 else yu0), cuts + 1
-        ends.append((-w_star, y_c, -w_bot, y_bot, -w_top, top,
-                     cuts * _TAIL_REL * exp(floor) if cuts else 0.0))
-    return np.array(ends).T
+        ends += (-w_star, y_c, -w_bot, y_bot, -w_top, top,
+                 cuts * _TAIL_REL * exp(floor) if cuts else 0.0)
+    return np.fromiter(ends, float, len(ends)).reshape(len(u_list), 7).T
 
 
 def single_value(result) -> float:

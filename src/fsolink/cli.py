@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -265,23 +266,17 @@ def cmd_delta(cfg: RunConfig, op: OperatingPoint, out) -> int:
     threshold = cfg.ber_threshold if cfg.modulation_m == 2 else cfg.ser_threshold
     header = ["jitter_sigma_m", "rytov_variance", "m", "pair", "threshold", "delta_db",
               "error"]
-    rows = []
-    any_failure = False
+    names = [name for name in cfg.expressions if name != "exact"]
+    # every crossing bracketed and refined in lockstep; a row's search error comes first
     try:
-        exact_curve = er.sweep_curve(op, er.AVERAGES["exact"], grid)
+        gaps = er.delta_gaps_on_grid(op, er.AVERAGES["exact"], [er.AVERAGES[n] for n in names],
+                                     grid, threshold)
     except (QuadratureError, ValueError) as exc:
         _write_rows(out, header, [["", "", "", "", "", "", str(exc)]])
         return EXIT_NUMERIC
-
-    names = [name for name in cfg.expressions if name != "exact"]
-    curves = []
-    for name in names:
-        try:
-            curves.append(er.sweep_curve(op, er.AVERAGES[name], grid))
-        except (QuadratureError, ValueError) as exc:
-            curves.append(exc)
-    # every crossing in one lockstep solve; a row's sweep error comes first
-    for name, d, error in zip(names, *er.delta_gaps(exact_curve, curves, threshold)):
+    rows = []
+    any_failure = False
+    for name, d, error in zip(names, *gaps):
         row = [f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
                f"{name}-vs-exact", _fmt_prob(threshold)]
         if error is None:
@@ -340,17 +335,27 @@ def _add_config_flags(parser: argparse.ArgumentParser):
         parser.add_argument(f"--{f.name}", default=None, metavar="V")
 
 
+_COMMANDS = ("pdf", "sweep", "delta", "power-step", "mc")
+
+
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser for the command line argv. Only the subcommand argv names
-    first gets the configuration flags, most of the parser's cost."""
+    first gets the configuration flags, most of the parser's cost. The
+    parser is built once per subcommand, and once for any other first
+    token, and shared: a caller must not change it."""
+    return _parser(argv[0] if argv[:1] and argv[0] in _COMMANDS else None)
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsolink",
         description="Average BER/SER computation for M-PAM free-space optical "
                     "links under log-normal turbulence and pointing errors")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("pdf", "sweep", "delta", "power-step", "mc"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        if name in argv[:1]:
+        if name == command:
             _add_config_flags(p)
         if name == "power-step":
             p.add_argument("--target-ser", type=float, required=True)

@@ -279,9 +279,14 @@ def _avg_ber_ook_approx_simple(op, p_watts, orders):
 
     The one-term tail replaces erfc both in the density and in the
     conditional BER; the lower piece, where its argument is negative, is
-    dropped. The integrand carries a 1/ln(h/h_hat) factor that blows up at
-    h_hat; integration starts at h_hat (1 + 1e-12), the excluded sliver being
-    numerically negligible.
+    dropped. The integrand carries a 1/ln(h/h_hat) factor, which is not
+    integrable at h_hat: near y = ln(h/h_hat) = 0 it behaves as C/y, with
+    C = (g2/2) e^log_amp sqrt(2 sig2)/sqrt(pi) erfc_simple_tail(u h_hat)/2.
+    So the form is defined by its cut-off: integration starts at
+    y = ln(1 + 1e-12), and the value holds a term C ln(1/y) from it that
+    moves with the cut-off. At the command line's default channel at 0 dBm
+    that term is 95 % of the value, and at -10 dBm the value is 4.49, above
+    1; where log_amp <= -60 the term is at most about rel 1e-13 of it.
     """
     _require_ook(orders)
     # a geometric ladder in half-decade steps up to 10^-0.5 resolves the
@@ -332,15 +337,18 @@ def _evaluations(points, p_watts):
     values, errors, batches = [math.nan] * len(points), [power_error(p) for p in p_watts], {}
     for k, (expression, op) in enumerate(points):
         if errors[k] is None and expression in _BATCHED:
-            batches.setdefault((expression, op.fading), []).append(k)
+            # keyed by identity: hashing the FadingModel dataclass costs more than
+            # the rest of a point, and points holds both objects alive
+            batches.setdefault((id(expression), id(op.fading)), []).append(k)
         elif errors[k] is None:
             try:
                 values[k] = expression(op.with_power(p_watts[k]))
             except (QuadratureError, ValueError) as exc:
                 errors[k] = exc
-    for (expression, _), ks in batches.items():
+    for ks in batches.values():
+        expression, op = points[ks[0]]
         try:
-            results = zip(*_BATCHED[expression](points[ks[0]][1], [p_watts[k] for k in ks],
+            results = zip(*_BATCHED[expression](op, [p_watts[k] for k in ks],
                                                 [points[k][1].modulation_order_m for k in ks]))
         except ValueError as exc:
             results = itertools.repeat((math.nan, exc))
@@ -449,8 +457,11 @@ def _first_crossing_cell(curve: ErrorRateCurve, threshold: float):
     for i, (a, b) in enumerate(zip(d, d[1:])):
         if a == 0.0 or a * b < 0.0 or b == 0.0:
             return (curve.expression, curve.op, curve.p_dbm[i], curve.p_dbm[i + 1], a, b, 1e-4)
-    return NoCrossingError(f"threshold {threshold} not crossed on "
-                           f"[{curve.p_dbm[0]}, {curve.p_dbm[-1]}] dBm")
+    return NoCrossingError(_not_crossed(threshold, curve.p_dbm))
+
+
+def _not_crossed(threshold: float, p_dbm) -> str:
+    return f"threshold {threshold} not crossed on [{p_dbm[0]}, {p_dbm[-1]}] dBm"
 
 
 def crossing_power(curve: ErrorRateCurve, threshold: float) -> float:
@@ -458,6 +469,17 @@ def crossing_power(curve: ErrorRateCurve, threshold: float) -> float:
     _crossings finds it in the first cell that crosses it: by Brent's method
     through the curve's expression, from the curve's values at its ends."""
     return single_value(_crossings([_first_crossing_cell(curve, threshold)], threshold))
+
+
+def _gaps(cells, level: float):
+    """The horizontal dB gap of each cell after the first, cells as _crossings
+    takes them, from the first one's crossing, all refined in one lockstep
+    solve. Returns (gaps, errors): errors[i] is None, or the error of cell
+    i + 1, or else that of the first cell."""
+    (p_exact, *powers), (e_exact, *errors) = _crossings(cells, level)
+    errors = [e_exact if error is None else error for error in errors]
+    return [p - p_exact if error is None else math.nan
+            for p, error in zip(powers, errors)], errors
 
 
 def delta_gaps(exact: ErrorRateCurve, approx, threshold: float):
@@ -468,18 +490,67 @@ def delta_gaps(exact: ErrorRateCurve, approx, threshold: float):
     approx[i]'s error, or that of its crossing, or else of the exact one."""
     if not approx:
         return [], []
-    (p_exact, *powers), (e_exact, *errors) = _crossings(
-        [c if isinstance(c, Exception) else _first_crossing_cell(c, threshold)
-         for c in (exact, *approx)], threshold)
-    errors = [e_exact if error is None else error for error in errors]
-    return [p - p_exact if error is None else math.nan
-            for p, error in zip(powers, errors)], errors
+    return _gaps([c if isinstance(c, Exception) else _first_crossing_cell(c, threshold)
+                  for c in (exact, *approx)], threshold)
 
 
 def delta_gap(exact: ErrorRateCurve, approx: ErrorRateCurve, threshold: float) -> float:
     """Horizontal dB gap between an approximation and the exact curve at a
     threshold: P*_approx - P*_exact."""
     return single_value(delta_gaps(exact, [approx], threshold))
+
+
+def _grid_cells(points, p_dbm, level: float, tol: float, missing: str):
+    """The cell of _crossings, to tol dB, where each (expression, op) pair of
+    points first reaches level on the increasing dBm grid p_dbm, or the
+    error of a pair that has none, all pairs searched in lockstep.
+
+    Each pair is a lane, which brackets level by bisection on the indices of
+    p_dbm from (-1, len(p_dbm)), two ends just outside the grid counted as
+    above and below it: each round one _log_gaps call probes the midpoint of
+    every cell wider than one step. A probe above level raises its cell's
+    lower end, any other (0 or a failure) lowers its upper end. So for a
+    non-increasing curve this finds the first cell that crosses level, the
+    one _first_crossing_cell finds on the curve sampled on p_dbm, and a
+    failure at a power it does not probe does not matter. A lane fails with
+    the error of the probe at its cell's upper end, or, where its curve is
+    above level on the whole grid or below it from the first point on,
+    with NoCrossingError(missing).
+    """
+    lt = math.log10(level)
+    probes, bounds = [{} for _ in points], [(-1, len(p_dbm))] * len(points)
+    while mids := {i: (lo + hi) // 2 for i, (lo, hi) in enumerate(bounds) if hi - lo > 1}:
+        gaps, errors = _log_gaps([points[i] for i in mids], [p_dbm[k] for k in mids.values()], lt)
+        for (i, k), gap, error in zip(mids.items(), gaps, errors):
+            probes[i][k] = gap, error
+            bounds[i] = (k, bounds[i][1]) if error is None and gap > 0.0 else (bounds[i][0], k)
+    cells = []
+    for point, (_, k), probe in zip(points, bounds, probes):
+        value, error = probe.get(k, (math.inf, None))  # past the grid: above
+        if error is None and value != 0.0 and k in (0, len(p_dbm)):  # never crossed
+            error = NoCrossingError(missing)
+        # at k = 0 a value of 0 makes the cell's upper end the power
+        cells.append(error or (*point, p_dbm[max(k - 1, 0)], p_dbm[k],
+                               probe.get(k - 1, (math.inf, None))[0], value, tol))
+    return cells
+
+
+def delta_gaps_on_grid(op: OperatingPoint, exact, approx, p_dbm_grid, threshold: float):
+    """delta_gaps of the curves that sweep_curve would sample, of exact and of
+    each of approx (callables op -> value) at op on the dBm grid p_dbm_grid,
+    without sampling them: _grid_cells finds each crossing's cell by
+    bisection, every lane in lockstep, and one lockstep solve refines them.
+    On non-increasing curves the gaps are those of delta_gaps, bit for bit.
+
+    Raises the error of an average of exact that its search stopped on.
+    Returns (gaps, errors) as delta_gaps does, errors[i] being approx[i]'s
+    search error, or that of its crossing, or else of the exact one.
+    """
+    cells = _grid_cells([(e, op) for e in (exact, *approx)], p_dbm_grid, threshold, 1e-4,
+                        _not_crossed(threshold, p_dbm_grid))
+    if isinstance(cells[0], Exception) and not isinstance(cells[0], NoCrossingError):
+        raise cells[0]
+    return _gaps(cells, threshold)
 
 
 # the power grid (dBm) on which the power solve brackets its target: 2 dB
@@ -489,37 +560,14 @@ _SCAN_DBM = tuple(-40.0 + 2.0 * i for i in range(61))
 
 def _powers_at_target(op: OperatingPoint, orders, expression, target: float):
     """Power (dBm) where expression, at op's channel and each modulation order
-    of orders, reaches target, all orders solved in lockstep.
-
-    Each order is a lane, which brackets its target by bisection on the
-    indices of _SCAN_DBM from (-1, len(_SCAN_DBM)), two ends just outside the
-    grid counted as above and below it: each round one _log_gaps call probes
-    the midpoint of every cell wider than one step. A probe above the target
-    raises its cell's lower end, any other (0 or a failure) lowers its upper
-    end, so for a non-increasing curve this finds the first cell that
-    crosses it, and a failure past that cell does not matter. Then
-    _crossings refines every cell to 1e-5 dB. Returns (powers, errors):
-    errors[i] is None, or the error that stopped order i, whose power is
-    then nan.
+    of orders, reaches target, all orders solved in lockstep: _grid_cells
+    brackets each order's target on _SCAN_DBM, and _crossings refines every
+    cell to 1e-5 dB. Returns (powers, errors): errors[i] is None, or the
+    error that stopped order i, whose power is then nan.
     """
-    points = [(expression, op.with_modulation(m)) for m in orders]
-    lt = math.log10(target)
-    probes, bounds = [{} for _ in points], [(-1, len(_SCAN_DBM))] * len(points)
-    while mids := {i: (lo + hi) // 2 for i, (lo, hi) in enumerate(bounds) if hi - lo > 1}:
-        gaps, errors = _log_gaps([points[i] for i in mids],
-                                 [_SCAN_DBM[k] for k in mids.values()], lt)
-        for (i, k), gap, error in zip(mids.items(), gaps, errors):
-            probes[i][k] = gap, error
-            bounds[i] = (k, bounds[i][1]) if error is None and gap > 0.0 else (bounds[i][0], k)
-    cells = []
-    for point, (_, k), probe in zip(points, bounds, probes):
-        value, error = probe.get(k, (math.inf, None))  # past the grid: above
-        if error is None and value != 0.0 and k in (0, len(_SCAN_DBM)):  # never crossed
-            error = NoCrossingError(f"target {target} not reached in "
-                                    f"[{_SCAN_DBM[0]}, {_SCAN_DBM[-1]}] dBm")
-        # at k = 0 a value of 0 makes the cell's upper end the power
-        cells.append(error or (*point, _SCAN_DBM[max(k - 1, 0)], _SCAN_DBM[k],
-                               probe.get(k - 1, (math.inf, None))[0], value, 1e-5))
+    cells = _grid_cells([(expression, op.with_modulation(m)) for m in orders], _SCAN_DBM,
+                        target, 1e-5,
+                        f"target {target} not reached in [{_SCAN_DBM[0]}, {_SCAN_DBM[-1]}] dBm")
     return _crossings(cells, target)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -148,17 +149,29 @@ def test_log_gain_params_computed_once(monkeypatch):
     fm = make_fading(0.35, 0.1)
     par = fm.log_gain_params
     plans = par.y_plan, par.w_plan
+    # the first averages of each kind fill the bound pass's constants
+    composite_expectation(fm)
+    avg_ser_exact(OperatingPoint(fm.geometry, fm, 4, 1e-3))
+    bounds = dict(par.bounds)
+    assert len(bounds) == 1  # one key: both averages take the exact weight, h_power 0 and y_lo 0
 
     def recomputed(*args):
         raise AssertionError("log-gain constant recomputed")
 
-    for name in ("LogGainParams", "pointing_params"):
+    for name in ("LogGainParams", "pointing_params", "_bound_constants"):
         monkeypatch.setattr(channel, name, recomputed)
     assert fm.log_gain_params is par
     assert par.y_plan is plans[0] and par.w_plan is plans[1]
     composite_expectation(fm)  # the engine reads the cached constants and plans
     avg_ser_exact(OperatingPoint(fm.geometry, fm, 4, 1e-3))
     monkeypatch.undo()
+    assert par.bounds == bounds
+    # the integrand takes 0-d copies of the constants; the fields stay floats for
+    # the bound pass's scalar loops
+    assert [x.shape for x in par.operands] == [()] * 5
+    assert [x.item() for x in par.operands] == [par.log_amp, par.y_star, -2.0 * par.sig2,
+                                                par.h_hat, par.sqrt2s]
+    assert all(type(getattr(par, f.name)) is float for f in dataclasses.fields(par))
     # the upper plan's fixed points are its ends, h_hat, y* + k sigma for
     # k = -10, -6, -3, 0, 3, 6, 10; equality and hashing ignore the cached
     # values

@@ -11,7 +11,7 @@ from fsolink import channel, cli
 from fsolink import errorrates as er
 from fsolink.cli import (ConfigError, RunConfig, load_config, main,
                          parse_config_text, serialize_config)
-from support import run_python
+from support import GRID_POINTS, run_python
 
 
 def run_cli(argv):
@@ -261,6 +261,87 @@ def test_delta_crossing_into_a_zero_average_exit_code():
     assert [r[3] for r in rows[1:]] == ["approx-vs-exact", "dense-vs-exact"]
     assert all(r[5] == "nan" and r[6] == "average is 0 at an end of [71.0, 74.0] dBm, "
                "the cell where it crosses 1e-300" for r in rows[1:])
+
+
+def _scanned_delta_rows(cfg):
+    """The rows of fsolink delta as sampled curves give them: every
+    expression swept over the whole grid by sweep_curve, a sweep's error
+    failing its row (or, for the exact curve, the whole table), then
+    delta_gaps."""
+    op, grid = cfg.operating_point(), cfg.power_grid()
+    threshold = cfg.ber_threshold if cfg.modulation_m == 2 else cfg.ser_threshold
+    try:
+        exact = er.sweep_curve(op, er.AVERAGES["exact"], grid)
+    except (er.QuadratureError, ValueError) as exc:
+        return [["", "", "", "", "", "", str(exc)]]
+    names, curves = [n for n in cfg.expressions if n != "exact"], []
+    for name in names:
+        try:
+            curves.append(er.sweep_curve(op, er.AVERAGES[name], grid))
+        except (er.QuadratureError, ValueError) as exc:
+            curves.append(exc)
+    return [[f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
+             f"{name}-vs-exact", "%.12e" % threshold]
+            + (["%.4f" % d, ""] if error is None else ["nan", str(error)])
+            for name, d, error in zip(names, *er.delta_gaps(exact, curves, threshold))]
+
+
+@pytest.mark.parametrize("point", GRID_POINTS)
+def test_delta_rows_match_the_sampled_curves(point):
+    # the bisection finds the cell a scan of the sampled curve finds, so every
+    # row, its gap, its error and the exit code, is the scan's, bit for bit
+    for m in (2, 4, 64):
+        names = ["exact", "approx", "dense", "dense_highpower"] + (["ook_simple"] if m == 2 else [])
+        for step in (0.25, 1.0):
+            cfg = RunConfig(jitter_sigma_m=point[0], rytov_variance=point[1], modulation_m=m,
+                            p_dbm_step=step, expressions=tuple(names))
+            code, out = run_cli(["delta", "--jitter_sigma_m", str(point[0]),
+                                 "--rytov_variance", str(point[1]), "--modulation_m", str(m),
+                                 "--p_dbm_step", str(step), "--expressions", ",".join(names)])
+            rows = _scanned_delta_rows(cfg)
+            assert rows_of(out)[1:] == rows
+            assert code == (3 if any(row[6] for row in rows) else 0)
+
+
+def test_delta_ignores_a_failure_where_its_search_does_not_probe(monkeypatch):
+    # a failing average at a grid power the bisection never probes leaves the
+    # row as it was, where a sweep of the whole grid fails on it
+    argv = ["delta", "--p_dbm_step", "1", "--expressions", "exact,approx"]
+    approx, probed = er.AVERAGES["approx"], set()
+
+    def recording(op):
+        probed.add(op.transmit_power_p)
+        return approx(op)
+
+    monkeypatch.setitem(er.AVERAGES, "approx", recording)
+    code, expected = run_cli(argv)
+    assert code == 0
+    grid = RunConfig(p_dbm_step=1.0).power_grid()
+    skipped = [p for p in grid if cli.dbm_to_watts(p) not in probed]
+    assert len(skipped) > len(grid) // 2
+
+    def failing(op):
+        if op.transmit_power_p == cli.dbm_to_watts(skipped[0]):
+            raise er.QuadratureError("approx fails")
+        return approx(op)
+
+    monkeypatch.setitem(er.AVERAGES, "approx", failing)
+    assert run_cli(argv) == (0, expected)
+    op = RunConfig().operating_point()
+    with pytest.raises(er.QuadratureError, match="approx fails"):
+        er.sweep_curve(op, failing, grid)
+
+
+def test_delta_exact_search_failure_is_one_error_row(monkeypatch):
+    # an exact average that fails where its search probes fails the table, as a
+    # failed exact sweep did: one row holding its error
+    def failing(op):
+        raise er.QuadratureError("exact fails")
+
+    monkeypatch.setitem(er.AVERAGES, "exact", failing)
+    code, out = run_cli(["delta", "--expressions", "exact,approx,dense"])
+    assert code == 3
+    assert rows_of(out)[1:] == [["", "", "", "", "", "", "exact fails"]]
 
 
 def test_delta_row_errors_keep_their_order(monkeypatch):
@@ -520,7 +601,8 @@ def test_power_step_requires_target_ser():
 def test_parser_builds_only_the_invoked_commands_flags(monkeypatch):
     # the top-level parser and the five subcommands add their -h each, and
     # power-step its three flags; of the subcommands, sweep alone gets
-    # --config, --out and a flag per RunConfig field
+    # --config, --out and a flag per RunConfig field. The parser is built
+    # once per subcommand: a second sweep builds nothing
     calls = []
     add_argument = argparse._ActionsContainer.add_argument
 
@@ -528,10 +610,39 @@ def test_parser_builds_only_the_invoked_commands_flags(monkeypatch):
         calls.append(args)
         return add_argument(self, *args, **kwargs)
 
+    cli._parser.cache_clear()
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
-    code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "0"])
-    assert code == 0 and len(rows_of(out)) == 2
-    assert len(calls) == 6 + 3 + 2 + len(fields(RunConfig))
+    for built in (6 + 3 + 2 + len(fields(RunConfig)), 0):
+        calls.clear()
+        code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "0"])
+        assert code == 0 and len(rows_of(out)) == 2
+        assert len(calls) == built
+
+
+def test_shared_parser_keeps_help_errors_and_exit_codes(capsys):
+    # a parser reused across calls prints the same help, still rejects a bad
+    # flag with exit 2, and parses a good command line after it
+    def help_text(argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 0
+        return capsys.readouterr().out
+
+    for argv in (["--help"], ["delta", "--help"]):
+        assert help_text(argv) == help_text(argv)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", "--no_such_flag", "1"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --no_such_flag" in capsys.readouterr().err
+        code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "0"])
+        assert code == 0 and len(rows_of(out)) == 2
+    # any other first token shares one parser, so the cache stays bounded
+    for argv in (["bogus"], ["--p_dbm_min", "0", "sweep"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert cli.build_parser(["bogus"]) is cli.build_parser(["other"]) is cli.build_parser()
+    assert cli._parser.cache_info().currsize <= 6
 
 
 def test_command_builds_the_channel_model_once(monkeypatch):

@@ -300,6 +300,35 @@ def test_simple_frozen_value():
     assert avg_ber_ook_approx_simple(op) == pytest.approx(0.104674933195, rel=1e-6)
 
 
+def test_ook_simple_is_defined_by_its_cutoff():
+    # near h_hat the single-tail integrand behaves as C / y, which is not
+    # integrable: moving the cut-off from y = ln(1 + 1e-12) down to
+    # ln(1 + 1e-15) adds C ln(ln(1 + 1e-12) / ln(1 + 1e-15)), wherever the
+    # value moves at all
+    y12, y15 = math.log1p(1e-12), math.log1p(1e-15)
+    checked = 0
+    for point in GRID_POINTS:
+        for p_dbm in (-10.0, 0.0, 10.0, 20.0):
+            op = make_op(*point, 2, p_dbm)
+            par = op.fading.log_gain_params
+            (u,) = errorrates._u(op, [op.transmit_power_p], [1.0])
+
+            def value(y_lo):
+                return channel.single_value(channel.density_average(
+                    op.fading, [u], errorrates._SIMPLE_TAIL,
+                    lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h), y_lo=y_lo,
+                    y_extra=errorrates._LADDER))
+
+            at_12, at_15 = value(y12), value(y15)
+            assert at_12 == avg_ber_ook_approx_simple(op)
+            if abs(at_15 - at_12) > 1e-9 * at_12:
+                c = (par.g2 / 2.0 * math.exp(par.log_amp) * par.sqrt2s / math.sqrt(math.pi)
+                     * 0.5 * float(specfun.erfc_simple_tail(u * par.h_hat)))
+                assert at_15 - at_12 == pytest.approx(c * math.log(y12 / y15), rel=1e-6)
+                checked += 1
+    assert checked >= 16
+
+
 def test_ser_approx_m2_equals_ook_piecewise():
     op = make_op(0.25, 0.5, 2, 3.0)
     assert avg_ser_approx(op) == pytest.approx(avg_ber_ook_approx_piecewise(op),
