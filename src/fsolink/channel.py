@@ -561,12 +561,11 @@ def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
         constants = par.bounds[key] = _bound_constants(par, *key)
     (w_peak, b, log_scale, s_sqrt2, rate, a, far, yl0_0, low_0, k_log, bump_log, m, low_log,
      log_env, log_amp, y_star, inv_2sig2, sqrt2s, h_hat, y_top) = constants
-    cutoff, sqrt_pi, ln_half, ln_quarter = ARG_CUTOFF, _SQRT_PI, -_LN2, -2.0 * _LN2  # as locals
     rows, probes, u_list = [], [], u.tolist()  # probes: each entry's nine, flat
     for x in u_list:
         s_hat = x * h_hat
         if 0.0 < s_hat < inf:
-            y_c, y_up = -log(s_hat), log(cutoff / s_hat)
+            y_c, y_up = -log(s_hat), log(ARG_CUTOFF / s_hat)
         else:
             y_c, y_up = (-800.0, -inf) if s_hat == inf else (800.0, inf)
         if w_peak > y_c:
@@ -600,7 +599,7 @@ def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
             if yu1 > yu0:
                 v, e0, e1 = yu1 / sqrt2s, yu0 - y_star, yu1 - y_star
                 e0, e1 = h_power * yu0 - e0 * e0 * inv_2sig2, h_power * yu1 - e1 * e1 * inv_2sig2
-                up = (log(2.0 * (yu1 - yu0) / (sqrt_pi * (v + sqrt(v * v + 2.0))))
+                up = (log(2.0 * (yu1 - yu0) / (_SQRT_PI * (v + sqrt(v * v + 2.0))))
                       + (e0 if e0 < e1 else e1) + (l_u0 if l_u0 < l_u1 else l_u1))
                 floor = up if up > floor else floor
         if not -inf < floor < inf:
@@ -621,10 +620,10 @@ def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
             env = log_scale - log(start) if start > 0.0 else log_env
             r = c + (env if env < log_env else log_env) + bump_log - floor
             if start >= 0.0:
-                end = start if r <= ln_half else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
+                end = start if r <= -_LN2 else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
                 top = start if end < start else end if end < top else top
-            elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= ln_half
-                  and (y_up <= y_lo or r <= ln_quarter)):
+            elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= -_LN2
+                  and (y_up <= y_lo or r <= -2.0 * _LN2)):
                 top, w_top = y_lo, -start
         cuts += top < y_up
         c = l_lo if l_lo > l_u0 else l_u0

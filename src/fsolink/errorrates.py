@@ -127,8 +127,8 @@ def _u(op: OperatingPoint, p_watts, scales) -> list[float]:
     scale: the conditional erfc argument per unit gain, scale being the
     M - 1 or M the conditional divides it by."""
     geo = op.geometry
-    return [geo.eta * p / math.sqrt(2.0 * geo.noise_sigma_n**2) / scale
-            for p, scale in zip(p_watts, scales)]
+    eta, sqrt_2var = geo.eta, math.sqrt(2.0 * geo.noise_sigma_n**2)
+    return [eta * p / sqrt_2var / scale for p, scale in zip(p_watts, scales)]
 
 
 # ---------------------------------------------------------------------------
