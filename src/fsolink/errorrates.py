@@ -546,6 +546,8 @@ def delta_gaps_on_grid(op: OperatingPoint, exact, approx, p_dbm_grid, threshold:
     Returns (gaps, errors) as delta_gaps does, errors[i] being approx[i]'s
     search error, or that of its crossing, or else of the exact one.
     """
+    if not approx:
+        return [], []
     cells = _grid_cells([(e, op) for e in (exact, *approx)], p_dbm_grid, threshold, 1e-4,
                         _not_crossed(threshold, p_dbm_grid))
     if isinstance(cells[0], Exception) and not isinstance(cells[0], NoCrossingError):
