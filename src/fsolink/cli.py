@@ -310,8 +310,9 @@ def cmd_mc(cfg: RunConfig, op: OperatingPoint, out) -> int:
     header = ["p_dbm", "m", "ser_hat", "ber_hat", "symbol_errors", "bit_errors",
               "n_symbols", "ci95_ser", "ci95_ber", "seed"]
     rows = []
-    # a thread per core, at most one per batch: the counts do not depend on it
-    workers = min(os.cpu_count() or 1, -(-cfg.n_symbols // McConfig.batch_size))
+    # a thread per usable CPU, at most one per batch: the counts do not depend on it
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, -(-cfg.n_symbols // McConfig.batch_size))
     mc = McConfig(n_symbols=cfg.n_symbols, seed=cfg.seed, workers=workers)
     for p in grid:
         est = simulate(op.with_power(dbm_to_watts(p)), mc)

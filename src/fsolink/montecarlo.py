@@ -3,8 +3,8 @@ channel: BRGC-mapped symbols, i.i.d. channel gains, AWGN, ML detection with
 perfect channel knowledge, and SER/BER estimation with 95% confidence
 intervals.
 
-Randomness is drawn from counter-based Philox streams keyed by
-(batch_index, seed), so a run is bit-identical for a fixed seed no matter how
+Each batch draws from its own SFC64 stream, child batch_index of
+SeedSequence(seed), so a run is bit-identical for a fixed seed no matter how
 many workers shard the batches. A batch draws each gain with one exp, and runs
 the nearest-level rule only on symbols whose noise can reach a midpoint.
 """
@@ -97,11 +97,16 @@ def _screened_detect(j_sent, r, m_order: int):
     return idx, _nearest_level(j_sent[idx] + r[idx], m_order)
 
 
+def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    """The stream of one batch: child batch_index of SeedSequence(seed).spawn(...)."""
+    seq = np.random.SeedSequence(seed, spawn_key=(batch_index,))
+    return np.random.Generator(np.random.SFC64(seq))
+
+
 def _run_batch(op: OperatingPoint, seed: int, batch_index: int, n: int,
                fixed_gain=None):
     """Simulate one batch; returns (symbol_errors, bit_errors)."""
-    key = (batch_index << 64) | seed
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _batch_rng(seed, batch_index)
     m_order = op.modulation_order_m
     geo = op.geometry
 

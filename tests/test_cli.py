@@ -439,17 +439,29 @@ def test_mc_output_independent_of_workers(monkeypatch):
     simulate = cli.simulate
     monkeypatch.setattr(cli, "simulate",
                         lambda op, mc: seen.append(mc.workers) or simulate(op, mc))
-    # three batches of the default 10^6 symbols: a thread per core, at most three
+    # three batches of the default 10^6 symbols: a thread per usable CPU, at
+    # most three, whatever the host's CPU count
     argv = ["mc", "--p_dbm_min", "6", "--p_dbm_max", "6", "--modulation_m", "4",
             "--n_symbols", "2000001"]
     outs = []
-    for cores in (None, 1, 2, 4):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda cores=cores: cores)
+
+    def run():
         code, out = run_cli(argv)
         assert code == 0
         outs.append(out)
-    assert seen == [1, 1, 2, 3]
-    assert outs[1:] == outs[:1] * 3
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid, cores=cores: set(range(cores)), raising=False)
+        run()
+    # without an affinity call, the CPU count; without that, one thread
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    for cores in (None, 4):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cores=cores: cores)
+        run()
+    assert seen == [1, 2, 3, 1, 3]
+    assert outs[1:] == outs[:1] * 4
     assert len(rows_of(outs[0])) == 2
 
 

@@ -195,6 +195,23 @@ def test_simulate_matches_quadrature_at_crossing():
     assert abs(est.ser_hat - 1e-3) < 3.0 * se
 
 
+@pytest.mark.parametrize("sigma_s, rytov, m, p_dbm", [
+    (5.0, 1e-4, 2, 80.0),     # gamma^2 = 0.039
+    (3.0, 1.0, 4, 60.0),      # gamma^2 = 0.11
+    (2.0, 1.0, 1024, 70.0),   # gamma^2 = 0.25
+    (0.05, 1.0, 1024, 40.0),  # gamma^2 = 392
+    (0.03, 1e-4, 16, 10.0),   # gamma^2 = 1090
+])
+def test_simulate_matches_exact_ser_off_grid(sigma_s, rytov, m, p_dbm):
+    # far from the headline grid in gamma^2, turbulence and order, where the
+    # exact SER lies in [1e-3, 0.3]
+    op = make_op(sigma_s, rytov, m, p_dbm)
+    exact = avg_ser_exact(op)
+    assert 1e-3 <= exact <= 0.3
+    est = simulate(op, McConfig(n_symbols=1_000_000, seed=41))
+    assert abs(est.ser_hat - exact) < 5.0 * math.sqrt(exact * (1.0 - exact) / est.n_symbols)
+
+
 def test_one_worker_runs_every_batch_on_the_calling_thread(monkeypatch):
     threads = []
     run_batch = montecarlo._run_batch
@@ -241,7 +258,7 @@ def _unfused_batch(op, seed, batch_index, n, fixed_gain=None):
     detection: a log-normal gain times the inverse-CDF Rayleigh pointing gain,
     the received signal y, and y over the scaled spacing, decided for every
     symbol as ml_detect does."""
-    rng = np.random.Generator(np.random.Philox(key=(batch_index << 64) | seed))
+    rng = montecarlo._batch_rng(seed, batch_index)
     m, geo, fm = op.modulation_order_m, op.geometry, op.fading
     j_sent = rng.integers(0, m, size=n)
     if fixed_gain is not None:
@@ -275,3 +292,23 @@ def test_fixed_gain_batch_counts_equal_unfused_batch():
     counts = montecarlo._run_batch(op, 17, 0, 50_000, h)
     assert counts[0] > 0
     assert counts == _unfused_batch(op, 17, 0, 50_000, h)
+
+
+# ---------------------------------------------------------------------------
+# the seed-to-stream contract
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_batch_stream_is_the_spawned_child(seed):
+    children = np.random.SeedSequence(seed).spawn(6)
+    for b in (0, 1, 5):
+        spawned = np.random.Generator(np.random.SFC64(children[b]))
+        assert np.array_equal(montecarlo._batch_rng(seed, b).integers(0, 2**63, 8),
+                              spawned.integers(0, 2**63, 8))
+
+
+def test_batch_counts_known_answer():
+    # pins the stream: a change to the generator, its seeding or the order of
+    # the draws moves these counts
+    op = make_op(*PINK, 4, 4.0)
+    assert montecarlo._run_batch(op, 1, 0, 100_000) == (2859, 2860)
+    assert montecarlo._run_batch(op, 1, 3, 100_000) == (2848, 2855)
