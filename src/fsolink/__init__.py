@@ -7,7 +7,7 @@ from .channel import (FadingModel, LinkGeometry, OperatingPoint,
                       moment_composite, pdf_composite, pdf_pointing,
                       pdf_turbulence, rytov_variance, sample_composite,
                       snr_electrical, snr_optical, watts_to_dbm)
-from .errorrates import (ErrorRateCurve, NoCrossingError,
+from .errorrates import (ErrorRateCurve, NoCrossingError, avg_ber_exact,
                          avg_ber_mpam, avg_ber_ook_approx_piecewise,
                          avg_ber_ook_approx_simple, avg_ber_ook_exact,
                          avg_ser_approx, avg_ser_dense,

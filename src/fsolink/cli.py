@@ -139,9 +139,8 @@ class RunConfig:
         return [self.p_dbm_min + i * self.p_dbm_step for i in range(n)]
 
 
-# the expressions the command line accepts. The commands look them up by name
-# in er.AVERAGES, whose functions have batch forms over transmit powers, so
-# replacing a value of this copy does not change what they compute.
+# the expressions the command line accepts. The commands evaluate the batches
+# of er.AVERAGES, so replacing a value of this copy changes nothing they compute.
 EXPRESSIONS = dict(er.AVERAGES)
 
 _INT_FIELDS = {"modulation_m", "n_symbols", "seed", "h_points"}

@@ -19,7 +19,6 @@ the turbulence normal.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -173,28 +172,24 @@ def _avg_ser_pointing_integrated(op: OperatingPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# average expressions. Each is a batch over transmit powers and modulation
-# orders, batch(op, p_watts, orders) -> (values, errors) as
-# channel.density_average returns them, entry i at power p_watts[i] and order
-# orders[i] over op's channel, and a one-power call op -> value at op's own
-# power and order.
+# average expressions. Each is a one-power call op -> value at op's power and
+# order, and its attribute batch(op, p_watts, orders) -> (values, errors), as
+# channel.density_average returns them, evaluates entry i at power p_watts[i]
+# and order orders[i] over op's channel.
 
 # the erfc weight pairs of the approximations; see channel.EXACT_WEIGHT
 _PIECEWISE = (erfc_piecewise_negative, erfcx_piecewise_approx)
 _SIMPLE_TAIL = (None, erfcx_simple_tail)
 
-_BATCHED = {}  # one-power call -> its batch
-
 
 def _one_power(batch):
-    """The one-power call of batch, which carries batch's name without its
-    leading underscore and batch's docstring."""
+    """The one-power call of batch, which carries batch as its batch, and
+    batch's name without its leading underscore and batch's docstring."""
     def average(op: OperatingPoint) -> float:
         return single_value(batch(op, [op.transmit_power_p], [op.modulation_order_m]))
 
     average.__name__ = average.__qualname__ = batch.__name__.lstrip("_")
-    average.__doc__ = batch.__doc__
-    _BATCHED[average] = batch
+    average.__doc__, average.batch = batch.__doc__, batch
     return average
 
 
@@ -239,8 +234,8 @@ def avg_ber_ook_exact(op: OperatingPoint, nested: bool = False) -> float:
     return avg_ser_exact(op, nested=nested)
 
 
-_BATCHED[avg_ser_exact] = _ser_exact
-_BATCHED[avg_ber_ook_exact] = lambda op, p, orders: _ser_exact(op, p, _require_ook(orders))
+avg_ser_exact.batch = _ser_exact
+avg_ber_ook_exact.batch = lambda op, p_watts, orders: _ser_exact(op, p_watts, _require_ook(orders))
 
 
 def _avg_ser_approx(op, p_watts, orders):
@@ -297,6 +292,21 @@ def _avg_ber_ook_approx_simple(op, p_watts, orders):
                            y_lo=math.log1p(1e-12), y_extra=_LADDER)
 
 
+def _avg_ber_exact(op, p_watts, orders):
+    """Exact average BER of Gray-mapped M-PAM: conditional_ber_exact's sum,
+    _gray_ber, averaged with the density weight of the exact SER. Its terms
+    depend on M, so each distinct order of orders is one engine call."""
+    values, errors = [math.nan] * len(orders), [None] * len(orders)
+    for m, terms in {m: _gray_ber_terms(m) for m in orders}.items():
+        ks = [k for k, order in enumerate(orders) if order == m]
+        results = density_average(op.fading, _u(op, [p_watts[k] for k in ks], [m - 1] * len(ks)),
+                                  EXACT_WEIGHT, lambda h, u: _gray_ber(terms, u * h))
+        for k, value, error in zip(ks, *results):
+            values[k], errors[k] = value, error
+    return values, errors
+
+
+avg_ber_exact = _one_power(_avg_ber_exact)
 avg_ser_approx = _one_power(_avg_ser_approx)
 avg_ber_ook_approx_piecewise = _one_power(_avg_ber_ook_approx_piecewise)
 avg_ser_dense = _one_power(_avg_ser_dense)
@@ -306,12 +316,10 @@ avg_ber_ook_approx_simple = _one_power(_avg_ber_ook_approx_simple)
 
 def avg_ber_mpam(op: OperatingPoint, mode: str = "ser-over-m",
                  approx: bool = False) -> float:
-    """Average M-PAM BER: mode "exact" averages conditional_ber_exact; "ser-over-m"
-    divides the average SER (with approx, its piecewise form) by the bits per symbol."""
+    """Average M-PAM BER: mode "exact" is avg_ber_exact; "ser-over-m" divides
+    the average SER (with approx, its piecewise form) by the bits per symbol."""
     if mode == "exact":
-        m, terms = op.modulation_order_m, _gray_ber_terms(op.modulation_order_m)
-        return single_value(density_average(op.fading, _u(op, [op.transmit_power_p], [m - 1]),
-                                            EXACT_WEIGHT, lambda h, u: _gray_ber(terms, u * h)))
+        return avg_ber_exact(op)
     if mode == "ser-over-m":
         ser = avg_ser_approx(op) if approx else avg_ser_exact(op)
         return flush_subnormal(ser / op.bits_per_symbol)
@@ -329,44 +337,34 @@ AVERAGES = {
 
 
 def _evaluations(points, p_watts):
-    """Each (expression, op) pair of points, expression a callable op ->
-    value, at op moved to the matching transmit power of p_watts. The pairs
-    of an average of this module are evaluated as one batch per average and
-    channel, each entry at its op's modulation order, any other callable
-    point by point. Returns (values, errors) as averages_at_powers does."""
+    """Each (expression, op) pair of points, expression an average of this
+    module, at op moved to the matching transmit power of p_watts: one call
+    of expression.batch per average and channel, each entry at its op's
+    modulation order. Returns (values, errors) as averages_at_powers does."""
     values, errors, batches = [math.nan] * len(points), [power_error(p) for p in p_watts], {}
     for k, (expression, op) in enumerate(points):
-        if errors[k] is None and expression in _BATCHED:
+        if errors[k] is None:
             # keyed by identity: hashing the FadingModel dataclass costs more than
             # the rest of a point, and points holds both objects alive
             batches.setdefault((id(expression), id(op.fading)), []).append(k)
-        elif errors[k] is None:
-            try:
-                values[k] = expression(op.with_power(p_watts[k]))
-            except (QuadratureError, ValueError) as exc:
-                errors[k] = exc
     for ks in batches.values():
         expression, op = points[ks[0]]
         try:
-            results = zip(*_BATCHED[expression](op, [p_watts[k] for k in ks],
-                                                [points[k][1].modulation_order_m for k in ks]))
+            results = zip(*expression.batch(op, [p_watts[k] for k in ks],
+                                             [points[k][1].modulation_order_m for k in ks]))
         except ValueError as exc:
-            results = itertools.repeat((math.nan, exc))
+            results = [(math.nan, exc)] * len(ks)
         for k, (value, error) in zip(ks, results):
             values[k], errors[k] = value, error
     return values, errors
 
 
 def averages_at_powers(expression, op: OperatingPoint, p_watts):
-    """expression, a callable op -> value, at op moved to each transmit power
-    in p_watts (W).
-
-    The averages of this module are evaluated as one batch, any other
-    callable point by point. Returns (values, errors): errors[i] is None, or
-    the QuadratureError or ValueError of point i, whose value is then nan. A
-    power that is not positive and finite is the ValueError OperatingPoint
-    raises for it.
-    """
+    """expression, an average of this module, at op moved to each transmit
+    power in p_watts (W), evaluated as one batch. Returns (values, errors):
+    errors[i] is None, or the QuadratureError or ValueError of point i, whose
+    value is then nan. A power that is not positive and finite is the
+    ValueError OperatingPoint raises for it."""
     return _evaluations([(expression, op)] * len(p_watts), p_watts)
 
 
@@ -375,8 +373,8 @@ def averages_at_powers(expression, op: OperatingPoint, p_watts):
 
 @dataclass
 class ErrorRateCurve:
-    """Sampled error-rate curve in dBm, with the expression (a callable
-    op -> value) and operating point it samples, for crossing refinement."""
+    """Error-rate curve sampled on increasing finite powers (dBm), with the
+    average of this module and the operating point it samples, to refine on."""
 
     p_dbm: list[float]
     values: list[float]
@@ -386,14 +384,13 @@ class ErrorRateCurve:
     def __post_init__(self):
         if len(self.p_dbm) != len(self.values):
             raise ValueError("p_dbm and values must have equal length")
-        if any(b <= a for a, b in zip(self.p_dbm, self.p_dbm[1:])):
-            raise ValueError("p_dbm must be strictly increasing")
+        if not np.isfinite(self.p_dbm).all() or (np.diff(self.p_dbm) <= 0.0).any():
+            raise ValueError("p_dbm must be finite and strictly increasing")
 
 
 def sweep_curve(op: OperatingPoint, expression, p_dbm_grid) -> ErrorRateCurve:
-    """Evaluate expression (a callable op -> value) at op moved to each power
-    of a dBm grid; the averages of this module are evaluated as one batch.
-    Raises the first point's error, if any."""
+    """Evaluate expression (an average of this module) at op moved to each
+    power of a dBm grid, as one batch. Raises the first point's error, if any."""
     values, errors = averages_at_powers(expression, op, [dbm_to_watts(p) for p in p_dbm_grid])
     for error in errors:
         if error is not None:
@@ -461,7 +458,8 @@ def _first_crossing_cell(curve: ErrorRateCurve, threshold: float):
 
 
 def _not_crossed(threshold: float, p_dbm) -> str:
-    return f"threshold {threshold} not crossed on [{p_dbm[0]}, {p_dbm[-1]}] dBm"
+    where = f"[{p_dbm[0]}, {p_dbm[-1]}] dBm" if len(p_dbm) else "an empty grid"
+    return f"threshold {threshold} not crossed on {where}"
 
 
 def crossing_power(curve: ErrorRateCurve, threshold: float) -> float:
@@ -537,19 +535,22 @@ def _grid_cells(points, p_dbm, level: float, tol: float, missing: str):
 
 def delta_gaps_on_grid(op: OperatingPoint, exact, approx, p_dbm_grid, threshold: float):
     """delta_gaps of the curves that sweep_curve would sample, of exact and of
-    each of approx (callables op -> value) at op on the dBm grid p_dbm_grid,
+    each of approx (averages of this module) at op on the dBm grid p_dbm_grid,
     without sampling them: _grid_cells finds each crossing's cell by
     bisection, every lane in lockstep, and one lockstep solve refines them.
     On non-increasing curves the gaps are those of delta_gaps, bit for bit.
 
-    Raises the error of an average of exact that its search stopped on.
-    Returns (gaps, errors) as delta_gaps does, errors[i] being approx[i]'s
-    search error, or that of its crossing, or else of the exact one.
+    Raises NoCrossingError for an empty grid, and the error of an average of
+    exact that its search stopped on. Returns (gaps, errors) as delta_gaps
+    does, errors[i] being approx[i]'s search error, or that of its crossing,
+    or else of the exact one.
     """
     if not approx:
         return [], []
-    cells = _grid_cells([(e, op) for e in (exact, *approx)], p_dbm_grid, threshold, 1e-4,
-                        _not_crossed(threshold, p_dbm_grid))
+    missing = _not_crossed(threshold, p_dbm_grid)
+    if not len(p_dbm_grid):
+        raise NoCrossingError(missing)
+    cells = _grid_cells([(e, op) for e in (exact, *approx)], p_dbm_grid, threshold, 1e-4, missing)
     if isinstance(cells[0], Exception) and not isinstance(cells[0], NoCrossingError):
         raise cells[0]
     return _gaps(cells, threshold)

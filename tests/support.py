@@ -1,5 +1,6 @@
 """Shared constants and helpers for the test suite."""
 
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import fsolink
 from fsolink.channel import FadingModel, LinkGeometry, OperatingPoint, dbm_to_watts
+from fsolink.quadrature import QuadratureError
 
 # default link budget used throughout the headline results
 GEOMETRY_KW = dict(
@@ -42,6 +44,28 @@ def make_op(sigma_s: float, rytov: float, m: int = 2, p_dbm: float = 0.0,
             geometry=None) -> OperatingPoint:
     fm = make_fading(sigma_s, rytov, geometry)
     return OperatingPoint(fm.geometry, fm, m, dbm_to_watts(p_dbm))
+
+
+def as_average(fake):
+    """fake, a callable op -> value, as an average of fsolink.errorrates: a
+    one-power call whose batch evaluates fake at each entry's power and order,
+    an entry that raises QuadratureError or ValueError failing alone."""
+    def batch(op, p_watts, orders):
+        values, errors = [], []
+        for p, m in zip(p_watts, orders):
+            try:
+                values.append(fake(op.with_power(p).with_modulation(m)))
+                errors.append(None)
+            except (QuadratureError, ValueError) as exc:
+                values.append(math.nan)
+                errors.append(exc)
+        return values, errors
+
+    def average(op):
+        return fake(op)
+
+    average.batch = batch
+    return average
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

@@ -11,7 +11,7 @@ from fsolink import channel, cli
 from fsolink import errorrates as er
 from fsolink.cli import (ConfigError, RunConfig, load_config, main,
                          parse_config_text, serialize_config)
-from support import GRID_POINTS, run_python
+from support import GRID_POINTS, as_average, run_python
 
 
 def run_cli(argv):
@@ -313,7 +313,7 @@ def test_delta_ignores_a_failure_where_its_search_does_not_probe(monkeypatch):
         probed.add(op.transmit_power_p)
         return approx(op)
 
-    monkeypatch.setitem(er.AVERAGES, "approx", recording)
+    monkeypatch.setitem(er.AVERAGES, "approx", as_average(recording))
     code, expected = run_cli(argv)
     assert code == 0
     grid = RunConfig(p_dbm_step=1.0).power_grid()
@@ -325,11 +325,11 @@ def test_delta_ignores_a_failure_where_its_search_does_not_probe(monkeypatch):
             raise er.QuadratureError("approx fails")
         return approx(op)
 
-    monkeypatch.setitem(er.AVERAGES, "approx", failing)
+    monkeypatch.setitem(er.AVERAGES, "approx", as_average(failing))
     assert run_cli(argv) == (0, expected)
     op = RunConfig().operating_point()
     with pytest.raises(er.QuadratureError, match="approx fails"):
-        er.sweep_curve(op, failing, grid)
+        er.sweep_curve(op, as_average(failing), grid)
 
 
 def test_delta_exact_search_failure_is_one_error_row(monkeypatch):
@@ -338,7 +338,7 @@ def test_delta_exact_search_failure_is_one_error_row(monkeypatch):
     def failing(op):
         raise er.QuadratureError("exact fails")
 
-    monkeypatch.setitem(er.AVERAGES, "exact", failing)
+    monkeypatch.setitem(er.AVERAGES, "exact", as_average(failing))
     code, out = run_cli(["delta", "--expressions", "exact,approx,dense"])
     assert code == 3
     assert rows_of(out)[1:] == [["", "", "", "", "", "", "exact fails"]]
@@ -356,14 +356,14 @@ def test_delta_row_errors_keep_their_order(monkeypatch):
                 off_grid.append(name)
                 raise er.QuadratureError(f"{name} crossing fails")
             return average(op)
-        return expression
+        return as_average(expression)
 
     def failing_sweep(op):
         raise er.QuadratureError("approx sweep fails")
 
     for name in ("exact", "dense"):
         monkeypatch.setitem(er.AVERAGES, name, on_grid_only(name, er.AVERAGES[name]))
-    monkeypatch.setitem(er.AVERAGES, "approx", failing_sweep)
+    monkeypatch.setitem(er.AVERAGES, "approx", as_average(failing_sweep))
     code, out = run_cli(["delta", "--p_dbm_step", "1",
                          "--expressions", "exact,approx,dense,ook_simple,dense_highpower"])
     assert code == 3

@@ -12,7 +12,7 @@ from scipy import special
 from fsolink import channel, cli, errorrates, quadrature, specfun
 from fsolink.channel import composite_expectation, dbm_to_watts, watts_to_dbm
 from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
-                                averages_at_powers, avg_ber_mpam,
+                                averages_at_powers, avg_ber_exact, avg_ber_mpam,
                                 avg_ber_ook_approx_piecewise,
                                 avg_ber_ook_approx_simple, avg_ber_ook_exact,
                                 avg_ser_approx, avg_ser_dense,
@@ -25,7 +25,7 @@ from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
 from fsolink.montecarlo import McConfig, brgc_encode, simulate
 from fsolink.quadrature import QuadratureError
 from fsolink.specfun import q_function
-from support import GRID_POINTS, HEADLINE_POINTS, make_op
+from support import GRID_POINTS, HEADLINE_POINTS, as_average, make_op
 
 PINK = (0.35, 0.1)
 
@@ -431,13 +431,18 @@ def test_curve_validation():
         ErrorRateCurve([0.0, 1.0], [0.1])
     with pytest.raises(ValueError):
         ErrorRateCurve([0.0, 0.0], [0.1, 0.2])
+    # a power that is not finite would fail a crossing later, as a root not found
+    for p_dbm in ([0.0, math.nan], [math.nan, 1.0], [math.nan], [0.0, math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match="p_dbm must be finite and strictly increasing"):
+            ErrorRateCurve(p_dbm, [0.1] * len(p_dbm))
 
 
 def _dbm_curve(fn, p_dbm):
     """The curve of fn (a function of the power in dBm) on p_dbm, whose
     expression evaluates fn at an operating point's power."""
     return ErrorRateCurve(p_dbm, [fn(p) for p in p_dbm],
-                          lambda op: fn(watts_to_dbm(op.transmit_power_p)), make_op(*PINK))
+                          as_average(lambda op: fn(watts_to_dbm(op.transmit_power_p))),
+                          make_op(*PINK))
 
 
 def test_delta_gap_identical_curves_is_zero():
@@ -491,7 +496,7 @@ def test_crossing_power_never_evaluates_the_cell_ends():
         seen.append(op.transmit_power_p)
         return avg_ser_exact(op)
 
-    curve.expression = recording
+    curve.expression = as_average(recording)
     pstar = crossing_power(curve, 1e-3)
     assert seen and not set(seen) & {dbm_to_watts(p) for p in grid}
     curve.expression = avg_ser_exact
@@ -507,9 +512,8 @@ def test_delta_crossings_solved_in_lockstep(monkeypatch):
     curves = [sweep_curve(op, AVERAGES[name], grid)
               for name in ("exact", "approx", "dense", "dense_highpower")]
     calls = []
-    for average, batch in [(c.expression, errorrates._BATCHED[c.expression]) for c in curves]:
-        monkeypatch.setitem(errorrates._BATCHED, average,
-                            lambda *args, average=average, batch=batch:
+    for average in [c.expression for c in curves]:
+        monkeypatch.setattr(average, "batch", lambda *args, average=average, batch=average.batch:
                             calls.append(average) or batch(*args))
     gaps, errors = delta_gaps(curves[0], curves[1:], 1e-3)
     (p_exact, _), *solves = solved = [_scipy_crossing(c, 1e-3) for c in curves]
@@ -524,7 +528,7 @@ def test_delta_crossings_solved_in_lockstep(monkeypatch):
         failed.append(op)
         raise QuadratureError("exact fails")
 
-    curves[0].expression = failing
+    curves[0].expression = as_average(failing)
     gaps, errors = delta_gaps(curves[0], curves[1:], 1e-3)
     assert len(failed) == 1
     assert [str(e) for e in errors] == ["exact fails"] * 3 and all(map(math.isnan, gaps))
@@ -556,6 +560,14 @@ def test_crossing_power_no_crossing_raises():
     curve = ErrorRateCurve([0.0, 1.0], [1e-2, 1e-3])
     with pytest.raises(NoCrossingError):
         crossing_power(curve, 1e-6)
+
+
+def test_empty_grid_is_no_crossing():
+    # an empty grid crosses no threshold, for a curve and for the grid search
+    with pytest.raises(NoCrossingError, match="threshold 0.001 not crossed on an empty grid"):
+        crossing_power(ErrorRateCurve([], []), 1e-3)
+    with pytest.raises(NoCrossingError, match="threshold 0.001 not crossed on an empty grid"):
+        errorrates.delta_gaps_on_grid(make_op(*PINK), avg_ser_exact, [avg_ser_approx], [], 1e-3)
 
 
 def test_power_increase_validation():
@@ -632,13 +644,15 @@ def test_power_steps_fail_only_at_a_failing_order():
             raise ValueError("no 2-PAM here")
         return avg_ser_exact(op)
 
-    steps, errors = power_steps(op, [1, 2, 3], 1e-3, without_ook)
+    steps, errors = power_steps(op, [1, 2, 3], 1e-3, as_average(without_ook))
     assert str(errors[0]) == "no 2-PAM here" and math.isnan(steps[0])
     assert errors[1:] == [None, None]
     assert steps[1:] == power_steps(op, [2, 3], 1e-3)[0]
 
 
-def test_power_steps_evaluate_all_orders_per_engine_call(monkeypatch):
+def _engine_calls(monkeypatch):
+    """The number of entries of each density_average call the averages make
+    from now on."""
     calls = []
     engine = errorrates.density_average
 
@@ -647,6 +661,11 @@ def test_power_steps_evaluate_all_orders_per_engine_call(monkeypatch):
         return engine(*args, **kwargs)
 
     monkeypatch.setattr(errorrates, "density_average", counted)
+    return calls
+
+
+def test_power_steps_evaluate_all_orders_per_engine_call(monkeypatch):
+    calls = _engine_calls(monkeypatch)
     steps, errors = power_steps(make_op(*PINK, 2, 0.0), range(1, 10), 1e-3)
     assert errors == [None] * 9
     # 6 bisection rounds on the 61-point grid and the lockstep Brent rounds;
@@ -684,16 +703,20 @@ def test_power_solve_at_a_zero_average():
 
 GRID_121 = [-10.0 + 0.25 * i for i in range(121)]
 
+# the averages of the command line, the exact BER and the OOK aliases of the SER forms
+BATCHED = {**AVERAGES, "ber_exact": avg_ber_exact, "ook_exact": avg_ber_ook_exact,
+           "ook_piecewise": avg_ber_ook_approx_piecewise}
 
-@pytest.mark.parametrize("name", sorted(AVERAGES))
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
 def test_batch_equals_one_power_calls(name):
     op = make_op(*PINK, 2, 0.0)
     watts = [dbm_to_watts(p) for p in GRID_121]
-    values, errors = averages_at_powers(AVERAGES[name], op, watts)
+    values, errors = averages_at_powers(BATCHED[name], op, watts)
     assert errors == [None] * len(watts)
-    assert values == [AVERAGES[name](op.with_power(w)) for w in watts]
+    assert values == [BATCHED[name](op.with_power(w)) for w in watts]
     # a point's value does not depend on which other powers share its batch
-    part, _ = averages_at_powers(AVERAGES[name], op, watts[::-7])
+    part, _ = averages_at_powers(BATCHED[name], op, watts[::-7])
     assert part == values[::-7]
 
 
@@ -701,14 +724,7 @@ def test_exact_ook_ber_sweep_is_one_engine_call(monkeypatch):
     op = make_op(*PINK, 2, 0.0)
     watts = [dbm_to_watts(p) for p in GRID_121]
     alone = [avg_ber_ook_exact(op.with_power(w)) for w in watts]
-    calls = []
-    engine = errorrates.density_average
-
-    def counted(*args, **kwargs):
-        calls.append(len(args[1]))
-        return engine(*args, **kwargs)
-
-    monkeypatch.setattr(errorrates, "density_average", counted)
+    calls = _engine_calls(monkeypatch)
     values, errors = averages_at_powers(avg_ber_ook_exact, op, watts)
     assert calls == [121] and errors == [None] * 121
     assert values == alone
@@ -716,12 +732,25 @@ def test_exact_ook_ber_sweep_is_one_engine_call(monkeypatch):
         sweep_curve(op.with_modulation(4), avg_ber_ook_exact, GRID_121)
 
 
-@pytest.mark.parametrize("name", ["exact", "approx", "dense", "dense_highpower"])
+def test_exact_ber_sweep_is_one_engine_call(monkeypatch):
+    # the Gray coefficients depend on M, and one order is one engine call
+    op = make_op(*PINK, 16, 0.0)
+    watts = [dbm_to_watts(p) for p in GRID_121]
+    alone = [avg_ber_mpam(op.with_power(w), "exact") for w in watts]
+    calls = _engine_calls(monkeypatch)
+    values, errors = averages_at_powers(avg_ber_exact, op, watts)
+    assert calls == [121] and errors == [None] * 121
+    assert values == alone
+
+
+@pytest.mark.parametrize("name", ["exact", "approx", "dense", "dense_highpower", "ber_exact",
+                                  "ook_exact", "ook_piecewise"])
 def test_mixed_order_batch_equals_one_order_batches(name):
-    # an entry's value does not depend on the orders of the others
+    # an entry's value does not depend on the orders of the others; the OOK
+    # aliases take M = 2 only, and a batch with another order fails whole
     op = make_op(*PINK, 2, 0.0)
-    batch = errorrates._BATCHED[AVERAGES[name]]
-    orders = [2**k for k in range(1, 11)]
+    batch = BATCHED[name].batch
+    orders = [2] if name.startswith("ook") else [2**k for k in range(1, 11)]
     watts = [dbm_to_watts(p) for p in (-5.0, 10.0, 30.0, 60.0)]
     values, errors = batch(op, [w for w in watts for _ in orders], orders * len(watts))
     assert errors == [None] * len(values)
@@ -729,13 +758,15 @@ def test_mixed_order_batch_equals_one_order_batches(name):
         alone, errors = batch(op, watts, [m] * len(watts))
         assert errors == [None] * len(watts)
         assert values[j::len(orders)] == alone
+    if orders == [2]:
+        with pytest.raises(ValueError, match="OOK expressions require M = 2"):
+            batch(op, watts[:2], [2, 4])
 
 
-@pytest.mark.parametrize("expression", [avg_ser_exact, lambda op: avg_ser_exact(op)],
-                         ids=["batch", "point-by-point"])
+@pytest.mark.parametrize("expression", [avg_ser_exact], ids=["batch"])
 def test_invalid_power_flags_only_that_power(expression):
     # a power that is not positive and finite fails as OperatingPoint rejects
-    # it, whether the expression is evaluated as a batch or point by point
+    # it, and only that power of the batch
     op = make_op(*PINK, 4, 0.0)
     watts = [dbm_to_watts(0.0), math.nan, dbm_to_watts(5.0), math.inf, 0.0]
     values, errors = averages_at_powers(expression, op, watts)
@@ -762,15 +793,15 @@ def test_power_solve_ignores_failures_past_the_bracket(monkeypatch):
     assert power_increase_for_next_bit(op, 1, 1e-3) == reference
     monkeypatch.undo()
 
-    # point by point: a callable that fails above 10 dBm bisects to the same cell
+    # an average that fails above 10 dBm, entry by entry, bisects to the same cell
     def failing_above(op):
         if op.transmit_power_p > dbm_to_watts(10.0):
             raise ValueError("no average above 10 dBm")
         return avg_ser_exact(op)
 
-    assert power_increase_for_next_bit(op, 1, 1e-3, failing_above) == reference
-    # and takes the probes and Brent iterates of the batched solve
-    steps, errors = power_steps(op, range(1, 10), 1e-3, lambda op: avg_ser_exact(op))
+    assert power_increase_for_next_bit(op, 1, 1e-3, as_average(failing_above)) == reference
+    # and one-power calls take the probes and Brent iterates of the batched solve
+    steps, errors = power_steps(op, range(1, 10), 1e-3, as_average(avg_ser_exact))
     assert errors == [None] * 9
     assert steps == power_steps(op, range(1, 10), 1e-3)[0]
 
