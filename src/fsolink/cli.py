@@ -33,6 +33,10 @@ class ConfigError(ValueError):
     pass
 
 
+_JITTER_MODES = ("jitter_sigma_m", "jitter_angle_mrad")
+_ONE_JITTER = "set exactly one of jitter_sigma_m / jitter_angle_mrad"
+
+
 @dataclass
 class RunConfig:
     """Flat run configuration; defaults reproduce the reference link budget."""
@@ -62,10 +66,8 @@ class RunConfig:
     h_points: int = 200
 
     def __post_init__(self):
-        if self.jitter_sigma_m is not None and self.jitter_angle_mrad is not None:
-            raise ConfigError("set exactly one of jitter_sigma_m / jitter_angle_mrad")
-        if self.jitter_sigma_m is None and self.jitter_angle_mrad is None:
-            raise ConfigError("set exactly one of jitter_sigma_m / jitter_angle_mrad")
+        if (self.jitter_sigma_m is None) == (self.jitter_angle_mrad is None):
+            raise ConfigError(_ONE_JITTER)
         m = self.modulation_m
         if not 2 <= m <= 1024 or (m & (m - 1)) != 0:
             raise ConfigError("modulation_m must be a power of two from 2 to 1024")
@@ -143,23 +145,22 @@ class RunConfig:
 # of er.AVERAGES, so replacing a value of this copy changes nothing they compute.
 EXPRESSIONS = dict(er.AVERAGES)
 
-_INT_FIELDS = {"modulation_m", "n_symbols", "seed", "h_points"}
-_OPTIONAL_FLOAT_FIELDS = {"jitter_sigma_m", "jitter_angle_mrad"}
+# each RunConfig field's declared kind: its annotation, kept as text by
+# `from __future__ import annotations`
+_KINDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
-    if key == "expressions":
+    kind = _KINDS[key]
+    if kind == "tuple[str, ...]":
         return tuple(s.strip() for s in raw.split(",") if s.strip())
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _OPTIONAL_FLOAT_FIELDS and raw.lower() in ("", "none"):
+    if kind == "float | None" and raw.lower() in ("", "none"):
         return None
-    return float(raw)
+    return int(raw) if kind == "int" else float(raw)
 
 
 def parse_config_text(text: str) -> dict:
     """Parse flat `key = value` lines; # starts a comment; blank lines ignored."""
-    valid = {f.name for f in fields(RunConfig)}
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -169,7 +170,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in valid:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             out[key] = _coerce(key, raw.strip())
@@ -178,30 +179,22 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        val = getattr(cfg, f.name)
-        if val is None:
-            continue
-        if f.name == "expressions":
-            val = ",".join(val)
-        lines.append(f"{f.name} = {val}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    data = {}
+    """The defaults, then the file at path, then overrides, each layer over
+    the ones below it. A layer that sets one jitter mode to a number clears
+    the other mode below it; a layer that sets both is an error."""
+    layers = [overrides]
     if path is not None:
         with open(path) as fh:
-            data = parse_config_text(fh.read())
-    data.update(overrides)
-    # a jitter override replaces the default/other-mode jitter rather than
-    # clashing with it
-    if "jitter_angle_mrad" in data and "jitter_sigma_m" not in data:
-        data["jitter_sigma_m"] = None
-    if data.get("jitter_sigma_m") is not None:
-        data.setdefault("jitter_angle_mrad", None)
+            layers.insert(0, parse_config_text(fh.read()))
+    data = {}
+    for layer in layers:
+        modes = [k for k in _JITTER_MODES if layer.get(k) is not None]
+        if len(modes) == 2:
+            raise ConfigError(_ONE_JITTER)
+        if modes:
+            data.update(dict.fromkeys(_JITTER_MODES))
+        data.update(layer)
     try:
         return RunConfig(**data)
     except (TypeError, ValueError) as exc:
@@ -225,24 +218,28 @@ def _write_rows(out, header, rows):
     writer.writerows(rows)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _exit_code(rows) -> int:
+    """EXIT_NUMERIC if any row's last column, its error, is set, else EXIT_OK."""
+    return EXIT_NUMERIC if any(row[-1] for row in rows) else EXIT_OK
 
-def cmd_pdf(cfg: RunConfig, op: OperatingPoint, out) -> int:
+
+# ---------------------------------------------------------------------------
+# subcommands, each (cfg, op, args, out) -> exit code
+
+def cmd_pdf(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
     grid = np.logspace(math.log10(cfg.h_min), math.log10(cfg.h_max), cfg.h_points)
     rows = [[_fmt_prob(h), _fmt_prob(p)] for h, p in zip(grid, pdf_composite(grid, op.fading))]
     _write_rows(out, ["h", "pdf"], rows)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, op: OperatingPoint, out) -> int:
+def cmd_sweep(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
     grid = cfg.power_grid()
     watts = [dbm_to_watts(p) for p in grid]
     names = list(cfg.expressions)
     results = [er.averages_at_powers(er.AVERAGES[name], op, watts) for name in names]
     header = ["p_dbm", "snr_opt_db", "snr_elec_db"] + names + ["errors"]
     rows = []
-    any_failure = False
     for i, (p, w) in enumerate(zip(grid, watts)):
         op_p = op.with_power(w)
         row = [_fmt_db(p), _fmt_db(snr_optical(op_p)), _fmt_db(snr_electrical(op_p))]
@@ -253,14 +250,13 @@ def cmd_sweep(cfg: RunConfig, op: OperatingPoint, out) -> int:
             else:
                 row.append("nan")
                 errs.append(f"{name}: {errors[i]}")
-                any_failure = True
         row.append("; ".join(errs))
         rows.append(row)
     _write_rows(out, header, rows)
-    return EXIT_NUMERIC if any_failure else EXIT_OK
+    return _exit_code(rows)
 
 
-def cmd_delta(cfg: RunConfig, op: OperatingPoint, out) -> int:
+def cmd_delta(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
     grid = cfg.power_grid()
     threshold = cfg.ber_threshold if cfg.modulation_m == 2 else cfg.ser_threshold
     header = ["jitter_sigma_m", "rytov_variance", "m", "pair", "threshold", "delta_db",
@@ -271,40 +267,36 @@ def cmd_delta(cfg: RunConfig, op: OperatingPoint, out) -> int:
         gaps = er.delta_gaps_on_grid(op, er.AVERAGES["exact"], [er.AVERAGES[n] for n in names],
                                      grid, threshold)
     except (QuadratureError, ValueError) as exc:
-        _write_rows(out, header, [["", "", "", "", "", "", str(exc)]])
-        return EXIT_NUMERIC
-    rows = []
-    any_failure = False
-    for name, d, error in zip(names, *gaps):
-        row = [f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
-               f"{name}-vs-exact", _fmt_prob(threshold)]
-        if error is None:
-            row += [_fmt_db(d), ""]
-        else:
-            row += ["nan", str(error)]
-            any_failure = True
-        rows.append(row)
+        rows = [["", "", "", "", "", "", str(exc)]]
+    else:
+        rows = []
+        for name, d, error in zip(names, *gaps):
+            row = [f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
+                   f"{name}-vs-exact", _fmt_prob(threshold)]
+            if error is None:
+                row += [_fmt_db(d), ""]
+            else:
+                row += ["nan", str(error)]
+            rows.append(row)
     _write_rows(out, header, rows)
-    return EXIT_NUMERIC if any_failure else EXIT_OK
+    return _exit_code(rows)
 
 
-def cmd_power_step(op: OperatingPoint, out, target_ser: float, m_min: int, m_max: int) -> int:
+def cmd_power_step(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
     header = ["m", "delta_p_db", "error"]
     rows = []
-    any_failure = False
-    m_range = range(m_min, m_max + 1)
-    for m, d, error in zip(m_range, *er.power_steps(op, m_range, target_ser)):
+    m_range = range(args.m_min, args.m_max + 1)
+    for m, d, error in zip(m_range, *er.power_steps(op, m_range, args.target_ser)):
         if error is None:
             rows.append([str(m), _fmt_db(d), ""])
         else:
             rows.append([str(m), "nan", str(error)])
-            any_failure = True
     rows.append(["dense_reference", _fmt_db(10.0 * math.log10(2.0)), ""])
     _write_rows(out, header, rows)
-    return EXIT_NUMERIC if any_failure else EXIT_OK
+    return _exit_code(rows)
 
 
-def cmd_mc(cfg: RunConfig, op: OperatingPoint, out) -> int:
+def cmd_mc(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
     grid = cfg.power_grid()
     header = ["p_dbm", "m", "ser_hat", "ber_hat", "symbol_errors", "bit_errors",
               "n_symbols", "ci95_ser", "ci95_ber", "seed"]
@@ -325,38 +317,31 @@ def cmd_mc(cfg: RunConfig, op: OperatingPoint, out) -> int:
     return EXIT_OK
 
 
+# the subcommands by name, in the order the help lists them
+COMMANDS = {"pdf": cmd_pdf, "sweep": cmd_sweep, "delta": cmd_delta,
+            "power-step": cmd_power_step, "mc": cmd_mc}
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_config_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", metavar="PATH", default=None)
-    parser.add_argument("--out", metavar="PATH", default=None)
-    for f in fields(RunConfig):
-        parser.add_argument(f"--{f.name}", default=None, metavar="V")
-
-
-_COMMANDS = ("pdf", "sweep", "delta", "power-step", "mc")
-
-
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for the command line argv. Only the subcommand argv names
-    first gets the configuration flags, most of the parser's cost. The
-    parser is built once per subcommand, and once for any other first
-    token, and shared: a caller must not change it."""
-    return _parser(argv[0] if argv[:1] and argv[0] in _COMMANDS else None)
-
-
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once and shared: a caller must not
+    change it. Every subcommand takes the configuration flags, --config,
+    --out and one per RunConfig field, from one parent parser."""
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", default=None)
+    config.add_argument("--out", metavar="PATH", default=None)
+    for f in fields(RunConfig):
+        config.add_argument(f"--{f.name}", default=None, metavar="V")
     parser = argparse.ArgumentParser(
         prog="fsolink",
         description="Average BER/SER computation for M-PAM free-space optical "
                     "links under log-normal turbulence and pointing errors")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        if name == command:
-            _add_config_flags(p)
+    for name in COMMANDS:
+        p = sub.add_parser(name, parents=[config])
         if name == "power-step":
             p.add_argument("--target-ser", type=float, required=True)
             p.add_argument("--m-min", type=int, default=1)
@@ -367,7 +352,7 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
 def _collect_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
     for f in fields(RunConfig):
-        raw = getattr(args, f.name, None)
+        raw = getattr(args, f.name)
         if raw is None:
             continue
         overrides[f.name] = _coerce(f.name, raw)
@@ -375,8 +360,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _collect_overrides(args))
         op = cfg.operating_point()  # surface model-domain violations as config errors
@@ -394,17 +378,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command == "pdf":
-            return cmd_pdf(cfg, op, sink)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, op, sink)
-        if args.command == "delta":
-            return cmd_delta(cfg, op, sink)
-        if args.command == "power-step":
-            return cmd_power_step(op, sink, args.target_ser, args.m_min, args.m_max)
-        if args.command == "mc":
-            return cmd_mc(cfg, op, sink)
-        raise AssertionError(f"unhandled command {args.command}")
+        return COMMANDS[args.command](cfg, op, args, sink)
     finally:
         if sink is not sys.stdout:
             sink.close()

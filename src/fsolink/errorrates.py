@@ -228,14 +228,12 @@ def avg_ser_exact(op: OperatingPoint, nested: bool = False) -> float:
     return single_value(_ser_exact(op, [op.transmit_power_p], [op.modulation_order_m]))
 
 
-def avg_ber_ook_exact(op: OperatingPoint, nested: bool = False) -> float:
-    """Exact average OOK BER (the M = 2 case of the exact SER)."""
-    _require_ook([op.modulation_order_m])
-    return avg_ser_exact(op, nested=nested)
-
-
 avg_ser_exact.batch = _ser_exact
-avg_ber_ook_exact.batch = lambda op, p_watts, orders: _ser_exact(op, p_watts, _require_ook(orders))
+
+
+def _avg_ber_ook_exact(op, p_watts, orders):
+    """Exact average OOK BER (the M = 2 case of the exact SER)."""
+    return _ser_exact(op, p_watts, _require_ook(orders))
 
 
 def _avg_ser_approx(op, p_watts, orders):
@@ -307,6 +305,7 @@ def _avg_ber_exact(op, p_watts, orders):
 
 
 avg_ber_exact = _one_power(_avg_ber_exact)
+avg_ber_ook_exact = _one_power(_avg_ber_ook_exact)
 avg_ser_approx = _one_power(_avg_ser_approx)
 avg_ber_ook_approx_piecewise = _one_power(_avg_ber_ook_approx_piecewise)
 avg_ser_dense = _one_power(_avg_ser_dense)
@@ -314,15 +313,13 @@ avg_ser_dense_highpower = _one_power(_avg_ser_dense_highpower)
 avg_ber_ook_approx_simple = _one_power(_avg_ber_ook_approx_simple)
 
 
-def avg_ber_mpam(op: OperatingPoint, mode: str = "ser-over-m",
-                 approx: bool = False) -> float:
+def avg_ber_mpam(op: OperatingPoint, mode: str = "ser-over-m") -> float:
     """Average M-PAM BER: mode "exact" is avg_ber_exact; "ser-over-m" divides
-    the average SER (with approx, its piecewise form) by the bits per symbol."""
+    the exact average SER by the bits per symbol."""
     if mode == "exact":
         return avg_ber_exact(op)
     if mode == "ser-over-m":
-        ser = avg_ser_approx(op) if approx else avg_ser_exact(op)
-        return flush_subnormal(ser / op.bits_per_symbol)
+        return flush_subnormal(avg_ser_exact(op) / op.bits_per_symbol)
     raise ValueError(f"unknown mode {mode!r}")
 
 

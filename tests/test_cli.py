@@ -9,8 +9,7 @@ import pytest
 
 from fsolink import channel, cli
 from fsolink import errorrates as er
-from fsolink.cli import (ConfigError, RunConfig, load_config, main,
-                         parse_config_text, serialize_config)
+from fsolink.cli import ConfigError, RunConfig, load_config, main, parse_config_text
 from support import GRID_POINTS, as_average, run_python
 
 
@@ -65,12 +64,28 @@ def test_parse_rejects_bad_line():
         parse_config_text("just some words")
 
 
-def test_round_trip_idempotent():
-    cfg = load_config(None, {"rytov_variance": 0.9, "jitter_sigma_m": 0.2,
-                             "modulation_m": 8})
-    text = serialize_config(cfg)
-    cfg2 = RunConfig(**parse_config_text(text))
-    assert serialize_config(cfg2) == text
+def test_every_field_parses_with_its_declared_kind():
+    # every field written as key = value text reads back as the same value, of
+    # its declared kind: an int as int, a float as float, none for an optional
+    # float, a comma list for the expressions
+    cfg = RunConfig(jitter_sigma_m=None, jitter_angle_mrad=0.1, modulation_m=8, seed=7,
+                    expressions=("approx", "exact"))
+    values = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
+
+    def as_text(v):
+        return "none" if v is None else ",".join(v) if isinstance(v, tuple) else str(v)
+
+    text = "".join(f"{key} = {as_text(v)}\n" for key, v in values.items())
+    parsed = parse_config_text(text)
+    assert parsed == values and RunConfig(**parsed) == cfg
+    assert {key: type(v) for key, v in parsed.items()} == {key: type(v) for key, v in values.items()}
+    assert [key for key, v in values.items() if type(v) is int] == [
+        "modulation_m", "n_symbols", "seed", "h_points"]
+    assert parse_config_text("jitter_sigma_m =\njitter_angle_mrad = None") == {
+        "jitter_sigma_m": None, "jitter_angle_mrad": None}
+    for line in ("seed = 1.5", "rytov_variance = none", "h_points = none"):
+        with pytest.raises(ConfigError, match="bad value"):
+            parse_config_text(line)
 
 
 def test_jitter_modes_exclusive():
@@ -92,6 +107,41 @@ def test_config_file_and_flag_override(tmp_path):
     cfg = load_config(str(path), {"modulation_m": 8})
     assert cfg.rytov_variance == 0.5
     assert cfg.modulation_m == 8
+
+
+@pytest.mark.parametrize("file_mode, flag_mode", [
+    (("jitter_angle_mrad", "0.1"), ("jitter_sigma_m", "0.25")),
+    (("jitter_sigma_m", "0.25"), ("jitter_angle_mrad", "0.1"))])
+def test_jitter_flag_overrides_the_files_other_mode(file_mode, flag_mode, tmp_path):
+    # a layer that sets one mode clears the other mode below it: flags over the
+    # file over the default
+    path = tmp_path / "cfg.txt"
+    path.write_text("%s = %s\n" % file_mode)
+    cfg = load_config(str(path), {flag_mode[0]: float(flag_mode[1])})
+    assert getattr(cfg, flag_mode[0]) == float(flag_mode[1])
+    assert getattr(cfg, file_mode[0]) is None
+    code, out = run_cli(["pdf", "--config", str(path), "--" + flag_mode[0], flag_mode[1],
+                         "--h_points", "3"])
+    assert code == 0
+    assert (code, out) == run_cli(["pdf", "--" + flag_mode[0], flag_mode[1], "--h_points", "3"])
+    # the file's mode alone replaces the default's; a flag set to none clears nothing
+    alone = load_config(str(path), {})
+    assert getattr(alone, file_mode[0]) == float(file_mode[1])
+    assert getattr(alone, flag_mode[0]) is None
+    assert load_config(str(path), {flag_mode[0]: None}) == alone
+
+
+def test_both_jitter_modes_in_one_layer_exit_2(tmp_path, capsys):
+    both = tmp_path / "both.txt"
+    both.write_text("jitter_sigma_m = 0.25\njitter_angle_mrad = 0.1\n")
+    one = tmp_path / "one.txt"
+    one.write_text("jitter_angle_mrad = 0.1\n")
+    for argv in (["--jitter_sigma_m", "0.25", "--jitter_angle_mrad", "0.1"],
+                 ["--config", str(one), "--jitter_sigma_m", "0.25", "--jitter_angle_mrad", "0.1"],
+                 ["--config", str(both)], ["--config", str(both), "--jitter_sigma_m", "0.25"]):
+        code, out = run_cli(["pdf", "--h_points", "3"] + argv)
+        assert code == 2 and out == ""
+        assert "set exactly one of jitter_sigma_m / jitter_angle_mrad" in capsys.readouterr().err
 
 
 def test_unknown_expression_rejected():
@@ -610,11 +660,11 @@ def test_power_step_requires_target_ser():
     assert exc_info.value.code == 2
 
 
-def test_parser_builds_only_the_invoked_commands_flags(monkeypatch):
-    # the top-level parser and the five subcommands add their -h each, and
-    # power-step its three flags; of the subcommands, sweep alone gets
-    # --config, --out and a flag per RunConfig field. The parser is built
-    # once per subcommand: a second sweep builds nothing
+def test_config_flags_added_once_per_process(monkeypatch):
+    # the top-level parser and the five subcommands add their -h each,
+    # power-step its three flags, and the parent parser that every subcommand
+    # shares --config, --out and a flag per RunConfig field, once: later
+    # command lines, of any subcommand, build nothing
     calls = []
     add_argument = argparse._ActionsContainer.add_argument
 
@@ -622,13 +672,17 @@ def test_parser_builds_only_the_invoked_commands_flags(monkeypatch):
         calls.append(args)
         return add_argument(self, *args, **kwargs)
 
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
-    for built in (6 + 3 + 2 + len(fields(RunConfig)), 0):
+    grid = ["--p_dbm_min", "0", "--p_dbm_max", "0"]
+    for argv, built in ((["sweep"] + grid, 6 + 3 + 2 + len(fields(RunConfig))),
+                        (["sweep"] + grid, 0), (["pdf", "--h_points", "3"], 0),
+                        (["mc", "--n_symbols", "10"] + grid, 0),
+                        (["power-step", "--target-ser", "1e-3", "--m-max", "1"], 0)):
         calls.clear()
-        code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "0"])
-        assert code == 0 and len(rows_of(out)) == 2
-        assert len(calls) == built
+        code, out = run_cli(argv)
+        assert code == 0 and len(rows_of(out)) >= 2
+        assert len(calls) == built, argv
 
 
 def test_shared_parser_keeps_help_errors_and_exit_codes(capsys):
@@ -649,12 +703,12 @@ def test_shared_parser_keeps_help_errors_and_exit_codes(capsys):
         assert "unrecognized arguments: --no_such_flag" in capsys.readouterr().err
         code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "0"])
         assert code == 0 and len(rows_of(out)) == 2
-    # any other first token shares one parser, so the cache stays bounded
+    # a command line without a subcommand leaves it able to parse the next one
     for argv in (["bogus"], ["--p_dbm_min", "0", "sweep"], []):
         with pytest.raises(SystemExit):
             main(argv)
-    assert cli.build_parser(["bogus"]) is cli.build_parser(["other"]) is cli.build_parser()
-    assert cli._parser.cache_info().currsize <= 6
+    code, out = run_cli(["pdf", "--h_points", "3"])
+    assert code == 0 and len(rows_of(out)) == 4
 
 
 def test_command_builds_the_channel_model_once(monkeypatch):
