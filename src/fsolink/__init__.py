@@ -17,7 +17,7 @@ from .errorrates import (ErrorRateCurve, NoCrossingError, avg_ber_exact,
                          crossing_power, delta_gap,
                          power_increase_for_next_bit, sweep_curve)
 from .montecarlo import (McConfig, McEstimate, brgc_decode, brgc_encode,
-                         ml_detect, simulate)
+                         ml_detect, simulate, simulate_powers)
 from .quadrature import BracketError, QuadratureError, find_crossing, integrate
 from .specfun import erfc, erfc_piecewise_approx, erfc_simple_tail, q_function
 

@@ -678,19 +678,30 @@ def moment_composite(model: FadingModel, order: int) -> float:
     raise ValueError("order must be 1 or 2")
 
 
+# draws per block: sample_composite folds its uniforms into the gains, and a
+# Monte Carlo batch draws and detects its noise, this many at a time, so each
+# block's float64 temporaries take 128 KiB
+BLOCK = 1 << 14
+
+
 def sample_composite(model: FadingModel, rng: np.random.Generator, size=None):
     """Draw gains h_l h_g Ha Hp = h_l h_g kappa exp(sigma Z - sigma2 + ln(U)/gamma^2).
 
     Ha is log-normal with log-mean -sigma2. The radial displacement is Rayleigh
     by inverse CDF from one uniform U in (0, 1], so Hp = kappa U^(1/gamma^2).
-    Z and U are the draws `lognormal` and `random` would make, in that order.
+    Z and U are the draws `lognormal` and `random` would make, in that order:
+    all of Z, then U in blocks of BLOCK, which continue one stream. Beside the
+    gains, only one block of uniforms is held.
     """
     x = np.asarray(rng.standard_normal(size=size))
     x *= math.sqrt(model.sigma2)
     x += model.delta
-    u = np.asarray(rng.random(size=size))
-    np.log(np.subtract(1.0, u, out=u), out=u)
-    x += np.divide(u, model.gamma**2, out=u)
+    flat = x.reshape(-1)
+    for s in range(0, flat.size, BLOCK):
+        xb = flat[s:s + BLOCK]
+        u = rng.random(size=xb.size)
+        np.log(np.subtract(1.0, u, out=u), out=u)
+        xb += np.divide(u, model.gamma**2, out=u)
     np.exp(x, out=x)
     x *= model.hg_hl * model.kappa
     return x[()]

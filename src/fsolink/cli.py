@@ -21,7 +21,7 @@ import numpy as np
 from . import errorrates as er
 from .channel import (FadingModel, LinkGeometry, OperatingPoint, dbm_to_watts,
                       pdf_composite, snr_electrical, snr_optical)
-from .montecarlo import McConfig, simulate
+from .montecarlo import McConfig, simulate_powers
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
@@ -305,8 +305,8 @@ def cmd_mc(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, -(-cfg.n_symbols // McConfig.batch_size))
     mc = McConfig(n_symbols=cfg.n_symbols, seed=cfg.seed, workers=workers)
-    for p in grid:
-        est = simulate(op.with_power(dbm_to_watts(p)), mc)
+    estimates = simulate_powers(op, [dbm_to_watts(p) for p in grid], mc)
+    for p, est in zip(grid, estimates):
         rows.append([_fmt_db(p), str(cfg.modulation_m),
                      _fmt_prob(est.ser_hat), _fmt_prob(est.ber_hat),
                      str(est.symbol_errors), str(est.bit_errors),

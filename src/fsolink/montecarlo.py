@@ -5,18 +5,27 @@ intervals.
 
 Each batch draws from its own SFC64 stream, child batch_index of
 SeedSequence(seed), so a run is bit-identical for a fixed seed no matter how
-many workers shard the batches. A batch draws each gain with one exp, and runs
-the nearest-level rule only on symbols whose noise can reach a midpoint.
+many workers shard the batches. A batch draws all its symbol indices, then its
+gains (each with one exp), then its noise, and runs the nearest-level rule only
+on symbols whose noise can reach a midpoint.
+
+Memory is bounded per batch: a batch of n symbols holds its gains (8n bytes)
+and symbol indices (2n bytes) whole, and draws and detects its noise in blocks
+of BLOCK = 16,384 symbols, whose temporaries take about 1.3 MiB. A batch of
+10^6 symbols peaks near 11 MiB, so each worker needs about that much. All the
+powers of simulate_powers share one set of draws: each block is detected at
+every power before the next block is drawn.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OperatingPoint, sample_composite
+from .channel import BLOCK, OperatingPoint, power_error, sample_composite
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -29,6 +38,14 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n_symbols", "seed", "batch_size", "workers"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
         if self.batch_size < 1:
@@ -104,25 +121,55 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _run_batch(op: OperatingPoint, seed: int, batch_index: int, n: int,
-               fixed_gain=None):
-    """Simulate one batch; returns (symbol_errors, bit_errors)."""
+               fixed_gain=None, p_watts=None):
+    """Simulate one batch at op's power; returns (symbol_errors, bit_errors).
+
+    Given the ascending powers p_watts, simulate it at each of them on the one
+    set of draws instead, and return a list of those pairs, one per power.
+    """
     rng = _batch_rng(seed, batch_index)
     m_order = op.modulation_order_m
     geo = op.geometry
+    powers = [op.transmit_power_p] if p_watts is None else p_watts
+    # the level spacing eta h 2P/(M-1) over sigma_n, per unit gain, at each power
+    scales = [geo.eta * 2.0 * p / ((m_order - 1) * geo.noise_sigma_n) for p in powers]
+    # the noise is r = (z/c)/h in level spacings. q = |z|/h is |r| c to within
+    # three roundings, 2^-51 relative, so q >= limit keeps every symbol that
+    # _screened_detect's screen keeps, and a higher power keeps a subset of the
+    # symbols a lower one keeps
+    limits = [(0.5 - m_order * 2.0**-50) * c * (1.0 - 1e-12) for c in scales]
 
-    j_sent = rng.integers(0, m_order, size=n)
+    j_sent = np.empty(n, dtype=np.int16)
+    for s in range(0, n, BLOCK):  # int64 draws: a dtype= argument changes the stream
+        j_sent[s:s + BLOCK] = rng.integers(0, m_order, size=min(BLOCK, n - s))
     if fixed_gain is not None:
-        h = fixed_gain
+        h = np.broadcast_to(np.asarray(fixed_gain, dtype=float), (n,))
     else:
         h = sample_composite(op.fading, rng, size=n)
-    # the noise in units of the received level spacing eta h 2P/(M-1)
-    r = rng.standard_normal(size=n)
-    r /= geo.eta * 2.0 * op.transmit_power_p / ((m_order - 1) * geo.noise_sigma_n)
-    r /= h
 
-    idx, j_hat = _screened_detect(j_sent, r, m_order)
-    d = j_hat ^ j_sent[idx]  # the Gray words of sent and decided differ in d ^ (d >> 1)
-    return int(np.count_nonzero(d)), int(np.bitwise_count(d ^ (d >> 1)).sum())
+    counts = [(0, 0)] * len(scales)
+    noise = np.empty(min(n, BLOCK))
+    for s in range(0, n, BLOCK):
+        z = rng.standard_normal(out=noise[:min(BLOCK, n - s)])
+        hb, jb = h[s:s + z.size], j_sent[s:s + z.size]
+        q = np.abs(z)
+        q /= hb
+        cand = np.flatnonzero(q >= limits[0])
+        for k, c in enumerate(scales):
+            if k:
+                cand = cand[q[cand] >= limits[k]]
+            if cand.size == 0:
+                break
+            r = z[cand] / c
+            r /= hb[cand]
+            j_cand = jb[cand]
+            idx, j_hat = _screened_detect(j_cand, r, m_order)
+            d = np.bitwise_xor(j_hat, j_cand[idx], out=j_hat)
+            symbol_errors = int(np.count_nonzero(d))
+            d ^= d >> 1  # the Gray words of sent and decided differ in these bits
+            counts[k] = (counts[k][0] + symbol_errors,
+                         counts[k][1] + int(np.bitwise_count(d).sum()))
+    return counts[0] if p_watts is None else counts
 
 
 def _wilson_halfwidth(errors: int, n: int) -> float:
@@ -146,7 +193,27 @@ def simulate(op: OperatingPoint, mc: McConfig, fixed_gain=None) -> McEstimate:
     The counts are summed over the batches, so they do not depend on the
     worker count.
     """
+    return simulate_powers(op, [op.transmit_power_p], mc, fixed_gain)[0]
+
+
+def simulate_powers(op: OperatingPoint, p_watts, mc: McConfig,
+                    fixed_gain=None) -> list[McEstimate]:
+    """Estimate SER and BER at each transmit power of p_watts (W, in any order),
+    one estimate per power, each equal to simulate's at that power.
+
+    All powers share one set of draws: each block of a batch is drawn once and
+    detected at every power, in ascending order, on the symbols whose noise
+    can still reach a midpoint. Workers shard the batches, as in simulate.
+    """
     from concurrent.futures import ThreadPoolExecutor  # here: at import it cost every start 15 ms
+    for p in p_watts:
+        error = power_error(p)
+        if error is not None:
+            raise error
+    order = sorted(range(len(p_watts)), key=lambda i: p_watts[i])
+    ascending = [p_watts[i] for i in order]
+    if not ascending:
+        return []
     sizes = [min(mc.batch_size, mc.n_symbols - s) for s in range(0, mc.n_symbols, mc.batch_size)]
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
         # one worker runs the batches on the calling thread. In a pool thread
@@ -154,15 +221,19 @@ def simulate(op: OperatingPoint, mc: McConfig, fixed_gain=None) -> McEstimate:
         # wall_s rose by 15 %: its calibration kernel, run on this thread,
         # reads a different speed after batches ran here (see CHANGES.md)
         counts = list((map if mc.workers == 1 else pool.map)(
-            lambda b, n: _run_batch(op, mc.seed, b, n, fixed_gain), range(len(sizes)), sizes))
-    sym_total, bit_total = map(sum, zip(*counts))
+            lambda b, n: _run_batch(op, mc.seed, b, n, fixed_gain, ascending),
+            range(len(sizes)), sizes))
     n_symbols, n_bits = mc.n_symbols, mc.n_symbols * op.bits_per_symbol
-    return McEstimate(
-        ser_hat=sym_total / n_symbols,
-        ber_hat=bit_total / n_bits,
-        symbol_errors=sym_total,
-        bit_errors=bit_total,
-        n_symbols=n_symbols,
-        ci95_ser=_ci95(sym_total, n_symbols),
-        ci95_ber=_ci95(bit_total, n_bits),
-    )
+    estimates = [None] * len(order)
+    for i, per_batch in zip(order, zip(*counts)):
+        sym_total, bit_total = map(sum, zip(*per_batch))
+        estimates[i] = McEstimate(
+            ser_hat=sym_total / n_symbols,
+            ber_hat=bit_total / n_bits,
+            symbol_errors=sym_total,
+            bit_errors=bit_total,
+            n_symbols=n_symbols,
+            ci95_ser=_ci95(sym_total, n_symbols),
+            ci95_ber=_ci95(bit_total, n_bits),
+        )
+    return estimates

@@ -4,6 +4,7 @@ import io
 import math
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -486,9 +487,9 @@ def test_mc_seed_echo_and_determinism():
 
 def test_mc_output_independent_of_workers(monkeypatch):
     seen = []
-    simulate = cli.simulate
-    monkeypatch.setattr(cli, "simulate",
-                        lambda op, mc: seen.append(mc.workers) or simulate(op, mc))
+    simulate_powers = cli.simulate_powers
+    monkeypatch.setattr(cli, "simulate_powers", lambda op, p_watts, mc: seen.append(mc.workers)
+                        or simulate_powers(op, p_watts, mc))
     # three batches of the default 10^6 symbols: a thread per usable CPU, at
     # most three, whatever the host's CPU count
     argv = ["mc", "--p_dbm_min", "6", "--p_dbm_max", "6", "--modulation_m", "4",
@@ -513,6 +514,20 @@ def test_mc_output_independent_of_workers(monkeypatch):
     assert seen == [1, 2, 3, 1, 3]
     assert outs[1:] == outs[:1] * 4
     assert len(rows_of(outs[0])) == 2
+
+
+def test_mc_csv_matches_golden_file(tmp_path):
+    # golden/mc_m4_n300000_seed1.csv was written, before the batches drew in
+    # blocks and shared their draws across powers, by
+    #   fsolink mc --modulation_m 4 --n_symbols 300000 --p_dbm_min -6
+    #       --p_dbm_max 12 --p_dbm_step 1.5 --seed 1
+    path = tmp_path / "mc.csv"
+    code, _ = run_cli(["mc", "--modulation_m", "4", "--n_symbols", "300000",
+                       "--p_dbm_min", "-6", "--p_dbm_max", "12", "--p_dbm_step", "1.5",
+                       "--seed", "1", "--out", str(path)])
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "mc_m4_n300000_seed1.csv"
+    assert path.read_bytes() == golden.read_bytes()
 
 
 def test_out_file_written(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fsolink.channel import dbm_to_watts
 from fsolink.errorrates import (avg_ber_mpam, avg_ser_exact, conditional_ser_pam, crossing_power,
                                 sweep_curve)
 from fsolink.montecarlo import (McConfig, brgc_decode, brgc_encode, ml_detect,
-                                simulate)
+                                simulate, simulate_powers)
 from support import make_geometry, make_fading, make_op
 
 PINK = (0.35, 0.1)
@@ -248,6 +249,15 @@ def test_mcconfig_validation():
         McConfig(n_symbols=10, seed=1, batch_size=0)
     with pytest.raises(ValueError):
         McConfig(n_symbols=10, seed=1, workers=0)
+    # only integers as operator.index takes them, and no bool
+    for kwargs in (dict(n_symbols=10.5, seed=1), dict(n_symbols=10, seed=1.5),
+                   dict(n_symbols=10, seed=1, batch_size=2.5),
+                   dict(n_symbols=10, seed=1, workers=2.0),
+                   dict(n_symbols=True, seed=1), dict(n_symbols=10, seed=np.float64(1.0)),
+                   dict(n_symbols=10, seed=False), dict(n_symbols="10", seed=1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            McConfig(**kwargs)
+    assert McConfig(n_symbols=np.int64(10), seed=np.uint64(2**64 - 1)).n_symbols == 10
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +322,54 @@ def test_batch_counts_known_answer():
     op = make_op(*PINK, 4, 4.0)
     assert montecarlo._run_batch(op, 1, 0, 100_000) == (2859, 2860)
     assert montecarlo._run_batch(op, 1, 3, 100_000) == (2848, 2855)
+
+
+# ---------------------------------------------------------------------------
+# memory and the shared draws of simulate_powers
+
+@pytest.mark.parametrize("m, p_dbm", [(2, -30.0), (1024, 20.0), (4, 4.0)])
+def test_batch_memory_is_bounded(m, p_dbm):
+    # a batch holds its gains and symbol indices whole, 10 bytes a symbol, and
+    # its noise and detection per block: at -30 dBm (M = 2) and 20 dBm
+    # (M = 1024) nearly every symbol's noise reaches a midpoint, so every
+    # block detects nearly all of its symbols
+    op = make_op(*PINK, m, p_dbm)
+    montecarlo._run_batch(op, 1, 0, 1_000)
+    tracemalloc.start()
+    try:
+        montecarlo._run_batch(op, 1, 0, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+
+
+@pytest.mark.parametrize("m", [2, 16, 1024])
+@pytest.mark.parametrize("workers, fixed", [(1, False), (2, False), (2, True)])
+def test_simulate_powers_equals_simulate_at_each_power(m, workers, fixed):
+    # unsorted and duplicate powers over the accepted -30..80 dBm, and 40,001
+    # symbols: batches of 17,000, 17,000 and 6,001, none a multiple of a block
+    p_dbm = [10.0, -30.0, 80.0, 4.0, 10.0, 0.5, 25.0, -3.0, 4.0]
+    op = make_op(*PINK, m, 0.0)
+    mc = McConfig(n_symbols=40_001, seed=7, batch_size=17_000, workers=workers)
+    h = op.fading.h_hat if fixed else None
+    estimates = simulate_powers(op, [dbm_to_watts(p) for p in p_dbm], mc, h)
+    assert estimates == [simulate(op.with_power(dbm_to_watts(p)), mc, h) for p in p_dbm]
+    assert estimates[1].symbol_errors > 0  # the low powers see errors
+    assert simulate_powers(op, [], mc) == []
+
+
+def test_simulate_powers_equals_batches_at_each_power():
+    # the shared draws count what the one-power batch counts, power by power,
+    # on a grid as fine as the mc command's default
+    op = make_op(*PINK, 16, 0.0)
+    p_watts = [dbm_to_watts(-10.0 + 0.25 * i) for i in range(121)]
+    shared = montecarlo._run_batch(op, 5, 1, 70_000, None, p_watts)
+    assert shared == [montecarlo._run_batch(op.with_power(p), 5, 1, 70_000) for p in p_watts]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+def test_simulate_powers_rejects_bad_powers(bad):
+    op = make_op(*PINK, 4, 0.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        simulate_powers(op, [1e-3, bad], McConfig(n_symbols=10, seed=1))
