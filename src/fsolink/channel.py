@@ -79,10 +79,6 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(p_watts: float) -> float:
-    return 10.0 * math.log10(p_watts) + 30.0
-
-
 @dataclass(frozen=True)
 class LinkGeometry:
     """Deterministic optics and link parameters with derived constants, each
@@ -293,7 +289,13 @@ class LogGainParams:
     @cached_property
     def plan(self) -> np.ndarray:
         """The points of both pieces' plans in y as rows of shape (2, 1, B), to
-        go with PLAN_MASK: -w_plan, then y_plan padded with its -inf end."""
+        go with PLAN_MASK. Row 0 is the lower piece's plan in w = -y, negated:
+        -inf and inf (its ends), the knee of the lower form at W_KNEES times
+        sqrt(2 sig2), and the offsets from the conditional's peak w*: W_LADDER
+        over g2, W_WIDTHS times the peak's width 1 / sqrt(2 g2), and W_BELOW.
+        Row 1 is the upper piece's plan, padded with -inf: -inf and inf (its
+        ends), 0 (h_hat), y* + k sigma for k in Y_SIGMAS, and the offsets
+        Y_COND from the conditional's anchor y_c."""
         s, width = math.sqrt(self.sig2), 1.0 / math.sqrt(2.0 * self.g2)
         offsets = [*(k / self.g2 for k in W_LADDER), *(j * width for j in W_WIDTHS), *W_BELOW]
         # an offset within a twentieth of the peak's width of an earlier one
@@ -301,10 +303,10 @@ class LogGainParams:
         # nothing and cost a panel
         for i, x in enumerate(offsets):
             offsets[i] = next((y for y in offsets[:i] if abs(x - y) < 0.05 * width), x)
-        w_plan = [-math.inf, math.inf, *(k * self.sqrt2s for k in W_KNEES), *offsets]
-        y_plan = [-math.inf, math.inf, 0.0, *(self.y_star + k * s for k in Y_SIGMAS), *Y_COND]
-        return np.array([[[-w for w in w_plan]],
-                         [y_plan + [-math.inf] * (len(w_plan) - len(y_plan))]])
+        lower = [-math.inf, math.inf, *(k * self.sqrt2s for k in W_KNEES), *offsets]
+        upper = [-math.inf, math.inf, 0.0, *(self.y_star + k * s for k in Y_SIGMAS), *Y_COND]
+        return np.array([[[-w for w in lower]],
+                         [upper + [-math.inf] * (len(lower) - len(upper))]])
 
     @cached_property
     def operands(self) -> tuple:
@@ -319,21 +321,6 @@ class LogGainParams:
         """_bound_constants of this model, by (h_power, y_lo, w_end, upper
         form): one per kind of average, filled by _ends."""
         return {}
-
-    @cached_property
-    def y_plan(self) -> np.ndarray:
-        """The points of the upper piece's plan: -inf and inf (its ends), 0
-        (h_hat), y* + k sigma for k in Y_SIGMAS, and the offsets Y_COND from
-        the conditional's anchor y_c."""
-        return self.plan[1, 0, :len(Y_MASK)]
-
-    @cached_property
-    def w_plan(self) -> np.ndarray:
-        """The points of the lower piece's plan, in w: -inf and inf (its
-        ends), the knee of the lower form at W_KNEES times sqrt(2 sig2), and
-        the offsets from the conditional's peak w*: W_LADDER over g2,
-        W_WIDTHS times the peak's width 1 / sqrt(2 g2), and W_BELOW."""
-        return -self.plan[0, 0]
 
 
 def pdf_composite(h, model: FadingModel):
@@ -357,7 +344,7 @@ def pdf_composite(h, model: FadingModel):
     return float(out) if out.ndim == 0 else out
 
 
-# The engine's panel plans, LogGainParams.w_plan and y_plan. A plan's row for
+# The engine's panel plans, the rows of LogGainParams.plan. A plan's row for
 # an anchor x is its points + x mask: the points of mask 1 are offsets from
 # the anchor, the others fixed. The first two points, -inf and inf, stand for
 # the ends of the piece.

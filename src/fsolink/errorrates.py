@@ -37,25 +37,7 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
-# conditional expressions
-
-def conditional_ser_pam(m_order: int, a_snr: float) -> float:
-    """SER of M-PAM at conditional amplitude SNR A: ((M-1)/M) erfc(A / (2 sqrt(2) (M-1)))."""
-    if m_order < 2:
-        raise ValueError("modulation order must be >= 2")
-    return (m_order - 1) / m_order * erfc(a_snr / (2.0 * math.sqrt(2.0) * (m_order - 1)))
-
-
-def conditional_ber_ook(a_snr: float) -> float:
-    """OOK bit error probability: erfc(A / sqrt(8)) / 2."""
-    return 0.5 * erfc(a_snr / math.sqrt(8.0))
-
-
-def _require_ber_order(m_order: int) -> None:
-    """Raises ValueError for an M that is not a power of two from 2 to 1024."""
-    if not 2 <= m_order <= 1024 or m_order & (m_order - 1):
-        raise ValueError("conditional BER needs M a power of two from 2 to 1024")
-
+# the conditional BER of Gray-mapped M-PAM
 
 @functools.cache
 def _gray_ber_terms(m_order: int):
@@ -63,8 +45,10 @@ def _gray_ber_terms(m_order: int):
     sum_k c_k erfc((2k + 1) t) at the conditional SER's erfc argument t (Cho & Yoon, IEEE
     Trans. Commun. 50(7), 2002): level j is taken for i, d = |i - j| > 0 away, with probability
     (erfc((2d - 1) t) - erfc((2d + 1) t)) / 2, the second term absent at an outer i, at the
-    cost of the Hamming distance of their Gray words, summed in total by d."""
-    _require_ber_order(m_order)
+    cost of the Hamming distance of their Gray words, summed in total by d. Raises
+    ValueError for an M that is not a power of two from 2 to 1024."""
+    if not 2 <= m_order <= 1024 or m_order & (m_order - 1):
+        raise ValueError("conditional BER needs M a power of two from 2 to 1024")
     level = np.arange(m_order)
     bits = np.bitwise_count((level ^ level >> 1) ^ (level ^ level >> 1)[:, None])
     total = np.bincount(np.abs(level - level[:, None]).ravel(), bits.ravel(), m_order + 1)
@@ -101,24 +85,6 @@ def _gray_chunk(terms, t):
     # a reduction over the outer axis adds each node's terms in order, as a
     # loop over the terms does
     return np.add.reduce(coeffs[:n, None] * erfc(np.multiply.outer(mults[:n], t)), axis=0)
-
-
-def conditional_ber_exact(m_order: int, a_snr: float) -> float:
-    """Exact conditional BER of Gray-mapped M-PAM at conditional amplitude SNR A:
-    the sum of _gray_ber at one point, up to its first exact zero."""
-    terms = _gray_ber_terms(m_order)  # first: it raises for M = 1 too, before M - 1 divides
-    t, total = a_snr / (2.0 * math.sqrt(2.0) * (m_order - 1)), 0.0
-    for c, k in zip(*(x.tolist() for x in terms)):
-        if k * t > _ERFC_ZERO:
-            break
-        total += c * erfc(k * t)
-    return total
-
-
-def conditional_ber_approx(m_order: int, a_snr: float) -> float:
-    """SER-over-bits conditional BER approximation, tight at high SNR."""
-    _require_ber_order(m_order)
-    return conditional_ser_pam(m_order, a_snr) / int(math.log2(m_order))
 
 
 def _u(op: OperatingPoint, p_watts, scales) -> list[float]:
@@ -238,7 +204,8 @@ def _avg_ber_ook_exact(op, p_watts, orders):
 
 def _avg_ser_approx(op, p_watts, orders):
     """Piecewise-erfc approximation of the average SER (two 1-D integrals):
-    the exact average with every erfc replaced by erfc_piecewise_approx."""
+    the exact average with every erfc replaced by the two-branch approximation,
+    erfc_piecewise_negative below 0 and erfc_piecewise_positive above it."""
     return _ser(op, p_watts, orders, _PIECEWISE, erfc_piecewise_positive)
 
 
@@ -291,7 +258,7 @@ def _avg_ber_ook_approx_simple(op, p_watts, orders):
 
 
 def _avg_ber_exact(op, p_watts, orders):
-    """Exact average BER of Gray-mapped M-PAM: conditional_ber_exact's sum,
+    """Exact average BER of Gray-mapped M-PAM: the conditional BER's sum,
     _gray_ber, averaged with the density weight of the exact SER. Its terms
     depend on M, so each distinct order of orders is one engine call."""
     values, errors = [math.nan] * len(orders), [None] * len(orders)
@@ -311,16 +278,6 @@ avg_ber_ook_approx_piecewise = _one_power(_avg_ber_ook_approx_piecewise)
 avg_ser_dense = _one_power(_avg_ser_dense)
 avg_ser_dense_highpower = _one_power(_avg_ser_dense_highpower)
 avg_ber_ook_approx_simple = _one_power(_avg_ber_ook_approx_simple)
-
-
-def avg_ber_mpam(op: OperatingPoint, mode: str = "ser-over-m") -> float:
-    """Average M-PAM BER: mode "exact" is avg_ber_exact; "ser-over-m" divides
-    the exact average SER by the bits per symbol."""
-    if mode == "exact":
-        return avg_ber_exact(op)
-    if mode == "ser-over-m":
-        return flush_subnormal(avg_ser_exact(op) / op.bits_per_symbol)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # the averages by the names the command line gives them

@@ -77,17 +77,17 @@ def brgc_encode(j, m: int):
     return bits
 
 
-def brgc_decode(bits) -> int:
-    """Inverse of brgc_encode: bit vector (MSB first) back to symbol index."""
+def brgc_decode(bits):
+    """Inverse of brgc_encode: the bit vectors (MSB first) along the last axis
+    back to symbol indices, an int for one vector and an int array otherwise."""
     bits = np.asarray(bits)
     m = bits.shape[-1]
-    g = int(np.sum(bits * (1 << np.arange(m - 1, -1, -1))))
-    j = g
+    j = np.sum(bits * (1 << np.arange(m - 1, -1, -1)), axis=-1)
     shift = 1
     while shift < m:
         j ^= j >> shift
         shift <<= 1
-    return j
+    return int(j) if j.ndim == 0 else j
 
 
 def _nearest_level(t, m_order: int):
@@ -120,19 +120,15 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def _run_batch(op: OperatingPoint, seed: int, batch_index: int, n: int,
-               fixed_gain=None, p_watts=None):
-    """Simulate one batch at op's power; returns (symbol_errors, bit_errors).
-
-    Given the ascending powers p_watts, simulate it at each of them on the one
-    set of draws instead, and return a list of those pairs, one per power.
-    """
+def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
+               fixed_gain=None):
+    """Simulate one batch at each of the ascending powers p_watts on one set of
+    draws; returns a list of (symbol_errors, bit_errors), one per power."""
     rng = _batch_rng(seed, batch_index)
     m_order = op.modulation_order_m
     geo = op.geometry
-    powers = [op.transmit_power_p] if p_watts is None else p_watts
     # the level spacing eta h 2P/(M-1) over sigma_n, per unit gain, at each power
-    scales = [geo.eta * 2.0 * p / ((m_order - 1) * geo.noise_sigma_n) for p in powers]
+    scales = [geo.eta * 2.0 * p / ((m_order - 1) * geo.noise_sigma_n) for p in p_watts]
     # the noise is r = (z/c)/h in level spacings. q = |z|/h is |r| c to within
     # three roundings, 2^-51 relative, so q >= limit keeps every symbol that
     # _screened_detect's screen keeps, and a higher power keeps a subset of the
@@ -169,7 +165,7 @@ def _run_batch(op: OperatingPoint, seed: int, batch_index: int, n: int,
             d ^= d >> 1  # the Gray words of sent and decided differ in these bits
             counts[k] = (counts[k][0] + symbol_errors,
                          counts[k][1] + int(np.bitwise_count(d).sum()))
-    return counts[0] if p_watts is None else counts
+    return counts
 
 
 def _wilson_halfwidth(errors: int, n: int) -> float:
@@ -221,7 +217,7 @@ def simulate_powers(op: OperatingPoint, p_watts, mc: McConfig,
         # wall_s rose by 15 %: its calibration kernel, run on this thread,
         # reads a different speed after batches ran here (see CHANGES.md)
         counts = list((map if mc.workers == 1 else pool.map)(
-            lambda b, n: _run_batch(op, mc.seed, b, n, fixed_gain, ascending),
+            lambda b, n: _run_batch(op, ascending, mc.seed, b, n, fixed_gain),
             range(len(sizes)), sizes))
     n_symbols, n_bits = mc.n_symbols, mc.n_symbols * op.bits_per_symbol
     estimates = [None] * len(order)

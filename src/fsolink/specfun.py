@@ -1,5 +1,5 @@
-"""Complementary error function, Q-function, and the two tail approximations
-used inside the average error-rate integrals.
+"""Complementary error function and the two tail approximations used inside
+the average error-rate integrals.
 
 All functions are pure and accept scalars or numpy arrays.
 """
@@ -55,46 +55,23 @@ def erfc(z):
     return _special.erfc(z)
 
 
-def q_function(z):
-    """Gaussian tail probability Q(z) = erfc(z / sqrt(2)) / 2."""
-    if np.isscalar(z):
-        return 0.5 * math.erfc(z / math.sqrt(2.0))
-    return 0.5 * _special.erfc(np.asarray(z) / math.sqrt(2.0))
-
-
-def erfc_piecewise_approx(z):
-    """Two-branch erfc approximation, tight in both tails.
-
-    For z >= 0:  (2/sqrt(pi)) exp(-z^2) / (z + sqrt(z^2 + 4/pi)).
-    For z < 0:   1 + (exp(-2 pi z / sqrt(6)) - 1) / (exp(-2 pi z / sqrt(6)) + 1),
-    i.e. 2 / (1 + exp(2 pi z / sqrt(6))), which avoids overflow for large -z.
-    Both branches evaluate to exactly 1 at z = 0.
-    """
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = erfc_piecewise_positive(z[pos])
-    out[~pos] = erfc_piecewise_negative(z[~pos])
-    return out[0] if scalar else out
-
-
 def erfc_piecewise_positive(z):
-    """The z >= 0 branch of erfc_piecewise_approx: exp(-z^2) times
-    erfcx_piecewise_approx, z^2 taken once."""
+    """The z >= 0 branch of the two-branch erfc approximation, tight in both
+    tails: (2/sqrt(pi)) exp(-z^2) / (z + sqrt(z^2 + 4/pi)), z^2 taken once.
+    Both branches are exactly 1 at z = 0."""
     z = np.asarray(z, dtype=float)
     z2 = z * z
     return np.exp(-z2) * (_TWO_OVER_SQRT_PI / (z + np.sqrt(z2 + _FOUR_OVER_PI)))
 
 
 def erfc_piecewise_negative(z):
-    """The z < 0 branch of erfc_piecewise_approx: 2 / (1 + exp(2 pi z / sqrt(6)))."""
+    """The z < 0 branch: 1 + (e^x - 1) / (e^x + 1) at x = -2 pi z / sqrt(6), taken as
+    2 / (1 + exp(2 pi z / sqrt(6))), which does not overflow at large -z; 1 at z = 0."""
     return _TWO / (_ONE + np.exp(_NEG_BRANCH_RATE * np.asarray(z, dtype=float)))
 
 
 def erfcx_piecewise_approx(z):
-    """exp(z^2) times the positive branch of erfc_piecewise_approx, for z >= 0:
+    """exp(z^2) times erfc_piecewise_positive, for z >= 0:
     (2/sqrt(pi)) / (z + sqrt(z^2 + 4/pi)), finite where exp(-z^2) underflows."""
     z = np.asarray(z, dtype=float)
     out = _TWO_OVER_SQRT_PI / (z + np.sqrt(z * z + _FOUR_OVER_PI))

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import fsolink
+from fsolink import errorrates, specfun
 from fsolink.channel import FadingModel, LinkGeometry, OperatingPoint, dbm_to_watts
 from fsolink.quadrature import QuadratureError
 
@@ -44,6 +45,29 @@ def make_op(sigma_s: float, rytov: float, m: int = 2, p_dbm: float = 0.0,
             geometry=None) -> OperatingPoint:
     fm = make_fading(sigma_s, rytov, geometry)
     return OperatingPoint(fm.geometry, fm, m, dbm_to_watts(p_dbm))
+
+
+def q_function(z):
+    """Gaussian tail probability Q(z) = erfc(z / sqrt(2)) / 2, of a scalar or an array."""
+    return 0.5 * specfun.erfc(z / math.sqrt(2.0))
+
+
+def conditional_ser_pam(m_order: int, a_snr: float) -> float:
+    """SER of M-PAM at conditional amplitude SNR A: ((M-1)/M) erfc(A / (2 sqrt(2) (M-1)))."""
+    return (m_order - 1) / m_order * math.erfc(a_snr / (2.0 * math.sqrt(2.0) * (m_order - 1)))
+
+
+def conditional_ber_exact(m_order: int, a_snr: float) -> float:
+    """Exact conditional BER of Gray-mapped M-PAM at conditional amplitude SNR A,
+    the scalar reference of errorrates._gray_ber: its terms added one at a time,
+    up to the first whose erfc argument is past errorrates._ERFC_ZERO."""
+    terms = errorrates._gray_ber_terms(m_order)  # first: it raises for M = 1 too
+    t, total = a_snr / (2.0 * math.sqrt(2.0) * (m_order - 1)), 0.0
+    for c, k in zip(*(x.tolist() for x in terms)):
+        if k * t > errorrates._ERFC_ZERO:
+            break
+        total += c * math.erfc(k * t)
+    return total
 
 
 def as_average(fake):

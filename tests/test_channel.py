@@ -12,7 +12,7 @@ from fsolink.channel import (FadingModel, OperatingPoint, beer_lambert_loss,
                              mean_symbol_power_sq, moment_composite,
                              pdf_composite, pdf_pointing, pdf_turbulence,
                              pointing_params, rytov_variance, sample_composite,
-                             snr_electrical, snr_optical, watts_to_dbm)
+                             snr_electrical, snr_optical)
 from fsolink.errorrates import avg_ser_exact
 from support import GRID_POINTS, HEADLINE_POINTS, make_fading, make_geometry, make_op
 
@@ -72,7 +72,7 @@ def test_rytov_variance_formula():
 
 def test_dbm_round_trip():
     for p in (-30.0, 0.0, 17.5):
-        assert watts_to_dbm(dbm_to_watts(p)) == pytest.approx(p, abs=1e-12)
+        assert 10.0 * math.log10(dbm_to_watts(p)) + 30.0 == pytest.approx(p, abs=1e-12)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3)
 
 
@@ -148,7 +148,7 @@ def test_derived_constants_computed_once(monkeypatch):
 def test_log_gain_params_computed_once(monkeypatch):
     fm = make_fading(0.35, 0.1)
     par = fm.log_gain_params
-    plans = par.y_plan, par.w_plan
+    plan = par.plan
     # the first averages of each kind fill the bound pass's constants
     composite_expectation(fm)
     avg_ser_exact(OperatingPoint(fm.geometry, fm, 4, 1e-3))
@@ -161,7 +161,7 @@ def test_log_gain_params_computed_once(monkeypatch):
     for name in ("LogGainParams", "pointing_params", "_bound_constants"):
         monkeypatch.setattr(channel, name, recomputed)
     assert fm.log_gain_params is par
-    assert par.y_plan is plans[0] and par.w_plan is plans[1]
+    assert par.plan is plan
     composite_expectation(fm)  # the engine reads the cached constants and plans
     avg_ser_exact(OperatingPoint(fm.geometry, fm, 4, 1e-3))
     monkeypatch.undo()
@@ -176,10 +176,11 @@ def test_log_gain_params_computed_once(monkeypatch):
     # k = -10, -6, -3, 0, 3, 6, 10; equality and hashing ignore the cached
     # values
     sigma = math.sqrt(par.sig2)
-    fixed = plans[0][channel.Y_MASK == 0.0]
+    upper = plan[1, 0, :len(channel.Y_MASK)]
+    fixed = upper[channel.Y_MASK == 0.0]
     assert fixed.tolist() == [-math.inf, math.inf, 0.0] + [
         par.y_star + k * sigma for k in (-10, -6, -3, 0, 3, 6, 10)]
-    assert plans[0][channel.Y_MASK == 1.0].tolist() == list(channel.Y_COND)
+    assert upper[channel.Y_MASK == 1.0].tolist() == list(channel.Y_COND)
     fresh = make_fading(0.35, 0.1)
     assert fm == fresh and hash(fm) == hash(fresh)
     assert fresh.log_gain_params == par
@@ -191,7 +192,7 @@ def test_lower_plan_merges_offsets_a_sliver_apart():
     # w* - 4 widths; each such pair is one point, so no sliver panel remains
     par = make_fading(0.35, 0.1).log_gain_params
     width = 1.0 / math.sqrt(2.0 * par.g2)
-    offsets = np.unique(par.w_plan[channel.W_MASK == 1.0])
+    offsets = np.unique(-par.plan[0, 0][channel.W_MASK == 1.0])
     assert np.diff(offsets).min() >= 0.05 * width
     assert offsets.size == np.count_nonzero(channel.W_MASK) - 3
 
@@ -561,9 +562,9 @@ def test_operating_point_validation():
     for p in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             OperatingPoint(geo, fm, 4, p)
-    # the orders an average accepts end at 1024: beyond it, M - 1 overflows a
-    # double at 2^1030 and the exact BER has no coefficients
-    for m in (2048, 2**1030):
+    # the orders an average accepts run from 2 to 1024: beyond it, M - 1
+    # overflows a double at 2^1030 and the exact BER has no coefficients
+    for m in (1, 2048, 2**1030):
         with pytest.raises(ValueError, match="power of two from 2 to 1024"):
             OperatingPoint(geo, fm, m, 1e-3)
     assert OperatingPoint(geo, fm, 1024, 1e-3).bits_per_symbol == 10

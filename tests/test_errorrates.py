@@ -10,28 +10,27 @@ import pytest
 from scipy import special
 
 from fsolink import channel, cli, errorrates, quadrature, specfun
-from fsolink.channel import composite_expectation, dbm_to_watts, watts_to_dbm
+from fsolink.channel import composite_expectation, dbm_to_watts, flush_subnormal
 from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
-                                averages_at_powers, avg_ber_exact, avg_ber_mpam,
+                                averages_at_powers, avg_ber_exact,
                                 avg_ber_ook_approx_piecewise,
                                 avg_ber_ook_approx_simple, avg_ber_ook_exact,
                                 avg_ser_approx, avg_ser_dense,
                                 avg_ser_dense_highpower, avg_ser_exact,
-                                conditional_ber_approx, conditional_ber_exact,
-                                conditional_ber_ook, conditional_ser_pam,
                                 crossing_power, delta_gap, delta_gaps,
                                 power_increase_for_next_bit, power_steps,
                                 sweep_curve)
 from fsolink.montecarlo import McConfig, brgc_encode, simulate
 from fsolink.quadrature import QuadratureError
-from fsolink.specfun import q_function
-from support import GRID_POINTS, HEADLINE_POINTS, as_average, make_op
+from support import (GRID_POINTS, HEADLINE_POINTS, as_average, conditional_ber_exact,
+                     conditional_ser_pam, make_op, q_function)
 
 PINK = (0.35, 0.1)
 
 
 # ---------------------------------------------------------------------------
-# conditional expressions
+# conditional expressions: the references of tests/support.py, the BER one on
+# the library's Gray coefficients
 
 def test_conditional_ser_zero_snr():
     for m in (2, 4, 16):
@@ -46,9 +45,10 @@ def test_conditional_ser_matches_q_form():
 
 
 def test_conditional_ber_ook_is_m2_ser():
+    # the Gray-mapped BER at M = 2, erfc(A / sqrt(8)) / 2, is the 2-PAM SER
     for a in (0.0, 3.0, 12.0):
-        assert conditional_ber_ook(a) == pytest.approx(conditional_ser_pam(2, a),
-                                                       rel=1e-14)
+        assert conditional_ber_exact(2, a) == pytest.approx(conditional_ser_pam(2, a),
+                                                            rel=1e-14)
 
 
 def test_conditional_ber_exact_zero_snr():
@@ -63,13 +63,13 @@ def test_conditional_ber_exact_approaches_ser_over_m():
     for m in (8, 16):
         a = 220.0
         exact = conditional_ber_exact(m, a)
-        approx = conditional_ber_approx(m, a)
+        approx = conditional_ser_pam(m, a) / (m.bit_length() - 1)
         assert exact == pytest.approx(approx, rel=0.01)
 
 
 def test_conditional_ber_exact_rejects_other_orders():
     # every power of two from 2 to 1024 has an exact BER; nothing else does
-    for m in (1, 3, 2048):
+    for m in (1, 3, 6, 2048):
         with pytest.raises(ValueError, match="power of two from 2 to 1024"):
             conditional_ber_exact(m, 1.0)
 
@@ -77,10 +77,14 @@ def test_conditional_ber_exact_rejects_other_orders():
 def test_conditional_ber_approx_rejects_other_orders():
     # the SER-over-bits form takes the orders the exact BER takes: 6 used to
     # divide by a floored log2 M of 2, and 2048 to give 0.0908
+    op = make_op(*PINK, 8, 5.0)
     for m in (1, 3, 6, 2048):
         with pytest.raises(ValueError, match="power of two from 2 to 1024"):
-            conditional_ber_approx(m, 3.0)
-    assert conditional_ber_approx(8, 3.0) == conditional_ser_pam(8, 3.0) / 3
+            errorrates._gray_ber_terms(m)
+        with pytest.raises(ValueError, match="power of two from 2 to 1024"):
+            op.with_modulation(m)
+    assert op.bits_per_symbol == 3
+    assert _ser_over_bits(op) == flush_subnormal(avg_ser_exact(op) / 3)
 
 
 def _full_gray_ber(terms, t):
@@ -108,7 +112,7 @@ def test_gray_ber_stops_early_bit_for_bit():
         u = errorrates._u(op, [op.transmit_power_p], [1023])
         full = channel.single_value(channel.density_average(
             op.fading, u, channel.EXACT_WEIGHT, lambda h, u: _full_gray_ber(terms, u * h)))
-        assert avg_ber_mpam(op, "exact") == full
+        assert avg_ber_exact(op) == full
 
 
 # the Gray-mapped conditional BER of 8- and 16-PAM as signed Q-function sums,
@@ -153,8 +157,11 @@ def test_conditional_ber_exact_matches_gray_enumeration(m):
 
 
 def test_conditional_ser_rejects_bad_order():
+    # an SER needs M >= 2: the library refuses M = 1 where every average gets
+    # its order, on the operating point
+    op = make_op(*PINK, 2, 1.0)
     with pytest.raises(ValueError):
-        conditional_ser_pam(1, 1.0)
+        op.with_modulation(1)
 
 
 # ---------------------------------------------------------------------------
@@ -390,37 +397,37 @@ def test_highpower_dominates_dense():
 
 
 # ---------------------------------------------------------------------------
-# M-PAM BER modes
+# M-PAM BER: the exact Gray-mapped average and the SER over log2 M
+
+def _ser_over_bits(op):
+    return flush_subnormal(avg_ser_exact(op) / op.bits_per_symbol)
+
 
 def test_ber_modes_agree_for_ook():
     op = make_op(*PINK, 2, 2.0)
-    assert avg_ber_mpam(op, "exact") == pytest.approx(avg_ber_ook_exact(op), rel=1e-15, abs=0.0)
-    assert avg_ber_mpam(op, "ser-over-m") == pytest.approx(
-        avg_ber_ook_exact(op), rel=1e-10)
+    assert avg_ber_exact(op) == pytest.approx(avg_ber_ook_exact(op), rel=1e-15, abs=0.0)
+    assert _ser_over_bits(op) == pytest.approx(avg_ber_ook_exact(op), rel=1e-10)
 
 
 def test_ber_exact_mode_orders():
     # every order OperatingPoint accepts has an exact BER, below its SER
     for k in range(1, 11):
         op = make_op(*PINK, 2**k, 20.0)
-        assert 0.0 < avg_ber_mpam(op, "exact") <= avg_ser_exact(op), 2**k
-    with pytest.raises(ValueError):
-        avg_ber_mpam(make_op(*PINK, 8, 5.0), "no-such-mode")
+        assert 0.0 < avg_ber_exact(op) <= avg_ser_exact(op), 2**k
 
 
 def test_ber_exact_vs_ser_over_m_convergence():
     # the two BER routes agree within 2% once the power is high enough
     for m, p in ((8, 15.0), (16, 18.0)):
         op = make_op(*PINK, m, p)
-        exact = avg_ber_mpam(op, "exact")
-        ratio = avg_ber_mpam(op, "ser-over-m") / exact
+        exact = avg_ber_exact(op)
+        ratio = _ser_over_bits(op) / exact
         assert ratio == pytest.approx(1.0, abs=0.02), (m, p)
 
 
 def test_ber_ordering_in_m():
     p = 10.0
-    assert avg_ber_mpam(make_op(*PINK, 16, p), "exact") > \
-        avg_ber_mpam(make_op(*PINK, 8, p), "exact")
+    assert avg_ber_exact(make_op(*PINK, 16, p)) > avg_ber_exact(make_op(*PINK, 8, p))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +448,7 @@ def _dbm_curve(fn, p_dbm):
     """The curve of fn (a function of the power in dBm) on p_dbm, whose
     expression evaluates fn at an operating point's power."""
     return ErrorRateCurve(p_dbm, [fn(p) for p in p_dbm],
-                          as_average(lambda op: fn(watts_to_dbm(op.transmit_power_p))),
+                          as_average(lambda op: fn(10.0 * math.log10(op.transmit_power_p) + 30.0)),
                           make_op(*PINK))
 
 
@@ -736,7 +743,7 @@ def test_exact_ber_sweep_is_one_engine_call(monkeypatch):
     # the Gray coefficients depend on M, and one order is one engine call
     op = make_op(*PINK, 16, 0.0)
     watts = [dbm_to_watts(p) for p in GRID_121]
-    alone = [avg_ber_mpam(op.with_power(w), "exact") for w in watts]
+    alone = [avg_ber_exact(op.with_power(w)) for w in watts]
     calls = _engine_calls(monkeypatch)
     values, errors = averages_at_powers(avg_ber_exact, op, watts)
     assert calls == [121] and errors == [None] * 121

@@ -8,11 +8,10 @@ import pytest
 
 from fsolink import montecarlo
 from fsolink.channel import dbm_to_watts
-from fsolink.errorrates import (avg_ber_mpam, avg_ser_exact, conditional_ser_pam, crossing_power,
-                                sweep_curve)
+from fsolink.errorrates import avg_ber_exact, avg_ser_exact, crossing_power, sweep_curve
 from fsolink.montecarlo import (McConfig, brgc_decode, brgc_encode, ml_detect,
                                 simulate, simulate_powers)
-from support import make_geometry, make_fading, make_op
+from support import conditional_ser_pam, make_geometry, make_fading, make_op
 
 PINK = (0.35, 0.1)
 
@@ -54,6 +53,13 @@ def test_brgc_vectorized():
     bits = brgc_encode(np.arange(8), 3)
     assert bits.shape == (8, 3)
     assert brgc_decode(bits[5]) == 5
+    assert type(brgc_decode(bits[5])) is int
+    # each codeword of an array decodes alone: the sum over the last axis only
+    for m in range(1, 11):
+        j = np.arange(2**m)
+        np.testing.assert_array_equal(brgc_decode(brgc_encode(j, m)), j)
+    words = brgc_encode(np.arange(8).reshape(2, 4), 3)
+    np.testing.assert_array_equal(brgc_decode(words), np.arange(8).reshape(2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +161,7 @@ def test_bit_error_rate_matches_exact_ber(m, p_dbm):
     # the exact Gray-mapped BER, and not SER / log2 M, is what the simulation
     # counts: at M = 4, 0 dBm SER / 2 is 3.6 % below it
     op = make_op(*PINK, m, p_dbm)
-    ber, ser_over_bits = avg_ber_mpam(op, "exact"), avg_ser_exact(op) / op.bits_per_symbol
+    ber, ser_over_bits = avg_ber_exact(op), avg_ser_exact(op) / op.bits_per_symbol
     assert ber >= 1e-3
     est = simulate(op, McConfig(n_symbols=1_000_000, seed=3))
     # a symbol's bit errors are correlated: bound the standard error of
@@ -292,14 +298,14 @@ def test_batch_counts_equal_unfused_batch(sigma_s):
     for rytov, m, p_dbm in itertools.product((1e-4, 0.1, 1.0), (2, 16, 1024),
                                              (-30.0, 0.0, 20.0, 80.0)):
         op = make_op(sigma_s, rytov, m, p_dbm)
-        assert (montecarlo._run_batch(op, 13, 2, 50_000)
-                == _unfused_batch(op, 13, 2, 50_000)), (rytov, m, p_dbm)
+        assert (montecarlo._run_batch(op, [op.transmit_power_p], 13, 2, 50_000)
+                == [_unfused_batch(op, 13, 2, 50_000)]), (rytov, m, p_dbm)
 
 
 def test_fixed_gain_batch_counts_equal_unfused_batch():
     op = make_op(*PINK, 4, 0.0)
     h = op.fading.h_hat
-    counts = montecarlo._run_batch(op, 17, 0, 50_000, h)
+    (counts,) = montecarlo._run_batch(op, [op.transmit_power_p], 17, 0, 50_000, h)
     assert counts[0] > 0
     assert counts == _unfused_batch(op, 17, 0, 50_000, h)
 
@@ -320,8 +326,8 @@ def test_batch_counts_known_answer():
     # pins the stream: a change to the generator, its seeding or the order of
     # the draws moves these counts
     op = make_op(*PINK, 4, 4.0)
-    assert montecarlo._run_batch(op, 1, 0, 100_000) == (2859, 2860)
-    assert montecarlo._run_batch(op, 1, 3, 100_000) == (2848, 2855)
+    assert montecarlo._run_batch(op, [op.transmit_power_p], 1, 0, 100_000) == [(2859, 2860)]
+    assert montecarlo._run_batch(op, [op.transmit_power_p], 1, 3, 100_000) == [(2848, 2855)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +340,10 @@ def test_batch_memory_is_bounded(m, p_dbm):
     # (M = 1024) nearly every symbol's noise reaches a midpoint, so every
     # block detects nearly all of its symbols
     op = make_op(*PINK, m, p_dbm)
-    montecarlo._run_batch(op, 1, 0, 1_000)
+    montecarlo._run_batch(op, [op.transmit_power_p], 1, 0, 1_000)
     tracemalloc.start()
     try:
-        montecarlo._run_batch(op, 1, 0, 1_000_000)
+        montecarlo._run_batch(op, [op.transmit_power_p], 1, 0, 1_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,8 +370,8 @@ def test_simulate_powers_equals_batches_at_each_power():
     # on a grid as fine as the mc command's default
     op = make_op(*PINK, 16, 0.0)
     p_watts = [dbm_to_watts(-10.0 + 0.25 * i) for i in range(121)]
-    shared = montecarlo._run_batch(op, 5, 1, 70_000, None, p_watts)
-    assert shared == [montecarlo._run_batch(op.with_power(p), 5, 1, 70_000) for p in p_watts]
+    shared = montecarlo._run_batch(op, p_watts, 5, 1, 70_000)
+    assert shared == [montecarlo._run_batch(op, [p], 5, 1, 70_000)[0] for p in p_watts]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fsolink import quadrature
 from fsolink.channel import composite_expectation, dbm_to_watts, flush_subnormal
-from fsolink.errorrates import (NoCrossingError, _powers_at_target, averages_at_powers, avg_ber_mpam,
+from fsolink.errorrates import (NoCrossingError, _powers_at_target, averages_at_powers, avg_ber_exact,
                                 avg_ser_exact)
 from support import make_fading, make_op
 
@@ -79,7 +79,7 @@ def test_exact_ber_between_ser_over_bits_and_ser(s, r, m, p):
     # a symbol error costs at least one bit and at most log2 M; a BER below
     # the smallest normal double is 0, as every average is
     op = make_op(s, r, m, p)
-    ber, ser = avg_ber_mpam(op, "exact"), avg_ser_exact(op)
+    ber, ser = avg_ber_exact(op), avg_ser_exact(op)
     assert flush_subnormal(ser / op.bits_per_symbol) * (1.0 - 1e-12) <= ber <= ser * (1.0 + 1e-12)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fsolink.specfun import (erfc, erfc_piecewise_approx, erfc_simple_tail,
-                             q_function)
+from fsolink.specfun import (erfc, erfc_piecewise_negative, erfc_piecewise_positive,
+                             erfc_simple_tail)
 from support import run_python
 
 
@@ -19,18 +19,13 @@ def test_erfc_array_input():
     np.testing.assert_allclose(erfc(z), special.erfc(z), rtol=1e-15)
 
 
-def test_q_function_identity():
-    # Q(z) = erfc(z / sqrt(2)) / 2
-    for z in (-2.0, 0.0, 1.0, 3.5):
-        assert q_function(z) == pytest.approx(0.5 * math.erfc(z / math.sqrt(2)))
-    assert q_function(0.0) == pytest.approx(0.5)
-
-
 def test_piecewise_approx_branches_continuous_at_zero():
-    assert erfc_piecewise_approx(0.0) == pytest.approx(1.0, abs=1e-15)
+    # the z >= 0 and z < 0 branches of the two-branch approximation meet at 1
+    assert erfc_piecewise_positive(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert erfc_piecewise_negative(0.0) == pytest.approx(1.0, abs=1e-15)
     eps = 1e-12
-    assert erfc_piecewise_approx(eps) == pytest.approx(1.0, abs=1e-9)
-    assert erfc_piecewise_approx(-eps) == pytest.approx(1.0, abs=1e-9)
+    assert erfc_piecewise_positive(eps) == pytest.approx(1.0, abs=1e-9)
+    assert erfc_piecewise_negative(-eps) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_piecewise_approx_positive_branch_value():
@@ -38,27 +33,27 @@ def test_piecewise_approx_positive_branch_value():
     z = 1.7
     expect = (2.0 / math.sqrt(math.pi)) * math.exp(-z * z) / (
         z + math.sqrt(z * z + 4.0 / math.pi))
-    assert erfc_piecewise_approx(z) == pytest.approx(expect, rel=1e-14)
+    assert erfc_piecewise_positive(z) == pytest.approx(expect, rel=1e-14)
 
 
 def test_piecewise_approx_negative_branch_value():
     z = -1.3
     x = math.exp(-2.0 * math.pi * z / math.sqrt(6.0))
     expect = 1.0 + (x - 1.0) / (x + 1.0)
-    assert erfc_piecewise_approx(z) == pytest.approx(expect, rel=1e-14)
+    assert erfc_piecewise_negative(z) == pytest.approx(expect, rel=1e-14)
 
 
 def test_piecewise_approx_tails():
     # asymptotically tight in both directions
-    assert erfc_piecewise_approx(6.0) == pytest.approx(special.erfc(6.0), rel=0.05)
-    assert erfc_piecewise_approx(-8.0) == pytest.approx(2.0, abs=1e-8)
+    assert erfc_piecewise_positive(6.0) == pytest.approx(special.erfc(6.0), rel=0.05)
+    assert erfc_piecewise_negative(-8.0) == pytest.approx(2.0, abs=1e-8)
     # overflow-safe for very negative arguments
-    assert erfc_piecewise_approx(-1e6) == pytest.approx(2.0)
+    assert erfc_piecewise_negative(-1e6) == pytest.approx(2.0)
 
 
 def test_piecewise_approx_moderate_accuracy():
     z = np.linspace(0.5, 5.0, 50)
-    ratio = erfc_piecewise_approx(z) / special.erfc(z)
+    ratio = erfc_piecewise_positive(z) / special.erfc(z)
     assert np.all(ratio > 0.9) and np.all(ratio < 1.2)
 
 
@@ -81,9 +76,11 @@ def test_simple_tail_rejects_nonpositive():
 
 def test_piecewise_approx_array_shape():
     z = np.array([[-1.0, 0.5], [2.0, -3.0]])
-    out = erfc_piecewise_approx(z)
-    assert out.shape == z.shape
-    assert out[0, 0] == pytest.approx(erfc_piecewise_approx(-1.0))
+    for branch in (erfc_piecewise_positive, erfc_piecewise_negative):
+        out = branch(z)
+        assert out.shape == z.shape
+        assert out[0, 0] == pytest.approx(branch(-1.0))
+        assert out[1, 0] == pytest.approx(branch(2.0))
 
 
 @pytest.mark.parametrize("imports", ["import scipy.special; import fsolink",
