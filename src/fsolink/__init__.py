@@ -3,10 +3,9 @@ weak log-normal turbulence, Rayleigh pointing jitter, geometric spread, and
 atmospheric attenuation, with a symbol-level Monte Carlo oracle."""
 
 from .channel import (FadingModel, LinkGeometry, OperatingPoint,
-                      beer_lambert_loss, composite_expectation, dbm_to_watts,
-                      moment_composite, pdf_composite, pdf_pointing,
-                      pdf_turbulence, rytov_variance, sample_composite,
-                      snr_electrical, snr_optical)
+                      composite_expectation, dbm_to_watts, moment_composite,
+                      pdf_composite, pdf_pointing, pdf_turbulence,
+                      sample_composite, snr_electrical, snr_optical)
 from .errorrates import (ErrorRateCurve, NoCrossingError, avg_ber_exact,
                          avg_ber_ook_approx_piecewise,
                          avg_ber_ook_approx_simple, avg_ber_ook_exact,

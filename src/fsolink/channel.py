@@ -23,56 +23,13 @@ from . import quadrature
 from .specfun import erfc, erfcx
 
 
-def beer_lambert_loss(sigma_lambda: float, z_km: float) -> float:
-    """Atmospheric loss exp(-sigma_lambda * z_km); in (0, 1]."""
-    if sigma_lambda < 0.0:
-        raise ValueError("attenuation coefficient must be >= 0")
-    if z_km <= 0.0:
-        raise ValueError("distance must be positive")
-    return math.exp(-sigma_lambda * z_km)
-
-
-def rytov_variance(cn2: float, wavelength: float, z: float) -> float:
-    """Scintillation strength 1.23 * Cn2 * (2 pi / lambda)^(7/6) * z^(11/6)."""
-    if cn2 <= 0.0 or wavelength <= 0.0 or z <= 0.0:
-        raise ValueError("cn2, wavelength and z must be positive")
-    k = 2.0 * math.pi / wavelength
-    return 1.23 * cn2 * k ** (7.0 / 6.0) * z ** (11.0 / 6.0)
-
-
-def geometric_spread(a: float, wz: float) -> tuple[float, float]:
-    """Fraction of power captured by an aperture of radius a from a Gaussian
-    beam of waist wz with zero misalignment.
-
-    Returns (v0, h_g) with v0 = sqrt(pi) a / (sqrt(2) wz) and h_g = erf(v0)^2.
-    """
-    if a <= 0.0 or wz <= 0.0:
-        raise ValueError("aperture radius and beam waist must be positive")
-    v0 = math.sqrt(math.pi) * a / (math.sqrt(2.0) * wz)
-    h_g = math.erf(v0) ** 2
-    return v0, h_g
-
-
-def equivalent_beam_width_sq(wz: float, v0: float) -> float:
-    """Equivalent beam width squared: wz^2 sqrt(pi) erf(v0) / (2 v0 exp(-v0^2))."""
-    if wz <= 0.0 or v0 <= 0.0:
-        raise ValueError("wz and v0 must be positive")
-    return wz * wz * math.sqrt(math.pi) * math.erf(v0) / (2.0 * v0 * math.exp(-v0 * v0))
-
-
-def pointing_params(wz_hat_sq: float, sigma_s: float, sigma_r2: float) -> tuple[float, float, float]:
-    """Pointing-error shape parameters (gamma, kappa, mu).
-
-    gamma = w_hat / (2 sigma_s); kappa normalizes E[Hp^2] to 1;
-    mu = sigma_R^2 (gamma^2 + 1).
-    """
-    if wz_hat_sq <= 0.0 or sigma_s <= 0.0:
-        raise ValueError("wz_hat_sq and sigma_s must be positive")
-    gamma = math.sqrt(wz_hat_sq) / (2.0 * sigma_s)
-    g2 = gamma * gamma
-    kappa = math.sqrt((g2 + 2.0) / g2)
-    mu = sigma_r2 * (g2 + 1.0)
-    return gamma, kappa, mu
+class _cached(cached_property):
+    """cached_property without the lock that Python 3.11 takes on each first read."""
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        instance.__dict__[self.attrname] = value = self.func(instance)
+        return value
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -94,13 +51,18 @@ class LinkGeometry:
     attenuation_sigma_lambda: float = 0.2208  # per-km coefficient
 
     def __post_init__(self):
-        for name in ("wavelength", "distance_z", "divergence_theta",
-                     "aperture_radius_a", "conversion_alpha",
-                     "responsivity_beta", "noise_sigma_n"):
+        for name in ("wavelength", "distance_z", "divergence_theta", "aperture_radius_a",
+                     "conversion_alpha", "responsivity_beta", "noise_sigma_n"):
             if not 0.0 < getattr(self, name) < math.inf:  # false for nan too
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.attenuation_sigma_lambda < math.inf:
             raise ValueError("attenuation_sigma_lambda must be >= 0 and finite")
+        # wz before v0, which divides by it; 2 sigma_n^2 by *, as ** raises on overflow
+        _require_normal("beam_waist_wz", self.beam_waist_wz)
+        _require_normal("eta", self.eta)
+        _require_normal("2 noise_sigma_n^2", 2.0 * self.noise_sigma_n * self.noise_sigma_n)
+        _require_normal("v0", self.v0)
+        _require_normal("wz_hat_sq", self.wz_hat_sq)
 
     @property
     def beam_waist_wz(self) -> float:
@@ -110,25 +72,28 @@ class LinkGeometry:
     def eta(self) -> float:
         return self.conversion_alpha * self.responsivity_beta
 
-    @cached_property
-    def h_l(self) -> float:
-        return beer_lambert_loss(self.attenuation_sigma_lambda, self.distance_z / 1000.0)
+    @_cached
+    def h_l(self) -> float:  # Beer-Lambert loss, z in km
+        return math.exp(-self.attenuation_sigma_lambda * (self.distance_z / 1000.0))
 
-    @cached_property
-    def _spread(self) -> tuple[float, float]:
-        return geometric_spread(self.aperture_radius_a, self.beam_waist_wz)
-
-    @property
+    @_cached
     def v0(self) -> float:
-        return self._spread[0]
+        return math.sqrt(math.pi) * self.aperture_radius_a / (math.sqrt(2.0) * self.beam_waist_wz)
 
-    @property
-    def h_g(self) -> float:
-        return self._spread[1]
+    @_cached
+    def h_g(self) -> float:  # the share of the beam the aperture captures, centred
+        return math.erf(self.v0) ** 2
 
-    @cached_property
-    def wz_hat_sq(self) -> float:
-        return equivalent_beam_width_sq(self.beam_waist_wz, self.v0)
+    @_cached
+    def wz_hat_sq(self) -> float:  # equivalent beam width squared; inf where den underflows
+        wz, v0 = self.beam_waist_wz, self.v0
+        den = 2.0 * v0 * math.exp(-v0 * v0)
+        return wz * wz * math.sqrt(math.pi) * math.erf(v0) / den if den else math.inf
+
+
+def _require_normal(name: str, x: float) -> None:
+    if not sys.float_info.min <= x < math.inf:  # false for nan too
+        raise ValueError(f"{name} = {x!r} is not a positive normal finite double")
 
 
 @dataclass(frozen=True)
@@ -150,8 +115,9 @@ class FadingModel:
             raise ValueError("rytov variance must lie in (0, 1] for weak turbulence")
         if not 0.0 < self.jitter_sigma_s < math.inf:
             raise ValueError("jitter_sigma_s must be positive and finite")
+        _require_normal("gamma^2", self.gamma * self.gamma)  # kappa divides by it
         # the log-gain coordinates ln(h / h_hat) need a normal h_hat
-        if not self.h_hat >= sys.float_info.min:
+        if not sys.float_info.min <= self.h_hat < math.inf:  # false for nan too
             raise ValueError(f"the breakpoint h_hat = h_g h_l kappa exp(-mu) = {self.h_hat!r} "
                              f"is not a positive normal double (mu = {self.mu:g}, "
                              f"h_g h_l = {self.hg_hl:g})")
@@ -164,33 +130,29 @@ class FadingModel:
     def delta(self) -> float:
         return -self.sigma2
 
-    @cached_property
-    def _pointing(self) -> tuple[float, float, float]:
-        return pointing_params(self.geometry.wz_hat_sq, self.jitter_sigma_s,
-                               self.rytov_var_sigma_r2)
+    @_cached
+    def gamma(self) -> float:  # w_hat / (2 sigma_s): Farid & Hranilovic, JLT 2007
+        return math.sqrt(self.geometry.wz_hat_sq) / (2.0 * self.jitter_sigma_s)
 
-    @property
-    def gamma(self) -> float:
-        return self._pointing[0]
+    @_cached
+    def kappa(self) -> float:  # normalizes E[Hp^2] to 1
+        g2 = self.gamma * self.gamma
+        return math.sqrt((g2 + 2.0) / g2)
 
-    @property
-    def kappa(self) -> float:
-        return self._pointing[1]
-
-    @property
+    @_cached
     def mu(self) -> float:
-        return self._pointing[2]
+        return self.rytov_var_sigma_r2 * (self.gamma * self.gamma + 1.0)
 
-    @cached_property
+    @_cached
     def hg_hl(self) -> float:
         return self.geometry.h_g * self.geometry.h_l
 
-    @cached_property
+    @_cached
     def h_hat(self) -> float:
         """Breakpoint h_g h_l kappa exp(-mu) where v changes sign."""
         return self.hg_hl * self.kappa * math.exp(-self.mu)
 
-    @cached_property
+    @_cached
     def log_gain_params(self) -> LogGainParams:
         """The constants of the composite density in log-gain coordinates."""
         g2, sig2 = self.gamma**2, self.sigma2
@@ -286,7 +248,7 @@ class LogGainParams:
     y_star: float      # centre of the Gaussian bump above h_hat
     y_top: float       # its upper end, 45 standard deviations above the centre
 
-    @cached_property
+    @_cached
     def plan(self) -> np.ndarray:
         """The points of both pieces' plans in y as rows of shape (2, 1, B), to
         go with PLAN_MASK. Row 0 is the lower piece's plan in w = -y, negated:
@@ -308,7 +270,7 @@ class LogGainParams:
         return np.array([[[-w for w in lower]],
                          [upper + [-math.inf] * (len(lower) - len(upper))]])
 
-    @cached_property
+    @_cached
     def operands(self) -> tuple:
         """log_amp, y_star, -2 sig2, h_hat and sqrt2s as 0-d arrays, the
         integrand's operands: numpy converts a Python float operand on every
@@ -316,7 +278,7 @@ class LogGainParams:
         return tuple(np.array(x) for x in (self.log_amp, self.y_star, -2.0 * self.sig2,
                                            self.h_hat, self.sqrt2s))
 
-    @cached_property
+    @_cached
     def bounds(self) -> dict:
         """_bound_constants of this model, by (h_power, y_lo, w_end, upper
         form): one per kind of average, filled by _ends."""
@@ -328,19 +290,22 @@ def pdf_composite(h, model: FadingModel):
     that density_average integrates. With y = ln(h / h_hat) and
     v = y / sqrt(2 sig2) it is (g2 / 2h) e^(log_amp + g2 y) erfc(v) below
     h_hat and (g2 / 2h) e^(-(y - y*)^2 / (2 sig2)) erfcx(v) above it, so no
-    factor overflows where the other underflows."""
+    factor overflows where the other underflows. A gain below the smallest
+    normal double is refused."""
     h = np.asarray(h, dtype=float)
-    if not np.all(h > 0.0):  # false for nan too
-        raise ValueError("composite gain must be positive")
+    if not np.all(h >= sys.float_info.min):  # false for nan too
+        raise ValueError("composite gain must be positive and a normal double")
     par = model.log_gain_params
     y = np.log(h / par.h_hat)
     # each branch sees y clamped to its own side of h_hat, where it cannot overflow
     y_low, y_high = np.minimum(y, 0.0), np.maximum(y, 0.0)
-    out = par.g2 / (2.0 * h) * np.where(
-        y <= 0.0,
-        np.exp(par.log_amp + par.g2 * y_low) * erfc(y_low / par.sqrt2s),
-        np.exp(-((y_high - par.y_star) ** 2) / (2.0 * par.sig2))
-        * erfcx(y_high / par.sqrt2s))
+    form = np.where(y <= 0.0,
+                    np.exp(par.log_amp + par.g2 * y_low) * erfc(y_low / par.sqrt2s),
+                    np.exp(-((y_high - par.y_star) ** 2) / (2.0 * par.sig2))
+                    * erfcx(y_high / par.sqrt2s))
+    # where the form underflows to 0 so does the density, also where g2 / 2h overflows
+    with np.errstate(over="ignore"):
+        out = np.multiply(par.g2 / (2.0 * h), form, out=np.zeros_like(form), where=form > 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -90,8 +90,8 @@ class RunConfig:
             raise ConfigError("n_symbols must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must lie in [0, 2**64)")
-        if not (0.0 < self.h_min < math.inf and 0.0 < self.h_max < math.inf):
-            raise ConfigError("h_min and h_max must be positive and finite")
+        if not all(sys.float_info.min <= h < math.inf for h in (self.h_min, self.h_max)):
+            raise ConfigError("h_min and h_max must be positive and finite normal doubles")
         if self.h_points < 1:
             raise ConfigError("h_points must be >= 1")
         # a threshold below the smallest normal double is subnormal, as are the
@@ -228,6 +228,8 @@ def _exit_code(rows) -> int:
 
 def cmd_pdf(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
     grid = np.logspace(math.log10(cfg.h_min), math.log10(cfg.h_max), cfg.h_points)
+    # 10^log10(h) may round below h, and below the smallest normal double
+    grid = np.maximum(grid, min(cfg.h_min, cfg.h_max))
     rows = [[_fmt_prob(h), _fmt_prob(p)] for h, p in zip(grid, pdf_composite(grid, op.fading))]
     _write_rows(out, ["h", "pdf"], rows)
     return EXIT_OK

@@ -57,11 +57,10 @@ def erfc(z):
 
 def erfc_piecewise_positive(z):
     """The z >= 0 branch of the two-branch erfc approximation, tight in both
-    tails: (2/sqrt(pi)) exp(-z^2) / (z + sqrt(z^2 + 4/pi)), z^2 taken once.
-    Both branches are exactly 1 at z = 0."""
+    tails: (2/sqrt(pi)) exp(-z^2) / (z + sqrt(z^2 + 4/pi)), which is exp(-z^2)
+    times erfcx_piecewise_approx. Both branches are exactly 1 at z = 0."""
     z = np.asarray(z, dtype=float)
-    z2 = z * z
-    return np.exp(-z2) * (_TWO_OVER_SQRT_PI / (z + np.sqrt(z2 + _FOUR_OVER_PI)))
+    return np.exp(-z * z) * erfcx_piecewise_approx(z)
 
 
 def erfc_piecewise_negative(z):

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from fsolink import channel, quadrature
-from fsolink.channel import (FadingModel, OperatingPoint, beer_lambert_loss,
+from fsolink.channel import (FadingModel, OperatingPoint,
                              composite_expectation, dbm_to_watts,
-                             equivalent_beam_width_sq, geometric_spread,
                              mean_symbol_power_sq, moment_composite,
                              pdf_composite, pdf_pointing, pdf_turbulence,
-                             pointing_params, rytov_variance, sample_composite,
-                             snr_electrical, snr_optical)
+                             sample_composite, snr_electrical, snr_optical)
 from fsolink.errorrates import avg_ser_exact
 from support import GRID_POINTS, HEADLINE_POINTS, make_fading, make_geometry, make_op
 
@@ -36,13 +34,12 @@ def test_beer_lambert_loss_default_budget():
     geo = make_geometry()
     assert geo.h_l == pytest.approx(0.516, abs=1e-3)
     assert geo.h_l == pytest.approx(math.exp(-0.2208 * 3.0), rel=1e-15)
-    assert beer_lambert_loss(0.2208, 3.0) == geo.h_l
 
 
 def test_geometric_spread_default_budget():
     geo = make_geometry()
     assert geo.h_g == pytest.approx(1.3e-3, abs=0.05e-3)
-    v0, h_g = geometric_spread(0.05, 1.98)
+    v0, h_g = geo.v0, geo.h_g
     assert v0 == pytest.approx(math.sqrt(math.pi) * 0.05 / (math.sqrt(2.0) * 1.98),
                                rel=1e-14)
     assert h_g == pytest.approx(math.erf(v0) ** 2, rel=1e-14)
@@ -54,20 +51,11 @@ def test_equivalent_beam_width():
     expect = wz * wz * math.sqrt(math.pi) * math.erf(v0) / (
         2.0 * v0 * math.exp(-v0 * v0))
     assert geo.wz_hat_sq == pytest.approx(expect, rel=1e-14)
-    assert equivalent_beam_width_sq(wz, v0) == pytest.approx(expect, rel=1e-14)
 
 
 def test_eta_is_alpha_beta_product():
     geo = make_geometry()
     assert geo.eta == pytest.approx(0.5)
-
-
-def test_rytov_variance_formula():
-    # sigma_R^2 = 1.23 Cn2 k^(7/6) z^(11/6)
-    lam, z, cn2 = 1550e-9, 3000.0, 1e-15
-    k = 2.0 * math.pi / lam
-    assert rytov_variance(cn2, lam, z) == pytest.approx(
-        1.23 * cn2 * k ** (7.0 / 6.0) * z ** (11.0 / 6.0), rel=1e-14)
 
 
 def test_dbm_round_trip():
@@ -80,8 +68,8 @@ def test_dbm_round_trip():
 # fading-model derived constants
 
 def test_pointing_params_headline_values():
-    geo = make_geometry()
-    gamma, kappa, mu = pointing_params(geo.wz_hat_sq, 0.35, 0.1)
+    fm = make_fading(0.35, 0.1)
+    gamma, kappa, mu = fm.gamma, fm.kappa, fm.mu
     assert gamma == pytest.approx(2.829516091582288, rel=1e-12)
     assert kappa == pytest.approx(math.sqrt((gamma**2 + 2.0) / gamma**2), rel=1e-14)
     assert mu == pytest.approx(0.1 * (gamma**2 + 1.0), rel=1e-14)
@@ -111,36 +99,26 @@ def test_breakpoint_gain():
     assert fm.h_hat == pytest.approx(0.0002985121050945621, rel=1e-12)
 
 
+class _NoMath:
+    """Stands in for channel's math module: any use of it raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"derived constant recomputed (math.{name})")
+
+
 def test_derived_constants_computed_once(monkeypatch):
-    helpers = ("pointing_params", "geometric_spread", "equivalent_beam_width_sq",
-               "beer_lambert_loss")
-    calls = []
-
-    def counted(name, helper):
-        def wrapper(*args):
-            calls.append(name)
-            return helper(*args)
-        return wrapper
-
-    for name in helpers:
-        monkeypatch.setattr(channel, name, counted(name, getattr(channel, name)))
-    # from building a model through reading every constant, each helper runs once
     fm = make_fading(0.35, 0.1)
     geo = fm.geometry
     names = ("gamma", "kappa", "mu", "hg_hl", "h_hat")
     geo_names = ("h_l", "v0", "h_g", "wz_hat_sq")
     first = [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names]
     assert fm.log_gain_params.g2 == fm.gamma**2
-    assert sorted(calls) == sorted(helpers)
-    # built before the patch, as a model checks its breakpoint when it is built
+    # built before the patch, as a model checks its constants when it is built
     fresh = make_fading(0.35, 0.1)
-
-    def recomputed(*args):
-        raise AssertionError("derived constant recomputed")
-
-    for name in helpers:
-        monkeypatch.setattr(channel, name, recomputed)
+    # every constant computes through math, so none is computed again
+    monkeypatch.setattr(channel, "math", _NoMath())
     assert [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names] == first
+    assert fm.log_gain_params.g2 == first[0] ** 2
     # the cached values are not fields: equality and hashing ignore them
     assert fm == fresh and hash(fm) == hash(fresh)
 
@@ -158,10 +136,15 @@ def test_log_gain_params_computed_once(monkeypatch):
     def recomputed(*args):
         raise AssertionError("log-gain constant recomputed")
 
-    for name in ("LogGainParams", "pointing_params", "_bound_constants"):
+    pointing = (fm.gamma, fm.kappa, fm.mu)
+    for name in ("LogGainParams", "_bound_constants"):
         monkeypatch.setattr(channel, name, recomputed)
+    # the model's constants and the plans are read without math
+    monkeypatch.setattr(channel, "math", _NoMath())
     assert fm.log_gain_params is par
     assert par.plan is plan
+    assert (fm.gamma, fm.kappa, fm.mu) == pointing
+    monkeypatch.setattr(channel, "math", math)
     composite_expectation(fm)  # the engine reads the cached constants and plans
     avg_ser_exact(OperatingPoint(fm.geometry, fm, 4, 1e-3))
     monkeypatch.undo()
@@ -400,9 +383,14 @@ def test_pointing_density_is_inf_at_zero_gain_below_gamma_one():
 
 def test_composite_density_rejects_nan_gain():
     fm = make_fading(0.25, 0.5)
-    for h in (math.nan, np.array([5e-4, math.nan])):
+    # below the smallest normal double g2 / 2h overflowed, and times a form of
+    # 0 made a density of nan
+    for h in (math.nan, np.array([5e-4, math.nan]), 1e-320, np.array([5e-4, 5e-324])):
         with pytest.raises(ValueError, match="composite gain must be positive"):
             pdf_composite(h, fm)
+    # at the smallest normal gain g2 / 2h still overflows where g2 > 8, times
+    # a form that underflows to 0
+    assert fm.log_gain_params.g2 > 8.0 and pdf_composite(sys.float_info.min, fm) == 0.0
 
 
 @pytest.mark.parametrize("sigma_s, rytov", [(0.095, 0.154), (5.0, 0.01)])

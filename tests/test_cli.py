@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fsolink import channel, cli
+from fsolink import cli
 from fsolink import errorrates as er
 from fsolink.cli import ConfigError, RunConfig, load_config, main, parse_config_text
 from support import GRID_POINTS, as_average, run_python
@@ -621,7 +621,25 @@ def test_underflowing_breakpoint_is_config_error(argv, capsys):
     # a result with exit 0 before, and an OverflowError or ValueError traceback
     (["sweep", "--modulation_m", "2048"], "modulation_m must be a power of two from 2 to 1024"),
     (["sweep", "--modulation_m", str(2**1030)], "modulation_m must be a power of two from 2 to"),
-    (["mc", "--modulation_m", str(2**1030)], "modulation_m must be a power of two from 2 to")])
+    (["mc", "--modulation_m", str(2**1030)], "modulation_m must be a power of two from 2 to"),
+    # link budgets whose derived constants leave the normal doubles: a
+    # ZeroDivisionError, OverflowError or math domain error traceback before,
+    # or counts with exit 0 (mc)
+    (["pdf", "--link_distance_km", "0.003"], "wz_hat_sq = inf is not a positive normal"),
+    (["pdf", "--aperture_radius_m", "1e10"], "wz_hat_sq = inf is not a positive normal"),
+    (["pdf", "--divergence_mrad", "1e-200"], "wz_hat_sq = inf is not a positive normal"),
+    (["pdf", "--jitter_sigma_m", "1e200"], "gamma^2 = 0.0 is not a positive normal"),
+    (["sweep", "--noise_sigma_a", "1e-300"], "2 noise_sigma_n^2 = 0.0 is not a positive normal"),
+    (["sweep", "--noise_sigma_a", "1e300"], "2 noise_sigma_n^2 = inf is not a positive normal"),
+    (["power-step", "--noise_sigma_a", "1e300", "--target-ser", "1e-3"],
+     "2 noise_sigma_n^2 = inf is not a positive normal"),
+    (["sweep", "--alpha_w_per_a", "1e-300", "--beta_a_per_w", "1e-300"],
+     "eta = 0.0 is not a positive normal"),
+    (["mc", "--noise_sigma_a", "1e-300", "--n_symbols", "10", "--p_dbm_min", "0",
+      "--p_dbm_max", "0"], "2 noise_sigma_n^2 = 0.0 is not a positive normal"),
+    # a density of nan with exit 0: g2 / 2h overflows below the smallest normal h
+    (["pdf", "--h_points", "3", "--h_min", "1e-320"],
+     "h_min and h_max must be positive and finite normal doubles")])
 def test_pdf_grid_and_mc_seed_are_config_errors(argv, message, capsys):
     code, out = run_cli(argv)
     assert code == 2
@@ -631,7 +649,7 @@ def test_pdf_grid_and_mc_seed_are_config_errors(argv, message, capsys):
 
 def test_pdf_grid_and_mc_seed_limits_are_accepted():
     for kw in (dict(seed=0), dict(seed=2**64 - 1), dict(h_points=1),
-               dict(h_min=5e-324, h_max=1.7e308)):
+               dict(h_min=sys.float_info.min, h_max=1.7e308)):
         RunConfig(**kw)
 
 
@@ -727,18 +745,19 @@ def test_shared_parser_keeps_help_errors_and_exit_codes(capsys):
 
 
 def test_command_builds_the_channel_model_once(monkeypatch):
-    # main validates the operating point, and the command reuses it
+    # main validates the operating point, and the command reuses it: a
+    # geometry takes two erf calls, for h_g and wz_hat_sq
     calls = []
-    pointing_params = channel.pointing_params
+    erf = math.erf
 
-    def counting(*args):
-        calls.append(args)
-        return pointing_params(*args)
+    def counting(x):
+        calls.append(x)
+        return erf(x)
 
-    monkeypatch.setattr(channel, "pointing_params", counting)
+    monkeypatch.setattr(math, "erf", counting)
     code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "0"])
     assert code == 0 and len(rows_of(out)) == 2
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_command_line_read_from_sys_argv(monkeypatch):

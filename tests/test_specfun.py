@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 
 from fsolink.specfun import (erfc, erfc_piecewise_negative, erfc_piecewise_positive,
-                             erfc_simple_tail)
+                             erfc_simple_tail, erfcx_piecewise_approx)
 from support import run_python
 
 
@@ -34,6 +34,13 @@ def test_piecewise_approx_positive_branch_value():
     expect = (2.0 / math.sqrt(math.pi)) * math.exp(-z * z) / (
         z + math.sqrt(z * z + 4.0 / math.pi))
     assert erfc_piecewise_positive(z) == pytest.approx(expect, rel=1e-14)
+    # it is exp(-z^2) times erfcx_piecewise_approx, with the operations of the
+    # formula written out, so the same bits
+    z = np.concatenate([[0.0], np.logspace(-8.0, 2.0, 201)])
+    z2 = z * z
+    written = np.exp(-z2) * (2.0 / math.sqrt(math.pi) / (z + np.sqrt(z2 + 4.0 / math.pi)))
+    assert np.array_equal(erfc_piecewise_positive(z), written)
+    assert np.array_equal(np.exp(-z * z) * erfcx_piecewise_approx(z), written)
 
 
 def test_piecewise_approx_negative_branch_value():
