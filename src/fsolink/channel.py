@@ -115,7 +115,7 @@ class FadingModel:
             raise ValueError("rytov variance must lie in (0, 1] for weak turbulence")
         if not 0.0 < self.jitter_sigma_s < math.inf:
             raise ValueError("jitter_sigma_s must be positive and finite")
-        _require_normal("gamma^2", self.gamma * self.gamma)  # kappa divides by it
+        _require_normal("gamma^2", self.g2)  # kappa divides by it
         # the log-gain coordinates ln(h / h_hat) need a normal h_hat
         if not sys.float_info.min <= self.h_hat < math.inf:  # false for nan too
             raise ValueError(f"the breakpoint h_hat = h_g h_l kappa exp(-mu) = {self.h_hat!r} "
@@ -135,13 +135,16 @@ class FadingModel:
         return math.sqrt(self.geometry.wz_hat_sq) / (2.0 * self.jitter_sigma_s)
 
     @_cached
+    def g2(self) -> float:  # gamma^2, the one product every reader shares
+        return self.gamma * self.gamma
+
+    @_cached
     def kappa(self) -> float:  # normalizes E[Hp^2] to 1
-        g2 = self.gamma * self.gamma
-        return math.sqrt((g2 + 2.0) / g2)
+        return math.sqrt((self.g2 + 2.0) / self.g2)
 
     @_cached
     def mu(self) -> float:
-        return self.rytov_var_sigma_r2 * (self.gamma * self.gamma + 1.0)
+        return self.rytov_var_sigma_r2 * (self.g2 + 1.0)
 
     @_cached
     def hg_hl(self) -> float:
@@ -155,7 +158,7 @@ class FadingModel:
     @_cached
     def log_gain_params(self) -> LogGainParams:
         """The constants of the composite density in log-gain coordinates."""
-        g2, sig2 = self.gamma**2, self.sigma2
+        g2, sig2 = self.g2, self.sigma2
         return LogGainParams(g2, sig2, self.h_hat, -(g2 * g2) * sig2 / 2.0,
                              math.sqrt(2.0 * sig2), g2 * sig2, g2 * sig2 + 45.0 * math.sqrt(sig2))
 
@@ -303,9 +306,12 @@ def pdf_composite(h, model: FadingModel):
                     np.exp(par.log_amp + par.g2 * y_low) * erfc(y_low / par.sqrt2s),
                     np.exp(-((y_high - par.y_star) ** 2) / (2.0 * par.sig2))
                     * erfcx(y_high / par.sqrt2s))
-    # where the form underflows to 0 so does the density, also where g2 / 2h overflows
+    # where the form underflows to 0 so does the density, also where g2 / 2h
+    # overflows; where it overflows and the form does not, h divides last
     with np.errstate(over="ignore"):
-        out = np.multiply(par.g2 / (2.0 * h), form, out=np.zeros_like(form), where=form > 0.0)
+        scale = par.g2 / (2.0 * h)
+        out = np.multiply(scale, form, out=np.zeros_like(form), where=form > 0.0)
+        np.divide(par.g2 / 2.0 * form, h, out=out, where=(scale == math.inf) & (form > 0.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -618,7 +624,7 @@ def composite_expectation(model: FadingModel, func=None) -> float:
 
 def moment_composite(model: FadingModel, order: int) -> float:
     """Closed-form first or second moment of the composite gain."""
-    g2 = model.gamma**2
+    g2 = model.g2
     if order == 1:
         return (
             model.hg_hl
@@ -653,7 +659,7 @@ def sample_composite(model: FadingModel, rng: np.random.Generator, size=None):
         xb = flat[s:s + BLOCK]
         u = rng.random(size=xb.size)
         np.log(np.subtract(1.0, u, out=u), out=u)
-        xb += np.divide(u, model.gamma**2, out=u)
+        xb += np.divide(u, model.g2, out=u)
     np.exp(x, out=x)
     x *= model.hg_hl * model.kappa
     return x[()]
@@ -681,7 +687,8 @@ def snr_electrical(op: OperatingPoint) -> float:
 def snr_optical(op: OperatingPoint) -> float:
     """Average received optical SNR in dB: detector signal photocurrent over
     the noise standard deviation (an amplitude-like ratio, reported as
-    10 log10 of the ratio itself)."""
+    10 log10 of the ratio itself). It is summed as log10 terms, as
+    snr_electrical is, so it stays finite where the ratio would underflow."""
     geo = op.geometry
-    ratio = geo.eta * op.transmit_power_p * moment_composite(op.fading, 1) / geo.noise_sigma_n
-    return 10.0 * math.log10(ratio)
+    return 10.0 * (math.log10(geo.eta) + math.log10(op.transmit_power_p)
+                   + math.log10(moment_composite(op.fading, 1)) - math.log10(geo.noise_sigma_n))

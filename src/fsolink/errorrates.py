@@ -118,7 +118,7 @@ def _avg_ser_pointing_integrated(op: OperatingPoint) -> float:
     e^(-Z^2 / 2) a^(-g2) peaks.
     """
     fm, m_order = op.fading, op.modulation_order_m
-    g2, sigma = fm.gamma**2, math.sqrt(fm.sigma2)
+    g2, sigma = fm.g2, math.sqrt(fm.sigma2)
     s = (g2 + 1.0) / 2.0
     (u,) = _u(op, [op.transmit_power_p], [m_order - 1])
     log_a0 = math.log(u * fm.hg_hl * fm.kappa) + fm.delta
@@ -221,7 +221,7 @@ def _avg_ser_dense(op, p_watts, orders):
 
 def _avg_ser_dense_highpower(op, p_watts, orders):
     """Dense-constellation SER at high transmit power (4/pi guard dropped)."""
-    if op.fading.gamma**2 <= 1.0:
+    if op.fading.g2 <= 1.0:
         raise ValueError("high-power dense form requires gamma^2 > 1")
     # the positive erfc branch without its 4/pi guard is exp(-s^2) / (s sqrt(pi)),
     # s = u h, whose 1/h is carried as h_power = -1
@@ -400,17 +400,6 @@ def _crossings(cells, level: float):
     return powers, errors
 
 
-def _first_crossing_cell(curve: ErrorRateCurve, threshold: float):
-    """The cell of _crossings, to 1e-4 dB, where the curve first crosses the
-    threshold, or the NoCrossingError of a curve that does not."""
-    d = [math.log10(v) - math.log10(threshold) if v > 0.0 else -math.inf
-         for v in curve.values]
-    for i, (a, b) in enumerate(zip(d, d[1:])):
-        if a == 0.0 or a * b < 0.0 or b == 0.0:
-            return (curve.expression, curve.op, curve.p_dbm[i], curve.p_dbm[i + 1], a, b, 1e-4)
-    return NoCrossingError(_not_crossed(threshold, curve.p_dbm))
-
-
 def _not_crossed(threshold: float, p_dbm) -> str:
     where = f"[{p_dbm[0]}, {p_dbm[-1]}] dBm" if len(p_dbm) else "an empty grid"
     return f"threshold {threshold} not crossed on {where}"
@@ -418,38 +407,23 @@ def _not_crossed(threshold: float, p_dbm) -> str:
 
 def crossing_power(curve: ErrorRateCurve, threshold: float) -> float:
     """Power (dBm) at which the curve first crosses the threshold, as
-    _crossings finds it in the first cell that crosses it: by Brent's method
-    through the curve's expression, from the curve's values at its ends."""
-    return single_value(_crossings([_first_crossing_cell(curve, threshold)], threshold))
-
-
-def _gaps(cells, level: float):
-    """The horizontal dB gap of each cell after the first, cells as _crossings
-    takes them, from the first one's crossing, all refined in one lockstep
-    solve. Returns (gaps, errors): errors[i] is None, or the error of cell
-    i + 1, or else that of the first cell."""
-    (p_exact, *powers), (e_exact, *errors) = _crossings(cells, level)
-    errors = [e_exact if error is None else error for error in errors]
-    return [p - p_exact if error is None else math.nan
-            for p, error in zip(powers, errors)], errors
-
-
-def delta_gaps(exact: ErrorRateCurve, approx, threshold: float):
-    """Horizontal dB gaps P*_approx - P*_exact at a threshold between each
-    curve of approx and the exact curve, every crossing refined in one
-    lockstep solve, the exact one once. An entry of approx may instead be
-    the error of its sweep. Returns (gaps, errors): errors[i] is None, or
-    approx[i]'s error, or that of its crossing, or else of the exact one."""
-    if not approx:
-        return [], []
-    return _gaps([c if isinstance(c, Exception) else _first_crossing_cell(c, threshold)
-                  for c in (exact, *approx)], threshold)
+    _crossings finds it to 1e-4 dB in the first cell that crosses it: by
+    Brent's method through the curve's expression, from the curve's values at
+    its ends. Raises NoCrossingError where no cell crosses it."""
+    lt = math.log10(threshold)
+    d = [math.log10(v) - lt if v > 0.0 else -math.inf for v in curve.values]
+    for i, (a, b) in enumerate(zip(d, d[1:])):
+        if a == 0.0 or a * b < 0.0 or b == 0.0:
+            cell = (curve.expression, curve.op, curve.p_dbm[i], curve.p_dbm[i + 1], a, b, 1e-4)
+            return single_value(_crossings([cell], threshold))
+    raise NoCrossingError(_not_crossed(threshold, curve.p_dbm))
 
 
 def delta_gap(exact: ErrorRateCurve, approx: ErrorRateCurve, threshold: float) -> float:
     """Horizontal dB gap between an approximation and the exact curve at a
-    threshold: P*_approx - P*_exact."""
-    return single_value(delta_gaps(exact, [approx], threshold))
+    threshold: P*_approx - P*_exact, each as crossing_power finds it. The
+    approximation's is refined first, so its error is the one raised."""
+    return crossing_power(approx, threshold) - crossing_power(exact, threshold)
 
 
 def _grid_cells(points, p_dbm, level: float, tol: float, missing: str):
@@ -463,7 +437,7 @@ def _grid_cells(points, p_dbm, level: float, tol: float, missing: str):
     every cell wider than one step. A probe above level raises its cell's
     lower end, any other (0 or a failure) lowers its upper end. So for a
     non-increasing curve this finds the first cell that crosses level, the
-    one _first_crossing_cell finds on the curve sampled on p_dbm, and a
+    one crossing_power refines on the curve sampled on p_dbm, and a
     failure at a power it does not probe does not matter. A lane fails with
     the error of the probe at its cell's upper end, or, where its curve is
     above level on the whole grid or below it from the first point on,
@@ -488,16 +462,17 @@ def _grid_cells(points, p_dbm, level: float, tol: float, missing: str):
 
 
 def delta_gaps_on_grid(op: OperatingPoint, exact, approx, p_dbm_grid, threshold: float):
-    """delta_gaps of the curves that sweep_curve would sample, of exact and of
-    each of approx (averages of this module) at op on the dBm grid p_dbm_grid,
-    without sampling them: _grid_cells finds each crossing's cell by
-    bisection, every lane in lockstep, and one lockstep solve refines them.
-    On non-increasing curves the gaps are those of delta_gaps, bit for bit.
+    """The gap delta_gap would give between each of approx and exact
+    (averages of this module) on the curves that sweep_curve would sample at
+    op on the dBm grid p_dbm_grid, without sampling them: _grid_cells finds
+    each crossing's cell by bisection, every lane in lockstep, and one
+    lockstep solve refines them, the exact crossing once. On non-increasing
+    curves the gaps are delta_gap's, bit for bit.
 
     Raises NoCrossingError for an empty grid, and the error of an average of
-    exact that its search stopped on. Returns (gaps, errors) as delta_gaps
-    does, errors[i] being approx[i]'s search error, or that of its crossing,
-    or else of the exact one.
+    exact that its search stopped on. Returns (gaps, errors): errors[i] is
+    None, or approx[i]'s search error, or that of its crossing, or else of
+    the exact one, and gaps[i] is then nan.
     """
     if not approx:
         return [], []
@@ -507,7 +482,10 @@ def delta_gaps_on_grid(op: OperatingPoint, exact, approx, p_dbm_grid, threshold:
     cells = _grid_cells([(e, op) for e in (exact, *approx)], p_dbm_grid, threshold, 1e-4, missing)
     if isinstance(cells[0], Exception) and not isinstance(cells[0], NoCrossingError):
         raise cells[0]
-    return _gaps(cells, threshold)
+    (p_exact, *powers), (e_exact, *errors) = _crossings(cells, threshold)
+    errors = [e_exact if error is None else error for error in errors]
+    return [p - p_exact if error is None else math.nan
+            for p, error in zip(powers, errors)], errors
 
 
 # the power grid (dBm) on which the power solve brackets its target: 2 dB

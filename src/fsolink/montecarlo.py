@@ -104,16 +104,6 @@ def ml_detect(y, eta_h, m_order: int, p_watts: float):
     return _nearest_level(np.asarray(y, dtype=float) / spacing, m_order)
 
 
-def _screened_detect(j_sent, r, m_order: int):
-    """Indices and nearest-level decisions of the symbols whose noise r, in level
-    spacings, can reach a midpoint; the rest are decided as sent. Below the screen
-    j + r - 1/2 lies M 2^-50 inside (j - 1, j), beyond its two roundings of at
-    most M 2^-53 each, so the full rule gives j there too."""
-    screen = 0.5 - m_order * 2.0**-50
-    idx = np.flatnonzero((r >= screen) | (r <= -screen))
-    return idx, _nearest_level(j_sent[idx] + r[idx], m_order)
-
-
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     """The stream of one batch: child batch_index of SeedSequence(seed).spawn(...)."""
     seq = np.random.SeedSequence(seed, spawn_key=(batch_index,))
@@ -129,10 +119,12 @@ def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
     geo = op.geometry
     # the level spacing eta h 2P/(M-1) over sigma_n, per unit gain, at each power
     scales = [geo.eta * 2.0 * p / ((m_order - 1) * geo.noise_sigma_n) for p in p_watts]
-    # the noise is r = (z/c)/h in level spacings. q = |z|/h is |r| c to within
-    # three roundings, 2^-51 relative, so q >= limit keeps every symbol that
-    # _screened_detect's screen keeps, and a higher power keeps a subset of the
-    # symbols a lower one keeps
+    # the noise is r = (z/c)/h in level spacings, and q = |z|/h is |r| c to within
+    # three roundings, 2^-51 relative. So a symbol with q < limit has
+    # |r| < 1/2 - M 2^-50: j + r - 1/2 lies M 2^-50 inside (j - 1, j), beyond the
+    # two roundings of at most M 2^-53 each of the nearest-level rule, which
+    # decides j for it. Only the symbols with q >= limit are detected, and a
+    # higher power keeps a subset of the symbols a lower one keeps
     limits = [(0.5 - m_order * 2.0**-50) * c * (1.0 - 1e-12) for c in scales]
 
     j_sent = np.empty(n, dtype=np.int16)
@@ -159,8 +151,8 @@ def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
             r = z[cand] / c
             r /= hb[cand]
             j_cand = jb[cand]
-            idx, j_hat = _screened_detect(j_cand, r, m_order)
-            d = np.bitwise_xor(j_hat, j_cand[idx], out=j_hat)
+            j_hat = _nearest_level(j_cand + r, m_order)
+            d = np.bitwise_xor(j_hat, j_cand, out=j_hat)
             symbol_errors = int(np.count_nonzero(d))
             d ^= d >> 1  # the Gray words of sent and decided differ in these bits
             counts[k] = (counts[k][0] + symbol_errors,

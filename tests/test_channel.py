@@ -109,18 +109,29 @@ class _NoMath:
 def test_derived_constants_computed_once(monkeypatch):
     fm = make_fading(0.35, 0.1)
     geo = fm.geometry
-    names = ("gamma", "kappa", "mu", "hg_hl", "h_hat")
+    names = ("gamma", "g2", "kappa", "mu", "hg_hl", "h_hat")
     geo_names = ("h_l", "v0", "h_g", "wz_hat_sq")
     first = [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names]
-    assert fm.log_gain_params.g2 == fm.gamma**2
+    assert fm.log_gain_params.g2 == fm.g2 == fm.gamma * fm.gamma
     # built before the patch, as a model checks its constants when it is built
     fresh = make_fading(0.35, 0.1)
     # every constant computes through math, so none is computed again
     monkeypatch.setattr(channel, "math", _NoMath())
     assert [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names] == first
-    assert fm.log_gain_params.g2 == first[0] ** 2
+    assert fm.log_gain_params.g2 == first[0] * first[0]
     # the cached values are not fields: equality and hashing ignore them
     assert fm == fresh and hash(fm) == hash(fresh)
+
+
+def test_one_gamma_squared():
+    # at sigma_s = 0.239 m gamma**2 rounds one bit above gamma * gamma; kappa,
+    # mu and the log-gain constants all read the one g2 = gamma * gamma
+    fm = make_fading(0.239, 0.1)
+    g2 = fm.gamma * fm.gamma
+    assert fm.gamma**2 != g2
+    assert fm.g2 == fm.log_gain_params.g2 == g2
+    assert fm.kappa == math.sqrt((g2 + 2.0) / g2)
+    assert fm.mu == fm.rytov_var_sigma_r2 * (g2 + 1.0)
 
 
 def test_log_gain_params_computed_once(monkeypatch):
@@ -391,6 +402,20 @@ def test_composite_density_rejects_nan_gain():
     # at the smallest normal gain g2 / 2h still overflows where g2 > 8, times
     # a form that underflows to 0
     assert fm.log_gain_params.g2 > 8.0 and pdf_composite(sys.float_info.min, fm) == 0.0
+
+
+def test_composite_density_finite_where_g2_over_2h_overflows():
+    # at the smallest normal gain g2 / 2h overflows, and with a breakpoint of
+    # 1.6e-307 the form is positive there: h divides last, not a density of inf
+    fm = make_fading(0.35, 0.1, make_geometry(attenuation_sigma_lambda=233.0))
+    par, h = fm.log_gain_params, sys.float_info.min
+    y = math.log(h / par.h_hat)
+    expected = par.g2 / 2.0 * math.exp(par.log_amp + par.g2 * y) * math.erfc(y / par.sqrt2s) / h
+    assert par.g2 / (2.0 * h) == math.inf and 2e300 < expected < 3e300
+    assert pdf_composite(h, fm) == pytest.approx(expected, rel=1e-12)
+    # beside a gain whose g2 / 2h does not overflow, each keeps its value
+    both = pdf_composite(np.array([h, 4.0 * h]), fm)
+    assert both.tolist() == [pdf_composite(h, fm), pdf_composite(4.0 * h, fm)]
 
 
 @pytest.mark.parametrize("sigma_s, rytov", [(0.095, 0.154), (5.0, 0.01)])

@@ -317,24 +317,34 @@ def test_delta_crossing_into_a_zero_average_exit_code():
 def _scanned_delta_rows(cfg):
     """The rows of fsolink delta as sampled curves give them: every
     expression swept over the whole grid by sweep_curve, a sweep's error
-    failing its row (or, for the exact curve, the whole table), then
-    delta_gaps."""
+    failing its row (or, for the exact curve, the whole table), then each
+    gap from crossing_power on the curves, a row failing with its sweep's
+    error, else its crossing's, else the exact crossing's."""
     op, grid = cfg.operating_point(), cfg.power_grid()
     threshold = cfg.ber_threshold if cfg.modulation_m == 2 else cfg.ser_threshold
+
+    def crossing(curve):
+        """crossing_power of the curve that curve() samples, or the error of
+        its sweep or else of its crossing."""
+        try:
+            return er.crossing_power(curve(), threshold), None
+        except (er.QuadratureError, ValueError) as exc:
+            return math.nan, exc
+
     try:
         exact = er.sweep_curve(op, er.AVERAGES["exact"], grid)
     except (er.QuadratureError, ValueError) as exc:
         return [["", "", "", "", "", "", str(exc)]]
-    names, curves = [n for n in cfg.expressions if n != "exact"], []
-    for name in names:
-        try:
-            curves.append(er.sweep_curve(op, er.AVERAGES[name], grid))
-        except (er.QuadratureError, ValueError) as exc:
-            curves.append(exc)
-    return [[f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
-             f"{name}-vs-exact", "%.12e" % threshold]
-            + (["%.4f" % d, ""] if error is None else ["nan", str(error)])
-            for name, d, error in zip(names, *er.delta_gaps(exact, curves, threshold))]
+    p_exact, e_exact = crossing(lambda: exact)
+    rows = []
+    for name in cfg.expressions:
+        if name != "exact":
+            p, error = crossing(lambda: er.sweep_curve(op, er.AVERAGES[name], grid))
+            error = error or e_exact
+            rows.append([f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
+                         f"{name}-vs-exact", "%.12e" % threshold]
+                        + (["%.4f" % (p - p_exact), ""] if error is None else ["nan", str(error)]))
+    return rows
 
 
 @pytest.mark.parametrize("point", GRID_POINTS)
@@ -685,6 +695,24 @@ def test_sweep_snr_finite_at_top_power():
     low, top = rows_of(out)[1:]
     assert float(top[1]) - float(low[1]) == pytest.approx(1560.0, abs=1e-3)
     assert float(top[2]) - float(low[2]) == pytest.approx(3120.0, abs=1e-3)
+
+
+def test_sweep_snr_finite_where_the_signal_underflows():
+    # eta P E[H] / sigma_n underflows to 0 at eta = 1e-300 and -3000 dBm
+    code, out = run_cli(["sweep", "--alpha_w_per_a", "1e-150", "--beta_a_per_w", "1e-150",
+                         "--p_dbm_min", "-3000", "--p_dbm_max", "-3000"])
+    assert code == 0
+    (row,) = rows_of(out)[1:]
+    assert row[1] == "-5992.0674" and math.isfinite(float(row[2]))
+
+
+def test_pdf_finite_where_g2_over_2h_overflows():
+    # at h = 2.2e-308 g2 / 2h overflows, where the density is about 2.6e300
+    code, out = run_cli(["pdf", "--attenuation_per_km", "233", "--h_min",
+                         "2.2250738585072014e-308", "--h_max", "1e-300", "--h_points", "4"])
+    assert code == 0
+    h, pdf = rows_of(out)[1]
+    assert h == "2.225073858507e-308" and 2e300 < float(pdf) < 3e300
 
 
 def test_power_step_requires_target_ser():

@@ -17,7 +17,7 @@ from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
                                 avg_ber_ook_approx_simple, avg_ber_ook_exact,
                                 avg_ser_approx, avg_ser_dense,
                                 avg_ser_dense_highpower, avg_ser_exact,
-                                crossing_power, delta_gap, delta_gaps,
+                                crossing_power, delta_gap,
                                 power_increase_for_next_bit, power_steps,
                                 sweep_curve)
 from fsolink.montecarlo import McConfig, brgc_encode, simulate
@@ -511,32 +511,37 @@ def test_crossing_power_never_evaluates_the_cell_ends():
 
 
 def test_delta_crossings_solved_in_lockstep(monkeypatch):
-    # at a headline channel every crossing of delta_gaps is scipy's brentq on
-    # its expression's log10 curve, bit for bit, and each round evaluates
-    # every unfinished lane, one batch per expression
+    # at a headline channel every crossing of delta_gaps_on_grid is scipy's
+    # brentq on its expression's log10 curve, bit for bit, and each round of
+    # the refinement, off the grid the search probes, evaluates every
+    # unfinished lane, one batch per expression
     op = make_op(0.25, 0.5, 4, 0.0)
     grid = [-10.0 + i for i in range(51)]
-    curves = [sweep_curve(op, AVERAGES[name], grid)
-              for name in ("exact", "approx", "dense", "dense_highpower")]
+    on_grid = {dbm_to_watts(p) for p in grid}
+    expressions = [AVERAGES[name] for name in ("exact", "approx", "dense", "dense_highpower")]
+    curves = [sweep_curve(op, average, grid) for average in expressions]
     calls = []
-    for average in [c.expression for c in curves]:
-        monkeypatch.setattr(average, "batch", lambda *args, average=average, batch=average.batch:
-                            calls.append(average) or batch(*args))
-    gaps, errors = delta_gaps(curves[0], curves[1:], 1e-3)
+    for average in expressions:
+        monkeypatch.setattr(average, "batch", lambda op, p, m, average=average,
+                            batch=average.batch: calls.append((average, p)) or batch(op, p, m))
+    gaps, errors = errorrates.delta_gaps_on_grid(op, expressions[0], expressions[1:], grid, 1e-3)
     (p_exact, _), *solves = solved = [_scipy_crossing(c, 1e-3) for c in curves]
     assert errors == [None] * 3
     assert gaps == [p - p_exact for p, _ in solves]
-    assert calls == [c.expression for k in range(max(n for _, n in solved))
-                     for c, (_, n) in zip(curves, solved) if n > k]
+    assert [a for a, p in calls if not on_grid.issuperset(p)] == [
+        c.expression for k in range(max(n for _, n in solved))
+        for c, (_, n) in zip(curves, solved) if n > k]
     # a failing exact crossing fails every gap, and is solved once, not per gap
     failed = []
 
     def failing(op):
+        if op.transmit_power_p in on_grid:
+            return avg_ser_exact(op)
         failed.append(op)
         raise QuadratureError("exact fails")
 
-    curves[0].expression = as_average(failing)
-    gaps, errors = delta_gaps(curves[0], curves[1:], 1e-3)
+    gaps, errors = errorrates.delta_gaps_on_grid(op, as_average(failing), expressions[1:], grid,
+                                                 1e-3)
     assert len(failed) == 1
     assert [str(e) for e in errors] == ["exact fails"] * 3 and all(map(math.isnan, gaps))
 

@@ -98,25 +98,38 @@ def test_detect_noiseless_loop():
         assert ml_detect(0.5 * h * j * spacing, 0.5 * h, m, p) == j
 
 
-def test_screened_detect_equals_full_rule():
-    # r[1] and r[2] are midpoint ties
-    base = [0.0, 0.5, -0.5, math.inf, -math.inf,
-            np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
-            np.nextafter(-0.5, 0.0), np.nextafter(-0.5, -1.0)]
+def _largest_z(q, h):
+    """The largest double z with z / h <= q, each a positive double."""
+    z = q * h
+    while z / h > q:
+        z = np.nextafter(z, 0.0)
+    while np.nextafter(z, math.inf) / h <= q:
+        z = np.nextafter(z, math.inf)
+    return z
+
+
+def test_symbols_below_the_detection_limit_are_decided_as_sent():
+    # a batch detects only the symbols with q = |z|/h at or above its power's
+    # limit, and counts the others as decided as sent: at q one ulp below the
+    # limit and at it, for z of both signs, the full rule on r = (z/c)/h
+    # decides the sent level
+    geo = make_geometry()
     for m in (2, 4, 16, 1024):
-        screen = 0.5 - m * 2.0**-50
-        r = np.array(base + [s * np.nextafter(screen, x) for s in (1.0, -1.0)
-                             for x in (0.0, 1.0)] + [screen, -screen])
+        scales = [geo.eta * 2.0 * dbm_to_watts(p) / ((m - 1) * geo.noise_sigma_n)
+                  for p in (-10.0, 0.0, 20.0, 50.0)]
+        z, c, h, q = np.array([(s * _largest_z(q, h), c, h, q)
+                               for c in scales
+                               for limit in [(0.5 - m * 2.0**-50) * c * (1.0 - 1e-12)]
+                               for q in (np.nextafter(limit, 0.0), limit)
+                               for h in (1.0, 0.7, 1.3e-3)
+                               for s in (1.0, -1.0)]).T
+        assert (np.abs(z) / h <= q).all() and (np.abs(z) / h == q)[h == 1.0].all()
+        r = z / c
+        r /= h
         for j in sorted({0, m // 2, m - 1}):
-            j_sent = np.full(r.size, j)
-            full = np.clip(np.ceil(j_sent + r - 0.5), 0, m - 1).astype(np.int64)
-            idx, decided = montecarlo._screened_detect(j_sent, r, m)
-            screened = j_sent.copy()
-            screened[idx] = decided
-            np.testing.assert_array_equal(screened, full, err_msg=f"M={m} j={j}")
-            # a midpoint tie breaks to the lower level
-            assert screened[1] == j
-            assert screened[2] == max(j - 1, 0)
+            j_sent = np.full(r.size, j, dtype=np.int16)
+            np.testing.assert_array_equal(montecarlo._nearest_level(j_sent + r, m), j_sent,
+                                          err_msg=f"M={m} j={j}")
 
 
 # ---------------------------------------------------------------------------
