@@ -57,10 +57,10 @@ class LinkGeometry:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.attenuation_sigma_lambda < math.inf:
             raise ValueError("attenuation_sigma_lambda must be >= 0 and finite")
-        # wz before v0, which divides by it; 2 sigma_n^2 by *, as ** raises on overflow
+        # wz before v0, which divides by it
         _require_normal("beam_waist_wz", self.beam_waist_wz)
         _require_normal("eta", self.eta)
-        _require_normal("2 noise_sigma_n^2", 2.0 * self.noise_sigma_n * self.noise_sigma_n)
+        self.sqrt_2var  # checks 2 sigma_n^2, which the erfc argument's noise scale reads
         _require_normal("v0", self.v0)
         _require_normal("wz_hat_sq", self.wz_hat_sq)
 
@@ -71,6 +71,12 @@ class LinkGeometry:
     @property
     def eta(self) -> float:
         return self.conversion_alpha * self.responsivity_beta
+
+    @_cached
+    def sqrt_2var(self) -> float:  # 2 sigma_n^2 by *, as ** raises on overflow
+        two_var = 2.0 * self.noise_sigma_n * self.noise_sigma_n
+        _require_normal("2 noise_sigma_n^2", two_var)
+        return math.sqrt(two_var)
 
     @_cached
     def h_l(self) -> float:  # Beer-Lambert loss, z in km
@@ -156,11 +162,46 @@ class FadingModel:
         return self.hg_hl * self.kappa * math.exp(-self.mu)
 
     @_cached
-    def log_gain_params(self) -> LogGainParams:
-        """The constants of the composite density in log-gain coordinates."""
-        g2, sig2 = self.g2, self.sigma2
-        return LogGainParams(g2, sig2, self.h_hat, -(g2 * g2) * sig2 / 2.0,
-                             math.sqrt(2.0 * sig2), g2 * sig2, g2 * sig2 + 45.0 * math.sqrt(sig2))
+    def log_amp(self) -> float:  # the log-gain density's log prefactor: -gamma^4 sigma^2 / 2
+        return -(self.g2 * self.g2) * self.sigma2 / 2.0
+
+    @_cached
+    def sqrt2s(self) -> float:
+        return math.sqrt(2.0 * self.sigma2)
+
+    @_cached
+    def y_star(self) -> float:  # centre of the Gaussian bump above h_hat
+        return self.g2 * self.sigma2
+
+    @_cached
+    def y_top(self) -> float:  # its upper end, 45 standard deviations above the centre
+        return self.y_star + 45.0 * math.sqrt(self.sigma2)
+
+    @_cached
+    def plan(self) -> np.ndarray:
+        """The points of both pieces' plans in y as rows of shape (2, 1, B), to
+        go with PLAN_MASK. Row 0 is the lower piece's plan in w = -y, negated:
+        -inf and inf (its ends), the knee of the lower form at W_KNEES times
+        sqrt(2 sig2), and the offsets from the conditional's peak w*: W_LADDER
+        over g2, W_WIDTHS times the peak's width 1 / sqrt(2 g2), and W_BELOW.
+        Row 1 is the upper piece's plan, padded with -inf: -inf and inf (its
+        ends), 0 (h_hat), y* + k sigma for k in Y_SIGMAS, and the offsets
+        Y_COND from the conditional's anchor y_c."""
+        s, width = math.sqrt(self.sigma2), 1.0 / math.sqrt(2.0 * self.g2)
+        offsets = [*(k / self.g2 for k in W_LADDER), *(j * width for j in W_WIDTHS), *W_BELOW]
+        # an offset within a twentieth of the peak's width of an earlier one
+        # takes its value: the sliver of a panel between them would carry
+        # nothing and cost a panel
+        for i, x in enumerate(offsets):
+            offsets[i] = next((y for y in offsets[:i] if abs(x - y) < 0.05 * width), x)
+        lower = [-math.inf, math.inf, *(k * self.sqrt2s for k in W_KNEES), *offsets]
+        upper = [-math.inf, math.inf, 0.0, *(self.y_star + k * s for k in Y_SIGMAS), *Y_COND]
+        return np.array([[[-w for w in lower]],
+                         [upper + [-math.inf] * (len(lower) - len(upper))]])
+
+    @_cached
+    def engines(self) -> dict:  # density_average's, by kind of average: see _engine
+        return {}
 
 
 def power_error(p_watts: float) -> ValueError | None:
@@ -239,55 +280,6 @@ ARG_CUTOFF = 30.0
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class LogGainParams:
-    """Constants of the composite density in log-gain coordinates."""
-
-    g2: float          # gamma^2
-    sig2: float        # log variance
-    h_hat: float
-    log_amp: float     # combined log prefactor exponent: -gamma^4 sigma^2 / 2
-    sqrt2s: float
-    y_star: float      # centre of the Gaussian bump above h_hat
-    y_top: float       # its upper end, 45 standard deviations above the centre
-
-    @_cached
-    def plan(self) -> np.ndarray:
-        """The points of both pieces' plans in y as rows of shape (2, 1, B), to
-        go with PLAN_MASK. Row 0 is the lower piece's plan in w = -y, negated:
-        -inf and inf (its ends), the knee of the lower form at W_KNEES times
-        sqrt(2 sig2), and the offsets from the conditional's peak w*: W_LADDER
-        over g2, W_WIDTHS times the peak's width 1 / sqrt(2 g2), and W_BELOW.
-        Row 1 is the upper piece's plan, padded with -inf: -inf and inf (its
-        ends), 0 (h_hat), y* + k sigma for k in Y_SIGMAS, and the offsets
-        Y_COND from the conditional's anchor y_c."""
-        s, width = math.sqrt(self.sig2), 1.0 / math.sqrt(2.0 * self.g2)
-        offsets = [*(k / self.g2 for k in W_LADDER), *(j * width for j in W_WIDTHS), *W_BELOW]
-        # an offset within a twentieth of the peak's width of an earlier one
-        # takes its value: the sliver of a panel between them would carry
-        # nothing and cost a panel
-        for i, x in enumerate(offsets):
-            offsets[i] = next((y for y in offsets[:i] if abs(x - y) < 0.05 * width), x)
-        lower = [-math.inf, math.inf, *(k * self.sqrt2s for k in W_KNEES), *offsets]
-        upper = [-math.inf, math.inf, 0.0, *(self.y_star + k * s for k in Y_SIGMAS), *Y_COND]
-        return np.array([[[-w for w in lower]],
-                         [upper + [-math.inf] * (len(lower) - len(upper))]])
-
-    @_cached
-    def operands(self) -> tuple:
-        """log_amp, y_star, -2 sig2, h_hat and sqrt2s as 0-d arrays, the
-        integrand's operands: numpy converts a Python float operand on every
-        call, about 0.3 us each."""
-        return tuple(np.array(x) for x in (self.log_amp, self.y_star, -2.0 * self.sig2,
-                                           self.h_hat, self.sqrt2s))
-
-    @_cached
-    def bounds(self) -> dict:
-        """_bound_constants of this model, by (h_power, y_lo, w_end, upper
-        form): one per kind of average, filled by _ends."""
-        return {}
-
-
 def pdf_composite(h, model: FadingModel):
     """Density of the composite gain H = h_l h_g Ha Hp, in the log-gain form
     that density_average integrates. With y = ln(h / h_hat) and
@@ -298,24 +290,23 @@ def pdf_composite(h, model: FadingModel):
     h = np.asarray(h, dtype=float)
     if not np.all(h >= sys.float_info.min):  # false for nan too
         raise ValueError("composite gain must be positive and a normal double")
-    par = model.log_gain_params
-    y = np.log(h / par.h_hat)
+    y = np.log(h / model.h_hat)
     # each branch sees y clamped to its own side of h_hat, where it cannot overflow
     y_low, y_high = np.minimum(y, 0.0), np.maximum(y, 0.0)
     form = np.where(y <= 0.0,
-                    np.exp(par.log_amp + par.g2 * y_low) * erfc(y_low / par.sqrt2s),
-                    np.exp(-((y_high - par.y_star) ** 2) / (2.0 * par.sig2))
-                    * erfcx(y_high / par.sqrt2s))
+                    np.exp(model.log_amp + model.g2 * y_low) * erfc(y_low / model.sqrt2s),
+                    np.exp(-((y_high - model.y_star) ** 2) / (2.0 * model.sigma2))
+                    * erfcx(y_high / model.sqrt2s))
     # where the form underflows to 0 so does the density, also where g2 / 2h
     # overflows; where it overflows and the form does not, h divides last
     with np.errstate(over="ignore"):
-        scale = par.g2 / (2.0 * h)
+        scale = model.g2 / (2.0 * h)
         out = np.multiply(scale, form, out=np.zeros_like(form), where=form > 0.0)
-        np.divide(par.g2 / 2.0 * form, h, out=out, where=(scale == math.inf) & (form > 0.0))
+        np.divide(model.g2 / 2.0 * form, h, out=out, where=(scale == math.inf) & (form > 0.0))
     return float(out) if out.ndim == 0 else out
 
 
-# The engine's panel plans, the rows of LogGainParams.plan. A plan's row for
+# The engine's panel plans, the rows of FadingModel.plan. A plan's row for
 # an anchor x is its points + x mask: the points of mask 1 are offsets from
 # the anchor, the others fixed. The first two points, -inf and inf, stand for
 # the ends of the piece.
@@ -367,7 +358,7 @@ def flush_subnormal(x: float) -> float:
 
 
 def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
-                    y_lo: float = 0.0, y_extra=()):
+                    y_lo: float = 0.0, y_extra: tuple = ()):
     """The average of h^h_power cond(h, u) over the composite density, for
     each entry of u at once; cond decays on the h-scale 1 / u.
 
@@ -383,69 +374,28 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     exp(-(s_hat e^y)^2) underflows, capped at y* + 45 sigma. Where u > 0,
     cond is taken to be non-negative and monotone in h, and each piece ends
     sooner, where closed-form bounds put its tail below rel 1e-14 of the
-    integral (see _ends); an entry with u = 0, such as composite_expectation
+    integral (see _engine); an entry with u = 0, such as composite_expectation
     passes, keeps the fixed ends. An entry's initial panels are cut at the
-    points of LogGainParams.plan, anchored below h_hat at the conditional's
-    peak w* and above it at y_c = -ln(s_hat), and at y_extra. cond receives
-    the gains as an array and u as a matching column. Every panel of every
-    entry is integrated in one quadrature.integrate_panels batch.
+    points of FadingModel.plan, anchored below h_hat at the conditional's
+    peak w* and above it at y_c = -ln(s_hat), and at y_extra, a tuple, as
+    the key of the model's cached engine holds it. cond receives the gains
+    as an array and u as a matching column. Every panel of every entry is
+    integrated in one quadrature.integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan, and whose error estimate counts the
     bounds of the tails left out. A value below the smallest normal double
     is returned as 0, as flush_subnormal does.
     """
-    par = fm.log_gain_params
-    w_low, w_high = weight
-    # without a lower form the lower piece is empty, and no node sees its form
-    w_low, w_end = (w_low, 700.0 / par.g2) if w_low is not None else (np.zeros_like, 0.0)
-    u = np.array(u, dtype=float)
-    ends = _ends(par, u, cond, h_power, y_lo, w_end, w_high)
-    anchor, lower, upper = ends[:6].reshape(3, 2, len(u), 1)
-    mask, points = PLAN_MASK, par.plan
-    if y_extra:
-        mask = np.concatenate([mask, np.zeros((2, 1, len(y_extra)))], axis=2)
-        points = np.concatenate([points, [[[math.inf] * len(y_extra)], [y_extra]]], axis=2)
-    # each piece's edges of each entry as one row, the lower piece first
-    edges = np.minimum(np.maximum(anchor * mask + points, lower), upper)
-    edges.sort()
-    keep = edges[..., 1:] > edges[..., :-1]
-    lo, hi, owner = edges[..., :-1][keep], edges[..., 1:][keep], keep.nonzero()[1]
-
-    log_amp, y_star, minus_2sig2, h_hat, sqrt2s = par.operands
-    rate = np.array(par.g2 + h_power)
-
-    def integrand(y, owner):
-        # the panels below h_hat come first: the lower piece's are given first,
-        # later rounds are in ascending order, and y = 0 is an edge, so no
-        # centre is -0.0
-        n = np.count_nonzero(np.signbit(y[:, 10]))
-        low, high, out, v = y[:n], y[n:], np.empty(y.shape), y / sqrt2s
-        if n:
-            np.multiply(np.exp(log_amp + rate * low), w_low(v[:n]), out=out[:n])
-        bump = (high - y_star) ** 2 / minus_2sig2
-        if h_power:
-            bump += h_power * high
-        np.multiply(np.exp(bump), w_high(v[n:]), out=out[n:])
-        out *= cond(h_hat * np.exp(y), u[owner][:, None])
-        return out
-
-    value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
-    scale = par.g2 / 2.0 * par.h_hat**h_power
-    values, errors = [flush_subnormal(v * scale) for v in value.tolist()], [None] * len(u)
-    if not all(ok.tolist()):
-        for i in (~ok).nonzero()[0].tolist():
-            # the estimate counts the bound of the tails left out
-            v, e = value.item(i) * scale, (error.item(i) + ends.item(6, i)) * scale
-            errors[i] = quadrature.QuadratureError(
-                "no convergence within the panel budget" if math.isfinite(v + e)
-                else "integrand produced a non-finite value", value=v, error_estimate=e)
-            values[i] = math.nan
-    return values, errors
+    key = (weight, h_power, y_lo, y_extra)
+    engine = fm.engines.get(key)
+    if engine is None:
+        engine = fm.engines[key] = _engine(fm, *key)
+    return engine(np.array(u, dtype=float), cond)
 
 
 # A tail of an entry's integral goes where a closed-form bound puts it below
-# _TAIL_REL times a lower bound on the integral (see _ends)
+# _TAIL_REL times a lower bound on the integral (see _engine)
 _TAIL_REL = 1e-14
 _LOG_TAIL_REL = math.log(_TAIL_REL)
 _LN2 = math.log(2.0)
@@ -453,47 +403,19 @@ _COND_MIN = np.array(1e-300)  # the least value the bounds read cond as
 _INF = np.array(math.inf)  # 0-d, as numpy converts a Python float operand on every call
 
 
-def _bound_constants(par, h_power, y_lo, w_end, w_high) -> tuple:
-    """The constants of _ends for one model, h_power, y_lo, w_end and upper
-    form, in the order _ends unpacks them. w_peak = -ln t*: the lower piece
-    peaks at w* = w_peak - y_c, or at 0 (see W_LADDER). b = min(sigma, 1 / 2)
-    is the half-width of the upper piece's probe panel."""
-    log, sigma = math.log, math.sqrt(par.sig2)
-    rate = par.g2 + h_power
-    a = 1.0 / rate if rate > 0.0 else 0.0  # the lower piece's probes, to either side of its peak
-    # an entry whose lower piece peaks at 0 (w* = 0) probes it on [yl0_0, 0]: low_0, the
-    # log of that panel's width times the density's least value on it, is the lower
-    # floor of every such entry before cond's factor
-    yl0_0 = -a if a < w_end else -w_end
-    low_0 = log(-yl0_0) + par.log_amp + rate * yl0_0 if yl0_0 < 0.0 else None
-    # the bump e^(-(y - y*)^2 / (2 sig2) + h_power y) is e^(k - (y - m)^2 / (2 sig2));
-    # k_log is k - ln _TAIL_REL, and bump_log adds the log of its integral over
-    # sigma, sqrt(pi / 2). The upper form's envelope, log_env, is its value at y_lo,
-    # its largest on the upper piece, and sqrt(2 sig2) / (sqrt(pi) y) bounds it at y,
-    # log_scale being the log of that numerator.
-    k_log = h_power * par.y_star + h_power * h_power * par.sig2 / 2.0 - _LOG_TAIL_REL
-    return (-0.5 * log(par.g2 / 2.0), min(sigma, 0.5), log(par.sqrt2s / _SQRT_PI),
-            sigma * math.sqrt(2.0), rate, a,
-            -w_end if w_end else y_lo,  # far: the lower end of the lower piece, or of the upper one
-            yl0_0, low_0, k_log, k_log + log(sigma * math.sqrt(math.pi / 2.0)),
-            par.y_star + h_power * par.sig2,  # m
-            par.log_amp + log(2.0 / rate) - _LOG_TAIL_REL if rate > 0.0 else math.inf,  # low_log
-            log(float(w_high(y_lo / par.sqrt2s))),  # log_env
-            par.log_amp, par.y_star, 0.5 / par.sig2, par.sqrt2s, par.h_hat, par.y_top)
+def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
+    """density_average for one model and kind of average, as a closure
+    average(u, cond) -> (values, errors); what does not depend on u is
+    computed here, once.
 
-
-def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
-    """Each entry's anchors, the ends its pieces are clipped to and the bound
-    of the tails beyond them, as rows of shape (7, len(u)): the lower piece's
-    peak -w* and the upper one's anchor y_c, the lower ends of both pieces,
-    their upper ends, all in y, and the bound.
-
-    An entry with u = 0 keeps the fixed ends [-w_end, 0] and [y_lo, y_up].
-    Any other entry's bounds read cond, taken non-negative and monotone in
-    h, at nine probe gains, in one cond call for all entries: over a tail
-    cond is at most c, the larger of its values at the tail's two ends. The
-    integrand is h^h_power cond times the density's form (see
-    density_average).
+    A call first gives each entry its anchors, the lower piece's peak -w*
+    and the upper one's y_c, the ends its pieces are clipped to, in y, and
+    the bound of the tails beyond them. An entry with u = 0 keeps the fixed
+    ends [-w_end, 0] and [y_lo, y_up]. Any other entry's bounds read cond,
+    taken non-negative and monotone in h, at nine probe gains, in one cond
+    call for all entries: over a tail cond is at most c, the larger of its
+    values at the tail's two ends. The integrand is h^h_power cond times
+    the density's form (see density_average).
 
     The integral is at least the larger of two panels' products of each
     factor's minimum: [yl0, yl1] around the lower piece's peak, where the
@@ -513,90 +435,161 @@ def _ends(par, u, cond, h_power, y_lo, w_end, w_high):
     the entry's bound. cond is read as at least _COND_MIN, and as inf where
     it is nan, which keeps every tail it bounds."""
     exp, log, sqrt, inf = math.exp, math.log, math.sqrt, math.inf
-    key = (h_power, y_lo, w_end, w_high)
-    constants = par.bounds.get(key)
-    if constants is None:
-        constants = par.bounds[key] = _bound_constants(par, *key)
-    (w_peak, b, log_scale, s_sqrt2, rate, a, far, yl0_0, low_0, k_log, bump_log, m, low_log,
-     log_env, log_amp, y_star, inv_2sig2, sqrt2s, h_hat, y_top) = constants
-    rows, probes, u_list = [], [], u.tolist()  # probes: each entry's nine, flat
-    for x in u_list:
-        s_hat = x * h_hat
-        if 0.0 < s_hat < inf:
-            y_c, y_up = -log(s_hat), log(ARG_CUTOFF / s_hat)
-        else:
-            y_c, y_up = (-800.0, -inf) if s_hat == inf else (800.0, inf)
-        if w_peak > y_c:
-            w_star = w_peak - y_c
-            yl0 = -(w_star + a) if w_star + a < w_end else -w_end
-            yl1 = a - w_star if w_star > a else 0.0
-            low = log(yl1 - yl0) + log_amp + rate * yl0 if yl1 > yl0 else None
-        else:
-            w_star, yl0, yl1, low = 0.0, yl0_0, 0.0, low_0
-        y_up = y_lo if y_up < y_lo else y_top if y_top < y_up else y_up
-        # above h_hat the integrand peaks at y*, or below it where cond falls off
-        y_peak = y_star if y_star < y_c - 0.5 else y_c - 0.5
-        yu0 = y_peak - b if y_peak - b > y_lo else y_lo
-        yu1 = y_peak + b if y_peak + b < y_up else y_up
-        y_2 = y_c + 2.0 if y_c + 2.0 < y_up else y_up
-        y_3 = y_c + 2.5 if y_c + 2.5 < y_up else y_up
-        rows.append((x > 0.0, w_star, y_c, y_up, low, yu0, yu1, y_2, y_3))
-        probes += far, y_lo, yl0, yl1, yu0, yu1, y_2, y_3, y_up
-    logs = rows  # read only where an entry is probed
-    if any(u_list):
-        h = h_hat * np.exp(np.fromiter(probes, float, len(probes)).reshape(len(u_list), 9))
-        values = np.maximum(cond(h, u[:, None]), _COND_MIN, out=h)  # cond may return a scalar
-        logs = np.fmin(np.log(values, out=values), _INF, out=values).tolist()  # nan to inf
-    ends = []  # each entry's seven, flat
-    for (probed, w_star, y_c, y_up, low, yu0, yu1, y_2, y_3), lc in zip(rows, logs):
-        floor = -inf  # its log
-        if probed:
-            l_far, l_lo, l_l0, l_l1, l_u0, l_u1, l_2, l_3, l_up = lc
-            if low is not None:
-                floor = low + (l_l0 if l_l0 < l_l1 else l_l1)
-            if yu1 > yu0:
-                v, e0, e1 = yu1 / sqrt2s, yu0 - y_star, yu1 - y_star
-                e0, e1 = h_power * yu0 - e0 * e0 * inv_2sig2, h_power * yu1 - e1 * e1 * inv_2sig2
-                up = (log(2.0 * (yu1 - yu0) / (_SQRT_PI * (v + sqrt(v * v + 2.0))))
-                      + (e0 if e0 < e1 else e1) + (l_u0 if l_u0 < l_u1 else l_u1))
-                floor = up if up > floor else floor
-        if not -inf < floor < inf:
-            ends += -w_star, y_c, -w_end, y_lo, 0.0, y_up, 0.0
-            continue
-        w_top, w_bot, y_bot, top, cuts = 0.0, w_end, y_lo, y_up, 0
-        c = l_far if l_far > l_lo else l_lo
-        if w_end > 0.0 and c < inf and low_log < inf:
-            w = (low_log + c - floor) / rate
-            if w < w_end:
-                w_bot, cuts = (w if w > 0.0 else 0.0), 1
-        for start, l_start in ((yu1, l_u1), (y_2, l_2), (y_3, l_3)):  # ascending
-            if start >= top:
-                break
-            c = l_start if l_start > l_up else l_up
-            if not c < inf:
+    g2, sig2, h_hat, log_amp, y_star, sqrt2s, y_top = (
+        fm.g2, fm.sigma2, fm.h_hat, fm.log_amp, fm.y_star, fm.sqrt2s, fm.y_top)
+    w_low, w_high = weight
+    # without a lower form the lower piece is empty, and no node sees its form
+    w_low, w_end = (w_low, 700.0 / g2) if w_low is not None else (np.zeros_like, 0.0)
+    # w_peak = -ln t*: the lower piece peaks at w* = w_peak - y_c, or at 0 (see
+    # W_LADDER). b = min(sigma, 1 / 2) is the half-width of the upper piece's
+    # probe panel, and a that of the lower piece's, to either side of its peak
+    sigma, rate = sqrt(sig2), g2 + h_power
+    w_peak, b, a = -0.5 * log(g2 / 2.0), min(sigma, 0.5), 1.0 / rate if rate > 0.0 else 0.0
+    far = -w_end if w_end else y_lo  # the lower end of the lower piece, or of the upper one
+    # an entry whose lower piece peaks at 0 (w* = 0) probes it on [yl0_0, 0]: low_0, the
+    # log of that panel's width times the density's least value on it, is the lower
+    # floor of every such entry before cond's factor
+    yl0_0 = -a if a < w_end else -w_end
+    low_0 = log(-yl0_0) + log_amp + rate * yl0_0 if yl0_0 < 0.0 else None
+    low_log = log_amp + log(2.0 / rate) - _LOG_TAIL_REL if rate > 0.0 else inf
+    # the bump e^(-(y - y*)^2 / (2 sig2) + h_power y) is e^(k - (y - m)^2 / (2 sig2));
+    # k_log is k - ln _TAIL_REL, and bump_log adds the log of its integral over
+    # sigma, sqrt(pi / 2). The upper form's envelope, log_env, is its value at y_lo,
+    # its largest on the upper piece, and sqrt(2 sig2) / (sqrt(pi) y) bounds it at y,
+    # log_scale being the log of that numerator.
+    k_log = h_power * y_star + h_power * h_power * sig2 / 2.0 - _LOG_TAIL_REL
+    bump_log = k_log + log(sigma * sqrt(math.pi / 2.0))
+    m, s_sqrt2, inv_2sig2 = y_star + h_power * sig2, sigma * sqrt(2.0), 0.5 / sig2
+    log_scale, log_env = log(sqrt2s / _SQRT_PI), log(float(w_high(y_lo / sqrt2s)))
+    mask, points = PLAN_MASK, fm.plan
+    if y_extra:
+        mask = np.concatenate([mask, np.zeros((2, 1, len(y_extra)))], axis=2)
+        points = np.concatenate([points, [[[math.inf] * len(y_extra)], [y_extra]]], axis=2)
+    # the integrand's operands, as 0-d arrays: numpy converts a Python float
+    # operand on every call, about 0.3 us each
+    amp0, rate0, y_star0, minus_2sig2, h_hat0, sqrt2s0 = (
+        np.array(x) for x in (log_amp, rate, y_star, -2.0 * sig2, h_hat, sqrt2s))
+    scale = g2 / 2.0 * h_hat**h_power
+
+    def average(u, cond):
+        anchors, lowers, uppers, tails = [], [], [], []  # pairs of each piece's ends, flat
+        rows, probes, u_list = [], [], u.tolist()  # probes: each entry's nine, flat
+        for x in u_list:
+            s_hat = x * h_hat
+            if 0.0 < s_hat < inf:
+                y_c, y_up = -log(s_hat), log(ARG_CUTOFF / s_hat)
+            else:
+                y_c, y_up = (-800.0, -inf) if s_hat == inf else (800.0, inf)
+            if w_peak > y_c:
+                w_star = w_peak - y_c
+                yl0 = -(w_star + a) if w_star + a < w_end else -w_end
+                yl1 = a - w_star if w_star > a else 0.0
+                low = log(yl1 - yl0) + log_amp + rate * yl0 if yl1 > yl0 else None
+            else:
+                w_star, yl0, yl1, low = 0.0, yl0_0, 0.0, low_0
+            anchors += -w_star, y_c
+            y_up = y_lo if y_up < y_lo else y_top if y_top < y_up else y_up
+            # above h_hat the integrand peaks at y*, or below it where cond falls off
+            y_peak = y_star if y_star < y_c - 0.5 else y_c - 0.5
+            yu0 = y_peak - b if y_peak - b > y_lo else y_lo
+            yu1 = y_peak + b if y_peak + b < y_up else y_up
+            y_2 = y_c + 2.0 if y_c + 2.0 < y_up else y_up
+            y_3 = y_c + 2.5 if y_c + 2.5 < y_up else y_up
+            rows.append((x > 0.0, y_up, low, yu0, yu1, y_2, y_3))
+            probes += far, y_lo, yl0, yl1, yu0, yu1, y_2, y_3, y_up
+        logs = rows  # read only where an entry is probed
+        if any(u_list):
+            h = h_hat * np.exp(np.fromiter(probes, float, len(probes)).reshape(len(u_list), 9))
+            values = np.maximum(cond(h, u[:, None]), _COND_MIN, out=h)  # cond may return a scalar
+            logs = np.fmin(np.log(values, out=values), _INF, out=values).tolist()  # nan to inf
+        for (probed, y_up, low, yu0, yu1, y_2, y_3), lc in zip(rows, logs):
+            floor = -inf  # its log
+            if probed:
+                l_far, l_lo, l_l0, l_l1, l_u0, l_u1, l_2, l_3, l_up = lc
+                if low is not None:
+                    floor = low + (l_l0 if l_l0 < l_l1 else l_l1)
+                if yu1 > yu0:
+                    v, e0, e1 = yu1 / sqrt2s, yu0 - y_star, yu1 - y_star
+                    e0 = h_power * yu0 - e0 * e0 * inv_2sig2
+                    e1 = h_power * yu1 - e1 * e1 * inv_2sig2
+                    up = (log(2.0 * (yu1 - yu0) / (_SQRT_PI * (v + sqrt(v * v + 2.0))))
+                          + (e0 if e0 < e1 else e1) + (l_u0 if l_u0 < l_u1 else l_u1))
+                    floor = up if up > floor else floor
+            if not -inf < floor < inf:
+                lowers += -w_end, y_lo
+                uppers += 0.0, y_up
+                tails.append(0.0)
                 continue
-            env = log_scale - log(start) if start > 0.0 else log_env
-            r = c + (env if env < log_env else log_env) + bump_log - floor
-            if start >= 0.0:
-                end = start if r <= -_LN2 else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
-                top = start if end < start else end if end < top else top
-            elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= -_LN2
-                  and (y_up <= y_lo or r <= -2.0 * _LN2)):
-                top, w_top = y_lo, -start
-        cuts += top < y_up
-        c = l_lo if l_lo > l_u0 else l_u0
-        if yu0 > y_lo and c < inf:
-            weight = log_env + log(yu0 - y_lo)
-            if y_lo > 0.0:
-                x = log_scale + log(log(yu0 / y_lo))
-                weight = x if x < weight else weight
-            r = c + weight + k_log - floor
-            bottom = yu0 if r <= 0.0 else m - s_sqrt2 * sqrt(r)
-            if y_lo < bottom:
-                y_bot, cuts = (bottom if bottom < yu0 else yu0), cuts + 1
-        ends += (-w_star, y_c, -w_bot, y_bot, -w_top, top,
-                 cuts * _TAIL_REL * exp(floor) if cuts else 0.0)
-    return np.fromiter(ends, float, len(ends)).reshape(len(u_list), 7).T
+            w_top, w_bot, y_bot, top, cuts = 0.0, w_end, y_lo, y_up, 0
+            c = l_far if l_far > l_lo else l_lo
+            if w_end > 0.0 and c < inf and low_log < inf:
+                w = (low_log + c - floor) / rate
+                if w < w_end:
+                    w_bot, cuts = (w if w > 0.0 else 0.0), 1
+            for start, l_start in ((yu1, l_u1), (y_2, l_2), (y_3, l_3)):  # ascending
+                if start >= top:
+                    break
+                c = l_start if l_start > l_up else l_up
+                if not c < inf:
+                    continue
+                env = log_scale - log(start) if start > 0.0 else log_env
+                r = c + (env if env < log_env else log_env) + bump_log - floor
+                if start >= 0.0:
+                    end = start if r <= -_LN2 else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
+                    top = start if end < start else end if end < top else top
+                elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= -_LN2
+                      and (y_up <= y_lo or r <= -2.0 * _LN2)):
+                    top, w_top = y_lo, -start
+            cuts += top < y_up
+            c = l_lo if l_lo > l_u0 else l_u0
+            if yu0 > y_lo and c < inf:
+                foot = log_env + log(yu0 - y_lo)
+                if y_lo > 0.0:
+                    x = log_scale + log(log(yu0 / y_lo))
+                    foot = x if x < foot else foot
+                r = c + foot + k_log - floor
+                bottom = yu0 if r <= 0.0 else m - s_sqrt2 * sqrt(r)
+                if y_lo < bottom:
+                    y_bot, cuts = (bottom if bottom < yu0 else yu0), cuts + 1
+            lowers += -w_bot, y_bot
+            uppers += -w_top, top
+            tails.append(cuts * _TAIL_REL * exp(floor) if cuts else 0.0)
+        # each piece's edges of each entry as one row, the lower piece first
+        anchor, lower, upper = (np.array(x).reshape(len(u_list), 2).T[:, :, None]
+                                for x in (anchors, lowers, uppers))
+        edges = np.minimum(np.maximum(anchor * mask + points, lower), upper)
+        edges.sort()
+        keep = edges[..., 1:] > edges[..., :-1]
+        lo, hi, owner = edges[..., :-1][keep], edges[..., 1:][keep], keep.nonzero()[1]
+
+        def integrand(y, owner):
+            # the panels below h_hat come first: the lower piece's are given first,
+            # later rounds are in ascending order, and y = 0 is an edge, so no
+            # centre is -0.0
+            n = np.count_nonzero(np.signbit(y[:, 10]))
+            low, high, out, v = y[:n], y[n:], np.empty(y.shape), y / sqrt2s0
+            if n:
+                np.multiply(np.exp(amp0 + rate0 * low), w_low(v[:n]), out=out[:n])
+            bump = (high - y_star0) ** 2 / minus_2sig2
+            if h_power:
+                bump += h_power * high
+            np.multiply(np.exp(bump), w_high(v[n:]), out=out[n:])
+            out *= cond(h_hat0 * np.exp(y), u[owner][:, None])
+            return out
+
+        value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
+        values, errors = [flush_subnormal(v * scale) for v in value.tolist()], [None] * len(u)
+        if not all(ok.tolist()):
+            for i in (~ok).nonzero()[0].tolist():
+                # the estimate counts the bound of the tails left out
+                v, e = value.item(i) * scale, (error.item(i) + tails[i]) * scale
+                errors[i] = quadrature.QuadratureError(
+                    "no convergence within the panel budget" if math.isfinite(v + e)
+                    else "integrand produced a non-finite value", value=v, error_estimate=e)
+                values[i] = math.nan
+        return values, errors
+
+    return average
 
 
 def single_value(result) -> float:

@@ -91,8 +91,7 @@ def _u(op: OperatingPoint, p_watts, scales) -> list[float]:
     """eta P / sqrt(2 sigma_n^2) / scale at each transmit power P and its
     scale: the conditional erfc argument per unit gain, scale being the
     M - 1 or M the conditional divides it by."""
-    geo = op.geometry
-    eta, sqrt_2var = geo.eta, math.sqrt(2.0 * geo.noise_sigma_n**2)
+    eta, sqrt_2var = op.geometry.eta, op.geometry.sqrt_2var
     return [eta * p / sqrt_2var / scale for p, scale in zip(p_watts, scales)]
 
 

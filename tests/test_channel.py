@@ -1,17 +1,16 @@
-import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from fsolink import channel, quadrature
+from fsolink import channel, errorrates, quadrature
 from fsolink.channel import (FadingModel, OperatingPoint,
                              composite_expectation, dbm_to_watts,
                              mean_symbol_power_sq, moment_composite,
                              pdf_composite, pdf_pointing, pdf_turbulence,
                              sample_composite, snr_electrical, snr_optical)
-from fsolink.errorrates import avg_ser_exact
+from fsolink.errorrates import avg_ser_approx, avg_ser_dense, avg_ser_exact
 from support import GRID_POINTS, HEADLINE_POINTS, make_fading, make_geometry, make_op
 
 # published mean channel gains for the nine (sigma_s, rytov) grid points
@@ -109,18 +108,31 @@ class _NoMath:
 def test_derived_constants_computed_once(monkeypatch):
     fm = make_fading(0.35, 0.1)
     geo = fm.geometry
-    names = ("gamma", "g2", "kappa", "mu", "hg_hl", "h_hat")
+    names = ("gamma", "g2", "kappa", "mu", "hg_hl", "h_hat", "log_amp", "sqrt2s", "y_star",
+             "y_top")
     geo_names = ("h_l", "v0", "h_g", "wz_hat_sq")
     first = [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names]
-    assert fm.log_gain_params.g2 == fm.g2 == fm.gamma * fm.gamma
+    assert fm.g2 == fm.gamma * fm.gamma
     # built before the patch, as a model checks its constants when it is built
     fresh = make_fading(0.35, 0.1)
     # every constant computes through math, so none is computed again
     monkeypatch.setattr(channel, "math", _NoMath())
     assert [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names] == first
-    assert fm.log_gain_params.g2 == first[0] * first[0]
+    assert fm.g2 == first[0] * first[0]
     # the cached values are not fields: equality and hashing ignore them
     assert fm == fresh and hash(fm) == hash(fresh)
+
+
+def test_noise_scale_reads_the_checked_two_sigma_squared():
+    # at sigma_n = 3.445051690173643e-07 sqrt(2 sigma_n**2) rounds one bit
+    # above sqrt(2 sigma_n sigma_n); the conditional erfc argument reads the
+    # one 2 sigma_n sigma_n that the constructor checks
+    s = 3.445051690173643e-07
+    assert math.sqrt(2.0 * s**2) != math.sqrt(2.0 * s * s)
+    op = make_op(0.35, 0.1, 4, 0.0, make_geometry(noise_sigma_n=s))
+    assert op.geometry.sqrt_2var == math.sqrt(2.0 * s * s)
+    p = op.transmit_power_p
+    assert errorrates._u(op, [p], [3]) == [op.geometry.eta * p / math.sqrt(2.0 * s * s) / 3]
 
 
 def test_one_gamma_squared():
@@ -129,64 +141,68 @@ def test_one_gamma_squared():
     fm = make_fading(0.239, 0.1)
     g2 = fm.gamma * fm.gamma
     assert fm.gamma**2 != g2
-    assert fm.g2 == fm.log_gain_params.g2 == g2
+    assert fm.g2 == g2
+    assert fm.log_amp == -(g2 * g2) * fm.sigma2 / 2.0 and fm.y_star == g2 * fm.sigma2
     assert fm.kappa == math.sqrt((g2 + 2.0) / g2)
     assert fm.mu == fm.rytov_var_sigma_r2 * (g2 + 1.0)
 
 
-def test_log_gain_params_computed_once(monkeypatch):
+def test_engine_built_once_per_model_and_kind(monkeypatch):
     fm = make_fading(0.35, 0.1)
-    par = fm.log_gain_params
-    plan = par.plan
-    # the first averages of each kind fill the bound pass's constants
-    composite_expectation(fm)
-    avg_ser_exact(OperatingPoint(fm.geometry, fm, 4, 1e-3))
-    bounds = dict(par.bounds)
-    assert len(bounds) == 1  # one key: both averages take the exact weight, h_power 0 and y_lo 0
+    op = OperatingPoint(fm.geometry, fm, 4, 1e-3)
+    plan, built, engine = fm.plan, [], channel._engine
 
-    def recomputed(*args):
-        raise AssertionError("log-gain constant recomputed")
+    def counting(*args):
+        built.append(args)
+        return engine(*args)
 
-    pointing = (fm.gamma, fm.kappa, fm.mu)
-    for name in ("LogGainParams", "_bound_constants"):
-        monkeypatch.setattr(channel, name, recomputed)
-    # the model's constants and the plans are read without math
+    def averages():
+        return [composite_expectation(fm), avg_ser_exact(op), avg_ser_approx(op),
+                avg_ser_dense(op)]
+
+    # the first average of each kind builds its engine: the normalisation and
+    # the exact SER share the exact weight, h_power 0, y_lo 0 and no extra
+    # edges, approx and dense the piecewise weight
+    monkeypatch.setattr(channel, "_engine", counting)
+    first = averages()
+    keys = [(channel.EXACT_WEIGHT, 0.0, 0.0, ()), (errorrates._PIECEWISE, 0.0, 0.0, ())]
+    assert built == [(fm, *key) for key in keys]
+    assert list(fm.engines) == keys
+    engines = dict(fm.engines)
+
+    def rebuilt(*args):
+        raise AssertionError("engine built again")
+
+    # a later call reads the model's constants, its plan and its engines,
+    # without math
+    monkeypatch.setattr(channel, "_engine", rebuilt)
     monkeypatch.setattr(channel, "math", _NoMath())
-    assert fm.log_gain_params is par
-    assert par.plan is plan
-    assert (fm.gamma, fm.kappa, fm.mu) == pointing
-    monkeypatch.setattr(channel, "math", math)
-    composite_expectation(fm)  # the engine reads the cached constants and plans
-    avg_ser_exact(OperatingPoint(fm.geometry, fm, 4, 1e-3))
+    assert averages() == first
+    assert fm.plan is plan and fm.engines == engines
     monkeypatch.undo()
-    assert par.bounds == bounds
-    # the integrand takes 0-d copies of the constants; the fields stay floats for
-    # the bound pass's scalar loops
-    assert [x.shape for x in par.operands] == [()] * 5
-    assert [x.item() for x in par.operands] == [par.log_amp, par.y_star, -2.0 * par.sig2,
-                                                par.h_hat, par.sqrt2s]
-    assert all(type(getattr(par, f.name)) is float for f in dataclasses.fields(par))
+    # the bound pass's scalar loops read the constants as floats
+    assert all(type(getattr(fm, n)) is float for n in ("log_amp", "sqrt2s", "y_star", "y_top"))
     # the upper plan's fixed points are its ends, h_hat, y* + k sigma for
     # k = -10, -6, -3, 0, 3, 6, 10; equality and hashing ignore the cached
     # values
-    sigma = math.sqrt(par.sig2)
+    sigma = math.sqrt(fm.sigma2)
     upper = plan[1, 0, :len(channel.Y_MASK)]
     fixed = upper[channel.Y_MASK == 0.0]
     assert fixed.tolist() == [-math.inf, math.inf, 0.0] + [
-        par.y_star + k * sigma for k in (-10, -6, -3, 0, 3, 6, 10)]
+        fm.y_star + k * sigma for k in (-10, -6, -3, 0, 3, 6, 10)]
     assert upper[channel.Y_MASK == 1.0].tolist() == list(channel.Y_COND)
     fresh = make_fading(0.35, 0.1)
     assert fm == fresh and hash(fm) == hash(fresh)
-    assert fresh.log_gain_params == par
+    assert fresh.plan.tolist() == plan.tolist()
 
 
 def test_lower_plan_merges_offsets_a_sliver_apart():
     # at g2 = 8.006 (sigma_s = 0.35 m) the ladder's 2 / g2 and 4 / g2 fall
     # within 1e-4 of one and two peak widths 1 / sqrt(2 g2), and w* - 1 of
     # w* - 4 widths; each such pair is one point, so no sliver panel remains
-    par = make_fading(0.35, 0.1).log_gain_params
-    width = 1.0 / math.sqrt(2.0 * par.g2)
-    offsets = np.unique(-par.plan[0, 0][channel.W_MASK == 1.0])
+    fm = make_fading(0.35, 0.1)
+    width = 1.0 / math.sqrt(2.0 * fm.g2)
+    offsets = np.unique(-fm.plan[0, 0][channel.W_MASK == 1.0])
     assert np.diff(offsets).min() >= 0.05 * width
     assert offsets.size == np.count_nonzero(channel.W_MASK) - 3
 
@@ -199,7 +215,7 @@ def test_batch_entries_match_their_one_entry_calls(monkeypatch):
     # monotone, as the tail bounds take a conditional to be, but each entry's
     # bounds read only its own probes, so its ends are those of its call)
     fm = make_fading(0.35, 0.1)
-    h_hat = fm.log_gain_params.h_hat
+    h_hat = fm.h_hat
     u = [10.0**k / h_hat for k in (-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0)] + [0.5]
 
     def cond(h, u):
@@ -245,7 +261,7 @@ def test_tail_bounds_call_cond_once_per_engine_call(monkeypatch):
     # the ends come from one cond call on a few probe gains per engine call,
     # besides the integrand's one call per Gauss-Kronrod chunk
     fm = make_fading(0.35, 0.1)
-    h_hat = fm.log_gain_params.h_hat
+    h_hat = fm.h_hat
     chunks, calls = [], []
     chunk = quadrature._gk21_chunk
 
@@ -273,7 +289,6 @@ def test_composite_expectation_keeps_its_fixed_ends(monkeypatch):
     # h, the normalisation, and a func that peaks at y = 3, far in the bump's
     # upper tail, and is below e^-70 of its peak at h_hat and at y* + 45 sigma
     fm = make_fading(0.35, 0.1)
-    par = fm.log_gain_params
     ends, calls = [], []
     gk21 = quadrature._gk21
 
@@ -283,20 +298,20 @@ def test_composite_expectation_keeps_its_fixed_ends(monkeypatch):
 
     def spike(h):
         calls.append(None)
-        return 1e8 * np.exp(-8.0 * (np.log(h / par.h_hat) - 3.0) ** 2)
+        return 1e8 * np.exp(-8.0 * (np.log(h / fm.h_hat) - 3.0) ** 2)
 
     monkeypatch.setattr(quadrature, "_gk21", recording)
     for func, expected in ((lambda h: h, moment_composite(fm, 1)), (None, 1.0)):
         ends.clear()
         assert composite_expectation(fm, func) == pytest.approx(expected, rel=1e-9)
-        assert ends[0] == (-700.0 / par.g2, par.y_top)
+        assert ends[0] == (-700.0 / fm.g2, fm.y_top)
     ends.clear()
     value = composite_expectation(fm, spike)
-    assert ends[0] == (-700.0 / par.g2, par.y_top)
+    assert ends[0] == (-700.0 / fm.g2, fm.y_top)
     assert len(calls) == len(ends)  # no probe call besides the integrand's
 
     def reference(y):
-        h = par.h_hat * math.exp(y)
+        h = fm.h_hat * math.exp(y)
         return float(pdf_composite(h, fm)) * float(spike(h)) * h
 
     quad, _ = quadrature.integrate(reference, 0.0, 12.0, (2.0, 3.0, 4.0))
@@ -309,11 +324,11 @@ def test_tail_probes_emit_no_warning():
     # of 0 is taken, and pytest turns a RuntimeWarning into an error
     fm = make_fading(0.35, 0.1)
     values, errors = channel.density_average(
-        fm, [0.0, 1.0 / fm.log_gain_params.h_hat], channel.EXACT_WEIGHT,
+        fm, [0.0, 1.0 / fm.h_hat], channel.EXACT_WEIGHT,
         lambda h, u: channel.erfc(u * h))
     assert errors == [None, None] and values[0] == pytest.approx(1.0, abs=1e-9)
     (value,), (error,) = channel.density_average(
-        fm, [1e-3 / fm.log_gain_params.h_hat], channel.EXACT_WEIGHT,
+        fm, [1e-3 / fm.h_hat], channel.EXACT_WEIGHT,
         lambda h, u: 2.0 + np.arctan(np.log(u * h)))
     assert error is None and 0.0 < value < 4.0
 
@@ -401,17 +416,17 @@ def test_composite_density_rejects_nan_gain():
             pdf_composite(h, fm)
     # at the smallest normal gain g2 / 2h still overflows where g2 > 8, times
     # a form that underflows to 0
-    assert fm.log_gain_params.g2 > 8.0 and pdf_composite(sys.float_info.min, fm) == 0.0
+    assert fm.g2 > 8.0 and pdf_composite(sys.float_info.min, fm) == 0.0
 
 
 def test_composite_density_finite_where_g2_over_2h_overflows():
     # at the smallest normal gain g2 / 2h overflows, and with a breakpoint of
     # 1.6e-307 the form is positive there: h divides last, not a density of inf
     fm = make_fading(0.35, 0.1, make_geometry(attenuation_sigma_lambda=233.0))
-    par, h = fm.log_gain_params, sys.float_info.min
-    y = math.log(h / par.h_hat)
-    expected = par.g2 / 2.0 * math.exp(par.log_amp + par.g2 * y) * math.erfc(y / par.sqrt2s) / h
-    assert par.g2 / (2.0 * h) == math.inf and 2e300 < expected < 3e300
+    h = sys.float_info.min
+    y = math.log(h / fm.h_hat)
+    expected = fm.g2 / 2.0 * math.exp(fm.log_amp + fm.g2 * y) * math.erfc(y / fm.sqrt2s) / h
+    assert fm.g2 / (2.0 * h) == math.inf and 2e300 < expected < 3e300
     assert pdf_composite(h, fm) == pytest.approx(expected, rel=1e-12)
     # beside a gain whose g2 / 2h does not overflow, each keeps its value
     both = pdf_composite(np.array([h, 4.0 * h]), fm)

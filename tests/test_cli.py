@@ -540,6 +540,21 @@ def test_mc_csv_matches_golden_file(tmp_path):
     assert path.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["sweep", "--expressions", "exact,approx,dense,dense_highpower,ook_simple"],
+     "sweep_exact_approx_dense_dense_highpower_ook_simple.csv"),
+    (["delta", "--modulation_m", "4", "--expressions", "exact,approx,dense,dense_highpower"],
+     "delta_m4_exact_approx_dense_dense_highpower.csv"),
+    (["power-step", "--target-ser", "1e-3"], "power_step_ser1e-3.csv")])
+def test_analytic_csv_matches_golden_file(argv, name, tmp_path):
+    # each golden file was written by fsolink with these arguments, before the
+    # averaging engine became one cached closure per model and kind of average
+    path = tmp_path / name
+    code, _ = run_cli(argv + ["--out", str(path)])
+    assert code == 0
+    assert path.read_bytes() == (Path(__file__).parent / "golden" / name).read_bytes()
+
+
 def test_out_file_written(tmp_path):
     path = tmp_path / "out.csv"
     code, _ = run_cli(["pdf", "--h_points", "5", "--out", str(path)])

@@ -317,7 +317,7 @@ def test_ook_simple_is_defined_by_its_cutoff():
     for point in GRID_POINTS:
         for p_dbm in (-10.0, 0.0, 10.0, 20.0):
             op = make_op(*point, 2, p_dbm)
-            par = op.fading.log_gain_params
+            fm = op.fading
             (u,) = errorrates._u(op, [op.transmit_power_p], [1.0])
 
             def value(y_lo):
@@ -329,11 +329,37 @@ def test_ook_simple_is_defined_by_its_cutoff():
             at_12, at_15 = value(y12), value(y15)
             assert at_12 == avg_ber_ook_approx_simple(op)
             if abs(at_15 - at_12) > 1e-9 * at_12:
-                c = (par.g2 / 2.0 * math.exp(par.log_amp) * par.sqrt2s / math.sqrt(math.pi)
-                     * 0.5 * float(specfun.erfc_simple_tail(u * par.h_hat)))
+                c = (fm.g2 / 2.0 * math.exp(fm.log_amp) * fm.sqrt2s / math.sqrt(math.pi)
+                     * 0.5 * float(specfun.erfc_simple_tail(u * fm.h_hat)))
                 assert at_15 - at_12 == pytest.approx(c * math.log(y12 / y15), rel=1e-6)
                 checked += 1
     assert checked >= 16
+
+
+def test_engine_cache_keeps_each_kind_apart():
+    # a model's engines are keyed by weight, h_power, y_lo and y_extra: on one
+    # model each average equals its value on a fresh model, in either order,
+    # ook_simple at both cut-offs included
+    def ook_simple_at(y_lo):
+        def average(op):
+            (u,) = errorrates._u(op, [op.transmit_power_p], [1.0])
+            return channel.single_value(channel.density_average(
+                op.fading, [u], errorrates._SIMPLE_TAIL,
+                lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h), y_lo=y_lo,
+                y_extra=errorrates._LADDER))
+        return average
+
+    averages = [avg_ser_exact, avg_ser_approx, avg_ser_dense, avg_ser_dense_highpower,
+                avg_ber_ook_approx_simple, ook_simple_at(math.log1p(1e-12)),
+                ook_simple_at(math.log1p(1e-15))]
+    fresh = [average(make_op(0.35, 0.1, 2, 0.0)) for average in averages]
+    assert fresh[-1] != fresh[-2] == fresh[-3]
+    for order in (averages, averages[::-1]):
+        op = make_op(0.35, 0.1, 2, 0.0)
+        shared = {average: average(op) for average in order}
+        assert [shared[average] for average in averages] == fresh
+        # approx and dense share one engine, and so do ook_simple and its cut-off 1e-12
+        assert len(op.fading.engines) == 5
 
 
 def test_ser_approx_m2_equals_ook_piecewise():
