@@ -369,7 +369,7 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     above it, against the Gaussian bump e^(-(y - y*)^2 / (2 sig2) + h_power y)
     times the upper form at y / sqrt(2 sig2). Without a lower form (None)
     the lower piece is dropped and the upper one starts at y_lo (with one,
-    y_lo > 0 leaves out [0, y_lo]). The pieces' fixed ends are -700 / g2
+    y_lo > 0 leaves out [0, y_lo]). The pieces' fixed ends are -700 / (g2 + h_power)
     and, with s_hat = u h_hat, y_cut = ln(ARG_CUTOFF / s_hat), where
     exp(-(s_hat e^y)^2) underflows, capped at y* + 45 sigma. Where u > 0,
     cond is taken to be non-negative and monotone in h, and each piece ends
@@ -438,20 +438,21 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
     g2, sig2, h_hat, log_amp, y_star, sqrt2s, y_top = (
         fm.g2, fm.sigma2, fm.h_hat, fm.log_amp, fm.y_star, fm.sqrt2s, fm.y_top)
     w_low, w_high = weight
-    # without a lower form the lower piece is empty, and no node sees its form
-    w_low, w_end = (w_low, 700.0 / g2) if w_low is not None else (np.zeros_like, 0.0)
+    # the lower piece decays as e^(rate y), rate > 0 (h_power = -1 comes with g2 > 1), to
+    # e^-700 at its end; without a lower form it is empty, and no node sees its form
+    sigma, rate = sqrt(sig2), g2 + h_power
+    w_low, w_end = (w_low, 700.0 / rate) if w_low is not None else (np.zeros_like, 0.0)
     # w_peak = -ln t*: the lower piece peaks at w* = w_peak - y_c, or at 0 (see
     # W_LADDER). b = min(sigma, 1 / 2) is the half-width of the upper piece's
     # probe panel, and a that of the lower piece's, to either side of its peak
-    sigma, rate = sqrt(sig2), g2 + h_power
-    w_peak, b, a = -0.5 * log(g2 / 2.0), min(sigma, 0.5), 1.0 / rate if rate > 0.0 else 0.0
+    w_peak, b, a = -0.5 * log(g2 / 2.0), min(sigma, 0.5), 1.0 / rate
     far = -w_end if w_end else y_lo  # the lower end of the lower piece, or of the upper one
     # an entry whose lower piece peaks at 0 (w* = 0) probes it on [yl0_0, 0]: low_0, the
     # log of that panel's width times the density's least value on it, is the lower
     # floor of every such entry before cond's factor
     yl0_0 = -a if a < w_end else -w_end
     low_0 = log(-yl0_0) + log_amp + rate * yl0_0 if yl0_0 < 0.0 else None
-    low_log = log_amp + log(2.0 / rate) - _LOG_TAIL_REL if rate > 0.0 else inf
+    low_log = log_amp + log(2.0 / rate) - _LOG_TAIL_REL
     # the bump e^(-(y - y*)^2 / (2 sig2) + h_power y) is e^(k - (y - m)^2 / (2 sig2));
     # k_log is k - ln _TAIL_REL, and bump_log adds the log of its integral over
     # sigma, sqrt(pi / 2). The upper form's envelope, log_env, is its value at y_lo,
@@ -522,7 +523,7 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
                 continue
             w_top, w_bot, y_bot, top, cuts = 0.0, w_end, y_lo, y_up, 0
             c = l_far if l_far > l_lo else l_lo
-            if w_end > 0.0 and c < inf and low_log < inf:
+            if w_end > 0.0 and c < inf:
                 w = (low_log + c - floor) / rate
                 if w < w_end:
                     w_bot, cuts = (w if w > 0.0 else 0.0), 1

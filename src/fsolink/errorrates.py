@@ -109,12 +109,12 @@ def _avg_ser_pointing_integrated(op: OperatingPoint) -> float:
          = erfc(a) + a e^(-a^2) 1F1(1; s + 1; a^2) / (s sqrt(pi)),
     P the regularized lower incomplete gamma function. erfc(a) is taken as
     Q(1/2, a^2), the regularized upper one, so that the oracle shares no erfc
-    routine with the engine. The 1F1 form is used
-    below a^2 = 600, as P(s, a^2) underflows at large g2, and the log of
-    the gamma form above it, as 1F1 nears overflow. The SER is
-    ((M - 1) / M) E_Z[g(u A e^(sigma Z - sigma^2))], integrated by QUADPACK
-    over Z in [-40, 40], split at 0 and at -g2 sigma, where
-    e^(-Z^2 / 2) a^(-g2) peaks.
+    routine with the engine. The 1F1 form is used below a^2 = 600 or s, as
+    P(s, a^2) underflows at large g2, and the log of the gamma form above both,
+    as 1F1 nears overflow; below s it cannot, as 1F1(1; s + 1; x) <=
+    (s + 1) / (s + 1 - x) for x < s + 1. The SER is ((M - 1) / M)
+    E_Z[g(u A e^(sigma Z - sigma^2))], integrated by QUADPACK over Z in
+    [-40, 40], split at 0 and at -g2 sigma, where e^(-Z^2 / 2) a^(-g2) peaks.
     """
     fm, m_order = op.fading, op.modulation_order_m
     g2, sigma = fm.g2, math.sqrt(fm.sigma2)
@@ -126,7 +126,7 @@ def _avg_ser_pointing_integrated(op: OperatingPoint) -> float:
     def f(z):
         a = math.exp(log_a0 + sigma * z)
         a2 = a * a
-        if a2 < 600.0:
+        if a2 < 600.0 or a2 < s:
             tail = a * math.exp(-a2) * float(hyp1f1(1.0, s + 1.0, a2)) / s
         else:
             tail = math.exp(-g2 * math.log(a) + log_gamma_s + math.log(float(gammainc(s, a2))))

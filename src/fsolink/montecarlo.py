@@ -6,8 +6,10 @@ intervals.
 Each batch draws from its own SFC64 stream, child batch_index of
 SeedSequence(seed), so a run is bit-identical for a fixed seed no matter how
 many workers shard the batches. A batch draws all its symbol indices, then its
-gains (each with one exp), then its noise, and runs the nearest-level rule only
-on symbols whose noise can reach a midpoint.
+gains (each with one exp), then its noise, and runs the nearest-level rule at
+its lowest power only on symbols whose noise can reach a midpoint, and at each
+higher power only on the symbols the power below decided wrongly: a symbol
+decided as sent stays so as the power rises, in floating point too.
 
 Memory is bounded per batch: a batch of n symbols holds its gains (8n bytes)
 and symbol indices (2n bytes) whole, and draws and detects its noise in blocks
@@ -119,13 +121,14 @@ def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
     geo = op.geometry
     # the level spacing eta h 2P/(M-1) over sigma_n, per unit gain, at each power
     scales = [geo.eta * 2.0 * p / ((m_order - 1) * geo.noise_sigma_n) for p in p_watts]
-    # the noise is r = (z/c)/h in level spacings, and q = |z|/h is |r| c to within
-    # three roundings, 2^-51 relative. So a symbol with q < limit has
-    # |r| < 1/2 - M 2^-50: j + r - 1/2 lies M 2^-50 inside (j - 1, j), beyond the
-    # two roundings of at most M 2^-53 each of the nearest-level rule, which
-    # decides j for it. Only the symbols with q >= limit are detected, and a
-    # higher power keeps a subset of the symbols a lower one keeps
-    limits = [(0.5 - m_order * 2.0**-50) * c * (1.0 - 1e-12) for c in scales]
+    # the noise is r = (z/c)/h in level spacings, and q = |z|/h is |r| c to within three
+    # roundings, 2^-51 relative. So a symbol with q < limit has |r| < 1/2 - M 2^-50 at the
+    # lowest power: j + r - 1/2 lies M 2^-50 inside (j - 1, j), beyond the two roundings of
+    # at most M 2^-53 each of the nearest-level rule, which decides j for it. Each rounding
+    # of r, j + r and the rule is monotone in c, and r = 0 decides j, so a symbol decided as
+    # sent at one power is at every higher one: a higher power detects only the errors of
+    # the power below
+    limit = (0.5 - m_order * 2.0**-50) * scales[0] * (1.0 - 1e-12)
 
     j_sent = np.empty(n, dtype=np.int16)
     for s in range(0, n, BLOCK):  # int64 draws: a dtype= argument changes the stream
@@ -140,12 +143,8 @@ def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
     for s in range(0, n, BLOCK):
         z = rng.standard_normal(out=noise[:min(BLOCK, n - s)])
         hb, jb = h[s:s + z.size], j_sent[s:s + z.size]
-        q = np.abs(z)
-        q /= hb
-        cand = np.flatnonzero(q >= limits[0])
+        cand = np.flatnonzero(np.abs(z) / hb >= limit)  # q >= limit
         for k, c in enumerate(scales):
-            if k:
-                cand = cand[q[cand] >= limits[k]]
             if cand.size == 0:
                 break
             r = z[cand] / c
@@ -153,10 +152,9 @@ def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
             j_cand = jb[cand]
             j_hat = _nearest_level(j_cand + r, m_order)
             d = np.bitwise_xor(j_hat, j_cand, out=j_hat)
-            symbol_errors = int(np.count_nonzero(d))
+            cand = cand[d != 0]  # this power's errors, the next power's candidates
             d ^= d >> 1  # the Gray words of sent and decided differ in these bits
-            counts[k] = (counts[k][0] + symbol_errors,
-                         counts[k][1] + int(np.bitwise_count(d).sum()))
+            counts[k] = (counts[k][0] + cand.size, counts[k][1] + int(np.bitwise_count(d).sum()))
     return counts
 
 
@@ -190,8 +188,8 @@ def simulate_powers(op: OperatingPoint, p_watts, mc: McConfig,
     one estimate per power, each equal to simulate's at that power.
 
     All powers share one set of draws: each block of a batch is drawn once and
-    detected at every power, in ascending order, on the symbols whose noise
-    can still reach a midpoint. Workers shard the batches, as in simulate.
+    detected at every power, in ascending order, each power on the errors of
+    the one below. Workers shard the batches, as in simulate.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: at import it cost every start 15 ms
     for p in p_watts:

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from fsolink import channel, cli, errorrates, quadrature, specfun
 from fsolink.channel import composite_expectation, dbm_to_watts, flush_subnormal
@@ -23,7 +23,7 @@ from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
 from fsolink.montecarlo import McConfig, brgc_encode, simulate
 from fsolink.quadrature import QuadratureError
 from support import (GRID_POINTS, HEADLINE_POINTS, as_average, conditional_ber_exact,
-                     conditional_ser_pam, make_op, q_function)
+                     conditional_ser_pam, make_geometry, make_op, q_function)
 
 PINK = (0.35, 0.1)
 
@@ -212,6 +212,17 @@ def test_nested_oracle_agreement_off_grid(point):
     # has v near 30
     op = make_op(*point)
     assert avg_ser_exact(op, nested=True) == pytest.approx(avg_ser_exact(op), rel=1e-8)
+
+
+def test_nested_oracle_at_large_gamma2():
+    # gamma^2 = 7,012 (s = 3,506): at a^2 between 600 and s, P(s, a^2)
+    # underflows to 0, where the log of the gamma form raised a math domain
+    # error; the 1F1 form is bounded there
+    op = make_op(0.011826404433538582, 0.013592550645984185, 64, 40.89260318645964)
+    assert op.fading.g2 == pytest.approx(7012.2, rel=1e-5)
+    assert avg_ser_exact(op, nested=True) == pytest.approx(avg_ser_exact(op), rel=1e-10,
+                                                           abs=1e-300)
+    assert avg_ser_exact(op) == pytest.approx(6.4805e-274, rel=1e-4)
 
 
 def test_nested_oracle_keeps_its_own_splits(monkeypatch):
@@ -413,6 +424,33 @@ def test_highpower_form_requires_peaked_pointing():
     assert avg_ser_dense_highpower(op) == pytest.approx(5.49021905857e-11, rel=1e-8)
     v = avg_ser_dense_highpower(op) / avg_ser_exact(op)
     assert 1.2 < v < 1.4
+
+
+@pytest.mark.parametrize("g2", [1.005, 1.01])
+def test_highpower_lower_piece_runs_to_its_own_decay(g2):
+    # with the 1/h of its conditional the lower piece decays as e^((g2 - 1) y),
+    # far slower than e^(g2 y) at g2 just above 1: a lower end at -700 / g2
+    # left out 3.1 % of the value at g2 = 1.005 and 0.1 % at 1.01. The
+    # reference: QUADPACK over each half of the log-gain line, of the
+    # piecewise density times exp(-s^2) / (s sqrt(pi)), s = u h
+    op = make_op(math.sqrt(make_geometry().wz_hat_sq / g2) / 2.0, 0.1, 4, 20.0)
+    fm = op.fading
+    (u,) = errorrates._u(op, [op.transmit_power_p], [4])
+
+    def lower(y):
+        s = u * fm.h_hat * math.exp(y)
+        return (math.exp(fm.log_amp + (fm.g2 - 1.0) * y) * math.exp(-s * s) / (u * fm.h_hat)
+                * float(specfun.erfc_piecewise_negative(y / fm.sqrt2s)))
+
+    def upper(y):
+        s = u * fm.h_hat * math.exp(y)
+        return (math.exp(-(y - fm.y_star) ** 2 / (2.0 * fm.sigma2)) * math.exp(-s * s) / s
+                * float(specfun.erfcx_piecewise_approx(y / fm.sqrt2s)))
+
+    halves = [integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+              for f, lo, hi in ((lower, -math.inf, 0.0), (upper, 0.0, math.inf))]
+    reference = fm.g2 / 2.0 * sum(halves) / math.sqrt(math.pi)
+    assert avg_ser_dense_highpower(op) == pytest.approx(reference, rel=1e-10)
 
 
 def test_highpower_dominates_dense():

@@ -387,6 +387,41 @@ def test_simulate_powers_equals_batches_at_each_power():
     assert shared == [montecarlo._run_batch(op, [p], 5, 1, 70_000)[0] for p in p_watts]
 
 
+@pytest.mark.parametrize("m", [2, 16])
+@pytest.mark.parametrize("fixed", [False, True])
+def test_nested_error_sets_count_as_one_power_batches(m, fixed):
+    # each power detects only the errors of the power below: at a repeated
+    # power and at its neighbours one ulp apart, as at powers far apart, the
+    # counts are those of a batch at that power alone
+    op = make_op(*PINK, m, 0.0)
+    h = op.fading.h_hat if fixed else None
+    p_watts = [dbm_to_watts(-10.0)]
+    for p in (dbm_to_watts(0.0), dbm_to_watts(8.0)):
+        p_watts += [np.nextafter(p, 0.0), p, p, np.nextafter(p, math.inf)]
+    p_watts += [dbm_to_watts(30.0)] * 2
+    shared = montecarlo._run_batch(op, p_watts, 3, 0, 40_000, h)
+    assert shared == [montecarlo._run_batch(op, [p], 3, 0, 40_000, h)[0] for p in p_watts]
+    assert shared[1][0] > 0  # the lower cluster sees errors; at M = 2 the upper one none
+
+
+def test_a_symbol_decided_as_sent_stays_so_as_the_power_rises():
+    # noise within ulps of a midpoint, detected at scales one ulp apart: once
+    # the rule decides the sent level, it decides it at every higher scale
+    for m, c0, h in itertools.product((2, 16, 1024), (0.37, 2.9e3), (1.0, 0.7, 1.3e-3)):
+        scales = [c0]
+        for _ in range(40):
+            scales.append(np.nextafter(scales[-1], math.inf))
+        zs = [0.5 * c0 * h]  # and 30 ulps to either side, of both signs
+        for _ in range(30):
+            zs = [np.nextafter(zs[0], 0.0), *zs, np.nextafter(zs[-1], math.inf)]
+        z = np.array(zs + [-x for x in zs])
+        for j in sorted({0, 1, m // 2, m - 1}):
+            j_sent = np.full(z.size, j, dtype=np.int16)
+            right = np.array([montecarlo._nearest_level(j_sent + (z / c) / h, m) == j
+                              for c in scales])
+            assert (right[1:] >= right[:-1]).all(), (m, c0, h, j)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
 def test_simulate_powers_rejects_bad_powers(bad):
     op = make_op(*PINK, 4, 0.0)
