@@ -23,15 +23,6 @@ from . import quadrature
 from .specfun import erfc, erfcx
 
 
-class _cached(cached_property):
-    """cached_property without the lock that Python 3.11 takes on each first read."""
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        instance.__dict__[self.attrname] = value = self.func(instance)
-        return value
-
-
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
@@ -72,25 +63,25 @@ class LinkGeometry:
     def eta(self) -> float:
         return self.conversion_alpha * self.responsivity_beta
 
-    @_cached
+    @cached_property
     def sqrt_2var(self) -> float:  # 2 sigma_n^2 by *, as ** raises on overflow
         two_var = 2.0 * self.noise_sigma_n * self.noise_sigma_n
         _require_normal("2 noise_sigma_n^2", two_var)
         return math.sqrt(two_var)
 
-    @_cached
+    @cached_property
     def h_l(self) -> float:  # Beer-Lambert loss, z in km
         return math.exp(-self.attenuation_sigma_lambda * (self.distance_z / 1000.0))
 
-    @_cached
+    @cached_property
     def v0(self) -> float:
         return math.sqrt(math.pi) * self.aperture_radius_a / (math.sqrt(2.0) * self.beam_waist_wz)
 
-    @_cached
+    @cached_property
     def h_g(self) -> float:  # the share of the beam the aperture captures, centred
         return math.erf(self.v0) ** 2
 
-    @_cached
+    @cached_property
     def wz_hat_sq(self) -> float:  # equivalent beam width squared; inf where den underflows
         wz, v0 = self.beam_waist_wz, self.v0
         den = 2.0 * v0 * math.exp(-v0 * v0)
@@ -136,48 +127,48 @@ class FadingModel:
     def delta(self) -> float:
         return -self.sigma2
 
-    @_cached
+    @cached_property
     def gamma(self) -> float:  # w_hat / (2 sigma_s): Farid & Hranilovic, JLT 2007
         return math.sqrt(self.geometry.wz_hat_sq) / (2.0 * self.jitter_sigma_s)
 
-    @_cached
+    @cached_property
     def g2(self) -> float:  # gamma^2, the one product every reader shares
         return self.gamma * self.gamma
 
-    @_cached
+    @cached_property
     def kappa(self) -> float:  # normalizes E[Hp^2] to 1
         return math.sqrt((self.g2 + 2.0) / self.g2)
 
-    @_cached
+    @cached_property
     def mu(self) -> float:
         return self.rytov_var_sigma_r2 * (self.g2 + 1.0)
 
-    @_cached
+    @cached_property
     def hg_hl(self) -> float:
         return self.geometry.h_g * self.geometry.h_l
 
-    @_cached
+    @cached_property
     def h_hat(self) -> float:
         """Breakpoint h_g h_l kappa exp(-mu) where v changes sign."""
         return self.hg_hl * self.kappa * math.exp(-self.mu)
 
-    @_cached
+    @cached_property
     def log_amp(self) -> float:  # the log-gain density's log prefactor: -gamma^4 sigma^2 / 2
         return -(self.g2 * self.g2) * self.sigma2 / 2.0
 
-    @_cached
+    @cached_property
     def sqrt2s(self) -> float:
         return math.sqrt(2.0 * self.sigma2)
 
-    @_cached
+    @cached_property
     def y_star(self) -> float:  # centre of the Gaussian bump above h_hat
         return self.g2 * self.sigma2
 
-    @_cached
+    @cached_property
     def y_top(self) -> float:  # its upper end, 45 standard deviations above the centre
         return self.y_star + 45.0 * math.sqrt(self.sigma2)
 
-    @_cached
+    @cached_property
     def plan(self) -> np.ndarray:
         """The points of both pieces' plans in y as rows of shape (2, 1, B), to
         go with PLAN_MASK. Row 0 is the lower piece's plan in w = -y, negated:
@@ -199,7 +190,7 @@ class FadingModel:
         return np.array([[[-w for w in lower]],
                          [upper + [-math.inf] * (len(lower) - len(upper))]])
 
-    @_cached
+    @cached_property
     def engines(self) -> dict:  # density_average's, by kind of average: see _engine
         return {}
 
@@ -378,9 +369,9 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     passes, keeps the fixed ends. An entry's initial panels are cut at the
     points of FadingModel.plan, anchored below h_hat at the conditional's
     peak w* and above it at y_c = -ln(s_hat), and at y_extra, a tuple, as
-    the key of the model's cached engine holds it. cond receives the gains
-    as an array and u as a matching column. Every panel of every entry is
-    integrated in one quadrature.integrate_panels batch.
+    the key of the model's cached engine holds it. cond receives the gains,
+    finite also where e^y overflows, as an array and u as a matching column.
+    Every panel of every entry is integrated in one integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan, and whose error estimate counts the
@@ -447,11 +438,6 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
     # probe panel, and a that of the lower piece's, to either side of its peak
     w_peak, b, a = -0.5 * log(g2 / 2.0), min(sigma, 0.5), 1.0 / rate
     far = -w_end if w_end else y_lo  # the lower end of the lower piece, or of the upper one
-    # an entry whose lower piece peaks at 0 (w* = 0) probes it on [yl0_0, 0]: low_0, the
-    # log of that panel's width times the density's least value on it, is the lower
-    # floor of every such entry before cond's factor
-    yl0_0 = -a if a < w_end else -w_end
-    low_0 = log(-yl0_0) + log_amp + rate * yl0_0 if yl0_0 < 0.0 else None
     low_log = log_amp + log(2.0 / rate) - _LOG_TAIL_REL
     # the bump e^(-(y - y*)^2 / (2 sig2) + h_power y) is e^(k - (y - m)^2 / (2 sig2));
     # k_log is k - ln _TAIL_REL, and bump_log adds the log of its integral over
@@ -466,10 +452,13 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
     if y_extra:
         mask = np.concatenate([mask, np.zeros((2, 1, len(y_extra)))], axis=2)
         points = np.concatenate([points, [[[math.inf] * len(y_extra)], [y_extra]]], axis=2)
+    # a gain h_hat e^y is formed as (h_hat e^shift) e^(y - shift), as e^y overflows past
+    # y = 709.78 where the gain does not; below y_top = 700, shift = 0 changes no bit
+    shift = y_top - 700.0 if y_top > 700.0 else 0.0
     # the integrand's operands, as 0-d arrays: numpy converts a Python float
     # operand on every call, about 0.3 us each
-    amp0, rate0, y_star0, minus_2sig2, h_hat0, sqrt2s0 = (
-        np.array(x) for x in (log_amp, rate, y_star, -2.0 * sig2, h_hat, sqrt2s))
+    amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0, sqrt2s0 = (np.array(x) for x in (
+        log_amp, rate, y_star, -2.0 * sig2, h_hat * exp(shift), shift, sqrt2s))
     scale = g2 / 2.0 * h_hat**h_power
 
     def average(u, cond):
@@ -481,13 +470,12 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
                 y_c, y_up = -log(s_hat), log(ARG_CUTOFF / s_hat)
             else:
                 y_c, y_up = (-800.0, -inf) if s_hat == inf else (800.0, inf)
-            if w_peak > y_c:
-                w_star = w_peak - y_c
-                yl0 = -(w_star + a) if w_star + a < w_end else -w_end
-                yl1 = a - w_star if w_star > a else 0.0
-                low = log(yl1 - yl0) + log_amp + rate * yl0 if yl1 > yl0 else None
-            else:
-                w_star, yl0, yl1, low = 0.0, yl0_0, 0.0, low_0
+            # the lower piece is probed on [yl0, yl1]: low, the log of that panel's width
+            # times the density's least value on it, is its floor before cond's factor
+            w_star = w_peak - y_c if w_peak > y_c else 0.0
+            yl0 = -(w_star + a) if w_star + a < w_end else -w_end
+            yl1 = a - w_star if w_star > a else 0.0
+            low = log(yl1 - yl0) + log_amp + rate * yl0 if yl1 > yl0 else None
             anchors += -w_star, y_c
             y_up = y_lo if y_up < y_lo else y_top if y_top < y_up else y_up
             # above h_hat the integrand peaks at y*, or below it where cond falls off
@@ -500,7 +488,8 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
             probes += far, y_lo, yl0, yl1, yu0, yu1, y_2, y_3, y_up
         logs = rows  # read only where an entry is probed
         if any(u_list):
-            h = h_hat * np.exp(np.fromiter(probes, float, len(probes)).reshape(len(u_list), 9))
+            y = np.fromiter(probes, float, len(probes)).reshape(len(u_list), 9) - shift0
+            h = h_shift0 * np.exp(y, out=y)
             values = np.maximum(cond(h, u[:, None]), _COND_MIN, out=h)  # cond may return a scalar
             logs = np.fmin(np.log(values, out=values), _INF, out=values).tolist()  # nan to inf
         for (probed, y_up, low, yu0, yu1, y_2, y_3), lc in zip(rows, logs):
@@ -569,13 +558,12 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
             # centre is -0.0
             n = np.count_nonzero(np.signbit(y[:, 10]))
             low, high, out, v = y[:n], y[n:], np.empty(y.shape), y / sqrt2s0
-            if n:
-                np.multiply(np.exp(amp0 + rate0 * low), w_low(v[:n]), out=out[:n])
+            np.multiply(np.exp(amp0 + rate0 * low), w_low(v[:n]), out=out[:n])
             bump = (high - y_star0) ** 2 / minus_2sig2
             if h_power:
                 bump += h_power * high
             np.multiply(np.exp(bump), w_high(v[n:]), out=out[n:])
-            out *= cond(h_hat0 * np.exp(y), u[owner][:, None])
+            out *= cond(h_shift0 * np.exp(y - shift0), u[owner][:, None])
             return out
 
         value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))

@@ -64,14 +64,12 @@ _GRAY_CHUNK = 1 << 15  # nodes times terms per erfc call of _gray_ber, which bou
 
 def _gray_ber(terms, t):
     """sum_k c_k erfc((2k + 1) t) at each node of the array t, over the terms of
-    _gray_ber_terms. The nodes are summed in chunks, all of a chunk's terms in one
-    erfc call, each node's terms added in order. The multipliers 2k + 1 ascend and
-    erfc is an exact 0 past _ERFC_ZERO, so a chunk's sum stops before the first
-    multiplier that puts its smallest t past it (a nan or a t <= 0 takes every
-    term): the terms it leaves out are exact zeros."""
+    _gray_ber_terms. The nodes are summed in chunks, also when one chunk holds
+    them all, a chunk's terms in one erfc call, each node's terms in order. As
+    2k + 1 ascends and erfc is an exact 0 past _ERFC_ZERO, a chunk's sum stops
+    before the first multiplier that puts its smallest t past it (a nan or a
+    t <= 0 takes every term): the terms left out, all of them if need be, are 0."""
     flat, step = t.ravel(), max(1, _GRAY_CHUNK // terms[1].size)
-    if flat.size <= step:
-        return _gray_chunk(terms, flat).reshape(t.shape)
     return np.concatenate([_gray_chunk(terms, flat[s:s + step])
                            for s in range(0, flat.size, step)]).reshape(t.shape)
 
@@ -80,10 +78,8 @@ def _gray_chunk(terms, t):
     coeffs, mults = terms
     least = np.minimum.reduce(t)
     n = np.searchsorted(mults * least, _ERFC_ZERO, side="right") if least > 0.0 else mults.size
-    if n < 2:
-        return coeffs[0] * erfc(mults[0] * t) if n else np.zeros_like(t)
     # a reduction over the outer axis adds each node's terms in order, as a
-    # loop over the terms does
+    # loop over the terms does: over one term it is that term, over none zeros
     return np.add.reduce(coeffs[:n, None] * erfc(np.multiply.outer(mults[:n], t)), axis=0)
 
 

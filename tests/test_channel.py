@@ -454,6 +454,16 @@ def test_mean_gain_closed_form_matches_quadrature_and_table():
         assert closed == pytest.approx(expect, rel=0.01), (ss, r)
 
 
+def test_expectations_where_e_to_the_y_overflows():
+    # y* + 45 sigma = 713.4 lies past ln(DBL_MAX) = 709.78: the top gains
+    # h_hat e^y, about 2e15 h_hat, are formed without e^y, which overflows
+    fm = make_fading(0.037108142230262764, 0.9403504055386693)
+    assert fm.y_top == pytest.approx(713.39, rel=1e-5)
+    assert composite_expectation(fm) == pytest.approx(1.0, abs=1e-9)
+    assert composite_expectation(fm, lambda h: h) == pytest.approx(moment_composite(fm, 1),
+                                                                    rel=1e-9)
+
+
 def test_second_moment_is_deterministic_product():
     for ss, r in HEADLINE_POINTS:
         fm = make_fading(ss, r)

@@ -225,6 +225,19 @@ def test_nested_oracle_at_large_gamma2():
     assert avg_ser_exact(op) == pytest.approx(6.4805e-274, rel=1e-4)
 
 
+@pytest.mark.parametrize("m, noise", [(1024, 1e-7), (2, 1e-5)])
+def test_exact_matches_nested_oracle_where_e_to_the_y_overflows(m, noise):
+    # a 100 m link with gamma^2 = 706.5: h_hat = 5.46e-308, and the bump's top
+    # y* + 45 sigma = 751.5 lies past ln(DBL_MAX) = 709.78, where e^y is inf
+    # but the gain h_hat e^y is not; a gain read as inf made the top of the
+    # average 0, rel 4.5e-4 low at M = 1024
+    geometry = make_geometry(distance_z=100.0, divergence_theta=1e-3, aperture_radius_a=0.2,
+                             noise_sigma_n=noise)
+    op = make_op(113.39884545324281, 1.0, m, -30.0, geometry)
+    assert op.fading.y_top == pytest.approx(751.48, rel=1e-5)
+    assert avg_ser_exact(op) == pytest.approx(avg_ser_exact(op, nested=True), rel=1e-10)
+
+
 def test_nested_oracle_keeps_its_own_splits(monkeypatch):
     # none of the engine's log-gain splits: one QUADPACK integral over the
     # turbulence normal, split at 0 and at -gamma^2 sigma alone
