@@ -568,13 +568,20 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
 
         value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
         values, errors = [flush_subnormal(v * scale) for v in value.tolist()], [None] * len(u)
-        if not all(ok.tolist()):
-            for i in (~ok).nonzero()[0].tolist():
+        # a converged entry fails too where its scale g2 / 2 h_hat^h_power overflows
+        if not (all(ok.tolist()) and -inf < sum(values) < inf):
+            for i, converged in enumerate(ok.tolist()):
                 # the estimate counts the bound of the tails left out
                 v, e = value.item(i) * scale, (error.item(i) + tails[i]) * scale
-                errors[i] = quadrature.QuadratureError(
-                    "no convergence within the panel budget" if math.isfinite(v + e)
-                    else "integrand produced a non-finite value", value=v, error_estimate=e)
+                if not math.isfinite(value.item(i) + error.item(i)):
+                    message = "integrand produced a non-finite value"
+                elif not math.isfinite(v + e):
+                    message = f"the value overflows when scaled by g2 / 2 h_hat^{h_power:g}"
+                elif not converged:
+                    message = "no convergence within the panel budget"
+                else:
+                    continue
+                errors[i] = quadrature.QuadratureError(message, value=v, error_estimate=e)
                 values[i] = math.nan
         return values, errors
 

@@ -303,10 +303,9 @@ def cmd_mc(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
     header = ["p_dbm", "m", "ser_hat", "ber_hat", "symbol_errors", "bit_errors",
               "n_symbols", "ci95_ser", "ci95_ber", "seed"]
     rows = []
-    # a thread per usable CPU, at most one per batch: the counts do not depend on it
+    # a thread per usable CPU; the pool starts at most one per batch. The counts do not depend on it
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, -(-cfg.n_symbols // McConfig.batch_size))
-    mc = McConfig(n_symbols=cfg.n_symbols, seed=cfg.seed, workers=workers)
+    mc = McConfig(n_symbols=cfg.n_symbols, seed=cfg.seed, workers=cpus or 1)
     estimates = simulate_powers(op, [dbm_to_watts(p) for p in grid], mc)
     for p, est in zip(grid, estimates):
         rows.append([_fmt_db(p), str(cfg.modulation_m),

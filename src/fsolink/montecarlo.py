@@ -202,13 +202,8 @@ def simulate_powers(op: OperatingPoint, p_watts, mc: McConfig,
         return []
     sizes = [min(mc.batch_size, mc.n_symbols - s) for s in range(0, mc.n_symbols, mc.batch_size)]
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        # one worker runs the batches on the calling thread. In a pool thread
-        # their raw wall time stayed within 1 %, but the bench's scaled `mc`
-        # wall_s rose by 15 %: its calibration kernel, run on this thread,
-        # reads a different speed after batches ran here (see CHANGES.md)
-        counts = list((map if mc.workers == 1 else pool.map)(
-            lambda b, n: _run_batch(op, ascending, mc.seed, b, n, fixed_gain),
-            range(len(sizes)), sizes))
+        counts = list(pool.map(lambda b, n: _run_batch(op, ascending, mc.seed, b, n, fixed_gain),
+                               range(len(sizes)), sizes))
     n_symbols, n_bits = mc.n_symbols, mc.n_symbols * op.bits_per_symbol
     estimates = [None] * len(order)
     for i, per_batch in zip(order, zip(*counts)):

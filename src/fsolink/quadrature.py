@@ -3,12 +3,11 @@ Gauss-Kronrod integrator for many integrals at once, and monotone-curve root
 finding for one curve or many in lockstep.
 
 `integrate` is backed by QUADPACK (scipy.integrate.quad, a Gauss-Kronrod
-adaptive rule), which it imports on its first call, and root finding
-by Brent's method (Brent, Algorithms for Minimization without Derivatives,
-1973), both wrapped behind error-reporting contracts. `integrate_panels`
-evaluates the integrand of a whole batch of integrals as one numpy array per
-round of bisection, and `brentq_lanes` the functions of a whole batch of
-roots as one call per step.
+adaptive rule), and root finding by Brent's method (Brent, Algorithms for
+Minimization without Derivatives, 1973), both wrapped behind error-reporting
+contracts. `integrate_panels` evaluates the integrand of a whole batch of
+integrals as one numpy array per round of bisection, and `brentq_lanes` the
+functions of a whole batch of roots as one call per step.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ try:  # einsum, bincount and count_nonzero without the __array_function__
     # call's work
     from numpy._core.multiarray import (bincount as _bincount, c_einsum as _einsum,
                                         count_nonzero as _count_nonzero)
-except ImportError:  # pragma: no cover - numpy < 2
+except ImportError:  # pragma: no cover - a numpy that moves its private module
     _bincount, _einsum, _count_nonzero = np.bincount, np.einsum, np.count_nonzero
 
 
@@ -39,36 +38,24 @@ class BracketError(ValueError):
     """The supplied interval does not bracket the target value."""
 
 
-_quad = None  # scipy.integrate.quad, bound by integrate on its first call
-
-
 def integrate(f, lo, hi, split_points=()):
     """Integrate f over [lo, hi], hi may be +inf, by QUADPACK.
 
-    Splits the domain at the split_points lying strictly inside (lo, hi),
-    so integrand breakpoints (e.g. a piecewise kink) land on panel edges,
-    and integrates each piece to epsrel 1e-11 and epsabs 1e-300 in at most
-    2,000 subdivisions. Returns (value, error_estimate); raises
-    QuadratureError on non-convergence or NaN. scipy.integrate is imported
-    on the first call and bound once: the import costs about a third of a
-    second, and only the pointing-integrated oracle uses QUADPACK.
+    The split_points strictly inside (lo, hi), such as a kink of f, are
+    qagp's breakpoints; with an infinite end they raise ValueError. The whole
+    integral is taken to epsrel 1e-11 and epsabs 1e-300 in at most 2,000
+    subdivisions. Returns (value, error_estimate); raises QuadratureError on
+    non-convergence or NaN. scipy.integrate (0.3 s) loads on the call: only the oracle calls.
     """
-    global _quad
-    if _quad is None:
-        from scipy.integrate import quad as _quad
-    edges = [lo, *sorted(p for p in split_points if lo < p < hi), hi]
-    total = 0.0
-    total_err = 0.0
-    for a, b in zip(edges, edges[1:]):
-        value, err, _, *message = _quad(f, a, b, epsabs=1e-300, epsrel=1e-11, limit=2000,
-                                        full_output=True)
-        if message:
-            raise QuadratureError(message[0], value=value, error_estimate=err)
-        if math.isnan(value):
-            raise QuadratureError("integrand produced NaN", value=value, error_estimate=err)
-        total += value
-        total_err += err
-    return total, total_err
+    from scipy.integrate import quad
+    value, err, _, *message = quad(f, lo, hi, epsabs=1e-300, epsrel=1e-11, limit=2000,
+                                   points=[p for p in split_points if lo < p < hi] or None,
+                                   full_output=True)
+    if message:
+        raise QuadratureError(message[0], value=value, error_estimate=err)
+    if math.isnan(value):
+        raise QuadratureError("integrand produced NaN", value=value, error_estimate=err)
+    return value, err
 
 
 def find_crossing(curve, target, lo, hi, tol=1e-4):

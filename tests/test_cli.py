@@ -500,8 +500,8 @@ def test_mc_output_independent_of_workers(monkeypatch):
     simulate_powers = cli.simulate_powers
     monkeypatch.setattr(cli, "simulate_powers", lambda op, p_watts, mc: seen.append(mc.workers)
                         or simulate_powers(op, p_watts, mc))
-    # three batches of the default 10^6 symbols: a thread per usable CPU, at
-    # most three, whatever the host's CPU count
+    # three batches of the default 10^6 symbols: a thread per usable CPU,
+    # whatever the host's CPU count; the pool starts at most three
     argv = ["mc", "--p_dbm_min", "6", "--p_dbm_max", "6", "--modulation_m", "4",
             "--n_symbols", "2000001"]
     outs = []
@@ -521,7 +521,7 @@ def test_mc_output_independent_of_workers(monkeypatch):
     for cores in (None, 4):
         monkeypatch.setattr(cli.os, "cpu_count", lambda cores=cores: cores)
         run()
-    assert seen == [1, 2, 3, 1, 3]
+    assert seen == [1, 2, 4, 1, 4]
     assert outs[1:] == outs[:1] * 4
     assert len(rows_of(outs[0])) == 2
 
@@ -633,6 +633,22 @@ def test_underflowing_breakpoint_is_config_error(argv, capsys):
     assert code == 2
     assert out == ""
     assert "is not a positive normal double (mu = " in capsys.readouterr().err
+
+
+def test_dense_highpower_scale_overflow_exit_code():
+    # h_hat = 5.46e-308 on a 100 m link: g2 / 2 h_hat^-1 is inf, and the sweep
+    # printed inf and nan with an empty errors column and exit 0
+    code, out = run_cli(["sweep", "--link_distance_km", "0.1", "--divergence_mrad", "1",
+                         "--aperture_radius_m", "0.2", "--rytov_variance", "1",
+                         "--jitter_sigma_m", "113.39884545324281", "--modulation_m", "2",
+                         "--p_dbm_min", "-30", "--p_dbm_max", "30", "--p_dbm_step", "20",
+                         "--expressions", "exact,dense_highpower"])
+    assert code == 3
+    assert "inf" not in out
+    for row in rows_of(out)[1:]:
+        assert float(row[3]) > 0.0 and row[4] == "nan"
+        assert row[5] == "dense_highpower: the value overflows when scaled by g2 / 2 h_hat^-1"
+    assert len(rows_of(out)) == 5
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -238,6 +238,24 @@ def test_exact_matches_nested_oracle_where_e_to_the_y_overflows(m, noise):
     assert avg_ser_exact(op) == pytest.approx(avg_ser_exact(op, nested=True), rel=1e-10)
 
 
+def test_dense_highpower_fails_where_its_scale_overflows():
+    # the same 100 m link: dense_highpower's scale g2 / 2 h_hat^-1, 353 / 5.46e-308,
+    # is inf, and its averages read inf, or nan where the integral underflows
+    # to 0, with no error
+    geometry = make_geometry(distance_z=100.0, divergence_theta=1e-3, aperture_radius_a=0.2)
+    op = make_op(113.39884545324281, 1.0, 2, 0.0, geometry)
+    p_watts = [dbm_to_watts(p) for p in (-30.0, -10.0, 10.0, 30.0)]
+    values, errors = averages_at_powers(avg_ser_dense_highpower, op, p_watts)
+    assert all(math.isnan(v) for v in values)
+    for error in errors:
+        assert isinstance(error, QuadratureError)
+        assert str(error) == "the value overflows when scaled by g2 / 2 h_hat^-1"
+    # the kinds without h^h_power have no scale to overflow
+    for expression in (avg_ser_exact, avg_ser_approx, avg_ser_dense):
+        values, errors = averages_at_powers(expression, op, p_watts)
+        assert errors == [None] * 4 and all(0.0 < v < 1.0 for v in values)
+
+
 def test_nested_oracle_keeps_its_own_splits(monkeypatch):
     # none of the engine's log-gain splits: one QUADPACK integral over the
     # turbulence normal, split at 0 and at -gamma^2 sigma alone

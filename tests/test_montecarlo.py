@@ -232,17 +232,19 @@ def test_simulate_matches_exact_ser_off_grid(sigma_s, rytov, m, p_dbm):
     assert abs(est.ser_hat - exact) < 5.0 * math.sqrt(exact * (1.0 - exact) / est.n_symbols)
 
 
-def test_one_worker_runs_every_batch_on_the_calling_thread(monkeypatch):
-    threads = []
+def test_one_worker_runs_every_batch_on_one_thread_in_order(monkeypatch):
+    # one batch at a time, so one batch's memory at a time
+    calls = []
     run_batch = montecarlo._run_batch
 
-    def recording(*args):
-        threads.append(threading.get_ident())
-        return run_batch(*args)
+    def recording(op, p_watts, seed, batch_index, n, fixed_gain=None):
+        calls.append((threading.get_ident(), batch_index))
+        return run_batch(op, p_watts, seed, batch_index, n, fixed_gain)
 
     monkeypatch.setattr(montecarlo, "_run_batch", recording)
     simulate(make_op(*PINK, 2, 0.0), McConfig(n_symbols=300_000, seed=31, batch_size=100_000))
-    assert threads == [threading.get_ident()] * 3
+    assert [b for _, b in calls] == [0, 1, 2]
+    assert len({thread for thread, _ in calls}) == 1
 
 
 def test_early_stop_disabled_runs_full_n():
