@@ -611,18 +611,21 @@ def composite_expectation(model: FadingModel, func=None) -> float:
     return single_value(density_average(model, [0.0], EXACT_WEIGHT, cond))
 
 
-def moment_composite(model: FadingModel, order: int) -> float:
-    """Closed-form first or second moment of the composite gain."""
+def _moment_factors(model: FadingModel, order: int) -> tuple:
+    """The factors of the composite gain's first or second moment. Each is a
+    positive double, but on a link the model accepts their product can
+    underflow to 0, so the SNRs sum their log10s."""
     g2 = model.g2
     if order == 1:
-        return (
-            model.hg_hl
-            * math.exp(-model.sigma2 / 2.0)
-            * model.kappa * g2 / (g2 + 1.0)
-        )
+        return model.hg_hl, math.exp(-model.sigma2 / 2.0), model.kappa, g2 / (g2 + 1.0)
     if order == 2:
-        return model.hg_hl**2
+        return model.hg_hl, model.hg_hl
     raise ValueError("order must be 1 or 2")
+
+
+def moment_composite(model: FadingModel, order: int) -> float:
+    """Closed-form first or second moment of the composite gain."""
+    return math.prod(_moment_factors(model, order))
 
 
 # draws per block: sample_composite folds its uniforms into the gains, and a
@@ -663,12 +666,13 @@ def mean_symbol_power_sq(modulation_order_m: int, p_watts: float) -> float:
 def snr_electrical(op: OperatingPoint) -> float:
     """Average received electrical SNR in dB, eta^2 E[X^2] E[H^2] / sigma_n^2.
 
-    It is summed as log10 terms, E[X^2] at 1 W and its P^2 as 2 log10 P, so it
-    stays finite where the product itself would overflow.
+    It is summed as log10 terms, E[X^2] at 1 W and its P^2 as 2 log10 P, and
+    E[H^2] factor by factor, so it stays finite where the product itself would
+    overflow or underflow.
     """
     geo = op.geometry
     ex2_1w = mean_symbol_power_sq(op.modulation_order_m, 1.0)
-    return 10.0 * (math.log10(ex2_1w * moment_composite(op.fading, 2))
+    return 10.0 * (sum(map(math.log10, (ex2_1w, *_moment_factors(op.fading, 2))))
                    + 2.0 * (math.log10(geo.eta) + math.log10(op.transmit_power_p)
                             - math.log10(geo.noise_sigma_n)))
 
@@ -676,8 +680,9 @@ def snr_electrical(op: OperatingPoint) -> float:
 def snr_optical(op: OperatingPoint) -> float:
     """Average received optical SNR in dB: detector signal photocurrent over
     the noise standard deviation (an amplitude-like ratio, reported as
-    10 log10 of the ratio itself). It is summed as log10 terms, as
-    snr_electrical is, so it stays finite where the ratio would underflow."""
+    10 log10 of the ratio itself). It is summed as log10 terms, E[H] factor by
+    factor, as snr_electrical is, so it stays finite where the ratio or E[H]
+    would underflow."""
     geo = op.geometry
-    return 10.0 * (math.log10(geo.eta) + math.log10(op.transmit_power_p)
-                   + math.log10(moment_composite(op.fading, 1)) - math.log10(geo.noise_sigma_n))
+    factors = (geo.eta, op.transmit_power_p, *_moment_factors(op.fading, 1))
+    return 10.0 * (sum(map(math.log10, factors)) - math.log10(geo.noise_sigma_n))

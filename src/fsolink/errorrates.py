@@ -57,7 +57,10 @@ def _gray_ber_terms(m_order: int):
     return counts[k] / (2.0 * m_order * (m_order.bit_length() - 1)), 2.0 * k + 1.0
 
 
-# erfc(x) is exactly 0 in double precision for every x above this
+# specfun.erfc, scipy's, is exactly 0 for every x above this (from x = 26.64
+# on). It must also lie past libm's last subnormal erfc (at 27.23): the tests'
+# scalar reference, support.conditional_ber_exact, stops its sum of math.erfc
+# terms on this constant
 _ERFC_ZERO = 27.3
 _GRAY_CHUNK = 1 << 15  # nodes times terms per erfc call of _gray_ber, which bounds the temporaries
 

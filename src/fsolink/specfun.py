@@ -1,7 +1,8 @@
 """Complementary error function and the two tail approximations used inside
 the average error-rate integrals.
 
-All functions are pure and accept scalars or numpy arrays.
+All functions are pure and accept scalars or numpy arrays. A scalar gives a
+numpy.float64 (a float), an array an array, from one code path per function.
 """
 
 from __future__ import annotations
@@ -35,24 +36,18 @@ def _scipy_ufuncs():
 
 
 _special = _scipy_ufuncs()
-# the ufuncs scipy.special exports: exp(z^2) erfc(z), and the confluent
+# the ufuncs scipy.special exports: erfc(z) = (2/sqrt(pi)) * integral of
+# exp(-t^2) from z to infinity, exp(z^2) erfc(z), and the confluent
 # hypergeometric 1F1, regularized lower and upper incomplete gamma and
 # log-gamma functions of the pointing-integrated oracle
-erfcx, hyp1f1, gammainc, gammaincc, gammaln = (_special.erfcx, _special.hyp1f1,
-                                               _special.gammainc, _special.gammaincc,
-                                               _special.gammaln)
+erfc, erfcx, hyp1f1, gammainc, gammaincc, gammaln = (
+    _special.erfc, _special.erfcx, _special.hyp1f1, _special.gammainc, _special.gammaincc,
+    _special.gammaln)
 # the approximations' constants as 0-d arrays: numpy converts a Python float
 # operand on every call, which costs a small call more than the arithmetic
 _ONE, _TWO, _FOUR_OVER_PI, _TWO_OVER_SQRT_PI, _NEG_BRANCH_RATE = (
     np.array(x) for x in (1.0, 2.0, 4.0 / math.pi, 2.0 / math.sqrt(math.pi),
                           2.0 * math.pi / math.sqrt(6.0)))
-
-
-def erfc(z):
-    """erfc(z) = (2/sqrt(pi)) * integral of exp(-t^2) from z to infinity."""
-    if not isinstance(z, np.ndarray) and np.isscalar(z):
-        return math.erfc(z)
-    return _special.erfc(z)
 
 
 def erfc_piecewise_positive(z):
@@ -73,8 +68,7 @@ def erfcx_piecewise_approx(z):
     """exp(z^2) times erfc_piecewise_positive, for z >= 0:
     (2/sqrt(pi)) / (z + sqrt(z^2 + 4/pi)), finite where exp(-z^2) underflows."""
     z = np.asarray(z, dtype=float)
-    out = _TWO_OVER_SQRT_PI / (z + np.sqrt(z * z + _FOUR_OVER_PI))
-    return float(out) if out.ndim == 0 else out
+    return _TWO_OVER_SQRT_PI / (z + np.sqrt(z * z + _FOUR_OVER_PI))
 
 
 def erfc_simple_tail(z):
@@ -84,8 +78,7 @@ def erfc_simple_tail(z):
     for negative arguments.
     """
     z = np.asarray(z, dtype=float)
-    out = np.exp(-z * z) * erfcx_simple_tail(z)
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-z * z) * erfcx_simple_tail(z)
 
 
 def erfcx_simple_tail(z):
@@ -93,5 +86,4 @@ def erfcx_simple_tail(z):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):
         raise ValueError("erfc_simple_tail requires z > 0")
-    out = 1.0 / (z * math.sqrt(math.pi))
-    return float(out) if out.ndim == 0 else out
+    return 1.0 / (z * math.sqrt(math.pi))

@@ -585,6 +585,19 @@ def test_snr_monotone_in_power():
     assert snr_optical(op2) == pytest.approx(snr_optical(op1) + 10.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("sigma_s, attenuation, order, snrs", [
+    # h_g h_l = 4.7e-199: E[X^2] (h_g h_l)^2 underflows to 0
+    (0.35, 150.0, 2, (-1946.5261, -3889.5536)),
+    # gamma^2 = 9.8e-301: E[H] = h_g h_l e^(-sigma^2/2) kappa gamma^2 / (gamma^2 + 1)
+    # underflows to 0
+    (1e150, 140.0, 1, (-3314.7478, -3628.9770)),
+])
+def test_snr_finite_where_a_gain_moment_underflows(sigma_s, attenuation, order, snrs):
+    op = make_op(sigma_s, 0.1, 2, 0.0, make_geometry(attenuation_sigma_lambda=attenuation))
+    assert moment_composite(op.fading, order) == 0.0
+    assert (snr_optical(op), snr_electrical(op)) == pytest.approx(snrs, abs=1e-4)
+
+
 def test_optical_electrical_gap_ook():
     # for OOK the two SNR definitions differ by a constant offset in dB
     op = make_op(0.35, 0.1, 2, 0.0)

@@ -737,6 +737,20 @@ def test_sweep_snr_finite_where_the_signal_underflows():
     assert row[1] == "-5992.0674" and math.isfinite(float(row[2]))
 
 
+@pytest.mark.parametrize("flags, snrs", [
+    # E[X^2] (h_g h_l)^2 underflows to 0 at h_g h_l = 4.7e-199
+    (["--attenuation_per_km", "150"], ["-1946.5261", "-3889.5536"]),
+    # E[H] underflows to 0 at gamma^2 = 9.8e-301
+    (["--jitter_sigma_m", "1e150", "--attenuation_per_km", "140"],
+     ["-3314.7478", "-3628.9770"]),
+])
+def test_sweep_snr_finite_where_a_gain_moment_underflows(flags, snrs):
+    code, out = run_cli(["sweep", *flags, "--p_dbm_min", "0", "--p_dbm_max", "0"])
+    assert code == 0
+    (row,) = rows_of(out)[1:]
+    assert row[1:3] == snrs
+
+
 def test_pdf_finite_where_g2_over_2h_overflows():
     # at h = 2.2e-308 g2 / 2h overflows, where the density is about 2.6e300
     code, out = run_cli(["pdf", "--attenuation_per_km", "233", "--h_min",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+import fsolink
 from fsolink import channel, cli, errorrates, quadrature, specfun
 from fsolink.channel import composite_expectation, dbm_to_watts, flush_subnormal
 from fsolink.errorrates import (AVERAGES, ErrorRateCurve, NoCrossingError,
@@ -103,9 +104,12 @@ def test_gray_ber_stops_early_bit_for_bit():
         t = rng.uniform(0.0, 1.0, (40, 21)) * scale
         t[5, 3], t[9, 0] = 0.0, np.inf
         np.testing.assert_array_equal(errorrates._gray_ber(terms, t), _full_gray_ber(terms, t))
+    # the scalar reference adds libm's erfc terms one at a time: its early stop
+    # drops exact zeros of libm's erfc too
     for a in (0.0, 3.0, 300.0, 1e5):
-        assert conditional_ber_exact(1024, a) == float(
-            _full_gray_ber(terms, np.float64(a / (2.0 * math.sqrt(2.0) * 1023))))
+        t = a / (2.0 * math.sqrt(2.0) * 1023)
+        assert conditional_ber_exact(1024, a) == sum(
+            c * math.erfc(k * t) for c, k in zip(*(x.tolist() for x in terms)))
     # the exact M = 1024 BER average equals the engine's with the full sum
     for p in (0.0, 20.0, 40.0):
         op = make_op(*PINK, 1024, p)
@@ -277,9 +281,15 @@ def test_nested_oracle_computes_every_erfc_itself(monkeypatch):
     def refuse(*args):
         raise AssertionError("library erfc called")
 
+    # specfun, channel, errorrates and the package bind scipy's ufuncs at
+    # import, so each of their names is made to refuse as well as the sources
     for module, name in ((special, "erfc"), (special, "erfcx"), (specfun._special, "erfc"),
-                         (specfun._special, "erfcx"), (math, "erfc")):
+                         (specfun._special, "erfcx"), (math, "erfc"), (specfun, "erfc"),
+                         (specfun, "erfcx"), (channel, "erfc"), (channel, "erfcx"),
+                         (errorrates, "erfc"), (fsolink, "erfc")):
         monkeypatch.setattr(module, name, refuse)
+    for module in (channel, errorrates):
+        monkeypatch.setattr(module, "EXACT_WEIGHT", (refuse, refuse))
     for point in [(*PINK, 4, 10.0), (0.095, 0.154, 1024, 18.9)]:
         assert avg_ser_exact(make_op(*point), nested=True) > 0.0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from fsolink import specfun
 from fsolink.specfun import (erfc, erfc_piecewise_negative, erfc_piecewise_positive,
                              erfc_simple_tail, erfcx_piecewise_approx)
 from support import run_python
@@ -17,6 +18,37 @@ def test_erfc_matches_reference_scalar():
 def test_erfc_array_input():
     z = np.linspace(-4, 4, 33)
     np.testing.assert_allclose(erfc(z), special.erfc(z), rtol=1e-15)
+
+
+# each function of specfun with its arguments before the one varied, and the
+# grid of that argument on the function's own domain: erfc and erfcx over
+# 3.0, 10.0, 26.9 and the band 26.64-27.3 where scipy's erfc reaches 0 and
+# libm's has subnormals
+_REAL = np.concatenate([[3.0, 10.0, 26.9], np.linspace(-6.0, 30.0, 145),
+                        np.linspace(26.64, 27.3, 67)])
+_POSITIVE = _REAL[_REAL > 0.0]
+_DOMAINS = [
+    (specfun.erfc, (), _REAL),
+    (specfun.erfcx, (), _REAL),
+    (specfun.erfc_piecewise_positive, (), np.append(_POSITIVE, 0.0)),
+    (specfun.erfcx_piecewise_approx, (), np.append(_POSITIVE, 0.0)),
+    (specfun.erfc_piecewise_negative, (), np.append(-_POSITIVE, 0.0)),
+    (specfun.erfc_simple_tail, (), _POSITIVE),
+    (specfun.erfcx_simple_tail, (), _POSITIVE),
+    (specfun.hyp1f1, (1.0, 3.5), _POSITIVE),
+    (specfun.gammainc, (0.5,), _POSITIVE),
+    (specfun.gammaincc, (0.5,), _POSITIVE),
+    (specfun.gammaln, (), _POSITIVE),
+]
+
+
+@pytest.mark.parametrize("func, args, grid", _DOMAINS, ids=[f.__name__ for f, _, _ in _DOMAINS])
+def test_scalar_and_array_inputs_take_one_path(func, args, grid):
+    """A scalar gives the bits its one-element array gives, as a numpy.float64."""
+    for x in grid.tolist():
+        scalar = func(*args, x)
+        assert np.float64(scalar).tobytes() == func(*args, np.array([x]))[0].tobytes(), x
+        assert type(scalar) is np.float64, (x, type(scalar))
 
 
 def test_piecewise_approx_branches_continuous_at_zero():
@@ -101,6 +133,7 @@ import sys
 import numpy as np
 import scipy.special
 from fsolink import channel, specfun
+assert channel.EXACT_WEIGHT[0] is specfun.erfc is scipy.special.erfc
 assert channel.EXACT_WEIGHT[1] is specfun.erfcx is scipy.special.erfcx
 z = np.linspace(-6.0, 30.0, 73)
 assert np.array_equal(specfun.erfc(z), scipy.special.erfc(z))
