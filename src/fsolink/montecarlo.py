@@ -5,18 +5,18 @@ intervals.
 
 Each batch draws from its own SFC64 stream, child batch_index of
 SeedSequence(seed), so a run is bit-identical for a fixed seed no matter how
-many workers shard the batches. A batch draws all its symbol indices, then its
-gains (each with one exp), then its noise, and runs the nearest-level rule at
-its lowest power only on symbols whose noise can reach a midpoint, and at each
-higher power only on the symbols the power below decided wrongly: a symbol
-decided as sent stays so as the power rises, in floating point too.
+many workers shard the batches. The stream holds a batch's symbol indices,
+then its gains (each with one exp), then its noise; the batch reads each
+block's symbols beside its noise, from a second copy of the stream. It runs
+the nearest-level rule at its lowest power only on symbols whose noise can
+reach a midpoint, and at each higher power only on the symbols the power below
+decided wrongly: a symbol decided as sent stays so as the power rises.
 
-Memory is bounded per batch: a batch of n symbols holds its gains (8n bytes)
-and symbol indices (2n bytes) whole, and draws and detects its noise in blocks
-of BLOCK = 16,384 symbols, whose temporaries take about 1.3 MiB. A batch of
-10^6 symbols peaks near 11 MiB, so each worker needs about that much. All the
-powers of simulate_powers share one set of draws: each block is detected at
-every power before the next block is drawn.
+Memory is bounded per batch: a batch of n symbols holds its gains whole (8
+bytes a symbol), and reads its symbols and draws and detects its noise in
+blocks of BLOCK = 16,384 symbols, whose temporaries take about 1.3 MiB. A batch
+of 10^6 symbols peaks near 9 MiB. All the powers of simulate_powers share one
+set of draws: each block is detected at every power before the next is drawn.
 """
 
 from __future__ import annotations
@@ -130,9 +130,10 @@ def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
     # the power below
     limit = (0.5 - m_order * 2.0**-50) * scales[0] * (1.0 - 1e-12)
 
-    j_sent = np.empty(n, dtype=np.int16)
-    for s in range(0, n, BLOCK):  # int64 draws: a dtype= argument changes the stream
-        j_sent[s:s + BLOCK] = rng.integers(0, m_order, size=min(BLOCK, n - s))
+    # integers(0, M) would draw the symbols first, from ceil(n/2) words: skip those, BLOCK at a time
+    words = _batch_rng(seed, batch_index).bit_generator  # and read each block's from a copy
+    for s in range(0, n, 2 * BLOCK):
+        rng.bit_generator.random_raw(min(BLOCK, (n - s + 1) // 2))
     if fixed_gain is not None:
         h = np.broadcast_to(np.asarray(fixed_gain, dtype=float), (n,))
     else:
@@ -142,19 +143,23 @@ def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
     noise = np.empty(min(n, BLOCK))
     for s in range(0, n, BLOCK):
         z = rng.standard_normal(out=noise[:min(BLOCK, n - s)])
-        hb, jb = h[s:s + z.size], j_sent[s:s + z.size]
-        cand = np.flatnonzero(np.abs(z) / hb >= limit)  # q >= limit
-        for k, c in enumerate(scales):
-            if cand.size == 0:
-                break
-            r = z[cand] / c
-            r /= hb[cand]
-            j_cand = jb[cand]
-            j_hat = _nearest_level(j_cand + r, m_order)
-            d = np.bitwise_xor(j_hat, j_cand, out=j_hat)
-            cand = cand[d != 0]  # this power's errors, the next power's candidates
-            d ^= d >> 1  # the Gray words of sent and decided differ in these bits
-            counts[k] = (counts[k][0] + cand.size, counts[k][1] + int(np.bitwise_count(d).sum()))
+        hb = h[s:s + z.size]
+        jb = words.random_raw((z.size + 1) // 2).astype("<u8", copy=False).view("<u4")[:z.size]
+        jb >>= 32 - op.bits_per_symbol  # the top b bits of each 32-bit half, low half first
+        with np.errstate(divide="ignore", over="ignore"):  # an underflowed gain: q, r = inf
+            cand = np.flatnonzero(np.abs(z) / hb >= limit)  # q >= limit
+            for k, c in enumerate(scales):
+                if cand.size == 0:
+                    break
+                r = z[cand] / c
+                r /= hb[cand]
+                j_cand = jb[cand]
+                j_hat = _nearest_level(j_cand + r, m_order)
+                d = np.bitwise_xor(j_hat, j_cand, out=j_hat)
+                cand = cand[d != 0]  # this power's errors, the next power's candidates
+                d ^= d >> 1  # the Gray words of sent and decided differ in these bits
+                counts[k] = (counts[k][0] + cand.size,
+                             counts[k][1] + int(np.bitwise_count(d).sum()))
     return counts
 
 

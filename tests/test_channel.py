@@ -318,6 +318,17 @@ def test_composite_expectation_keeps_its_fixed_ends(monkeypatch):
     assert value == pytest.approx(quad, rel=1e-8) and value > 1e-4
 
 
+def test_composite_expectation_raises_without_convergence():
+    # a func that changes sign 10^4 times per unit of h / h_hat cannot reach
+    # rel 1e-11 within the engine's 2,000 panels
+    fm = make_fading(0.35, 0.1)
+    with pytest.raises(quadrature.QuadratureError,
+                       match="no convergence within the panel budget") as exc_info:
+        composite_expectation(fm, lambda h: np.sign(np.sin(1e4 * h / fm.h_hat)))
+    error = exc_info.value
+    assert math.isfinite(error.value) and error.error_estimate > 1e-11 * abs(error.value)
+
+
 def test_tail_probes_emit_no_warning():
     # cond is probed at the ends of the integration range, not at h = 0 or
     # inf, where u h would be 0 inf; its zeros are read as 1e-300, so no log
@@ -378,6 +389,16 @@ def test_composite_density_pointwise_positive():
     fm = make_fading(0.25, 0.5)
     for h in (1e-6, 1e-4, 5e-4, 1.5e-3):
         assert pdf_composite(h, fm) > 0.0
+
+
+def test_component_densities_reject_bad_parameters():
+    fm = make_fading(0.35, 0.1)
+    for sigma2 in (0.0, -0.1):
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            pdf_turbulence(1.0, sigma2)
+    for gamma in (0.0, -fm.gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            pdf_pointing(0.5 * fm.kappa, gamma, fm.kappa)
 
 
 def test_turbulence_density_rejects_nan_gain():
@@ -598,6 +619,12 @@ def test_snr_finite_where_a_gain_moment_underflows(sigma_s, attenuation, order, 
     assert (snr_optical(op), snr_electrical(op)) == pytest.approx(snrs, abs=1e-4)
 
 
+@pytest.mark.parametrize("order", [0, 3, -1])
+def test_gain_moment_rejects_other_orders(order):
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        moment_composite(make_fading(0.35, 0.1), order)
+
+
 def test_optical_electrical_gap_ook():
     # for OOK the two SNR definitions differ by a constant offset in dB
     op = make_op(0.35, 0.1, 2, 0.0)
@@ -625,3 +652,7 @@ def test_operating_point_validation():
     assert op.bits_per_symbol == 4
     assert op.with_modulation(8).modulation_order_m == 8
     assert op.with_power(2e-3).transmit_power_p == 2e-3
+    # a fading model belongs to the geometry it was derived from
+    with pytest.raises(ValueError, match="derived from a different geometry"):
+        OperatingPoint(make_geometry(noise_sigma_n=2e-7), fm, 4, 1e-3)
+    assert OperatingPoint(make_geometry(), fm, 4, 1e-3).fading is fm

@@ -651,6 +651,28 @@ def test_dense_highpower_scale_overflow_exit_code():
     assert len(rows_of(out)) == 5
 
 
+def test_dense_highpower_below_gamma_squared_one_exit_code():
+    # gamma^2 = 0.039: the row keeps the exact SER and prints the refusal
+    code, out = run_cli(["sweep", "--jitter_sigma_m", "5", "--p_dbm_min", "0",
+                         "--p_dbm_max", "0", "--expressions", "exact,dense_highpower"])
+    assert code == 3
+    (row,) = rows_of(out)[1:]
+    assert 0.0 < float(row[3]) < 1.0 and row[4] == "nan"
+    assert row[5] == "dense_highpower: high-power dense form requires gamma^2 > 1"
+
+
+def test_mc_where_sampled_gains_underflow_emits_no_warning():
+    # gamma^2 = 3.9e-4: U^(1/gamma^2) underflows, so some gains are 0 and
+    # |z| / h is inf; pytest turns a RuntimeWarning into an error. The count
+    # is right: 0.4966 against the exact 0.4961
+    code, out = run_cli(["mc", "--jitter_sigma_m", "50", "--n_symbols", "100000",
+                         "--p_dbm_min", "60", "--p_dbm_max", "60"])
+    assert code == 0
+    assert rows_of(out)[1] == ["60.0000", "2", "4.966100000000e-01", "4.966100000000e-01",
+                               "49661", "49661", "100000", "3.098903933239e-03",
+                               "3.098903933239e-03", "1"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["pdf", "--h_min", "0"], "h_min and h_max must be positive and finite"),
     (["pdf", "--h_max", "inf"], "h_min and h_max must be positive and finite"),

@@ -242,6 +242,18 @@ def test_exact_matches_nested_oracle_where_e_to_the_y_overflows(m, noise):
     assert avg_ser_exact(op) == pytest.approx(avg_ser_exact(op, nested=True), rel=1e-10)
 
 
+def test_dense_highpower_refuses_gamma_squared_at_most_one():
+    # the high-power form's 1/h leaves h^(gamma^2 - 2) near h = 0, whose
+    # integral diverges unless gamma^2 > 1
+    op = make_op(5.0, 0.1, 2, 0.0)
+    assert op.fading.g2 < 1.0
+    with pytest.raises(ValueError, match=r"requires gamma\^2 > 1"):
+        avg_ser_dense_highpower(op)
+    values, errors = averages_at_powers(avg_ser_dense_highpower, op, [1e-3, 2e-3])
+    assert all(math.isnan(v) for v in values)
+    assert [str(e) for e in errors] == ["high-power dense form requires gamma^2 > 1"] * 2
+
+
 def test_dense_highpower_fails_where_its_scale_overflows():
     # the same 100 m link: dense_highpower's scale g2 / 2 h_hat^-1, 353 / 5.46e-308,
     # is inf, and its averages read inf, or nan where the integral underflows

@@ -58,6 +58,17 @@ def test_nan_integrand_raises():
         integrate(lambda x: math.nan, 0.0, 1.0)
 
 
+def test_nan_value_without_a_quadpack_message_raises(monkeypatch):
+    # QUADPACK reports its own failures, nearly always also for a NaN
+    # integrand; a NaN it returns as converged still raises
+    import scipy.integrate
+    monkeypatch.setattr(scipy.integrate, "quad",
+                        lambda *args, **kwargs: (math.nan, 0.0, {"neval": 21}))
+    with pytest.raises(QuadratureError, match="integrand produced NaN") as exc_info:
+        integrate(lambda x: x, 0.0, 1.0)
+    assert math.isnan(exc_info.value.value) and exc_info.value.error_estimate == 0.0
+
+
 def test_nonconvergence_raises_with_estimate():
     # oscillating too fast for the 2,000 subdivisions
     with pytest.raises(QuadratureError, match=r"maximum number of subdivisions \(2000\)") \
