@@ -234,8 +234,8 @@ class OperatingPoint:
 
 def pdf_turbulence(h_a, sigma2: float):
     """Log-normal turbulence density with log-mean -sigma2, log-variance sigma2."""
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:  # false for nan too
+        raise ValueError("sigma2 must be positive and finite")
     h_a = np.asarray(h_a, dtype=float)
     if not np.all(h_a > 0.0):  # false for nan too
         raise ValueError("turbulence gain must be positive")
@@ -247,8 +247,9 @@ def pdf_turbulence(h_a, sigma2: float):
 
 def pdf_pointing(h_p, gamma: float, kappa: float):
     """Pointing-gain density gamma^2 / kappa^gamma^2 * h_p^(gamma^2-1) on [0, kappa]."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    for name, value in (("gamma", gamma), ("kappa", kappa)):
+        if not 0.0 < value < math.inf:  # false for nan too
+            raise ValueError(f"{name} must be positive and finite")
     h_p = np.asarray(h_p, dtype=float)
     if not np.all(h_p >= 0.0):  # false for nan too
         raise ValueError("pointing gain must be non-negative")
@@ -634,16 +635,17 @@ def moment_composite(model: FadingModel, order: int) -> float:
 BLOCK = 1 << 14
 
 
-def sample_composite(model: FadingModel, rng: np.random.Generator, size=None):
+def sample_composite(model: FadingModel, rng: np.random.Generator, size=None, out=None):
     """Draw gains h_l h_g Ha Hp = h_l h_g kappa exp(sigma Z - sigma2 + ln(U)/gamma^2).
 
     Ha is log-normal with log-mean -sigma2. The radial displacement is Rayleigh
     by inverse CDF from one uniform U in (0, 1], so Hp = kappa U^(1/gamma^2).
     Z and U are the draws `lognormal` and `random` would make, in that order:
     all of Z, then U in blocks of BLOCK, which continue one stream. Beside the
-    gains, only one block of uniforms is held.
+    gains, only one block of uniforms is held. The same draws fill out, a
+    caller-owned buffer (Monte Carlo's: one per worker, reused by every batch).
     """
-    x = np.asarray(rng.standard_normal(size=size))
+    x = np.asarray(rng.standard_normal(size=size, out=out))
     x *= math.sqrt(model.sigma2)
     x += model.delta
     flat = x.reshape(-1)

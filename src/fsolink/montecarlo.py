@@ -12,11 +12,12 @@ the nearest-level rule at its lowest power only on symbols whose noise can
 reach a midpoint, and at each higher power only on the symbols the power below
 decided wrongly: a symbol decided as sent stays so as the power rises.
 
-Memory is bounded per batch: a batch of n symbols holds its gains whole (8
-bytes a symbol), and reads its symbols and draws and detects its noise in
-blocks of BLOCK = 16,384 symbols, whose temporaries take about 1.3 MiB. A batch
-of 10^6 symbols peaks near 9 MiB. All the powers of simulate_powers share one
-set of draws: each block is detected at every power before the next is drawn.
+Memory is bounded per worker: a run allocates one gains buffer (8 bytes a
+symbol) per worker, once, on the calling thread, and each batch draws into one
+it takes and puts back. Symbols, noise and detection go in blocks of BLOCK =
+16,384 symbols (about 1.3 MiB), so a worker on 10^6-symbol batches peaks near
+9 MiB. All the powers of simulate_powers share one set of draws: each block is
+detected at every power before the next is drawn.
 """
 
 from __future__ import annotations
@@ -113,9 +114,10 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
-               fixed_gain=None):
+               fixed_gain=None, gains=None):
     """Simulate one batch at each of the ascending powers p_watts on one set of
-    draws; returns a list of (symbol_errors, bit_errors), one per power."""
+    draws; returns a list of (symbol_errors, bit_errors), one per power. The
+    gains go to gains[:n] when a buffer is given, else to a new array."""
     rng = _batch_rng(seed, batch_index)
     m_order = op.modulation_order_m
     geo = op.geometry
@@ -137,7 +139,7 @@ def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
     if fixed_gain is not None:
         h = np.broadcast_to(np.asarray(fixed_gain, dtype=float), (n,))
     else:
-        h = sample_composite(op.fading, rng, size=n)
+        h = sample_composite(op.fading, rng, size=n, out=None if gains is None else gains[:n])
 
     counts = [(0, 0)] * len(scales)
     noise = np.empty(min(n, BLOCK))
@@ -197,6 +199,7 @@ def simulate_powers(op: OperatingPoint, p_watts, mc: McConfig,
     the one below. Workers shard the batches, as in simulate.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: at import it cost every start 15 ms
+    from queue import SimpleQueue  # and the queue, which no start imports either
     for p in p_watts:
         error = power_error(p)
         if error is not None:
@@ -206,9 +209,17 @@ def simulate_powers(op: OperatingPoint, p_watts, mc: McConfig,
     if not ascending:
         return []
     sizes = [min(mc.batch_size, mc.n_symbols - s) for s in range(0, mc.n_symbols, mc.batch_size)]
+    buffers = SimpleQueue()  # the gains memory: one buffer per worker, allocated here once
+    for _ in range(min(mc.workers, len(sizes))):
+        buffers.put(None if fixed_gain is not None else np.empty(sizes[0]))
+    def run(b, n):
+        gains = buffers.get()
+        try:
+            return _run_batch(op, ascending, mc.seed, b, n, fixed_gain, gains)
+        finally:
+            buffers.put(gains)
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        counts = list(pool.map(lambda b, n: _run_batch(op, ascending, mc.seed, b, n, fixed_gain),
-                               range(len(sizes)), sizes))
+        counts = list(pool.map(run, range(len(sizes)), sizes))
     n_symbols, n_bits = mc.n_symbols, mc.n_symbols * op.bits_per_symbol
     estimates = [None] * len(order)
     for i, per_batch in zip(order, zip(*counts)):

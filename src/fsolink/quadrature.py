@@ -45,7 +45,8 @@ def integrate(f, lo, hi, split_points=()):
     qagp's breakpoints; with an infinite end they raise ValueError. The whole
     integral is taken to epsrel 1e-11 and epsabs 1e-300 in at most 2,000
     subdivisions. Returns (value, error_estimate); raises QuadratureError on
-    non-convergence or NaN. scipy.integrate (0.3 s) loads on the call: only the oracle calls.
+    non-convergence or a value that is not finite. scipy.integrate (0.3 s)
+    loads on the call: only the oracle calls.
     """
     from scipy.integrate import quad
     value, err, _, *message = quad(f, lo, hi, epsabs=1e-300, epsrel=1e-11, limit=2000,
@@ -53,8 +54,9 @@ def integrate(f, lo, hi, split_points=()):
                                    full_output=True)
     if message:
         raise QuadratureError(message[0], value=value, error_estimate=err)
-    if math.isnan(value):
-        raise QuadratureError("integrand produced NaN", value=value, error_estimate=err)
+    if not math.isfinite(value):
+        raise QuadratureError("integrand produced a non-finite value", value=value,
+                              error_estimate=err)
     return value, err
 
 

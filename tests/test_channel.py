@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fsolink import channel, errorrates, quadrature
-from fsolink.channel import (FadingModel, OperatingPoint,
+from fsolink.channel import (BLOCK, FadingModel, OperatingPoint,
                              composite_expectation, dbm_to_watts,
                              mean_symbol_power_sq, moment_composite,
                              pdf_composite, pdf_pointing, pdf_turbulence,
@@ -393,12 +393,15 @@ def test_composite_density_pointwise_positive():
 
 def test_component_densities_reject_bad_parameters():
     fm = make_fading(0.35, 0.1)
-    for sigma2 in (0.0, -0.1):
+    for sigma2 in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma2 must be positive"):
             pdf_turbulence(1.0, sigma2)
-    for gamma in (0.0, -fm.gamma):
+    for gamma in (0.0, -fm.gamma, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma must be positive"):
             pdf_pointing(0.5 * fm.kappa, gamma, fm.kappa)
+    for kappa in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            pdf_pointing(0.5, 1.0, kappa)
 
 
 def test_turbulence_density_rejects_nan_gain():
@@ -561,14 +564,36 @@ def test_fused_sampler_matches_two_factor_form(sigma_s, rytov):
     np.testing.assert_allclose(h, ref, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("sigma_s, rytov", [(0.05, 1e-4), (0.35, 0.1), (5.0, 1.0)])
+def test_sampler_draws_into_a_given_buffer_bit_for_bit(sigma_s, rytov):
+    # a caller-owned buffer, whole or the head of a larger one, takes the gains
+    # a new array would, and the draws after them are the same
+    fm = make_fading(sigma_s, rytov)
+    n = 2 * BLOCK + 5
+    rng = np.random.Generator(np.random.SFC64(4))
+    h = sample_composite(fm, rng, size=n)
+    after = rng.standard_normal(9)
+    whole = np.full(n, np.nan)
+    head = np.full(n + 7, np.nan)
+    for buffer, kwargs in ((whole, dict(out=whole)), (head, dict(size=n, out=head[:n]))):
+        rng = np.random.Generator(np.random.SFC64(4))
+        assert np.shares_memory(sample_composite(fm, rng, **kwargs), buffer)
+        np.testing.assert_array_equal(buffer[:n], h)
+        np.testing.assert_array_equal(rng.standard_normal(9), after)
+    assert np.isnan(head[n:]).all()
+
+
 class _FixedDraws:
     """Stands in for a Generator, returning set standard normals and uniforms."""
 
     def __init__(self, z, v):
         self.z, self.v = z, v
 
-    def standard_normal(self, size=None):
-        return self.z.copy()
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return self.z.copy()
+        out[...] = self.z
+        return out
 
     def random(self, size=None):
         return self.v.copy()

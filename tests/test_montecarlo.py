@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -237,14 +238,69 @@ def test_one_worker_runs_every_batch_on_one_thread_in_order(monkeypatch):
     calls = []
     run_batch = montecarlo._run_batch
 
-    def recording(op, p_watts, seed, batch_index, n, fixed_gain=None):
+    def recording(op, p_watts, seed, batch_index, n, fixed_gain=None, gains=None):
         calls.append((threading.get_ident(), batch_index))
-        return run_batch(op, p_watts, seed, batch_index, n, fixed_gain)
+        return run_batch(op, p_watts, seed, batch_index, n, fixed_gain, gains)
 
     monkeypatch.setattr(montecarlo, "_run_batch", recording)
     simulate(make_op(*PINK, 2, 0.0), McConfig(n_symbols=300_000, seed=31, batch_size=100_000))
     assert [b for _, b in calls] == [0, 1, 2]
     assert len({thread for thread, _ in calls}) == 1
+
+
+def test_one_worker_draws_every_batch_into_one_buffer(monkeypatch):
+    # the run allocates the gains memory once: with one worker, each of three
+    # batches, the last one partial, draws into the same caller-owned buffer,
+    # and counts what a batch drawing into a new array counts
+    outs = []
+    sample = montecarlo.sample_composite
+
+    def recording(model, rng, size=None, out=None):
+        outs.append(out)
+        return sample(model, rng, size, out)
+
+    monkeypatch.setattr(montecarlo, "sample_composite", recording)
+    op = make_op(*PINK, 4, 0.0)
+    est = simulate(op, McConfig(n_symbols=250_000, seed=31, batch_size=100_000))
+    assert [out.size for out in outs] == [100_000, 100_000, 50_000]
+    assert all(out.base is outs[0].base for out in outs) and outs[0].base.size == 100_000
+    monkeypatch.undo()
+    counts = [montecarlo._run_batch(op, [op.transmit_power_p], 31, b, n)[0]
+              for b, n in enumerate((100_000, 100_000, 50_000))]
+    assert (est.symbol_errors, est.bit_errors) == tuple(map(sum, zip(*counts)))
+
+
+def test_concurrent_batches_never_share_a_buffer(monkeypatch):
+    # more workers than cores, switching threads often: a running batch holds
+    # its buffer alone, the run allocates one buffer per worker, and the counts
+    # are one worker's
+    lock, held, seen = threading.Lock(), set(), set()
+    run_batch = montecarlo._run_batch
+
+    def recording(op, p_watts, seed, batch_index, n, fixed_gain=None, gains=None):
+        with lock:
+            assert id(gains) not in held
+            held.add(id(gains))
+            seen.add(id(gains))
+        try:
+            return run_batch(op, p_watts, seed, batch_index, n, fixed_gain, gains)
+        finally:
+            with lock:
+                held.discard(id(gains))
+
+    op = make_op(*PINK, 4, 0.0)
+    p_watts = [dbm_to_watts(p) for p in (-3.0, 0.0, 3.0)]
+    one = simulate_powers(op, p_watts, McConfig(n_symbols=200_001, seed=5, batch_size=20_000))
+    monkeypatch.setattr(montecarlo, "_run_batch", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = simulate_powers(op, p_watts, McConfig(n_symbols=200_001, seed=5,
+                                                     batch_size=20_000, workers=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert four == one
+    assert len(seen) == 4 and not held
 
 
 def test_early_stop_disabled_runs_full_n():

@@ -1,9 +1,10 @@
 """Property tests over the accepted input domain: Rytov variance log-uniform
 in [1e-4, 1], jitter sigma_s log-uniform in [0.05, 5] m, M from 2 to 1024,
 transmit power in [-30, 80] dBm and target SER log-uniform in [1e-9, 0.3];
-the normalisation, the power solve, the engine against the nested oracle
-and the approximations against the exact SER also over sigma_s in
-[0.01, 100] m and Rytov variance down to 1e-8."""
+the normalisation, the power solve, the engine against the nested oracle,
+the approximations against the exact SER, and symbol-level Monte Carlo
+against the exact SER, also over sigma_s in [0.01, 100] m and Rytov variance
+down to 1e-8."""
 
 import math
 import statistics
@@ -17,6 +18,7 @@ from fsolink import quadrature
 from fsolink.channel import composite_expectation, dbm_to_watts, flush_subnormal
 from fsolink.errorrates import (NoCrossingError, _powers_at_target, averages_at_powers, avg_ber_exact,
                                 avg_ser_approx, avg_ser_dense, avg_ser_exact)
+from fsolink.montecarlo import McConfig, simulate
 from support import make_fading, make_op
 
 # a fixed set of examples, so that the suite's run is repeatable
@@ -169,3 +171,20 @@ def test_approximations_bound_exact_over_wide_domain(s, r, m, p):
     assume(exact >= 1e-250)
     assert exact <= avg_ser_approx(op) <= 1.11 * exact
     assert exact <= avg_ser_dense(op)
+
+
+@settings(DOMAIN, max_examples=60)
+@given(wide_sigma_s, wide_rytov, order, p_dbm, st.integers(0, 2**64 - 1))
+def test_monte_carlo_matches_exact_ser_over_wide_domain(s, r, m, p, seed):
+    # gamma^2 from about 1e-4 up, where some sampled gains underflow to 0: each
+    # kept draw's symbol errors over 4e5 symbols, as a z-score against the exact
+    # SER. By the union bound, P(max |z| > 4.5) over 60 draws is at most
+    # 60 * 6.8e-6 = 4e-4
+    assume_accepted(s, r)
+    op = make_op(s, r, m, p)
+    exact = avg_ser_exact(op)
+    assume(1e-3 <= exact <= 0.999)
+    n = 400_000
+    est = simulate(op, McConfig(n_symbols=n, seed=seed))
+    z = (est.ser_hat - exact) / math.sqrt(exact * (1.0 - exact) / n)
+    assert abs(z) <= 4.5, (z, est.symbol_errors, exact)

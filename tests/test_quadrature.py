@@ -60,13 +60,21 @@ def test_nan_integrand_raises():
 
 def test_nan_value_without_a_quadpack_message_raises(monkeypatch):
     # QUADPACK reports its own failures, nearly always also for a NaN
-    # integrand; a NaN it returns as converged still raises
+    # integrand; a NaN or an infinity it returns as converged still raises
     import scipy.integrate
-    monkeypatch.setattr(scipy.integrate, "quad",
-                        lambda *args, **kwargs: (math.nan, 0.0, {"neval": 21}))
-    with pytest.raises(QuadratureError, match="integrand produced NaN") as exc_info:
-        integrate(lambda x: x, 0.0, 1.0)
-    assert math.isnan(exc_info.value.value) and exc_info.value.error_estimate == 0.0
+    for bad in (math.nan, math.inf, -math.inf):
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            lambda *args, **kwargs: (bad, 0.0, {"neval": 21}))
+        with pytest.raises(QuadratureError, match="integrand produced a non-finite value") \
+                as exc_info:
+            integrate(lambda x: x, 0.0, 1.0)
+        value = exc_info.value.value
+        assert value == bad or math.isnan(bad) and math.isnan(value), bad
+        assert exc_info.value.error_estimate == 0.0
+    monkeypatch.undo()
+    # and QUADPACK itself returns an infinite integrand's integral unflagged
+    with pytest.raises(QuadratureError, match="integrand produced a non-finite value"):
+        integrate(lambda x: math.inf, 0.0, 1.0)
 
 
 def test_nonconvergence_raises_with_estimate():
