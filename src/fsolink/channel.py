@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from math import exp, inf, log, sqrt  # the engine's, bound here: a call reads no module
 
 import numpy as np
 
@@ -426,7 +427,6 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
     Each tail left out adds its bound, at most _TAIL_REL times the floor, to
     the entry's bound. cond is read as at least _COND_MIN, and as inf where
     it is nan, which keeps every tail it bounds."""
-    exp, log, sqrt, inf = math.exp, math.log, math.sqrt, math.inf
     g2, sig2, h_hat, log_amp, y_star, sqrt2s, y_top = (
         fm.g2, fm.sigma2, fm.h_hat, fm.log_amp, fm.y_star, fm.sqrt2s, fm.y_top)
     w_low, w_high = weight
@@ -461,8 +461,19 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
     amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0, sqrt2s0 = (np.array(x) for x in (
         log_amp, rate, y_star, -2.0 * sig2, h_hat * exp(shift), shift, sqrt2s))
     scale = g2 / 2.0 * h_hat**h_power
+    # a call's constants as one float64 record and one tuple of objects: a closure cell
+    # per name would hold a boxed float each, 3 KB an engine. A float round-trips exactly
+    consts = np.array([h_hat, w_peak, w_end, a, log_amp, rate, y_lo, y_top, y_star, b, far,
+                       sqrt2s, inv_2sig2, h_power, low_log, log_scale, log_env, bump_log, m,
+                       s_sqrt2, k_log, scale])
+    objs = (w_low, w_high, mask, points, amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0,
+            sqrt2s0)
 
     def average(u, cond):
+        (h_hat, w_peak, w_end, a, log_amp, rate, y_lo, y_top, y_star, b, far, sqrt2s, inv_2sig2,
+         h_power, low_log, log_scale, log_env, bump_log, m, s_sqrt2, k_log, scale) = consts.tolist()
+        (w_low, w_high, mask, points, amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0,
+         sqrt2s0) = objs
         anchors, lowers, uppers, tails = [], [], [], []  # pairs of each piece's ends, flat
         rows, probes, u_list = [], [], u.tolist()  # probes: each entry's nine, flat
         for x in u_list:

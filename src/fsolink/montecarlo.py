@@ -132,24 +132,23 @@ def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
     # the power below
     limit = (0.5 - m_order * 2.0**-50) * scales[0] * (1.0 - 1e-12)
 
-    # integers(0, M) would draw the symbols first, from ceil(n/2) words: skip those, BLOCK at a time
+    # integers(0, M) would draw the symbols first, from ceil(n/2) words: skip those
     words = _batch_rng(seed, batch_index).bit_generator  # and read each block's from a copy
-    for s in range(0, n, 2 * BLOCK):
-        rng.bit_generator.random_raw(min(BLOCK, (n - s + 1) // 2))
+    rng.bit_generator.random_raw((n + 1) // 2, output=False)
     if fixed_gain is not None:
         h = np.broadcast_to(np.asarray(fixed_gain, dtype=float), (n,))
     else:
         h = sample_composite(op.fading, rng, size=n, out=None if gains is None else gains[:n])
 
     counts = [(0, 0)] * len(scales)
-    noise = np.empty(min(n, BLOCK))
+    noise, screen = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
     for s in range(0, n, BLOCK):
         z = rng.standard_normal(out=noise[:min(BLOCK, n - s)])
-        hb = h[s:s + z.size]
+        hb, q = h[s:s + z.size], screen[:z.size]
         jb = words.random_raw((z.size + 1) // 2).astype("<u8", copy=False).view("<u4")[:z.size]
-        jb >>= 32 - op.bits_per_symbol  # the top b bits of each 32-bit half, low half first
         with np.errstate(divide="ignore", over="ignore"):  # an underflowed gain: q, r = inf
-            cand = np.flatnonzero(np.abs(z) / hb >= limit)  # q >= limit
+            cand = np.flatnonzero(np.divide(np.abs(z, out=q), hb, out=q) >= limit)  # q >= limit
+            jb[cand] >>= 32 - op.bits_per_symbol  # top b bits of each 32-bit half, low half first
             for k, c in enumerate(scales):
                 if cand.size == 0:
                     break

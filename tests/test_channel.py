@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,26 @@ def test_engine_built_once_per_model_and_kind(monkeypatch):
     fresh = make_fading(0.35, 0.1)
     assert fm == fresh and hash(fm) == hash(fresh)
     assert fresh.plan.tolist() == plan.tolist()
+
+
+def test_cached_engine_memory_is_bounded():
+    # every model caches an engine per kind of average, and a run may hold
+    # a thousand models: an engine keeps its constants packed, not as one
+    # closure cell per name (about 3 KB an engine)
+    keys = [(channel.EXACT_WEIGHT, 0.0, 0.0, ()), (errorrates._PIECEWISE, 0.0, 0.0, ())]
+    models = [make_fading(s, r) for s in (0.15, 0.2, 0.25, 0.3, 0.35, 0.5, 0.8, 1.2, 2.0, 3.0)
+              for r in np.linspace(0.05, 1.0, 20).tolist()]
+    for fm in models:  # the models' cached constants and plans, outside the trace
+        for key in keys:
+            channel._engine(fm, *key)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engines = [channel._engine(fm, *key) for fm in models for key in keys]
+        per_engine = (tracemalloc.get_traced_memory()[0] - before) / len(engines)
+    finally:
+        tracemalloc.stop()
+    assert per_engine <= 2000.0, per_engine
 
 
 def test_lower_plan_merges_offsets_a_sliver_apart():

@@ -24,13 +24,21 @@ from support import make_fading, make_op
 # a fixed set of examples, so that the suite's run is repeatable
 DOMAIN = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
-rytov = st.floats(-4.0, 0.0).map(lambda x: 10.0**x)
-sigma_s = st.floats(math.log10(0.05), math.log10(5.0)).map(lambda x: 10.0**x)
+
+def log_uniform(lo: float, hi: float):
+    """10^x for x on a grid of 2^20 + 1 points from lo to hi. Distinct draws give
+    distinct values: mapping floats in [lo, hi] through 10^x takes +-0 and
+    tiny exponents, which derandomized draws favour, all to 1.0."""
+    return st.integers(0, 2**20).map(lambda k: 10.0 ** (lo + (hi - lo) * k / 2**20))
+
+
+rytov = log_uniform(-4.0, 0.0)
+sigma_s = log_uniform(math.log10(0.05), math.log10(5.0))
 order = st.integers(1, 10).map(lambda k: 2**k)
 p_dbm = st.floats(-30.0, 80.0)
-target_ser = st.floats(-9.0, math.log10(0.3)).map(lambda x: 10.0**x)
-wide_rytov = st.floats(-8.0, 0.0).map(lambda x: 10.0**x)
-wide_sigma_s = st.floats(-2.0, 2.0).map(lambda x: 10.0**x)
+target_ser = log_uniform(-9.0, math.log10(0.3))
+wide_rytov = log_uniform(-8.0, 0.0)
+wide_sigma_s = log_uniform(-2.0, 2.0)
 
 
 @DOMAIN
