@@ -15,7 +15,7 @@ from .errorrates import (ErrorRateCurve, NoCrossingError, avg_ber_exact,
                          power_increase_for_next_bit, sweep_curve)
 from .montecarlo import (McConfig, McEstimate, brgc_decode, brgc_encode,
                          ml_detect, simulate, simulate_powers)
-from .quadrature import BracketError, QuadratureError, find_crossing, integrate
+from .quadrature import QuadratureError, find_crossing, integrate
 from .specfun import erfc, erfc_simple_tail
 
 __version__ = "0.1.0"

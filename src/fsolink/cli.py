@@ -33,6 +33,10 @@ class ConfigError(ValueError):
     pass
 
 
+# points in the power or pdf grid at most: an exact-SER sweep holds about 3 KB
+# and takes about 29 us a point, so 0.3 GB and 3 s an expression at the limit
+_MAX_GRID = 100_001
+
 _JITTER_MODES = ("jitter_sigma_m", "jitter_angle_mrad")
 _ONE_JITTER = "set exactly one of jitter_sigma_m / jitter_angle_mrad"
 
@@ -75,6 +79,8 @@ class RunConfig:
         if (not all(math.isfinite(v) for v in sweep)
                 or self.p_dbm_step <= 0 or self.p_dbm_max < self.p_dbm_min):
             raise ConfigError("invalid power sweep range")
+        if self._steps() + 1 > _MAX_GRID:
+            raise ConfigError(f"power grid has more than {_MAX_GRID:,} points")
         # the grid's top power, up to half a step above p_dbm_max, squared must
         # fit a double in watts (about 1,571 dBm): a fixed input limit, inside
         # dbm_to_watts's own overflow at about 3,112 dBm
@@ -94,6 +100,8 @@ class RunConfig:
             raise ConfigError("h_min and h_max must be positive and finite normal doubles")
         if self.h_points < 1:
             raise ConfigError("h_points must be >= 1")
+        if self.h_points > _MAX_GRID:
+            raise ConfigError(f"h_points must be <= {_MAX_GRID:,}")
         # a threshold below the smallest normal double is subnormal, as are the
         # averages near it, which have lost precision there
         for name in ("ber_threshold", "ser_threshold"):

@@ -157,16 +157,14 @@ def _one_power(batch):
     return average
 
 
-def _ser(op, p_watts, orders, weight, erfc_form, dense: bool = False):
-    """Average SER with erfc_form in the conditional SER; dense replaces its
-    M - 1 by M. Each entry's average of erfc_form is multiplied by its
-    coefficient (M - 1) / M, or 1, so an entry's value does not depend on the
-    orders of the others; a product below the smallest normal double is 0."""
-    u = _u(op, p_watts, [m if dense else m - 1 for m in orders])
+def _ser(op, p_watts, orders, weight, erfc_form):
+    """Average SER with erfc_form in the conditional SER. Each entry's average
+    of erfc_form is multiplied by its coefficient (M - 1) / M, so an entry's
+    value does not depend on the orders of the others; a product below the
+    smallest normal double is 0."""
+    u = _u(op, p_watts, [m - 1 for m in orders])
     values, errors = density_average(op.fading, u, weight, lambda h, u: erfc_form(u * h))
-    if not dense:
-        values = [flush_subnormal((m - 1) / m * v) for m, v in zip(orders, values)]
-    return values, errors
+    return [flush_subnormal((m - 1) / m * v) for m, v in zip(orders, values)], errors
 
 
 def _require_ook(orders):
@@ -214,7 +212,8 @@ def _avg_ber_ook_approx_piecewise(op, p_watts, orders):
 
 def _avg_ser_dense(op, p_watts, orders):
     """Dense-constellation SER approximation (M - 1 replaced by M)."""
-    return _ser(op, p_watts, orders, _PIECEWISE, erfc_piecewise_positive, dense=True)
+    return density_average(op.fading, _u(op, p_watts, orders), _PIECEWISE,
+                           lambda h, u: erfc_piecewise_positive(u * h))
 
 
 def _avg_ser_dense_highpower(op, p_watts, orders):
@@ -330,8 +329,8 @@ class ErrorRateCurve:
 
     p_dbm: list[float]
     values: list[float]
-    expression: object = None
-    op: OperatingPoint | None = None
+    expression: object
+    op: OperatingPoint
 
     def __post_init__(self):
         if len(self.p_dbm) != len(self.values):
@@ -378,15 +377,12 @@ def _crossings(cells, level: float):
         if isinstance(cell, Exception):
             errors[i] = cell
             continue
-        expression, op, p_a, p_b, d_a, d_b, _ = cell
+        p_a, p_b, d_a, d_b = cell[2:6]
         if 0.0 in (d_a, d_b):
             powers[i] = p_a if d_a == 0.0 else p_b
         elif -math.inf in (d_a, d_b):
             errors[i] = QuadratureError(f"average is 0 at an end of [{p_a}, {p_b}] dBm, "
                                         f"the cell where it crosses {level}")
-        elif expression is None or op is None:
-            errors[i] = ValueError("the curve has no expression and operating point to refine "
-                                   "its crossing on")
         else:
             lanes.append(i)
     lt = math.log10(level)

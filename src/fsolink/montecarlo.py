@@ -8,9 +8,10 @@ SeedSequence(seed), so a run is bit-identical for a fixed seed no matter how
 many workers shard the batches. The stream holds a batch's symbol indices,
 then its gains (each with one exp), then its noise; the batch reads each
 block's symbols beside its noise, from a second copy of the stream. It runs
-the nearest-level rule at its lowest power only on symbols whose noise can
-reach a midpoint, and at each higher power only on the symbols the power below
-decided wrongly: a symbol decided as sent stays so as the power rises.
+ml_detect, the nearest-level rule, at its lowest power only on symbols whose
+noise can reach a midpoint, and at each higher power only on the symbols the
+power below decided wrongly: a symbol decided as sent stays so as the power
+rises.
 
 Memory is bounded per worker: a run allocates one gains buffer (8 bytes a
 symbol) per worker, once, on the calling thread, and each batch draws into one
@@ -93,18 +94,10 @@ def brgc_decode(bits):
     return int(j) if j.ndim == 0 else j
 
 
-def _nearest_level(t, m_order: int):
-    """ceil(t - 1/2) clipped to 0..M-1: the level nearest t, in spacings, ties low."""
+def ml_detect(t, m_order: int):
+    """Nearest-level detection of t, the received sample in level spacings
+    eta h 2P/(M-1): ceil(t - 1/2) clipped to 0..M-1, midpoint ties low."""
     return np.clip(np.ceil(t - 0.5), 0, m_order - 1).astype(np.int64)
-
-
-def ml_detect(y, eta_h, m_order: int, p_watts: float):
-    """Nearest-level detection over the scaled levels eta_h * j * 2P/(M-1).
-
-    Midpoint ties break to the lower index (ceil(t - 1/2) at half-integer t).
-    """
-    spacing = eta_h * 2.0 * p_watts / (m_order - 1)
-    return _nearest_level(np.asarray(y, dtype=float) / spacing, m_order)
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -155,7 +148,7 @@ def _run_batch(op: OperatingPoint, p_watts, seed: int, batch_index: int, n: int,
                 r = z[cand] / c
                 r /= hb[cand]
                 j_cand = jb[cand]
-                j_hat = _nearest_level(j_cand + r, m_order)
+                j_hat = ml_detect(j_cand + r, m_order)
                 d = np.bitwise_xor(j_hat, j_cand, out=j_hat)
                 cand = cand[d != 0]  # this power's errors, the next power's candidates
                 d ^= d >> 1  # the Gray words of sent and decided differ in these bits

@@ -34,10 +34,6 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-class BracketError(ValueError):
-    """The supplied interval does not bracket the target value."""
-
-
 def integrate(f, lo, hi, split_points=()):
     """Integrate f over [lo, hi], hi may be +inf, by QUADPACK.
 
@@ -64,18 +60,18 @@ def find_crossing(curve, target, lo, hi, tol=1e-4):
     """Locate x in [lo, hi] with curve(x) = target for a continuous monotone curve.
 
     tol is in the x domain. Each endpoint is evaluated once. Raises
-    BracketError when curve(lo), curve(hi) are not finite or do not bracket
+    ValueError when curve(lo), curve(hi) are not finite or do not bracket
     the target, and QuadratureError when the root is not found to tol in
     100 steps.
     """
     if not (lo < hi):
-        raise BracketError("lo must be < hi")
+        raise ValueError("lo must be < hi")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     f_lo = curve(lo) - target
     f_hi = curve(hi) - target
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        raise BracketError(
+        raise ValueError(
             f"curve endpoints {f_lo + target}, {f_hi + target} on [{lo}, {hi}] "
             "are not finite")
     if f_lo == 0.0:
@@ -83,7 +79,7 @@ def find_crossing(curve, target, lo, hi, tol=1e-4):
     if f_hi == 0.0:
         return hi
     if (f_lo < 0.0) == (f_hi < 0.0):
-        raise BracketError(
+        raise ValueError(
             f"target {target} not bracketed on [{lo}, {hi}]: "
             f"curve endpoints {f_lo + target}, {f_hi + target}"
         )

@@ -702,7 +702,17 @@ def test_mc_where_sampled_gains_underflow_emits_no_warning():
       "--p_dbm_max", "0"], "2 noise_sigma_n^2 = 0.0 is not a positive normal"),
     # a density of nan with exit 0: g2 / 2h overflows below the smallest normal h
     (["pdf", "--h_points", "3", "--h_min", "1e-320"],
-     "h_min and h_max must be positive and finite normal doubles")])
+     "h_min and h_max must be positive and finite normal doubles"),
+    # grids of more than 100,001 points: one point past the limit, and 3e10
+    # powers or an 8 TB pdf grid, which ran out of memory before
+    (["sweep", "--p_dbm_min", "-30", "--p_dbm_max", "70.001", "--p_dbm_step", "1e-3"],
+     "power grid has more than 100,001 points"),
+    (["sweep", "--p_dbm_step", "1e-9"], "power grid has more than 100,001 points"),
+    (["delta", "--p_dbm_step", "1e-9", "--expressions", "exact,approx"],
+     "power grid has more than 100,001 points"),
+    (["mc", "--p_dbm_step", "1e-9"], "power grid has more than 100,001 points"),
+    (["pdf", "--h_points", "100002"], "h_points must be <= 100,001"),
+    (["pdf", "--h_points", str(10**12)], "h_points must be <= 100,001")])
 def test_pdf_grid_and_mc_seed_are_config_errors(argv, message, capsys):
     code, out = run_cli(argv)
     assert code == 2
@@ -711,9 +721,11 @@ def test_pdf_grid_and_mc_seed_are_config_errors(argv, message, capsys):
 
 
 def test_pdf_grid_and_mc_seed_limits_are_accepted():
-    for kw in (dict(seed=0), dict(seed=2**64 - 1), dict(h_points=1),
+    for kw in (dict(seed=0), dict(seed=2**64 - 1), dict(h_points=1), dict(h_points=100_001),
                dict(h_min=sys.float_info.min, h_max=1.7e308)):
         RunConfig(**kw)
+    # the largest power grid: -30 to 70 dBm in 0.001 dB steps
+    assert len(RunConfig(p_dbm_min=-30, p_dbm_max=70, p_dbm_step=1e-3).power_grid()) == 100_001
 
 
 @pytest.mark.parametrize("command", ["sweep", "mc"])

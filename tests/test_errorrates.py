@@ -550,15 +550,24 @@ def test_ber_ordering_in_m():
 # ---------------------------------------------------------------------------
 # curves and crossings
 
+def _curve(p_dbm, values):
+    """A curve of the given values, with the exact SER at a headline point as
+    its expression and operating point."""
+    return ErrorRateCurve(p_dbm, values, avg_ser_exact, make_op(*PINK))
+
+
 def test_curve_validation():
     with pytest.raises(ValueError):
-        ErrorRateCurve([0.0, 1.0], [0.1])
+        _curve([0.0, 1.0], [0.1])
     with pytest.raises(ValueError):
-        ErrorRateCurve([0.0, 0.0], [0.1, 0.2])
+        _curve([0.0, 0.0], [0.1, 0.2])
     # a power that is not finite would fail a crossing later, as a root not found
     for p_dbm in ([0.0, math.nan], [math.nan, 1.0], [math.nan], [0.0, math.inf], [-math.inf]):
         with pytest.raises(ValueError, match="p_dbm must be finite and strictly increasing"):
-            ErrorRateCurve(p_dbm, [0.1] * len(p_dbm))
+            _curve(p_dbm, [0.1] * len(p_dbm))
+    # the expression and the operating point to refine crossings on are required
+    with pytest.raises(TypeError):
+        ErrorRateCurve([0.0, 1.0], [0.1, 0.2])
 
 
 def _dbm_curve(fn, p_dbm):
@@ -578,10 +587,6 @@ def test_crossing_power_linear_interpolation():
     curve = _dbm_curve(lambda p: 10.0 ** (-2.0 - p), [0.0, 2.0])
     # log-linear midpoint
     assert crossing_power(curve, 1e-3) == pytest.approx(1.0, abs=1e-9)
-    # without an expression and a point there is nothing to refine the cell on
-    for expression, op in ((None, None), (curve.expression, None), (None, curve.op)):
-        with pytest.raises(ValueError, match="no expression and operating point to refine"):
-            crossing_power(ErrorRateCurve(curve.p_dbm, curve.values, expression, op), 1e-3)
 
 
 def test_crossing_power_refines_with_evaluator():
@@ -680,13 +685,13 @@ def test_crossing_power_into_a_zero_average():
     with pytest.raises(QuadratureError, match=re.escape(message)):
         crossing_power(curve, 1e-6)
     assert crossing_power(curve, 1e-4) == pytest.approx(1.0, abs=1e-9)
-    rising = ErrorRateCurve([0.0, 1.0], [0.0, 1e-2])
+    rising = _curve([0.0, 1.0], [0.0, 1e-2])
     with pytest.raises(QuadratureError, match=re.escape("average is 0 at an end of [0.0, 1.0]")):
         crossing_power(rising, 1e-6)
 
 
 def test_crossing_power_no_crossing_raises():
-    curve = ErrorRateCurve([0.0, 1.0], [1e-2, 1e-3])
+    curve = _curve([0.0, 1.0], [1e-2, 1e-3])
     with pytest.raises(NoCrossingError):
         crossing_power(curve, 1e-6)
 
@@ -694,7 +699,7 @@ def test_crossing_power_no_crossing_raises():
 def test_empty_grid_is_no_crossing():
     # an empty grid crosses no threshold, for a curve and for the grid search
     with pytest.raises(NoCrossingError, match="threshold 0.001 not crossed on an empty grid"):
-        crossing_power(ErrorRateCurve([], []), 1e-3)
+        crossing_power(_curve([], []), 1e-3)
     with pytest.raises(NoCrossingError, match="threshold 0.001 not crossed on an empty grid"):
         errorrates.delta_gaps_on_grid(make_op(*PINK), avg_ser_exact, [avg_ser_approx], [], 1e-3)
 

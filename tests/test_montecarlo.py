@@ -67,26 +67,26 @@ def test_brgc_vectorized():
 # detection
 
 def test_detect_exact_levels():
+    # the received sample eta h j 2P/(M-1) over the level spacing eta h 2P/(M-1)
     m, p = 8, 2e-3
     eta_h = 3.7e-4
     spacing = 2.0 * p / (m - 1)
     for j in range(m):
         y = eta_h * j * spacing
-        assert ml_detect(y, eta_h, m, p) == j
+        assert ml_detect(y / (eta_h * spacing), m) == j
 
 
 def test_detect_midpoint_tie_breaks_low():
-    m, p = 4, 1e-3
-    eta_h = 1.0
-    spacing = 2.0 * p / (m - 1)
-    y_mid = eta_h * spacing * 1.5  # exactly between levels 1 and 2
-    assert ml_detect(y_mid, eta_h, m, p) == 1
+    m = 4
+    assert ml_detect(1.5, m) == 1  # exactly between levels 1 and 2
+    assert ml_detect(0.5, m) == 0 and ml_detect(2.5, m) == 2
 
 
 def test_detect_clips_to_constellation():
     m, p = 4, 1e-3
-    assert ml_detect(-1.0, 1.0, m, p) == 0
-    assert ml_detect(1.0, 1.0, m, p) == m - 1
+    spacing = 2.0 * p / (m - 1)
+    assert ml_detect(-1.0 / spacing, m) == 0
+    assert ml_detect(1.0 / spacing, m) == m - 1
 
 
 def test_detect_noiseless_loop():
@@ -96,7 +96,10 @@ def test_detect_noiseless_loop():
     for _ in range(50):
         h = rng.lognormal(-0.1, 0.3)
         j = rng.integers(0, m)
-        assert ml_detect(0.5 * h * j * spacing, 0.5 * h, m, p) == j
+        assert ml_detect(0.5 * h * j * spacing / (0.5 * h * spacing), m) == j
+    # an array of samples is decided element by element
+    np.testing.assert_array_equal(ml_detect(np.array([-0.7, 0.49, 7.5, 7.51, 20.0]), m),
+                                  [0, 0, 7, 8, 15])
 
 
 def _largest_z(q, h):
@@ -129,7 +132,7 @@ def test_symbols_below_the_detection_limit_are_decided_as_sent():
         r /= h
         for j in sorted({0, m // 2, m - 1}):
             j_sent = np.full(r.size, j, dtype=np.int16)
-            np.testing.assert_array_equal(montecarlo._nearest_level(j_sent + r, m), j_sent,
+            np.testing.assert_array_equal(ml_detect(j_sent + r, m), j_sent,
                                           err_msg=f"M={m} j={j}")
 
 
@@ -494,7 +497,7 @@ def test_a_symbol_decided_as_sent_stays_so_as_the_power_rises():
         z = np.array(zs + [-x for x in zs])
         for j in sorted({0, 1, m // 2, m - 1}):
             j_sent = np.full(z.size, j, dtype=np.int16)
-            right = np.array([montecarlo._nearest_level(j_sent + (z / c) / h, m) == j
+            right = np.array([ml_detect(j_sent + (z / c) / h, m) == j
                               for c in scales])
             assert (right[1:] >= right[:-1]).all(), (m, c0, h, j)
 

@@ -196,3 +196,9 @@ def test_monte_carlo_matches_exact_ser_over_wide_domain(s, r, m, p, seed):
     est = simulate(op, McConfig(n_symbols=n, seed=seed))
     z = (est.ser_hat - exact) / math.sqrt(exact * (1.0 - exact) / n)
     assert abs(z) <= 4.5, (z, est.symbol_errors, exact)
+    # and its bit errors against the exact BER. A symbol's bit errors X lie in
+    # [0, b], so Var(X) <= b E[X] = b^2 BER and Var(ber_hat) <= BER / n: this
+    # z-score is no larger in size than one over the true standard error
+    ber = avg_ber_exact(op)
+    z = (est.ber_hat - ber) / math.sqrt(ber / n)
+    assert abs(z) <= 4.5, (z, est.bit_errors, ber)

@@ -48,3 +48,21 @@ def test_tracer_installs_and_restores_every_binding():
                if new[:2] != old[:2] or new[2] is not old[2]]
     assert changed == []
     assert not tracer._patches
+
+
+def test_tracer_times_the_batch_detection():
+    # the batch decides through montecarlo.ml_detect, so a traced one-worker
+    # run records detection spans under its simulate span
+    from support import make_op
+
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        montecarlo.simulate(make_op(0.35, 0.1, 4, 0.0),
+                            montecarlo.McConfig(n_symbols=50_000, seed=1))
+    finally:
+        tracer.uninstall()
+    names = {span[0]: span[2] for span in tracer.spans}
+    detections = [span for span in tracer.spans if span[2] == "montecarlo.ml_detect"]
+    assert detections
+    assert all(names.get(span[1]) == "montecarlo.simulate.w1" for span in detections)
