@@ -192,7 +192,7 @@ class FadingModel:
                          [upper + [-math.inf] * (len(lower) - len(upper))]])
 
     @cached_property
-    def engines(self) -> dict:  # density_average's, by kind of average: see _engine
+    def engines(self) -> dict:  # density_average's, by shape of integral: see _engine
         return {}
 
 
@@ -370,21 +370,22 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     integral (see _engine); an entry with u = 0, such as composite_expectation
     passes, keeps the fixed ends. An entry's initial panels are cut at the
     points of FadingModel.plan, anchored below h_hat at the conditional's
-    peak w* and above it at y_c = -ln(s_hat), and at y_extra, a tuple, as
-    the key of the model's cached engine holds it. cond receives the gains,
-    finite also where e^y overflows, as an array and u as a matching column.
-    Every panel of every entry is integrated in one integrate_panels batch.
+    peak w* and above it at y_c = -ln(s_hat), and at y_extra, a tuple. cond gets
+    the gains as an array, finite also where e^y overflows, and u as a column.
+    The model's engine for the shape (no lower form, h_power, y_lo, y_extra)
+    takes weight and cond at each call, and integrates every panel of every
+    entry in one integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan, and whose error estimate counts the
     bounds of the tails left out. A value below the smallest normal double
     is returned as 0, as flush_subnormal does.
     """
-    key = (weight, h_power, y_lo, y_extra)
+    key = (weight[0] is None, h_power, y_lo, y_extra)
     engine = fm.engines.get(key)
     if engine is None:
         engine = fm.engines[key] = _engine(fm, *key)
-    return engine(np.array(u, dtype=float), cond)
+    return engine(np.array(u, dtype=float), cond, weight)
 
 
 # A tail of an entry's integral goes where a closed-form bound puts it below
@@ -396,10 +397,10 @@ _COND_MIN = np.array(1e-300)  # the least value the bounds read cond as
 _INF = np.array(math.inf)  # 0-d, as numpy converts a Python float operand on every call
 
 
-def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
-    """density_average for one model and kind of average, as a closure
-    average(u, cond) -> (values, errors); what does not depend on u is
-    computed here, once.
+def _engine(fm: FadingModel, no_lower, h_power, y_lo, y_extra):
+    """density_average for one model and shape of integral, as a closure
+    average(u, cond, weight) -> (values, errors); what depends on neither u
+    nor weight is computed here, once, and the upper form's envelope once a form.
 
     A call first gives each entry its anchors, the lower piece's peak -w*
     and the upper one's y_c, the ends its pieces are clipped to, in y, and
@@ -429,11 +430,10 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
     it is nan, which keeps every tail it bounds."""
     g2, sig2, h_hat, log_amp, y_star, sqrt2s, y_top = (
         fm.g2, fm.sigma2, fm.h_hat, fm.log_amp, fm.y_star, fm.sqrt2s, fm.y_top)
-    w_low, w_high = weight
     # the lower piece decays as e^(rate y), rate > 0 (h_power = -1 comes with g2 > 1), to
     # e^-700 at its end; without a lower form it is empty, and no node sees its form
     sigma, rate = sqrt(sig2), g2 + h_power
-    w_low, w_end = (w_low, 700.0 / rate) if w_low is not None else (np.zeros_like, 0.0)
+    w_end = 0.0 if no_lower else 700.0 / rate
     # w_peak = -ln t*: the lower piece peaks at w* = w_peak - y_c, or at 0 (see
     # W_LADDER). b = min(sigma, 1 / 2) is the half-width of the upper piece's
     # probe panel, and a that of the lower piece's, to either side of its peak
@@ -444,11 +444,11 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
     # k_log is k - ln _TAIL_REL, and bump_log adds the log of its integral over
     # sigma, sqrt(pi / 2). The upper form's envelope, log_env, is its value at y_lo,
     # its largest on the upper piece, and sqrt(2 sig2) / (sqrt(pi) y) bounds it at y,
-    # log_scale being the log of that numerator.
+    # log_scale being the log of that numerator. envs keeps log_env by upper form.
     k_log = h_power * y_star + h_power * h_power * sig2 / 2.0 - _LOG_TAIL_REL
     bump_log = k_log + log(sigma * sqrt(math.pi / 2.0))
     m, s_sqrt2, inv_2sig2 = y_star + h_power * sig2, sigma * sqrt(2.0), 0.5 / sig2
-    log_scale, log_env = log(sqrt2s / _SQRT_PI), log(float(w_high(y_lo / sqrt2s)))
+    log_scale, envs = log(sqrt2s / _SQRT_PI), {}
     mask, points = PLAN_MASK, fm.plan
     if y_extra:
         mask = np.concatenate([mask, np.zeros((2, 1, len(y_extra)))], axis=2)
@@ -464,16 +464,18 @@ def _engine(fm: FadingModel, weight, h_power, y_lo, y_extra):
     # a call's constants as one float64 record and one tuple of objects: a closure cell
     # per name would hold a boxed float each, 3 KB an engine. A float round-trips exactly
     consts = np.array([h_hat, w_peak, w_end, a, log_amp, rate, y_lo, y_top, y_star, b, far,
-                       sqrt2s, inv_2sig2, h_power, low_log, log_scale, log_env, bump_log, m,
-                       s_sqrt2, k_log, scale])
-    objs = (w_low, w_high, mask, points, amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0,
-            sqrt2s0)
+                       sqrt2s, inv_2sig2, h_power, low_log, log_scale, bump_log, m, s_sqrt2,
+                       k_log, scale])
+    objs = (envs, mask, points, amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0, sqrt2s0)
 
-    def average(u, cond):
+    def average(u, cond, weight):
         (h_hat, w_peak, w_end, a, log_amp, rate, y_lo, y_top, y_star, b, far, sqrt2s, inv_2sig2,
-         h_power, low_log, log_scale, log_env, bump_log, m, s_sqrt2, k_log, scale) = consts.tolist()
-        (w_low, w_high, mask, points, amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0,
-         sqrt2s0) = objs
+         h_power, low_log, log_scale, bump_log, m, s_sqrt2, k_log, scale) = consts.tolist()
+        envs, mask, points, amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0, sqrt2s0 = objs
+        w_low, w_high = weight[0] or np.zeros_like, weight[1]
+        log_env = envs.get(w_high)
+        if log_env is None:
+            log_env = envs[w_high] = log(float(w_high(y_lo / sqrt2s)))
         anchors, lowers, uppers, tails = [], [], [], []  # pairs of each piece's ends, flat
         rows, probes, u_list = [], [], u.tolist()  # probes: each entry's nine, flat
         for x in u_list:

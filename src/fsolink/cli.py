@@ -113,6 +113,8 @@ class RunConfig:
                               f"available: {sorted(EXPRESSIONS)}")
         if not self.expressions or len(set(self.expressions)) < len(self.expressions):
             raise ConfigError(f"expressions must be distinct and one or more: {self.expressions}")
+        if "ook_simple" in self.expressions and m != 2:
+            raise ConfigError("ook_simple is an OOK expression and requires modulation_m = 2")
 
     @property
     def jitter_m(self) -> float:

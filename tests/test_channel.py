@@ -161,14 +161,13 @@ def test_engine_built_once_per_model_and_kind(monkeypatch):
         return [composite_expectation(fm), avg_ser_exact(op), avg_ser_approx(op),
                 avg_ser_dense(op)]
 
-    # the first average of each kind builds its engine: the normalisation and
-    # the exact SER share the exact weight, h_power 0, y_lo 0 and no extra
-    # edges, approx and dense the piecewise weight
+    # the first average builds the model's one engine for all four: they share
+    # its shape, a lower form, h_power 0, y_lo 0 and no extra edges, and pass
+    # the exact or the piecewise weight at the call
     monkeypatch.setattr(channel, "_engine", counting)
     first = averages()
-    keys = [(channel.EXACT_WEIGHT, 0.0, 0.0, ()), (errorrates._PIECEWISE, 0.0, 0.0, ())]
-    assert built == [(fm, *key) for key in keys]
-    assert list(fm.engines) == keys
+    assert built == [(fm, False, 0.0, 0.0, ())]
+    assert list(fm.engines) == [(False, 0.0, 0.0, ())]
     engines = dict(fm.engines)
 
     def rebuilt(*args):
@@ -198,23 +197,30 @@ def test_engine_built_once_per_model_and_kind(monkeypatch):
 
 
 def test_cached_engine_memory_is_bounded():
-    # every model caches an engine per kind of average, and a run may hold
+    # every model caches an engine per shape of integral, and a run may hold
     # a thousand models: an engine keeps its constants packed, not as one
-    # closure cell per name (about 3 KB an engine)
-    keys = [(channel.EXACT_WEIGHT, 0.0, 0.0, ()), (errorrates._PIECEWISE, 0.0, 0.0, ())]
+    # closure cell per name (about 3 KB an engine), and the exact and the
+    # piecewise weight share it, each adding its upper form's envelope (an
+    # engine per weight kept about 3.2 KB a model, one for both about 2 KB)
+    def normalisations(fm):
+        for weight in (channel.EXACT_WEIGHT, errorrates._PIECEWISE):
+            channel.density_average(fm, [0.0], weight, lambda h, u: 1.0)
+
     models = [make_fading(s, r) for s in (0.15, 0.2, 0.25, 0.3, 0.35, 0.5, 0.8, 1.2, 2.0, 3.0)
               for r in np.linspace(0.05, 1.0, 20).tolist()]
     for fm in models:  # the models' cached constants and plans, outside the trace
-        for key in keys:
-            channel._engine(fm, *key)
+        channel._engine(fm, False, 0.0, 0.0, ())
+    normalisations(make_fading(0.4, 0.3))  # and a first call's one-off allocations
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        engines = [channel._engine(fm, *key) for fm in models for key in keys]
-        per_engine = (tracemalloc.get_traced_memory()[0] - before) / len(engines)
+        for fm in models:
+            normalisations(fm)
+        per_model = (tracemalloc.get_traced_memory()[0] - before) / len(models)
     finally:
         tracemalloc.stop()
-    assert per_engine <= 2000.0, per_engine
+    assert all(len(fm.engines) == 1 for fm in models)
+    assert per_model <= 2400.0, per_model
 
 
 def test_lower_plan_merges_offsets_a_sliver_apart():

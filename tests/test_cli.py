@@ -661,6 +661,19 @@ def test_dense_highpower_below_gamma_squared_one_exit_code():
     assert row[5] == "dense_highpower: high-power dense form requires gamma^2 > 1"
 
 
+def test_ook_simple_above_m_two_is_config_error(capsys):
+    # ook_simple is an OOK BER, so with M = 4 the flags contradict each
+    # other: a configuration error (exit 2), not a numeric one (exit 3)
+    for command in (["sweep", "--p_dbm_min", "0", "--p_dbm_max", "1", "--p_dbm_step", "1"],
+                    ["delta"]):
+        code, out = run_cli(command + ["--expressions", "exact,ook_simple", "--modulation_m", "4"])
+        assert (code, out) == (2, "")
+        assert "ook_simple" in capsys.readouterr().err
+    code, out = run_cli(["sweep", "--p_dbm_min", "0", "--p_dbm_max", "0",
+                         "--expressions", "exact,ook_simple", "--modulation_m", "2"])
+    assert code == 0 and len(rows_of(out)) == 2
+
+
 def test_mc_where_sampled_gains_underflow_emits_no_warning():
     # gamma^2 = 3.9e-4: U^(1/gamma^2) underflows, so some gains are 0 and
     # |z| / h is inf; pytest turns a RuntimeWarning into an error. The count

@@ -400,30 +400,64 @@ def test_ook_simple_is_defined_by_its_cutoff():
     assert checked >= 16
 
 
-def test_engine_cache_keeps_each_kind_apart():
-    # a model's engines are keyed by weight, h_power, y_lo and y_extra: on one
-    # model each average equals its value on a fresh model, in either order,
-    # ook_simple at both cut-offs included
-    def ook_simple_at(y_lo):
-        def average(op):
-            (u,) = errorrates._u(op, [op.transmit_power_p], [1.0])
-            return channel.single_value(channel.density_average(
-                op.fading, [u], errorrates._SIMPLE_TAIL,
-                lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h), y_lo=y_lo,
-                y_extra=errorrates._LADDER))
-        return average
+def _ook_simple_with(upper, y_lo):
+    """ook_simple's one-power average with the upper form upper, and no
+    lower one, from the cut-off y_lo."""
+    def average(op):
+        (u,) = errorrates._u(op, [op.transmit_power_p], [1.0])
+        return channel.single_value(channel.density_average(
+            op.fading, [u], (None, upper), lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h),
+            y_lo=y_lo, y_extra=errorrates._LADDER))
+    return average
 
+
+def test_engine_cache_keeps_each_kind_apart():
+    # a model's engines are keyed by the shape of the integral, whether the
+    # weight has a lower form, h_power, y_lo and y_extra: on one model each
+    # average equals its value on a fresh model, in either order, ook_simple
+    # at both cut-offs included
     averages = [avg_ser_exact, avg_ser_approx, avg_ser_dense, avg_ser_dense_highpower,
-                avg_ber_ook_approx_simple, ook_simple_at(math.log1p(1e-12)),
-                ook_simple_at(math.log1p(1e-15))]
+                avg_ber_ook_approx_simple,
+                _ook_simple_with(specfun.erfcx_simple_tail, math.log1p(1e-12)),
+                _ook_simple_with(specfun.erfcx_simple_tail, math.log1p(1e-15))]
     fresh = [average(make_op(0.35, 0.1, 2, 0.0)) for average in averages]
     assert fresh[-1] != fresh[-2] == fresh[-3]
     for order in (averages, averages[::-1]):
         op = make_op(0.35, 0.1, 2, 0.0)
         shared = {average: average(op) for average in order}
         assert [shared[average] for average in averages] == fresh
-        # approx and dense share one engine, and so do ook_simple and its cut-off 1e-12
-        assert len(op.fading.engines) == 5
+        # exact, approx and dense share one engine, and so do ook_simple and its
+        # cut-off 1e-12; dense_highpower (h_power -1) and the cut-off 1e-15 have their own
+        assert len(op.fading.engines) == 4
+
+
+def test_shared_engine_reads_each_weights_envelope(monkeypatch):
+    # the weights of one shape of integral share an engine, and each bounds
+    # its tails by its own upper form's envelope: interleaved on one model,
+    # every average integrates a fresh model's panels and has its bits. The
+    # exact and the piecewise upper form are both 1 at h_hat; at ook_simple's
+    # cut-off the one-term tail's envelope is about 1e12 times erfcx's, and
+    # here it moves the edges of the upper piece's foot
+    panels, integrate_panels = [], quadrature.integrate_panels
+
+    def recording(integrand, lo, hi, owner, n):
+        panels.append((lo.tolist(), hi.tolist()))
+        return integrate_panels(integrand, lo, hi, owner, n)
+
+    monkeypatch.setattr(quadrature, "integrate_panels", recording)
+    one_term, exact = (_ook_simple_with(upper, math.log1p(1e-12))
+                       for upper in (specfun.erfcx_simple_tail, special.erfcx))
+    sequence = [avg_ser_exact, avg_ser_approx, avg_ser_exact, avg_ser_dense,
+                one_term, exact, one_term]
+    op = make_op(0.25, 0.5, 4)
+    for p_dbm in (-10.0, 0.0, 10.0, 20.0):
+        for average in sequence:
+            runs = []
+            for on in (op.with_power(dbm_to_watts(p_dbm)), make_op(0.25, 0.5, 4, p_dbm)):
+                panels.clear()
+                runs.append((average(on).hex(), panels[:]))
+            assert runs[0] == runs[1], (average, p_dbm)
+    assert len(op.fading.engines) == 2
 
 
 def test_ser_approx_m2_equals_ook_piecewise():
