@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from math import exp, inf, log, sqrt  # the engine's, bound here: a call reads no module
+from math import exp, inf, log, sqrt  # density_average's, bound here: its loops read no module
 
 import numpy as np
 
@@ -191,10 +191,6 @@ class FadingModel:
         return np.array([[[-w for w in lower]],
                          [upper + [-math.inf] * (len(lower) - len(upper))]])
 
-    @cached_property
-    def engines(self) -> dict:  # density_average's, by shape of integral: see _engine
-        return {}
-
 
 def power_error(p_watts: float) -> ValueError | None:
     """The error of a transmit power that is not positive and finite, or None."""
@@ -350,6 +346,15 @@ def flush_subnormal(x: float) -> float:
     return 0.0 if abs(x) < sys.float_info.min else x
 
 
+# A tail of an entry's integral goes where a closed-form bound puts it below
+# _TAIL_REL times a lower bound on the integral (see density_average's bound pass)
+_TAIL_REL = 1e-14
+_LOG_TAIL_REL = math.log(_TAIL_REL)
+_LN2 = math.log(2.0)
+_COND_MIN = np.array(1e-300)  # the least value the bounds read cond as
+_INF = np.array(math.inf)  # 0-d, as numpy converts a Python float operand on every call
+
+
 def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
                     y_lo: float = 0.0, y_extra: tuple = ()):
     """The average of h^h_power cond(h, u) over the composite density, for
@@ -367,73 +372,54 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     exp(-(s_hat e^y)^2) underflows, capped at y* + 45 sigma. Where u > 0,
     cond is taken to be non-negative and monotone in h, and each piece ends
     sooner, where closed-form bounds put its tail below rel 1e-14 of the
-    integral (see _engine); an entry with u = 0, such as composite_expectation
-    passes, keeps the fixed ends. An entry's initial panels are cut at the
-    points of FadingModel.plan, anchored below h_hat at the conditional's
-    peak w* and above it at y_c = -ln(s_hat), and at y_extra, a tuple. cond gets
-    the gains as an array, finite also where e^y overflows, and u as a column.
-    The model's engine for the shape (no lower form, h_power, y_lo, y_extra)
-    takes weight and cond at each call, and integrates every panel of every
-    entry in one integrate_panels batch.
+    integral (the bound pass, below); an entry with u = 0, such as
+    composite_expectation passes, keeps the fixed ends. An entry's initial
+    panels are cut at the points of FadingModel.plan, anchored below h_hat at
+    the conditional's peak w* and above it at y_c = -ln(s_hat), and at the
+    points y_extra. cond gets the gains as an array, finite also where e^y
+    overflows, and u as a column. Every panel of every entry is integrated
+    in one integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan, and whose error estimate counts the
     bounds of the tails left out. A value below the smallest normal double
     is returned as 0, as flush_subnormal does.
     """
-    key = (weight[0] is None, h_power, y_lo, y_extra)
-    engine = fm.engines.get(key)
-    if engine is None:
-        engine = fm.engines[key] = _engine(fm, *key)
-    return engine(np.array(u, dtype=float), cond, weight)
-
-
-# A tail of an entry's integral goes where a closed-form bound puts it below
-# _TAIL_REL times a lower bound on the integral (see _engine)
-_TAIL_REL = 1e-14
-_LOG_TAIL_REL = math.log(_TAIL_REL)
-_LN2 = math.log(2.0)
-_COND_MIN = np.array(1e-300)  # the least value the bounds read cond as
-_INF = np.array(math.inf)  # 0-d, as numpy converts a Python float operand on every call
-
-
-def _engine(fm: FadingModel, no_lower, h_power, y_lo, y_extra):
-    """density_average for one model and shape of integral, as a closure
-    average(u, cond, weight) -> (values, errors); what depends on neither u
-    nor weight is computed here, once, and the upper form's envelope once a form.
-
-    A call first gives each entry its anchors, the lower piece's peak -w*
-    and the upper one's y_c, the ends its pieces are clipped to, in y, and
-    the bound of the tails beyond them. An entry with u = 0 keeps the fixed
-    ends [-w_end, 0] and [y_lo, y_up]. Any other entry's bounds read cond,
-    taken non-negative and monotone in h, at nine probe gains, in one cond
-    call for all entries: over a tail cond is at most c, the larger of its
-    values at the tail's two ends. The integrand is h^h_power cond times
-    the density's form (see density_average).
-
-    The integral is at least the larger of two panels' products of each
-    factor's minimum: [yl0, yl1] around the lower piece's peak, where the
-    lower form is at least 1, and [yu0, yu1] around the upper one's, where
-    the upper form is at least 2 / (sqrt(pi) (v + sqrt(v^2 + 2))), as erfcx
-    and its approximations are. A tail goes where its bound is below
-    _TAIL_REL times that floor:
-    - below h_hat, past w: 2 c e^(log_amp - rate w) / rate;
-    - above h_hat, past a start (yu1, y_c + 2 or y_c + 2.5): c times the
-      upper form's envelope there times the bump's erfc tail, with
-      erfc(x) <= e^(-x^2); a start below h_hat takes its whole tail, at most
-      2 c e^log_amp / rate below h_hat and the whole bump above it, or none;
-    - above h_hat, below yu0: c times the bump at the cut times the upper
-      form's integral there, at most its envelope or
-      sqrt(2 sig2) / sqrt(pi) ln(y / y_lo).
-    Each tail left out adds its bound, at most _TAIL_REL times the floor, to
-    the entry's bound. cond is read as at least _COND_MIN, and as inf where
-    it is nan, which keeps every tail it bounds."""
+    # The bound pass first gives each entry its anchors, the lower piece's peak
+    # -w* and the upper one's y_c, the ends its pieces are clipped to, in y,
+    # and the bound of the tails beyond them. An entry with u = 0 keeps the
+    # fixed ends [-w_end, 0] and [y_lo, y_up]. Any other entry's bounds read
+    # cond, taken non-negative and monotone in h, at nine probe gains, in one
+    # cond call for all entries: over a tail cond is at most c, the larger of
+    # its values at the tail's two ends. The integrand is h^h_power cond times
+    # the density's form.
+    #
+    # The integral is at least the larger of two panels' products of each
+    # factor's minimum: [yl0, yl1] around the lower piece's peak, where the
+    # lower form is at least 1, and [yu0, yu1] around the upper one's, where
+    # the upper form is at least 2 / (sqrt(pi) (v + sqrt(v^2 + 2))), as erfcx
+    # and its approximations are. A tail goes where its bound is below
+    # _TAIL_REL times that floor:
+    # - below h_hat, past w: 2 c e^(log_amp - rate w) / rate;
+    # - above h_hat, past a start (yu1, y_c + 2 or y_c + 2.5): c times the
+    #   upper form's envelope there times the bump's erfc tail, with
+    #   erfc(x) <= e^(-x^2); a start below h_hat takes its whole tail, at most
+    #   2 c e^log_amp / rate below h_hat and the whole bump above it, or none;
+    # - above h_hat, below yu0: c times the bump at the cut times the upper
+    #   form's integral there, at most its envelope or
+    #   sqrt(2 sig2) / sqrt(pi) ln(y / y_lo).
+    # Each tail left out adds its bound, at most _TAIL_REL times the floor, to
+    # the entry's bound. cond is read as at least _COND_MIN, and as inf where
+    # it is nan, which keeps every tail it bounds.
+    u = np.array(u, dtype=float)
+    w_low, w_high = weight
     g2, sig2, h_hat, log_amp, y_star, sqrt2s, y_top = (
         fm.g2, fm.sigma2, fm.h_hat, fm.log_amp, fm.y_star, fm.sqrt2s, fm.y_top)
     # the lower piece decays as e^(rate y), rate > 0 (h_power = -1 comes with g2 > 1), to
     # e^-700 at its end; without a lower form it is empty, and no node sees its form
     sigma, rate = sqrt(sig2), g2 + h_power
-    w_end = 0.0 if no_lower else 700.0 / rate
+    w_end = 0.0 if w_low is None else 700.0 / rate
+    w_low = w_low or np.zeros_like
     # w_peak = -ln t*: the lower piece peaks at w* = w_peak - y_c, or at 0 (see
     # W_LADDER). b = min(sigma, 1 / 2) is the half-width of the upper piece's
     # probe panel, and a that of the lower piece's, to either side of its peak
@@ -444,11 +430,11 @@ def _engine(fm: FadingModel, no_lower, h_power, y_lo, y_extra):
     # k_log is k - ln _TAIL_REL, and bump_log adds the log of its integral over
     # sigma, sqrt(pi / 2). The upper form's envelope, log_env, is its value at y_lo,
     # its largest on the upper piece, and sqrt(2 sig2) / (sqrt(pi) y) bounds it at y,
-    # log_scale being the log of that numerator. envs keeps log_env by upper form.
+    # log_scale being the log of that numerator
     k_log = h_power * y_star + h_power * h_power * sig2 / 2.0 - _LOG_TAIL_REL
     bump_log = k_log + log(sigma * sqrt(math.pi / 2.0))
     m, s_sqrt2, inv_2sig2 = y_star + h_power * sig2, sigma * sqrt(2.0), 0.5 / sig2
-    log_scale, envs = log(sqrt2s / _SQRT_PI), {}
+    log_scale, log_env = log(sqrt2s / _SQRT_PI), log(float(w_high(y_lo / sqrt2s)))
     mask, points = PLAN_MASK, fm.plan
     if y_extra:
         mask = np.concatenate([mask, np.zeros((2, 1, len(y_extra)))], axis=2)
@@ -456,150 +442,130 @@ def _engine(fm: FadingModel, no_lower, h_power, y_lo, y_extra):
     # a gain h_hat e^y is formed as (h_hat e^shift) e^(y - shift), as e^y overflows past
     # y = 709.78 where the gain does not; below y_top = 700, shift = 0 changes no bit
     shift = y_top - 700.0 if y_top > 700.0 else 0.0
-    # the integrand's operands, as 0-d arrays: numpy converts a Python float
-    # operand on every call, about 0.3 us each
-    amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0, sqrt2s0 = (np.array(x) for x in (
-        log_amp, rate, y_star, -2.0 * sig2, h_hat * exp(shift), shift, sqrt2s))
+    h_shift, minus_2sig2 = h_hat * exp(shift), -2.0 * sig2
     scale = g2 / 2.0 * h_hat**h_power
-    # a call's constants as one float64 record and one tuple of objects: a closure cell
-    # per name would hold a boxed float each, 3 KB an engine. A float round-trips exactly
-    consts = np.array([h_hat, w_peak, w_end, a, log_amp, rate, y_lo, y_top, y_star, b, far,
-                       sqrt2s, inv_2sig2, h_power, low_log, log_scale, bump_log, m, s_sqrt2,
-                       k_log, scale])
-    objs = (envs, mask, points, amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0, sqrt2s0)
-
-    def average(u, cond, weight):
-        (h_hat, w_peak, w_end, a, log_amp, rate, y_lo, y_top, y_star, b, far, sqrt2s, inv_2sig2,
-         h_power, low_log, log_scale, bump_log, m, s_sqrt2, k_log, scale) = consts.tolist()
-        envs, mask, points, amp0, rate0, y_star0, minus_2sig2, h_shift0, shift0, sqrt2s0 = objs
-        w_low, w_high = weight[0] or np.zeros_like, weight[1]
-        log_env = envs.get(w_high)
-        if log_env is None:
-            log_env = envs[w_high] = log(float(w_high(y_lo / sqrt2s)))
-        anchors, lowers, uppers, tails = [], [], [], []  # pairs of each piece's ends, flat
-        rows, probes, u_list = [], [], u.tolist()  # probes: each entry's nine, flat
-        for x in u_list:
-            s_hat = x * h_hat
-            if 0.0 < s_hat < inf:
-                y_c, y_up = -log(s_hat), log(ARG_CUTOFF / s_hat)
-            else:
-                y_c, y_up = (-800.0, -inf) if s_hat == inf else (800.0, inf)
-            # the lower piece is probed on [yl0, yl1]: low, the log of that panel's width
-            # times the density's least value on it, is its floor before cond's factor
-            w_star = w_peak - y_c if w_peak > y_c else 0.0
-            yl0 = -(w_star + a) if w_star + a < w_end else -w_end
-            yl1 = a - w_star if w_star > a else 0.0
-            low = log(yl1 - yl0) + log_amp + rate * yl0 if yl1 > yl0 else None
-            anchors += -w_star, y_c
-            y_up = y_lo if y_up < y_lo else y_top if y_top < y_up else y_up
-            # above h_hat the integrand peaks at y*, or below it where cond falls off
-            y_peak = y_star if y_star < y_c - 0.5 else y_c - 0.5
-            yu0 = y_peak - b if y_peak - b > y_lo else y_lo
-            yu1 = y_peak + b if y_peak + b < y_up else y_up
-            y_2 = y_c + 2.0 if y_c + 2.0 < y_up else y_up
-            y_3 = y_c + 2.5 if y_c + 2.5 < y_up else y_up
-            rows.append((x > 0.0, y_up, low, yu0, yu1, y_2, y_3))
-            probes += far, y_lo, yl0, yl1, yu0, yu1, y_2, y_3, y_up
-        logs = rows  # read only where an entry is probed
-        if any(u_list):
-            y = np.fromiter(probes, float, len(probes)).reshape(len(u_list), 9) - shift0
-            h = h_shift0 * np.exp(y, out=y)
-            values = np.maximum(cond(h, u[:, None]), _COND_MIN, out=h)  # cond may return a scalar
-            logs = np.fmin(np.log(values, out=values), _INF, out=values).tolist()  # nan to inf
-        for (probed, y_up, low, yu0, yu1, y_2, y_3), lc in zip(rows, logs):
-            floor = -inf  # its log
-            if probed:
-                l_far, l_lo, l_l0, l_l1, l_u0, l_u1, l_2, l_3, l_up = lc
-                if low is not None:
-                    floor = low + (l_l0 if l_l0 < l_l1 else l_l1)
-                if yu1 > yu0:
-                    v, e0, e1 = yu1 / sqrt2s, yu0 - y_star, yu1 - y_star
-                    e0 = h_power * yu0 - e0 * e0 * inv_2sig2
-                    e1 = h_power * yu1 - e1 * e1 * inv_2sig2
-                    up = (log(2.0 * (yu1 - yu0) / (_SQRT_PI * (v + sqrt(v * v + 2.0))))
-                          + (e0 if e0 < e1 else e1) + (l_u0 if l_u0 < l_u1 else l_u1))
-                    floor = up if up > floor else floor
-            if not -inf < floor < inf:
-                lowers += -w_end, y_lo
-                uppers += 0.0, y_up
-                tails.append(0.0)
+    anchors, lowers, uppers, tails = [], [], [], []  # pairs of each piece's ends, flat
+    rows, probes, u_list = [], [], u.tolist()  # probes: each entry's nine, flat
+    for x in u_list:
+        s_hat = x * h_hat
+        if 0.0 < s_hat < inf:
+            y_c, y_up = -log(s_hat), log(ARG_CUTOFF / s_hat)
+        else:
+            y_c, y_up = (-800.0, -inf) if s_hat == inf else (800.0, inf)
+        # the lower piece is probed on [yl0, yl1]: low, the log of that panel's width
+        # times the density's least value on it, is its floor before cond's factor
+        w_star = w_peak - y_c if w_peak > y_c else 0.0
+        yl0 = -(w_star + a) if w_star + a < w_end else -w_end
+        yl1 = a - w_star if w_star > a else 0.0
+        low = log(yl1 - yl0) + log_amp + rate * yl0 if yl1 > yl0 else None
+        anchors += -w_star, y_c
+        y_up = y_lo if y_up < y_lo else y_top if y_top < y_up else y_up
+        # above h_hat the integrand peaks at y*, or below it where cond falls off
+        y_peak = y_star if y_star < y_c - 0.5 else y_c - 0.5
+        yu0 = y_peak - b if y_peak - b > y_lo else y_lo
+        yu1 = y_peak + b if y_peak + b < y_up else y_up
+        y_2 = y_c + 2.0 if y_c + 2.0 < y_up else y_up
+        y_3 = y_c + 2.5 if y_c + 2.5 < y_up else y_up
+        rows.append((x > 0.0, y_up, low, yu0, yu1, y_2, y_3))
+        probes += far, y_lo, yl0, yl1, yu0, yu1, y_2, y_3, y_up
+    logs = rows  # read only where an entry is probed
+    if any(u_list):
+        y = np.fromiter(probes, float, len(probes)).reshape(len(u_list), 9) - shift
+        h = h_shift * np.exp(y, out=y)
+        values = np.maximum(cond(h, u[:, None]), _COND_MIN, out=h)  # cond may return a scalar
+        logs = np.fmin(np.log(values, out=values), _INF, out=values).tolist()  # nan to inf
+    for (probed, y_up, low, yu0, yu1, y_2, y_3), lc in zip(rows, logs):
+        floor = -inf  # its log
+        if probed:
+            l_far, l_lo, l_l0, l_l1, l_u0, l_u1, l_2, l_3, l_up = lc
+            if low is not None:
+                floor = low + (l_l0 if l_l0 < l_l1 else l_l1)
+            if yu1 > yu0:
+                v, e0, e1 = yu1 / sqrt2s, yu0 - y_star, yu1 - y_star
+                e0 = h_power * yu0 - e0 * e0 * inv_2sig2
+                e1 = h_power * yu1 - e1 * e1 * inv_2sig2
+                up = (log(2.0 * (yu1 - yu0) / (_SQRT_PI * (v + sqrt(v * v + 2.0))))
+                      + (e0 if e0 < e1 else e1) + (l_u0 if l_u0 < l_u1 else l_u1))
+                floor = up if up > floor else floor
+        if not -inf < floor < inf:
+            lowers += -w_end, y_lo
+            uppers += 0.0, y_up
+            tails.append(0.0)
+            continue
+        w_top, w_bot, y_bot, top, cuts = 0.0, w_end, y_lo, y_up, 0
+        c = l_far if l_far > l_lo else l_lo
+        if w_end > 0.0 and c < inf:
+            w = (low_log + c - floor) / rate
+            if w < w_end:
+                w_bot, cuts = (w if w > 0.0 else 0.0), 1
+        for start, l_start in ((yu1, l_u1), (y_2, l_2), (y_3, l_3)):  # ascending
+            if start >= top:
+                break
+            c = l_start if l_start > l_up else l_up
+            if not c < inf:
                 continue
-            w_top, w_bot, y_bot, top, cuts = 0.0, w_end, y_lo, y_up, 0
-            c = l_far if l_far > l_lo else l_lo
-            if w_end > 0.0 and c < inf:
-                w = (low_log + c - floor) / rate
-                if w < w_end:
-                    w_bot, cuts = (w if w > 0.0 else 0.0), 1
-            for start, l_start in ((yu1, l_u1), (y_2, l_2), (y_3, l_3)):  # ascending
-                if start >= top:
-                    break
-                c = l_start if l_start > l_up else l_up
-                if not c < inf:
-                    continue
-                env = log_scale - log(start) if start > 0.0 else log_env
-                r = c + (env if env < log_env else log_env) + bump_log - floor
-                if start >= 0.0:
-                    end = start if r <= -_LN2 else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
-                    top = start if end < start else end if end < top else top
-                elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= -_LN2
-                      and (y_up <= y_lo or r <= -2.0 * _LN2)):
-                    top, w_top = y_lo, -start
-            cuts += top < y_up
-            c = l_lo if l_lo > l_u0 else l_u0
-            if yu0 > y_lo and c < inf:
-                foot = log_env + log(yu0 - y_lo)
-                if y_lo > 0.0:
-                    x = log_scale + log(log(yu0 / y_lo))
-                    foot = x if x < foot else foot
-                r = c + foot + k_log - floor
-                bottom = yu0 if r <= 0.0 else m - s_sqrt2 * sqrt(r)
-                if y_lo < bottom:
-                    y_bot, cuts = (bottom if bottom < yu0 else yu0), cuts + 1
-            lowers += -w_bot, y_bot
-            uppers += -w_top, top
-            tails.append(cuts * _TAIL_REL * exp(floor) if cuts else 0.0)
-        # each piece's edges of each entry as one row, the lower piece first
-        anchor, lower, upper = (np.array(x).reshape(len(u_list), 2).T[:, :, None]
-                                for x in (anchors, lowers, uppers))
-        edges = np.minimum(np.maximum(anchor * mask + points, lower), upper)
-        edges.sort()
-        keep = edges[..., 1:] > edges[..., :-1]
-        lo, hi, owner = edges[..., :-1][keep], edges[..., 1:][keep], keep.nonzero()[1]
+            env = log_scale - log(start) if start > 0.0 else log_env
+            r = c + (env if env < log_env else log_env) + bump_log - floor
+            if start >= 0.0:
+                end = start if r <= -_LN2 else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
+                top = start if end < start else end if end < top else top
+            elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= -_LN2
+                  and (y_up <= y_lo or r <= -2.0 * _LN2)):
+                top, w_top = y_lo, -start
+        cuts += top < y_up
+        c = l_lo if l_lo > l_u0 else l_u0
+        if yu0 > y_lo and c < inf:
+            foot = log_env + log(yu0 - y_lo)
+            if y_lo > 0.0:
+                x = log_scale + log(log(yu0 / y_lo))
+                foot = x if x < foot else foot
+            r = c + foot + k_log - floor
+            bottom = yu0 if r <= 0.0 else m - s_sqrt2 * sqrt(r)
+            if y_lo < bottom:
+                y_bot, cuts = (bottom if bottom < yu0 else yu0), cuts + 1
+        lowers += -w_bot, y_bot
+        uppers += -w_top, top
+        tails.append(cuts * _TAIL_REL * exp(floor) if cuts else 0.0)
+    # each piece's edges of each entry as one row, the lower piece first
+    anchor, lower, upper = (np.array(x).reshape(len(u_list), 2).T[:, :, None]
+                            for x in (anchors, lowers, uppers))
+    edges = np.minimum(np.maximum(anchor * mask + points, lower), upper)
+    edges.sort()
+    keep = edges[..., 1:] > edges[..., :-1]
+    lo, hi, owner = edges[..., :-1][keep], edges[..., 1:][keep], keep.nonzero()[1]
 
-        def integrand(y, owner):
-            # the panels below h_hat come first: the lower piece's are given first,
-            # later rounds are in ascending order, and y = 0 is an edge, so no
-            # centre is -0.0
-            n = np.count_nonzero(np.signbit(y[:, 10]))
-            low, high, out, v = y[:n], y[n:], np.empty(y.shape), y / sqrt2s0
-            np.multiply(np.exp(amp0 + rate0 * low), w_low(v[:n]), out=out[:n])
-            bump = (high - y_star0) ** 2 / minus_2sig2
-            if h_power:
-                bump += h_power * high
-            np.multiply(np.exp(bump), w_high(v[n:]), out=out[n:])
-            out *= cond(h_shift0 * np.exp(y - shift0), u[owner][:, None])
-            return out
+    def integrand(y, owner):
+        # the panels below h_hat come first: the lower piece's are given first,
+        # later rounds are in ascending order, and y = 0 is an edge, so no
+        # centre is -0.0
+        n = np.count_nonzero(np.signbit(y[:, 10]))
+        low, high, out, v = y[:n], y[n:], np.empty(y.shape), y / sqrt2s
+        np.multiply(np.exp(log_amp + rate * low), w_low(v[:n]), out=out[:n])
+        bump = (high - y_star) ** 2 / minus_2sig2
+        if h_power:
+            bump += h_power * high
+        np.multiply(np.exp(bump), w_high(v[n:]), out=out[n:])
+        out *= cond(h_shift * np.exp(y - shift), u[owner][:, None])
+        return out
 
-        value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
-        values, errors = [flush_subnormal(v * scale) for v in value.tolist()], [None] * len(u)
-        # a converged entry fails too where its scale g2 / 2 h_hat^h_power overflows
-        if not (all(ok.tolist()) and -inf < sum(values) < inf):
-            for i, converged in enumerate(ok.tolist()):
-                # the estimate counts the bound of the tails left out
-                v, e = value.item(i) * scale, (error.item(i) + tails[i]) * scale
-                if not math.isfinite(value.item(i) + error.item(i)):
-                    message = "integrand produced a non-finite value"
-                elif not math.isfinite(v + e):
-                    message = f"the value overflows when scaled by g2 / 2 h_hat^{h_power:g}"
-                elif not converged:
-                    message = "no convergence within the panel budget"
-                else:
-                    continue
-                errors[i] = quadrature.QuadratureError(message, value=v, error_estimate=e)
-                values[i] = math.nan
-        return values, errors
-
-    return average
+    value, error, ok = quadrature.integrate_panels(integrand, lo, hi, owner, len(u))
+    values, errors = [flush_subnormal(v * scale) for v in value.tolist()], [None] * len(u)
+    # a converged entry fails too where its scale g2 / 2 h_hat^h_power overflows
+    if not (all(ok.tolist()) and -inf < sum(values) < inf):
+        for i, converged in enumerate(ok.tolist()):
+            # the estimate counts the bound of the tails left out
+            v, e = value.item(i) * scale, (error.item(i) + tails[i]) * scale
+            if not math.isfinite(value.item(i) + error.item(i)):
+                message = "integrand produced a non-finite value"
+            elif not math.isfinite(v + e):
+                message = f"the value overflows when scaled by g2 / 2 h_hat^{h_power:g}"
+            elif not converged:
+                message = "no convergence within the panel budget"
+            else:
+                continue
+            errors[i] = quadrature.QuadratureError(message, value=v, error_estimate=e)
+            values[i] = math.nan
+    return values, errors
 
 
 def single_value(result) -> float:

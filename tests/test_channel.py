@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -106,19 +107,22 @@ class _NoMath:
         raise AssertionError(f"derived constant recomputed (math.{name})")
 
 
+# the derived constants FadingModel caches besides its plan
+_CONSTANTS = ("gamma", "g2", "kappa", "mu", "hg_hl", "h_hat", "log_amp", "sqrt2s", "y_star",
+              "y_top")
+
+
 def test_derived_constants_computed_once(monkeypatch):
     fm = make_fading(0.35, 0.1)
     geo = fm.geometry
-    names = ("gamma", "g2", "kappa", "mu", "hg_hl", "h_hat", "log_amp", "sqrt2s", "y_star",
-             "y_top")
     geo_names = ("h_l", "v0", "h_g", "wz_hat_sq")
-    first = [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names]
+    first = [getattr(fm, n) for n in _CONSTANTS] + [getattr(geo, n) for n in geo_names]
     assert fm.g2 == fm.gamma * fm.gamma
     # built before the patch, as a model checks its constants when it is built
     fresh = make_fading(0.35, 0.1)
     # every constant computes through math, so none is computed again
     monkeypatch.setattr(channel, "math", _NoMath())
-    assert [getattr(fm, n) for n in names] + [getattr(geo, n) for n in geo_names] == first
+    assert [getattr(fm, n) for n in _CONSTANTS] + [getattr(geo, n) for n in geo_names] == first
     assert fm.g2 == first[0] * first[0]
     # the cached values are not fields: equality and hashing ignore them
     assert fm == fresh and hash(fm) == hash(fresh)
@@ -148,38 +152,20 @@ def test_one_gamma_squared():
     assert fm.mu == fm.rytov_var_sigma_r2 * (g2 + 1.0)
 
 
-def test_engine_built_once_per_model_and_kind(monkeypatch):
+def test_later_averages_repeat_on_the_models_plan():
     fm = make_fading(0.35, 0.1)
     op = OperatingPoint(fm.geometry, fm, 4, 1e-3)
-    plan, built, engine = fm.plan, [], channel._engine
-
-    def counting(*args):
-        built.append(args)
-        return engine(*args)
+    plan = fm.plan
 
     def averages():
         return [composite_expectation(fm), avg_ser_exact(op), avg_ser_approx(op),
                 avg_ser_dense(op)]
 
-    # the first average builds the model's one engine for all four: they share
-    # its shape, a lower form, h_power 0, y_lo 0 and no extra edges, and pass
-    # the exact or the piecewise weight at the call
-    monkeypatch.setattr(channel, "_engine", counting)
+    # a later call reads the model's constants and its plan, and repeats the
+    # first call's values
     first = averages()
-    assert built == [(fm, False, 0.0, 0.0, ())]
-    assert list(fm.engines) == [(False, 0.0, 0.0, ())]
-    engines = dict(fm.engines)
-
-    def rebuilt(*args):
-        raise AssertionError("engine built again")
-
-    # a later call reads the model's constants, its plan and its engines,
-    # without math
-    monkeypatch.setattr(channel, "_engine", rebuilt)
-    monkeypatch.setattr(channel, "math", _NoMath())
     assert averages() == first
-    assert fm.plan is plan and fm.engines == engines
-    monkeypatch.undo()
+    assert fm.plan is plan
     # the bound pass's scalar loops read the constants as floats
     assert all(type(getattr(fm, n)) is float for n in ("log_amp", "sqrt2s", "y_star", "y_top"))
     # the upper plan's fixed points are its ends, h_hat, y* + k sigma for
@@ -196,12 +182,30 @@ def test_engine_built_once_per_model_and_kind(monkeypatch):
     assert fresh.plan.tolist() == plan.tolist()
 
 
-def test_cached_engine_memory_is_bounded():
-    # every model caches an engine per shape of integral, and a run may hold
-    # a thousand models: an engine keeps its constants packed, not as one
-    # closure cell per name (about 3 KB an engine), and the exact and the
-    # piecewise weight share it, each adding its upper form's envelope (an
-    # engine per weight kept about 3.2 KB a model, one for both about 2 KB)
+def test_averages_keep_only_the_models_constants_and_plan():
+    # one average of every shape of integral: the normalisation, the exact,
+    # approx and dense SER (a lower form, h_power 0), dense_highpower
+    # (h_power -1), ook_simple (no lower form, a cut-off and extra edges) and
+    # the exact BER. The model then holds its fields, its derived constants
+    # and its plan, and nothing for any shape or weight
+    op = make_op(0.35, 0.1, 2, 0.0)
+    fm = op.fading
+    composite_expectation(fm)
+    for average in (avg_ser_exact, avg_ser_approx, avg_ser_dense,
+                    errorrates.avg_ser_dense_highpower, errorrates.avg_ber_ook_approx_simple,
+                    errorrates.avg_ber_exact):
+        assert math.isfinite(average(op))
+    kept = dict(vars(fm))
+    fields = [f.name for f in dataclasses.fields(fm)]
+    assert [kept.pop(name) for name in fields] == [fm.geometry, 0.1, 0.35]
+    assert type(kept.pop("plan")) is np.ndarray
+    assert set(kept) <= set(_CONSTANTS)
+    assert all(type(value) is float for value in kept.values())
+
+
+def test_averages_keep_bounded_memory_per_model():
+    # a run may hold a thousand models: averages with the exact and the
+    # piecewise weight keep nothing on a model beyond its constants and plan
     def normalisations(fm):
         for weight in (channel.EXACT_WEIGHT, errorrates._PIECEWISE):
             channel.density_average(fm, [0.0], weight, lambda h, u: 1.0)
@@ -209,7 +213,8 @@ def test_cached_engine_memory_is_bounded():
     models = [make_fading(s, r) for s in (0.15, 0.2, 0.25, 0.3, 0.35, 0.5, 0.8, 1.2, 2.0, 3.0)
               for r in np.linspace(0.05, 1.0, 20).tolist()]
     for fm in models:  # the models' cached constants and plans, outside the trace
-        channel._engine(fm, False, 0.0, 0.0, ())
+        for name in (*_CONSTANTS, "plan"):
+            getattr(fm, name)
     normalisations(make_fading(0.4, 0.3))  # and a first call's one-off allocations
     tracemalloc.start()
     try:
@@ -219,8 +224,9 @@ def test_cached_engine_memory_is_bounded():
         per_model = (tracemalloc.get_traced_memory()[0] - before) / len(models)
     finally:
         tracemalloc.stop()
-    assert all(len(fm.engines) == 1 for fm in models)
-    assert per_model <= 2400.0, per_model
+    # measured: 1.96 B a model, a one-off 392 B over the 200 models; a model
+    # that kept any object, 16 B or more, would exceed the bound
+    assert per_model <= 4.0, per_model
 
 
 def test_lower_plan_merges_offsets_a_sliver_apart():

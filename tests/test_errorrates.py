@@ -411,11 +411,11 @@ def _ook_simple_with(upper, y_lo):
     return average
 
 
-def test_engine_cache_keeps_each_kind_apart():
-    # a model's engines are keyed by the shape of the integral, whether the
-    # weight has a lower form, h_power, y_lo and y_extra: on one model each
-    # average equals its value on a fresh model, in either order, ook_simple
-    # at both cut-offs included
+def test_each_kind_on_one_model_equals_a_fresh_models():
+    # averages of every shape of integral, whether the weight has a lower
+    # form, h_power, y_lo and y_extra: on one model each average equals its
+    # value on a fresh model, in either order, ook_simple at both cut-offs
+    # included
     averages = [avg_ser_exact, avg_ser_approx, avg_ser_dense, avg_ser_dense_highpower,
                 avg_ber_ook_approx_simple,
                 _ook_simple_with(specfun.erfcx_simple_tail, math.log1p(1e-12)),
@@ -426,18 +426,15 @@ def test_engine_cache_keeps_each_kind_apart():
         op = make_op(0.35, 0.1, 2, 0.0)
         shared = {average: average(op) for average in order}
         assert [shared[average] for average in averages] == fresh
-        # exact, approx and dense share one engine, and so do ook_simple and its
-        # cut-off 1e-12; dense_highpower (h_power -1) and the cut-off 1e-15 have their own
-        assert len(op.fading.engines) == 4
 
 
-def test_shared_engine_reads_each_weights_envelope(monkeypatch):
-    # the weights of one shape of integral share an engine, and each bounds
-    # its tails by its own upper form's envelope: interleaved on one model,
-    # every average integrates a fresh model's panels and has its bits. The
-    # exact and the piecewise upper form are both 1 at h_hat; at ook_simple's
-    # cut-off the one-term tail's envelope is about 1e12 times erfcx's, and
-    # here it moves the edges of the upper piece's foot
+def test_interleaved_weights_read_each_upper_forms_envelope(monkeypatch):
+    # each weight bounds its tails by its own upper form's envelope:
+    # interleaved on one model, every average integrates a fresh model's
+    # panels and has its bits. The exact and the piecewise upper form are
+    # both 1 at h_hat; at ook_simple's cut-off the one-term tail's envelope
+    # is about 1e12 times erfcx's, and here it moves the edges of the upper
+    # piece's foot
     panels, integrate_panels = [], quadrature.integrate_panels
 
     def recording(integrand, lo, hi, owner, n):
@@ -457,7 +454,6 @@ def test_shared_engine_reads_each_weights_envelope(monkeypatch):
                 panels.clear()
                 runs.append((average(on).hex(), panels[:]))
             assert runs[0] == runs[1], (average, p_dbm)
-    assert len(op.fading.engines) == 2
 
 
 def test_ser_approx_m2_equals_ook_piecewise():
