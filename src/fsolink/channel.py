@@ -331,6 +331,11 @@ W_MASK = np.array([0.0] * (2 + len(W_KNEES)) + [1.0] * (len(W_LADDER) + len(W_WI
                                                       + len(W_BELOW)))
 Y_MASK = np.array([0.0] * (3 + len(Y_SIGMAS)) + [1.0] * len(Y_COND))
 PLAN_MASK = np.array([[W_MASK], [np.append(Y_MASK, [0.0] * (len(W_MASK) - len(Y_MASK)))]])
+# From a cut-off y_lo > 0, edges y = 10^(k/2), k = -23 ... -1, resolve in one
+# round an upper form that blows up as 1/y there, as the one-term erfc tail
+# does; where that end carries nothing, the tail bounds clip the steps away
+_LADDER = np.array([[[math.inf] * 23], [[10.0 ** (k / 2.0) for k in range(-23, 0)]]])
+_LADDER_MASK = np.concatenate([PLAN_MASK, np.zeros_like(_LADDER)], axis=2)
 
 
 # the density's erfc factor as a pair: erfc(v) for v <= 0 below h_hat, and
@@ -356,7 +361,7 @@ _INF = np.array(math.inf)  # 0-d, as numpy converts a Python float operand on ev
 
 
 def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
-                    y_lo: float = 0.0, y_extra: tuple = ()):
+                    y_lo: float = 0.0):
     """The average of h^h_power cond(h, u) over the composite density, for
     each entry of u at once; cond decays on the h-scale 1 / u.
 
@@ -365,20 +370,21 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     y = ln(h / h_hat). Below h_hat it is taken against
     e^(log_amp + (g2 + h_power) y) times the lower form at y / sqrt(2 sig2);
     above it, against the Gaussian bump e^(-(y - y*)^2 / (2 sig2) + h_power y)
-    times the upper form at y / sqrt(2 sig2). Without a lower form (None)
-    the lower piece is dropped and the upper one starts at y_lo (with one,
-    y_lo > 0 leaves out [0, y_lo]). The pieces' fixed ends are -700 / (g2 + h_power)
-    and, with s_hat = u h_hat, y_cut = ln(ARG_CUTOFF / s_hat), where
+    times the upper form at y / sqrt(2 sig2). A cut-off y_lo > 0 drops the
+    lower piece, whose form then sees no node, and starts the upper one at
+    y_lo. The pieces' fixed ends are -700 / (g2 + h_power) and, with
+    s_hat = u h_hat, y_cut = ln(ARG_CUTOFF / s_hat), where
     exp(-(s_hat e^y)^2) underflows, capped at y* + 45 sigma. Where u > 0,
     cond is taken to be non-negative and monotone in h, and each piece ends
     sooner, where closed-form bounds put its tail below rel 1e-14 of the
     integral (the bound pass, below); an entry with u = 0, such as
     composite_expectation passes, keeps the fixed ends. An entry's initial
     panels are cut at the points of FadingModel.plan, anchored below h_hat at
-    the conditional's peak w* and above it at y_c = -ln(s_hat), and at the
-    points y_extra. cond gets the gains as an array, finite also where e^y
-    overflows, and u as a column. Every panel of every entry is integrated
-    in one integrate_panels batch.
+    the conditional's peak w* and above it at y_c = -ln(s_hat), and from a
+    cut-off also at the fixed edges _LADDER, which resolve an upper form
+    that blows up as 1/y there. cond gets the gains as an array, finite also
+    where e^y overflows, and u as a column. Every panel of every entry is
+    integrated in one integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan, and whose error estimate counts the
@@ -416,10 +422,9 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     g2, sig2, h_hat, log_amp, y_star, sqrt2s, y_top = (
         fm.g2, fm.sigma2, fm.h_hat, fm.log_amp, fm.y_star, fm.sqrt2s, fm.y_top)
     # the lower piece decays as e^(rate y), rate > 0 (h_power = -1 comes with g2 > 1), to
-    # e^-700 at its end; without a lower form it is empty, and no node sees its form
+    # e^-700 at its end; from a cut-off y_lo > 0 it is empty
     sigma, rate = sqrt(sig2), g2 + h_power
-    w_end = 0.0 if w_low is None else 700.0 / rate
-    w_low = w_low or np.zeros_like
+    w_end = 0.0 if y_lo > 0.0 else 700.0 / rate
     # w_peak = -ln t*: the lower piece peaks at w* = w_peak - y_c, or at 0 (see
     # W_LADDER). b = min(sigma, 1 / 2) is the half-width of the upper piece's
     # probe panel, and a that of the lower piece's, to either side of its peak
@@ -436,9 +441,8 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     m, s_sqrt2, inv_2sig2 = y_star + h_power * sig2, sigma * sqrt(2.0), 0.5 / sig2
     log_scale, log_env = log(sqrt2s / _SQRT_PI), log(float(w_high(y_lo / sqrt2s)))
     mask, points = PLAN_MASK, fm.plan
-    if y_extra:
-        mask = np.concatenate([mask, np.zeros((2, 1, len(y_extra)))], axis=2)
-        points = np.concatenate([points, [[[math.inf] * len(y_extra)], [y_extra]]], axis=2)
+    if y_lo > 0.0:
+        mask, points = _LADDER_MASK, np.concatenate([points, _LADDER], axis=2)
     # a gain h_hat e^y is formed as (h_hat e^shift) e^(y - shift), as e^y overflows past
     # y = 709.78 where the gain does not; below y_top = 700, shift = 0 changes no bit
     shift = y_top - 700.0 if y_top > 700.0 else 0.0

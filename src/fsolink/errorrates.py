@@ -11,9 +11,10 @@ this keeps every integrand bounded and smooth. One engine,
 channel.density_average, evaluates every average for a whole array of
 transmit powers at once by batched Gauss-Kronrod quadrature; the expressions
 differ only in the erfc weight and the conditional function they pass to
-it. A nested mode cross-validates the exact SER by an independent oracle:
-the pointing factor averaged in closed form, then one QUADPACK integral over
-the turbulence normal.
+it, besides the h_power = -1 of dense_highpower and the cut-off of
+ook_simple. A nested mode cross-validates the exact SER by an independent
+oracle: the pointing factor averaged in closed form, then one QUADPACK
+integral over the turbulence normal.
 """
 
 from __future__ import annotations
@@ -141,9 +142,10 @@ def _avg_ser_pointing_integrated(op: OperatingPoint) -> float:
 # channel.density_average returns them, evaluates entry i at power p_watts[i]
 # and order orders[i] over op's channel.
 
-# the erfc weight pairs of the approximations; see channel.EXACT_WEIGHT
+# the erfc weight pairs of the approximations; see channel.EXACT_WEIGHT. The
+# single tail's lower form raises below h_hat: it needs a cut-off y_lo > 0
 _PIECEWISE = (erfc_piecewise_negative, erfcx_piecewise_approx)
-_SIMPLE_TAIL = (None, erfcx_simple_tail)
+_SIMPLE_TAIL = (erfc_simple_tail, erfcx_simple_tail)
 
 
 def _one_power(batch):
@@ -226,11 +228,6 @@ def _avg_ser_dense_highpower(op, p_watts, orders):
                            lambda h, u: np.exp(-(u * h) ** 2) / (u * _SQRT_PI), h_power=-1.0)
 
 
-# the single-tail form's edges above h_hat, in half-decade steps (see
-# _avg_ber_ook_approx_simple)
-_LADDER = tuple(10.0 ** (k / 2.0) for k in range(-23, 0))
-
-
 def _avg_ber_ook_approx_simple(op, p_watts, orders):
     """Single-integral OOK BER approximation using the one-term erfc tail.
 
@@ -246,12 +243,8 @@ def _avg_ber_ook_approx_simple(op, p_watts, orders):
     1; where log_amp <= -60 the term is at most about rel 1e-13 of it.
     """
     _require_ook(orders)
-    # a geometric ladder in half-decade steps up to 10^-0.5 resolves the
-    # truncated logarithmic end-point blow-up in one round; where that end
-    # carries nothing, the tail bounds clip its steps away
     return density_average(op.fading, _u(op, p_watts, [1.0] * len(p_watts)), _SIMPLE_TAIL,
-                           lambda h, u: 0.5 * erfc_simple_tail(u * h),
-                           y_lo=math.log1p(1e-12), y_extra=_LADDER)
+                           lambda h, u: 0.5 * erfc_simple_tail(u * h), y_lo=math.log1p(1e-12))
 
 
 def _avg_ber_exact(op, p_watts, orders):

@@ -197,7 +197,6 @@ _HALF_NODES = 0.5 * _NODES
 # arithmetic
 _HALF, _ONE, _TWO_HUNDRED, _THREE_HALVES = (np.array(x) for x in (0.5, 1.0, 200.0, 1.5))
 _ROUNDOFF = np.array(50.0 * np.finfo(float).eps)
-_ROUNDOFF_MIN = np.finfo(float).tiny / _ROUNDOFF
 _CHUNK = 2048  # panels per integrand call, which bounds the temporaries
 _SPLIT = 8  # parts a panel that misses its tolerance is cut into
 _REL_TOL = np.array(1e-11)
@@ -238,9 +237,9 @@ def _gk21_chunk(f, a, b, owner):
     ratio = _TWO_HUNDRED * err
     np.divide(ratio, resasc, out=ratio, where=big)
     np.multiply(resasc, np.minimum(_ONE, ratio ** _THREE_HALVES), out=err, where=big)
-    # qk21 floors err at 50 eps resabs only where resabs exceeds _ROUNDOFF_MIN,
-    # so that the floor is a normal double; the same relative floor below it
-    # spares a comparison
+    # qk21 floors err at 50 eps resabs only where resabs exceeds the smallest
+    # normal double over 50 eps, so that the floor is a normal double; the same
+    # relative floor below it spares a comparison
     np.maximum(_ROUNDOFF * resabs, err, out=err)
     return width * resk, np.multiply(width, err, out=err)
 

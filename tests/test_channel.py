@@ -184,8 +184,8 @@ def test_later_averages_repeat_on_the_models_plan():
 
 def test_averages_keep_only_the_models_constants_and_plan():
     # one average of every shape of integral: the normalisation, the exact,
-    # approx and dense SER (a lower form, h_power 0), dense_highpower
-    # (h_power -1), ook_simple (no lower form, a cut-off and extra edges) and
+    # approx and dense SER (h_power 0), dense_highpower (h_power -1),
+    # ook_simple (a cut-off, with no lower piece and the ladder's edges) and
     # the exact BER. The model then holds its fields, its derived constants
     # and its plan, and nothing for any shape or weight
     op = make_op(0.35, 0.1, 2, 0.0)

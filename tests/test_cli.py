@@ -547,8 +547,9 @@ def test_mc_csv_matches_golden_file(tmp_path):
      "delta_m4_exact_approx_dense_dense_highpower.csv"),
     (["power-step", "--target-ser", "1e-3"], "power_step_ser1e-3.csv")])
 def test_analytic_csv_matches_golden_file(argv, name, tmp_path):
-    # each golden file was written by fsolink with these arguments, before the
-    # averaging engine became one cached closure per model and kind of average
+    # each golden file holds the CSV fsolink wrote with these arguments on the
+    # default channel: the bits of every expression, including ook_simple from
+    # its cut-off, that a change to the engine's code may not move
     path = tmp_path / name
     code, _ = run_cli(argv + ["--out", str(path)])
     assert code == 0

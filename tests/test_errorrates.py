@@ -387,8 +387,7 @@ def test_ook_simple_is_defined_by_its_cutoff():
             def value(y_lo):
                 return channel.single_value(channel.density_average(
                     op.fading, [u], errorrates._SIMPLE_TAIL,
-                    lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h), y_lo=y_lo,
-                    y_extra=errorrates._LADDER))
+                    lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h), y_lo=y_lo))
 
             at_12, at_15 = value(y12), value(y15)
             assert at_12 == avg_ber_ook_approx_simple(op)
@@ -401,21 +400,34 @@ def test_ook_simple_is_defined_by_its_cutoff():
 
 
 def _ook_simple_with(upper, y_lo):
-    """ook_simple's one-power average with the upper form upper, and no
-    lower one, from the cut-off y_lo."""
+    """ook_simple's one-power average with the upper form upper from the
+    cut-off y_lo."""
     def average(op):
         (u,) = errorrates._u(op, [op.transmit_power_p], [1.0])
         return channel.single_value(channel.density_average(
-            op.fading, [u], (None, upper), lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h),
-            y_lo=y_lo, y_extra=errorrates._LADDER))
+            op.fading, [u], (specfun.erfc_simple_tail, upper),
+            lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h), y_lo=y_lo))
     return average
 
 
+def test_single_tail_pair_from_the_cutoff_is_ook_simple():
+    # a cut-off y_lo > 0 drops the lower piece and adds the ladder of edges
+    # that resolves the upper form's 1/y end: the single tail's lower form,
+    # which raises for an argument <= 0, sees no node below h_hat
+    weight = (specfun.erfc_simple_tail, specfun.erfcx_simple_tail)
+    for p_dbm in (-10.0, 0.0, 10.0, 20.0):
+        op = make_op(*PINK, 2, p_dbm)
+        (u,) = errorrates._u(op, [op.transmit_power_p], [1.0])
+        value = channel.single_value(channel.density_average(
+            op.fading, [u], weight, lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h),
+            y_lo=math.log1p(1e-12)))
+        assert value == avg_ber_ook_approx_simple(op)
+
+
 def test_each_kind_on_one_model_equals_a_fresh_models():
-    # averages of every shape of integral, whether the weight has a lower
-    # form, h_power, y_lo and y_extra: on one model each average equals its
-    # value on a fresh model, in either order, ook_simple at both cut-offs
-    # included
+    # averages of every shape of integral, with and without h_power and a
+    # cut-off y_lo: on one model each average equals its value on a fresh
+    # model, in either order, ook_simple at both cut-offs included
     averages = [avg_ser_exact, avg_ser_approx, avg_ser_dense, avg_ser_dense_highpower,
                 avg_ber_ook_approx_simple,
                 _ook_simple_with(specfun.erfcx_simple_tail, math.log1p(1e-12)),
@@ -732,6 +744,15 @@ def test_empty_grid_is_no_crossing():
         crossing_power(_curve([], []), 1e-3)
     with pytest.raises(NoCrossingError, match="threshold 0.001 not crossed on an empty grid"):
         errorrates.delta_gaps_on_grid(make_op(*PINK), avg_ser_exact, [avg_ser_approx], [], 1e-3)
+
+
+def test_delta_gaps_without_approximations_average_nothing(monkeypatch):
+    # no approximation gives no gap: the grid, even an empty one, is not read
+    calls = _engine_calls(monkeypatch)
+    for grid in ([0.0, 1.0], []):
+        assert errorrates.delta_gaps_on_grid(make_op(*PINK), avg_ser_exact, [], grid,
+                                             1e-3) == ([], [])
+    assert calls == []
 
 
 def test_power_increase_validation():

@@ -109,6 +109,12 @@ def test_find_crossing_bracket_error():
             find_crossing(lambda t: bad if t == 1.0 else t, 0.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_find_crossing_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        find_crossing(lambda t: t, 0.5, 0.0, 1.0, tol=tol)
+
+
 def test_find_crossing_evaluates_each_endpoint_once():
     xs = []
 
@@ -266,7 +272,7 @@ def _stacked_integrate_panels(f, lo, hi, owner, n_owners):
             err = np.abs(resk - resg)
             big = (resasc > 0.0) & (err > 0.0)
             err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)
-            err = np.where(resabs > quadrature._ROUNDOFF_MIN,
+            err = np.where(resabs > np.finfo(float).tiny / quadrature._ROUNDOFF,
                            np.maximum(quadrature._ROUNDOFF * resabs, err), err)
             value[s:s + quadrature._CHUNK] = half * resk
             error[s:s + quadrature._CHUNK] = half * err
