@@ -372,9 +372,10 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     above it, against the Gaussian bump e^(-(y - y*)^2 / (2 sig2) + h_power y)
     times the upper form at y / sqrt(2 sig2). A cut-off y_lo > 0 drops the
     lower piece, whose form then sees no node, and starts the upper one at
-    y_lo. The pieces' fixed ends are -700 / (g2 + h_power) and, with
-    s_hat = u h_hat, y_cut = ln(ARG_CUTOFF / s_hat), where
-    exp(-(s_hat e^y)^2) underflows, capped at y* + 45 sigma. Where u > 0,
+    y_lo; a negative or nan y_lo raises ValueError. The pieces' fixed ends
+    are -700 / (g2 + h_power) and, with s_hat = u h_hat,
+    y_cut = ln(ARG_CUTOFF / s_hat), where exp(-(s_hat e^y)^2) underflows,
+    capped at y* + 45 sigma. Where u > 0,
     cond is taken to be non-negative and monotone in h, and each piece ends
     sooner, where closed-form bounds put its tail below rel 1e-14 of the
     integral (the bound pass, below); an entry with u = 0, such as
@@ -417,6 +418,8 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     # Each tail left out adds its bound, at most _TAIL_REL times the floor, to
     # the entry's bound. cond is read as at least _COND_MIN, and as inf where
     # it is nan, which keeps every tail it bounds.
+    if not y_lo >= 0.0:  # false for nan too
+        raise ValueError(f"the cut-off y_lo must be >= 0, not {y_lo}")
     u = np.array(u, dtype=float)
     w_low, w_high = weight
     g2, sig2, h_hat, log_amp, y_star, sqrt2s, y_top = (

@@ -22,7 +22,6 @@ from . import errorrates as er
 from .channel import (FadingModel, LinkGeometry, OperatingPoint, dbm_to_watts,
                       pdf_composite, snr_electrical, snr_optical)
 from .montecarlo import McConfig, simulate_powers
-from .quadrature import QuadratureError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -274,22 +273,18 @@ def cmd_delta(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
     header = ["jitter_sigma_m", "rytov_variance", "m", "pair", "threshold", "delta_db",
               "error"]
     names = [name for name in cfg.expressions if name != "exact"]
-    # every crossing bracketed and refined in lockstep; a row's search error comes first
-    try:
-        gaps = er.delta_gaps_on_grid(op, er.AVERAGES["exact"], [er.AVERAGES[n] for n in names],
-                                     grid, threshold)
-    except (QuadratureError, ValueError) as exc:
-        rows = [["", "", "", "", "", "", str(exc)]]
-    else:
-        rows = []
-        for name, d, error in zip(names, *gaps):
-            row = [f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
-                   f"{name}-vs-exact", _fmt_prob(threshold)]
-            if error is None:
-                row += [_fmt_db(d), ""]
-            else:
-                row += ["nan", str(error)]
-            rows.append(row)
+    # every crossing searched and refined in lockstep; a row's own error first
+    gaps = er.delta_gaps_on_grid(op, er.AVERAGES["exact"], [er.AVERAGES[n] for n in names],
+                                 grid, threshold)
+    rows = []
+    for name, d, error in zip(names, *gaps):
+        row = [f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
+               f"{name}-vs-exact", _fmt_prob(threshold)]
+        if error is None:
+            row += [_fmt_db(d), ""]
+        else:
+            row += ["nan", str(error)]
+        rows.append(row)
     _write_rows(out, header, rows)
     return _exit_code(rows)
 

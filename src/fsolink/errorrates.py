@@ -346,45 +346,65 @@ class NoCrossingError(ValueError):
     """The curve does not cross the requested threshold in its power range."""
 
 
-def _log_gaps(points, p_dbm, lt):
-    """log10(value) - lt of each (expression, op) pair of points at the
-    matching power of p_dbm (dBm), -inf for 0, as (gaps, errors)."""
-    values, errors = _evaluations(points, [dbm_to_watts(p) for p in p_dbm])
-    return [math.log10(v) - lt if v > 0.0 else -math.inf for v in values], errors
-
-
-def _crossings(cells, level: float):
-    """The power (dBm) where each cell crosses level, refined in lockstep.
-
-    cells[i] is the error of entry i, or (expression, op, p_a, p_b, d_a, d_b,
-    tol): the cell [p_a, p_b] (dBm) of expression at op, at whose ends
-    log10(value) - log10(level) is d_a and d_b, of opposite signs or 0. An
-    end at 0 is the crossing. An end whose average is 0 fails with
-    QuadratureError, as log10 has no value there. Any other cell is a lane of
-    one quadrature.brentq_lanes run to tol dB, each round one _log_gaps call.
-    Returns (powers, errors): errors[i] is None, or the error of entry i,
-    whose power is then nan.
-    """
-    powers, errors, lanes = [math.nan] * len(cells), [None] * len(cells), []
-    for i, cell in enumerate(cells):
-        if isinstance(cell, Exception):
-            errors[i] = cell
-            continue
-        p_a, p_b, d_a, d_b = cell[2:6]
-        if 0.0 in (d_a, d_b):
-            powers[i] = p_a if d_a == 0.0 else p_b
-        elif -math.inf in (d_a, d_b):
-            errors[i] = QuadratureError(f"average is 0 at an end of [{p_a}, {p_b}] dBm, "
-                                        f"the cell where it crosses {level}")
-        else:
-            lanes.append(i)
+def _solve(points, lanes, level: float):
+    """Run lanes in lockstep by quadrature.run_lanes, lane i on the
+    (expression, op) pair points[i]: it yields a power (dBm) and is sent
+    log10(value) - log10(level) there, -inf for 0, or thrown the average's
+    error, every round one _evaluations call. Returns (powers, errors)."""
     lt = math.log10(level)
-    roots, failures = quadrature.brentq_lanes(
-        lambda ids, p_dbm: _log_gaps([cells[lanes[j]][:2] for j in ids], p_dbm, lt),
-        [cells[i][2:] for i in lanes])
-    for i, root, error in zip(lanes, roots, failures):
-        powers[i], errors[i] = root, error
-    return powers, errors
+
+    def gaps(ids, p_dbm):
+        values, errors = _evaluations([points[i] for i in ids], [dbm_to_watts(p) for p in p_dbm])
+        return [math.log10(v) - lt if v > 0.0 else -math.inf for v in values], errors
+
+    return quadrature.run_lanes(gaps, lanes)
+
+
+def _refine(p_a, p_b, d_a, d_b, tol: float, level: float):
+    """A lane of _solve: the power (dBm) where its average crosses level in
+    the cell [p_a, p_b], at whose ends log10(value) - log10(level) is d_a
+    and d_b, of opposite signs or 0. An end at 0 is the crossing. An end
+    whose average is 0 fails with QuadratureError, as log10 has no value
+    there. Any other cell is refined to tol dB by quadrature.brent_steps."""
+    if 0.0 in (d_a, d_b):
+        return p_a if d_a == 0.0 else p_b
+    if -math.inf in (d_a, d_b):
+        raise QuadratureError(f"average is 0 at an end of [{p_a}, {p_b}] dBm, "
+                              f"the cell where it crosses {level}")
+    return (yield from quadrature.brent_steps(p_a, p_b, d_a, d_b, tol))
+
+
+def _search(p_dbm, level: float, tol: float, missing: str):
+    """A lane of _solve: the power (dBm), to tol dB, where its average first
+    reaches level on the increasing dBm grid p_dbm.
+
+    It bisects the indices of p_dbm from (-1, len(p_dbm)), two ends just
+    outside the grid counted as above and below level. A probe above level
+    raises the lower end, any other (0, or an error thrown in) lowers the
+    upper end. So for a non-increasing curve this finds the first cell that
+    crosses level, which crossing_power refines on the curve sampled on
+    p_dbm, and _refine takes it. The lane fails with the error of the probe
+    at the cell's upper end, or, where its curve is above level on the whole
+    grid or below it from the first point on, with NoCrossingError(missing).
+    """
+    lo, hi, d_lo, d_hi, error = -1, len(p_dbm), math.inf, math.inf, None
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        try:
+            d = yield p_dbm[k]
+        except (QuadratureError, ValueError) as exc:
+            hi, error = k, exc
+            continue
+        if d > 0.0:
+            lo, d_lo = k, d
+        else:
+            hi, d_hi, error = k, d, None
+    if error is not None:
+        raise error
+    if d_hi != 0.0 and hi in (0, len(p_dbm)):  # never crossed
+        raise NoCrossingError(missing)
+    # at hi = 0 a value of 0 makes the cell's upper end the power
+    return (yield from _refine(p_dbm[max(hi - 1, 0)], p_dbm[hi], d_lo, d_hi, tol, level))
 
 
 def _not_crossed(threshold: float, p_dbm) -> str:
@@ -394,15 +414,15 @@ def _not_crossed(threshold: float, p_dbm) -> str:
 
 def crossing_power(curve: ErrorRateCurve, threshold: float) -> float:
     """Power (dBm) at which the curve first crosses the threshold, as
-    _crossings finds it to 1e-4 dB in the first cell that crosses it: by
+    _refine finds it to 1e-4 dB in the first cell that crosses it: by
     Brent's method through the curve's expression, from the curve's values at
     its ends. Raises NoCrossingError where no cell crosses it."""
     lt = math.log10(threshold)
     d = [math.log10(v) - lt if v > 0.0 else -math.inf for v in curve.values]
     for i, (a, b) in enumerate(zip(d, d[1:])):
         if a == 0.0 or a * b < 0.0 or b == 0.0:
-            cell = (curve.expression, curve.op, curve.p_dbm[i], curve.p_dbm[i + 1], a, b, 1e-4)
-            return single_value(_crossings([cell], threshold))
+            lane = _refine(curve.p_dbm[i], curve.p_dbm[i + 1], a, b, 1e-4, threshold)
+            return single_value(_solve([(curve.expression, curve.op)], [lane], threshold))
     raise NoCrossingError(_not_crossed(threshold, curve.p_dbm))
 
 
@@ -413,63 +433,26 @@ def delta_gap(exact: ErrorRateCurve, approx: ErrorRateCurve, threshold: float) -
     return crossing_power(approx, threshold) - crossing_power(exact, threshold)
 
 
-def _grid_cells(points, p_dbm, level: float, tol: float, missing: str):
-    """The cell of _crossings, to tol dB, where each (expression, op) pair of
-    points first reaches level on the increasing dBm grid p_dbm, or the
-    error of a pair that has none, all pairs searched in lockstep.
-
-    Each pair is a lane, which brackets level by bisection on the indices of
-    p_dbm from (-1, len(p_dbm)), two ends just outside the grid counted as
-    above and below it: each round one _log_gaps call probes the midpoint of
-    every cell wider than one step. A probe above level raises its cell's
-    lower end, any other (0 or a failure) lowers its upper end. So for a
-    non-increasing curve this finds the first cell that crosses level, the
-    one crossing_power refines on the curve sampled on p_dbm, and a
-    failure at a power it does not probe does not matter. A lane fails with
-    the error of the probe at its cell's upper end, or, where its curve is
-    above level on the whole grid or below it from the first point on,
-    with NoCrossingError(missing).
-    """
-    lt = math.log10(level)
-    probes, bounds = [{} for _ in points], [(-1, len(p_dbm))] * len(points)
-    while mids := {i: (lo + hi) // 2 for i, (lo, hi) in enumerate(bounds) if hi - lo > 1}:
-        gaps, errors = _log_gaps([points[i] for i in mids], [p_dbm[k] for k in mids.values()], lt)
-        for (i, k), gap, error in zip(mids.items(), gaps, errors):
-            probes[i][k] = gap, error
-            bounds[i] = (k, bounds[i][1]) if error is None and gap > 0.0 else (bounds[i][0], k)
-    cells = []
-    for point, (_, k), probe in zip(points, bounds, probes):
-        value, error = probe.get(k, (math.inf, None))  # past the grid: above
-        if error is None and value != 0.0 and k in (0, len(p_dbm)):  # never crossed
-            error = NoCrossingError(missing)
-        # at k = 0 a value of 0 makes the cell's upper end the power
-        cells.append(error or (*point, p_dbm[max(k - 1, 0)], p_dbm[k],
-                               probe.get(k - 1, (math.inf, None))[0], value, tol))
-    return cells
-
-
 def delta_gaps_on_grid(op: OperatingPoint, exact, approx, p_dbm_grid, threshold: float):
     """The gap delta_gap would give between each of approx and exact
     (averages of this module) on the curves that sweep_curve would sample at
-    op on the dBm grid p_dbm_grid, without sampling them: _grid_cells finds
-    each crossing's cell by bisection, every lane in lockstep, and one
-    lockstep solve refines them, the exact crossing once. On non-increasing
+    op on the dBm grid p_dbm_grid, without sampling them: one _solve runs a
+    _search lane for each crossing, the exact one once. On non-increasing
     curves the gaps are delta_gap's, bit for bit.
 
-    Raises NoCrossingError for an empty grid, and the error of an average of
-    exact that its search stopped on. Returns (gaps, errors): errors[i] is
-    None, or approx[i]'s search error, or that of its crossing, or else of
-    the exact one, and gaps[i] is then nan.
+    Raises NoCrossingError for an empty grid. Returns (gaps, errors):
+    errors[i] is None, or the error that stopped approx[i]'s lane, or else
+    the exact one's, and gaps[i] is then nan.
     """
     if not approx:
         return [], []
     missing = _not_crossed(threshold, p_dbm_grid)
     if not len(p_dbm_grid):
         raise NoCrossingError(missing)
-    cells = _grid_cells([(e, op) for e in (exact, *approx)], p_dbm_grid, threshold, 1e-4, missing)
-    if isinstance(cells[0], Exception) and not isinstance(cells[0], NoCrossingError):
-        raise cells[0]
-    (p_exact, *powers), (e_exact, *errors) = _crossings(cells, threshold)
+    (p_exact, *powers), (e_exact, *errors) = _solve(
+        [(e, op) for e in (exact, *approx)],
+        [_search(p_dbm_grid, threshold, 1e-4, missing) for _ in range(len(approx) + 1)],
+        threshold)
     errors = [e_exact if error is None else error for error in errors]
     return [p - p_exact if error is None else math.nan
             for p, error in zip(powers, errors)], errors
@@ -482,15 +465,13 @@ _SCAN_DBM = tuple(-40.0 + 2.0 * i for i in range(61))
 
 def _powers_at_target(op: OperatingPoint, orders, expression, target: float):
     """Power (dBm) where expression, at op's channel and each modulation order
-    of orders, reaches target, all orders solved in lockstep: _grid_cells
-    brackets each order's target on _SCAN_DBM, and _crossings refines every
-    cell to 1e-5 dB. Returns (powers, errors): errors[i] is None, or the
-    error that stopped order i, whose power is then nan.
+    of orders, reaches target, all orders solved in lockstep: one _search
+    lane each on _SCAN_DBM, to 1e-5 dB. Returns (powers, errors): errors[i]
+    is None, or the error that stopped order i, whose power is then nan.
     """
-    cells = _grid_cells([(expression, op.with_modulation(m)) for m in orders], _SCAN_DBM,
-                        target, 1e-5,
-                        f"target {target} not reached in [{_SCAN_DBM[0]}, {_SCAN_DBM[-1]}] dBm")
-    return _crossings(cells, target)
+    missing = f"target {target} not reached in [{_SCAN_DBM[0]}, {_SCAN_DBM[-1]}] dBm"
+    return _solve([(expression, op.with_modulation(m)) for m in orders],
+                  [_search(_SCAN_DBM, target, 1e-5, missing) for _ in orders], target)
 
 
 def power_steps(op: OperatingPoint, m_bits, target_ser: float, expression=avg_ser_exact):

@@ -6,8 +6,9 @@ finding for one curve or many in lockstep.
 adaptive rule), and root finding by Brent's method (Brent, Algorithms for
 Minimization without Derivatives, 1973), both wrapped behind error-reporting
 contracts. `integrate_panels` evaluates the integrand of a whole batch of
-integrals as one numpy array per round of bisection, and `brentq_lanes` the
-functions of a whole batch of roots as one call per step.
+integrals as one numpy array per round of bisection, and `run_lanes` the
+functions of a whole batch of searches, each a generator such as
+`brent_steps`, as one call per step.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def find_crossing(curve, target, lo, hi, tol=1e-4):
             f"target {target} not bracketed on [{lo}, {hi}]: "
             f"curve endpoints {f_lo + target}, {f_hi + target}"
         )
-    (root,), (error,) = brentq_lanes(lambda lanes, xs: ([curve(xs[0]) - target], [None]),
-                                     [(float(lo), float(hi), f_lo, f_hi, tol)])
+    (root,), (error,) = run_lanes(lambda lanes, xs: ([curve(xs[0]) - target], [None]),
+                                  [brent_steps(float(lo), float(hi), f_lo, f_hi, tol)])
     if error is not None:
         raise error
     return root
@@ -94,53 +95,47 @@ _RTOL = 4.0 * float(np.finfo(float).eps)
 _MAXITER = 100
 
 
-def brentq_lanes(f, brackets):
-    """Roots of many functions at once, one lane each, by Brent's method.
+def run_lanes(f, lanes):
+    """Run many lane generators in lockstep, one call of f per round.
 
-    Lane i searches [xpre, xcur] of brackets[i] = (xpre, xcur, fpre, fcur,
-    xtol), where its function takes the values fpre and fcur, of opposite
-    signs and not zero. Every lane takes the steps of scipy.optimize.brentq
-    (its brentq.c), with rtol 4 eps and at most 100 steps, so its root is
-    bit-identical. Each round evaluates every unfinished lane at once:
-    f(lanes, xs) returns (values, errors), errors[k] None or the exception of
-    lane lanes[k] at xs[k].
+    A lane yields a point, is sent f's value there or thrown the error of
+    that evaluation, and returns its result; brent_steps is one. Each round
+    evaluates every unfinished lane at once: f(ids, xs) returns (values,
+    errors), errors[k] None or the exception of lane ids[k] at xs[k].
 
-    Returns (roots, errors): errors[i] is None, or the exception that
-    stopped lane i alone, whose root is then nan. A lane that does not
-    converge, or whose function is not finite at an iterate, fails with
-    QuadratureError, value its last iterate.
+    Returns (results, errors): errors[i] is None, or the exception that
+    stopped lane i alone, whose result is then nan: the error thrown into it,
+    where the lane lets it through, or a QuadratureError or ValueError the
+    lane raises. Any other exception propagates.
     """
-    roots, errors = [math.nan] * len(brackets), [None] * len(brackets)
-    steps = {i: _brent_steps(*bracket) for i, bracket in enumerate(brackets)}
-    iterate = {}
+    results, errors, live, xs = [math.nan] * len(lanes), [None] * len(lanes), {}, {}
 
-    def advance(i, value):
+    def advance(i, lane, value=None, error=None):
         try:
-            iterate[i] = steps[i].send(value)
+            xs[i] = lane.send(value) if error is None else lane.throw(error)
         except StopIteration as stop:
-            roots[i] = stop.value
-        except QuadratureError as exc:
+            results[i] = stop.value
+        except Exception as exc:
+            if exc is not error and not isinstance(exc, (QuadratureError, ValueError)):
+                raise
             errors[i] = exc
         else:
-            return
-        del steps[i]
+            live[i] = lane  # back in its place: every lane of a round is popped in order
 
-    for i in list(steps):
-        advance(i, None)
-    while steps:
-        lanes = list(steps)
-        for i, value, error in zip(lanes, *f(lanes, [iterate[i] for i in lanes])):
-            if error is None:
-                advance(i, value)
-            else:
-                errors[i] = error
-                del steps[i]
-    return roots, errors
+    for i, lane in enumerate(lanes):
+        advance(i, lane)
+    while live:
+        ids = list(live)
+        for i, value, error in zip(ids, *f(ids, [xs[i] for i in ids])):
+            advance(i, live.pop(i), value, error)
+    return results, errors
 
 
-def _brent_steps(xpre, xcur, fpre, fcur, xtol):
-    """brentq.c as a generator: it yields each iterate, is sent the function's
-    value there, and returns the root."""
+def brent_steps(xpre, xcur, fpre, fcur, xtol):
+    """brentq.c as a lane of run_lanes: scipy.optimize.brentq's steps on
+    [xpre, xcur], whose ends' values fpre, fcur have opposite signs and are not 0,
+    with rtol 4 eps, returning its root bit for bit. It fails with QuadratureError,
+    value its last iterate, after 100 steps or at a value that is not finite."""
     xblk = fblk = spre = scur = 0.0
     for _ in range(_MAXITER):
         if (fpre < 0.0) != (fcur < 0.0):

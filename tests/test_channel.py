@@ -316,6 +316,17 @@ def test_tail_bounds_call_cond_once_per_engine_call(monkeypatch):
     assert channel.density_average(fm, [], channel.EXACT_WEIGHT, cond) == ([], [])
 
 
+@pytest.mark.parametrize("y_lo", [-0.5, -1.0, math.nan])
+def test_negative_or_nan_cutoff_raises(y_lo):
+    # a cut-off below 0 or nan would keep the lower piece and count the upper
+    # piece's panels below h_hat again: the normalisation read 1.0252, 1.0259
+    # and 0.0260 at these cut-offs, with no error
+    fm = make_fading(0.35, 0.1)
+    with pytest.raises(ValueError, match="y_lo must be >= 0"):
+        channel.density_average(fm, [0.0], channel.EXACT_WEIGHT, lambda h, u: 1.0 + 0 * h,
+                                y_lo=y_lo)
+
+
 def test_composite_expectation_keeps_its_fixed_ends(monkeypatch):
     # composite_expectation passes u = 0, which keeps the fixed ends -700 / g2
     # and y* + 45 sigma for any func, monotone or not, without a probe call:

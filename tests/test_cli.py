@@ -393,16 +393,18 @@ def test_delta_ignores_a_failure_where_its_search_does_not_probe(monkeypatch):
         er.sweep_curve(op, as_average(failing), grid)
 
 
-def test_delta_exact_search_failure_is_one_error_row(monkeypatch):
-    # an exact average that fails where its search probes fails the table, as a
-    # failed exact sweep did: one row holding its error
+def test_delta_exact_search_failure_fails_every_row(monkeypatch):
+    # an exact average that fails where its search probes fails every row, as
+    # a failed exact refinement does: each gap nan with that error
     def failing(op):
         raise er.QuadratureError("exact fails")
 
     monkeypatch.setitem(er.AVERAGES, "exact", as_average(failing))
     code, out = run_cli(["delta", "--expressions", "exact,approx,dense"])
     assert code == 3
-    assert rows_of(out)[1:] == [["", "", "", "", "", "", "exact fails"]]
+    assert [row[3:] for row in rows_of(out)[1:]] == [
+        [f"{name}-vs-exact", "3.840000000000e-03", "nan", "exact fails"]
+        for name in ("approx", "dense")]
 
 
 def test_delta_row_errors_keep_their_order(monkeypatch):

@@ -859,6 +859,18 @@ def test_power_steps_evaluate_all_orders_per_engine_call(monkeypatch):
     assert calls[0] == 10  # one probe of each order M = 2 ... 1024
 
 
+def test_power_solve_lanes_refine_while_others_search(monkeypatch):
+    # each order refines its cell as soon as its own bisection ends, so a round
+    # can probe one order's grid and take another's Brent step in one batch
+    on_grid = {dbm_to_watts(p) for p in errorrates._SCAN_DBM}
+    batches = []
+    monkeypatch.setattr(avg_ser_exact, "batch", lambda op, p, m, batch=avg_ser_exact.batch:
+                        batches.append(set(p)) or batch(op, p, m))
+    steps, errors = power_steps(make_op(*PINK, 2, 0.0), range(1, 10), 1e-3)
+    assert errors == [None] * 9
+    assert any(p & on_grid and p - on_grid for p in batches)
+
+
 def test_power_solve_at_a_zero_average():
     # gamma^2 = 109: the exact SER underflows to 0 well inside the power domain
     op = make_op(0.095, 0.154, 2, 80.0)

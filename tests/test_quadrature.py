@@ -176,8 +176,9 @@ def test_brentq_lanes_match_scipy_bit_for_bit():
         rounds.append(lanes)
         return [_BRENT_CASES[i][0](x) for i, x in zip(lanes, xs)], [None] * len(lanes)
 
-    brackets = [(lo, hi, g(lo), g(hi), xtol) for g, lo, hi, xtol in _BRENT_CASES]
-    roots, errors = quadrature.brentq_lanes(f, brackets)
+    lanes = [quadrature.brent_steps(lo, hi, g(lo), g(hi), xtol)
+             for g, lo, hi, xtol in _BRENT_CASES]
+    roots, errors = quadrature.run_lanes(f, lanes)
     calls, converged = [], []
     for (g, lo, hi, xtol), root, error in zip(_BRENT_CASES, roots, errors):
         expected, result = brentq(g, lo, hi, xtol=xtol, full_output=True, disp=False)
@@ -205,13 +206,66 @@ def test_brentq_lanes_fail_alone():
             errors.append(RuntimeError("lane 2 fails") if i == 2 else None)
         return values, errors
 
-    roots, errors = quadrature.brentq_lanes(f, [(0.0, 3.0, -2.0, 7.0, 1e-12)] * 4)
+    roots, errors = quadrature.run_lanes(
+        f, [quadrature.brent_steps(0.0, 3.0, -2.0, 7.0, 1e-12) for _ in range(4)])
     alone = brentq(lambda x: x * x - 2.0, 0.0, 3.0, xtol=1e-12)
     assert roots[0] == roots[3] == alone
     assert isinstance(errors[1], QuadratureError) and "not finite" in str(errors[1])
     assert str(errors[2]) == "lane 2 fails"
     assert math.isnan(roots[1]) and math.isnan(roots[2])
     assert errors[0] is None and errors[3] is None
+
+
+def test_run_lanes_mix_lanes_and_keep_their_errors():
+    # lanes of any kind share the rounds: a lane that catches a thrown error
+    # goes on, one that lets it through or raises a QuadratureError of its own
+    # fails alone with it, and the rest keep their roots
+    from scipy.optimize import brentq
+
+    def catching():
+        total = 0.0
+        for x in (1.0, 2.0, 3.0):
+            try:
+                total += yield x
+            except RuntimeError:
+                total += 100.0
+        return total
+
+    def passing():
+        yield 1.0
+        yield 2.0
+        return 0.0
+
+    def raising():
+        yield 1.0
+        raise QuadratureError("lane 3 fails")
+
+    rounds = []
+
+    def f(ids, xs):
+        rounds.append(ids)
+        return [x * x - 2.0 for x in xs], [RuntimeError(f"at {x}") if x == 2.0 else None
+                                           for x in xs]
+
+    lanes = [quadrature.brent_steps(0.0, 3.0, -2.0, 7.0, 1e-12), catching(), passing(), raising()]
+    roots, errors = quadrature.run_lanes(f, lanes)
+    assert roots[0] == brentq(lambda x: x * x - 2.0, 0.0, 3.0, xtol=1e-12)
+    assert roots[1] == -1.0 + 100.0 + 7.0 and errors[:2] == [None, None]
+    assert str(errors[2]) == "at 2.0" and isinstance(errors[2], RuntimeError)
+    assert str(errors[3]) == "lane 3 fails" and isinstance(errors[3], QuadratureError)
+    assert math.isnan(roots[2]) and math.isnan(roots[3])
+    assert rounds[:3] == [[0, 1, 2, 3], [0, 1, 2], [0, 1]]
+    assert all(ids == [0] for ids in rounds[3:])
+
+    # an exception f did not report, such as a lane's own bug, is not a
+    # lane's failure: it leaves the driver
+    def buggy():
+        yield 1.0
+        raise TypeError("a bug")
+
+    with pytest.raises(TypeError, match="a bug"):
+        quadrature.run_lanes(lambda ids, xs: (list(xs), [None] * len(xs)),
+                             [quadrature.brent_steps(0.0, 3.0, -2.0, 7.0, 1e-12), buggy()])
 
 
 def test_split_points_with_an_infinite_end_raise():
