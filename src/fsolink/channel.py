@@ -366,26 +366,27 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     each entry of u at once; cond decays on the h-scale 1 / u.
 
     weight is the density's erfc factor as a pair (lower form, upper form),
-    EXACT_WEIGHT or an approximation of it. The integral runs in
+    EXACT_WEIGHT or an approximation of it, called only at the integrand's
+    nodes: the bound pass takes the upper form at v to be at most 1, and at
+    most 1 / (v sqrt(pi)) where v > 0, as erfcx is. The integral runs in
     y = ln(h / h_hat). Below h_hat it is taken against
     e^(log_amp + (g2 + h_power) y) times the lower form at y / sqrt(2 sig2);
     above it, against the Gaussian bump e^(-(y - y*)^2 / (2 sig2) + h_power y)
     times the upper form at y / sqrt(2 sig2). A cut-off y_lo > 0 drops the
     lower piece, whose form then sees no node, and starts the upper one at
-    y_lo; a negative or nan y_lo raises ValueError. The pieces' fixed ends
-    are -700 / (g2 + h_power) and, with s_hat = u h_hat,
+    y_lo; a y_lo that is negative, infinite or nan raises ValueError. The
+    pieces' fixed ends are -700 / (g2 + h_power) and, with s_hat = u h_hat,
     y_cut = ln(ARG_CUTOFF / s_hat), where exp(-(s_hat e^y)^2) underflows,
-    capped at y* + 45 sigma. Where u > 0,
-    cond is taken to be non-negative and monotone in h, and each piece ends
-    sooner, where closed-form bounds put its tail below rel 1e-14 of the
-    integral (the bound pass, below); an entry with u = 0, such as
-    composite_expectation passes, keeps the fixed ends. An entry's initial
-    panels are cut at the points of FadingModel.plan, anchored below h_hat at
-    the conditional's peak w* and above it at y_c = -ln(s_hat), and from a
-    cut-off also at the fixed edges _LADDER, which resolve an upper form
-    that blows up as 1/y there. cond gets the gains as an array, finite also
-    where e^y overflows, and u as a column. Every panel of every entry is
-    integrated in one integrate_panels batch.
+    capped at y* + 45 sigma. Where u > 0, cond is taken to be non-negative
+    and monotone in h, and each piece ends sooner, where closed-form bounds
+    put its tail below rel 1e-14 of the integral (the bound pass, below); an
+    entry with u = 0, such as composite_expectation passes, keeps the fixed
+    ends. An entry's initial panels are cut at the points of FadingModel.plan,
+    anchored below h_hat at the conditional's peak w* and above it at
+    y_c = -ln(s_hat), and from a cut-off also at the fixed edges _LADDER,
+    which resolve an upper form that blows up as 1/y there. cond gets the
+    gains as an array, finite also where e^y overflows, and u as a column.
+    Every panel of every entry is integrated in one integrate_panels batch.
 
     Returns (values, errors): errors[i] is None, or the QuadratureError of
     entry i, whose value is then nan, and whose error estimate counts the
@@ -418,8 +419,8 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     # Each tail left out adds its bound, at most _TAIL_REL times the floor, to
     # the entry's bound. cond is read as at least _COND_MIN, and as inf where
     # it is nan, which keeps every tail it bounds.
-    if not y_lo >= 0.0:  # false for nan too
-        raise ValueError(f"the cut-off y_lo must be >= 0, not {y_lo}")
+    if not 0.0 <= y_lo < inf:  # false for nan too
+        raise ValueError(f"the cut-off y_lo must be >= 0 and finite, not {y_lo}")
     u = np.array(u, dtype=float)
     w_low, w_high = weight
     g2, sig2, h_hat, log_amp, y_star, sqrt2s, y_top = (
@@ -436,13 +437,13 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     low_log = log_amp + log(2.0 / rate) - _LOG_TAIL_REL
     # the bump e^(-(y - y*)^2 / (2 sig2) + h_power y) is e^(k - (y - m)^2 / (2 sig2));
     # k_log is k - ln _TAIL_REL, and bump_log adds the log of its integral over
-    # sigma, sqrt(pi / 2). The upper form's envelope, log_env, is its value at y_lo,
-    # its largest on the upper piece, and sqrt(2 sig2) / (sqrt(pi) y) bounds it at y,
-    # log_scale being the log of that numerator
+    # sigma, sqrt(pi / 2). The upper form is at most 1, and at most e^log_scale / y at y > 0:
+    # log_env bounds its log on the upper piece, by 0 from h_hat and log_scale - ln y_lo above
     k_log = h_power * y_star + h_power * h_power * sig2 / 2.0 - _LOG_TAIL_REL
     bump_log = k_log + log(sigma * sqrt(math.pi / 2.0))
     m, s_sqrt2, inv_2sig2 = y_star + h_power * sig2, sigma * sqrt(2.0), 0.5 / sig2
-    log_scale, log_env = log(sqrt2s / _SQRT_PI), log(float(w_high(y_lo / sqrt2s)))
+    log_scale = log(sqrt2s / _SQRT_PI)
+    log_env = log_scale - log(y_lo) if y_lo > 0.0 else 0.0
     mask, points = PLAN_MASK, fm.plan
     if y_lo > 0.0:
         mask, points = _LADDER_MASK, np.concatenate([points, _LADDER], axis=2)
@@ -494,42 +495,38 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
                 up = (log(2.0 * (yu1 - yu0) / (_SQRT_PI * (v + sqrt(v * v + 2.0))))
                       + (e0 if e0 < e1 else e1) + (l_u0 if l_u0 < l_u1 else l_u1))
                 floor = up if up > floor else floor
-        if not -inf < floor < inf:
-            lowers += -w_end, y_lo
-            uppers += 0.0, y_up
-            tails.append(0.0)
-            continue
         w_top, w_bot, y_bot, top, cuts = 0.0, w_end, y_lo, y_up, 0
-        c = l_far if l_far > l_lo else l_lo
-        if w_end > 0.0 and c < inf:
-            w = (low_log + c - floor) / rate
-            if w < w_end:
-                w_bot, cuts = (w if w > 0.0 else 0.0), 1
-        for start, l_start in ((yu1, l_u1), (y_2, l_2), (y_3, l_3)):  # ascending
-            if start >= top:
-                break
-            c = l_start if l_start > l_up else l_up
-            if not c < inf:
-                continue
-            env = log_scale - log(start) if start > 0.0 else log_env
-            r = c + (env if env < log_env else log_env) + bump_log - floor
-            if start >= 0.0:
-                end = start if r <= -_LN2 else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
-                top = start if end < start else end if end < top else top
-            elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= -_LN2
-                  and (y_up <= y_lo or r <= -2.0 * _LN2)):
-                top, w_top = y_lo, -start
-        cuts += top < y_up
-        c = l_lo if l_lo > l_u0 else l_u0
-        if yu0 > y_lo and c < inf:
-            foot = log_env + log(yu0 - y_lo)
-            if y_lo > 0.0:
-                x = log_scale + log(log(yu0 / y_lo))
-                foot = x if x < foot else foot
-            r = c + foot + k_log - floor
-            bottom = yu0 if r <= 0.0 else m - s_sqrt2 * sqrt(r)
-            if y_lo < bottom:
-                y_bot, cuts = (bottom if bottom < yu0 else yu0), cuts + 1
+        if -inf < floor < inf:  # else the entry keeps its fixed ends
+            c = l_far if l_far > l_lo else l_lo
+            if w_end > 0.0 and c < inf:
+                w = (low_log + c - floor) / rate
+                if w < w_end:
+                    w_bot, cuts = (w if w > 0.0 else 0.0), 1
+            for start, l_start in ((yu1, l_u1), (y_2, l_2), (y_3, l_3)):  # ascending
+                if start >= top:
+                    break
+                c = l_start if l_start > l_up else l_up
+                if not c < inf:
+                    continue
+                env = log_scale - log(start) if start > 0.0 else log_env
+                r = c + (env if env < log_env else log_env) + bump_log - floor
+                if start >= 0.0:
+                    end = start if r <= -_LN2 else m if r <= 0.0 else m + s_sqrt2 * sqrt(r)
+                    top = start if end < start else end if end < top else top
+                elif (w_end > 0.0 and -start > w_top and low_log + c - floor <= -_LN2
+                      and (y_up <= y_lo or r <= -2.0 * _LN2)):
+                    top, w_top = y_lo, -start
+            cuts += top < y_up
+            c = l_lo if l_lo > l_u0 else l_u0
+            if yu0 > y_lo and c < inf:
+                foot = log_env + log(yu0 - y_lo)
+                if y_lo > 0.0:
+                    x = log_scale + log(log(yu0 / y_lo))
+                    foot = x if x < foot else foot
+                r = c + foot + k_log - floor
+                bottom = yu0 if r <= 0.0 else m - s_sqrt2 * sqrt(r)
+                if y_lo < bottom:
+                    y_bot, cuts = (bottom if bottom < yu0 else yu0), cuts + 1
         lowers += -w_bot, y_bot
         uppers += -w_top, top
         tails.append(cuts * _TAIL_REL * exp(floor) if cuts else 0.0)

@@ -383,8 +383,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        return COMMANDS[args.command](cfg, op, args, sink)
+    try:  # a non-finite average is its row's error, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return COMMANDS[args.command](cfg, op, args, sink)
     finally:
         if sink is not sys.stdout:
             sink.close()

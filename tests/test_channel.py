@@ -316,15 +316,27 @@ def test_tail_bounds_call_cond_once_per_engine_call(monkeypatch):
     assert channel.density_average(fm, [], channel.EXACT_WEIGHT, cond) == ([], [])
 
 
-@pytest.mark.parametrize("y_lo", [-0.5, -1.0, math.nan])
+@pytest.mark.parametrize("y_lo", [-0.5, -1.0, math.nan, math.inf])
 def test_negative_or_nan_cutoff_raises(y_lo):
     # a cut-off below 0 or nan would keep the lower piece and count the upper
     # piece's panels below h_hat again: the normalisation read 1.0252, 1.0259
-    # and 0.0260 at these cut-offs, with no error
+    # and 0.0260 at the first three cut-offs, with no error; an infinite one
+    # leaves no integral
     fm = make_fading(0.35, 0.1)
     with pytest.raises(ValueError, match="y_lo must be >= 0"):
         channel.density_average(fm, [0.0], channel.EXACT_WEIGHT, lambda h, u: 1.0 + 0 * h,
                                 y_lo=y_lo)
+
+
+def test_upper_forms_keep_the_bound_pass_envelope():
+    # the bound pass reads no weight: it takes each upper form to be at most 1,
+    # and at most 1 / (v sqrt(pi)) at v > 0. The forms used from h_hat are 1 at 0
+    v = np.concatenate([np.linspace(0.0, 10.0, 10_001)[1:], np.logspace(1.0, 6.0, 5_001)])
+    for _, upper in (channel.EXACT_WEIGHT, errorrates._PIECEWISE):
+        assert float(upper(0.0)) == 1.0
+        assert np.all(upper(v) <= 1.0)
+    for _, upper in (channel.EXACT_WEIGHT, errorrates._PIECEWISE, errorrates._SIMPLE_TAIL):
+        assert np.all(upper(v) <= 1.0 / (v * math.sqrt(math.pi)))
 
 
 def test_composite_expectation_keeps_its_fixed_ends(monkeypatch):

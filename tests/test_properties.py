@@ -4,17 +4,20 @@ transmit power in [-30, 80] dBm and target SER log-uniform in [1e-9, 0.3];
 the normalisation, the power solve, the engine against the nested oracle,
 the approximations against the exact SER, and symbol-level Monte Carlo
 against the exact SER, also over sigma_s in [0.01, 100] m and Rytov variance
-down to 1e-8."""
+down to 1e-8; and every command line over every RunConfig field."""
 
+import contextlib
+import csv
+import io
 import math
 import statistics
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fsolink import quadrature
+from fsolink import cli, quadrature
 from fsolink.channel import composite_expectation, dbm_to_watts, flush_subnormal
 from fsolink.errorrates import (NoCrossingError, _powers_at_target, averages_at_powers, avg_ber_exact,
                                 avg_ser_approx, avg_ser_dense, avg_ser_exact)
@@ -202,3 +205,71 @@ def test_monte_carlo_matches_exact_ser_over_wide_domain(s, r, m, p, seed):
     ber = avg_ber_exact(op)
     z = (est.ber_hat - ber) / math.sqrt(ber / n)
     assert abs(z) <= 4.5, (z, est.bit_errors, ber)
+
+
+# RunConfig's geometry and noise flags: a draw sets up to three of them
+# log-uniform over 1e-300 ... 1e200, and the rest keep their defaults
+GEOMETRY_FLAGS = ("wavelength_nm", "link_distance_km", "divergence_mrad", "aperture_radius_m",
+                  "alpha_w_per_a", "beta_a_per_w", "noise_sigma_a", "attenuation_per_km")
+
+
+@st.composite
+def command_lines(draw):
+    """A command and a value for every RunConfig field, each flag as --key=value,
+    as a negative number in e-notation needs. The expressions are those M
+    accepts: ook_simple at M > 2 is refused before any average runs."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    flags = {name: draw(log_uniform(-300.0, 200.0))
+             for name in draw(st.lists(st.sampled_from(GEOMETRY_FLAGS), max_size=3, unique=True))}
+    flags[draw(st.sampled_from(("jitter_sigma_m", "jitter_angle_mrad")))] = draw(
+        log_uniform(-3.0, 3.0))
+    m = draw(order)
+    names = sorted(cli.EXPRESSIONS) if m == 2 else sorted(set(cli.EXPRESSIONS) - {"ook_simple"})
+    p_min = draw(st.floats(-40.0, 90.0))
+    flags.update(rytov_variance=draw(log_uniform(-8.0, 0.1)), p_dbm_min=p_min,
+                 p_dbm_max=p_min + draw(st.floats(0.0, 30.0)),
+                 p_dbm_step=draw(st.floats(0.5, 30.0)),
+                 modulation_m=m, n_symbols=draw(st.integers(1, 3000)),
+                 seed=draw(st.integers(0, 2**64 - 1)),
+                 expressions=",".join(draw(st.lists(st.sampled_from(names), min_size=1,
+                                                    unique=True))),
+                 ber_threshold=draw(log_uniform(-12.0, 0.0)),
+                 ser_threshold=draw(log_uniform(-12.0, 0.0)),
+                 h_min=draw(log_uniform(-300.0, 0.0)), h_max=draw(log_uniform(-300.0, 0.0)),
+                 h_points=draw(st.integers(1, 50)))
+    argv = [command] + [f"--{key}={value}" for key, value in flags.items()]
+    if command == "power-step":
+        m_min = draw(st.integers(1, 9))
+        argv += [f"--target-ser={draw(target_ser)}", f"--m-min={m_min}",
+                 f"--m-max={draw(st.integers(m_min, 9))}"]
+    return argv
+
+
+@settings(DOMAIN, max_examples=100)
+@given(command_lines())
+# z z overflows in the erfc forms at z = 1e200: exit 0, with no numpy warning
+@example(["sweep", "--alpha_w_per_a=6.339655802393259e+199",
+          "--rytov_variance=0.0005693873615969408", "--jitter_sigma_m=1.2169064566752255",
+          "--modulation_m=2", "--p_dbm_min=-33.37792067202231",
+          "--p_dbm_max=-26.784462942141587", "--p_dbm_step=5",
+          "--expressions=exact,ook_simple,approx"])
+# the one-term tail overflows where the signal is nil: exit 3, with no numpy warning
+@example(["sweep", "--alpha_w_per_a=1e-300", "--modulation_m=2", "--p_dbm_min=-35",
+          "--p_dbm_max=-30", "--p_dbm_step=5", "--expressions=exact,ook_simple,approx"])
+def test_command_line_refuses_fails_loudly_or_prints_clean_numbers(argv):
+    # run under the suite's error::RuntimeWarning filter, so a numpy warning escapes
+    # as an exception
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        header, *rows = csv.reader(io.StringIO(out.getvalue()))
+        for row in rows:
+            for name, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:  # a text cell, such as delta's pair
+                    continue
+                assert math.isfinite(value), (name, cell)
+                assert name != "exact" or 0.0 <= value <= 1.0, cell
