@@ -199,6 +199,13 @@ def power_error(p_watts: float) -> ValueError | None:
     return None
 
 
+def order_error(m: int) -> ValueError | None:
+    """The error of a modulation order that is not a power of two from 2 to 1024, or None."""
+    if not 2 <= m <= 1024 or (m & (m - 1)) != 0:
+        return ValueError("modulation order must be a power of two from 2 to 1024")
+    return None
+
+
 @dataclass(frozen=True)
 class OperatingPoint:
     """Everything an average error-rate computation needs."""
@@ -209,10 +216,7 @@ class OperatingPoint:
     transmit_power_p: float  # W
 
     def __post_init__(self):
-        m = self.modulation_order_m
-        if not 2 <= m <= 1024 or (m & (m - 1)) != 0:
-            raise ValueError("modulation order must be a power of two from 2 to 1024")
-        error = power_error(self.transmit_power_p)
+        error = order_error(self.modulation_order_m) or power_error(self.transmit_power_p)
         if error is not None:
             raise error
         if self.fading.geometry is not self.geometry and self.fading.geometry != self.geometry:
@@ -374,8 +378,9 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
     above it, against the Gaussian bump e^(-(y - y*)^2 / (2 sig2) + h_power y)
     times the upper form at y / sqrt(2 sig2). A cut-off y_lo > 0 drops the
     lower piece, whose form then sees no node, and starts the upper one at
-    y_lo; a y_lo that is negative, infinite or nan raises ValueError. The
-    pieces' fixed ends are -700 / (g2 + h_power) and, with s_hat = u h_hat,
+    y_lo; a y_lo that is negative, infinite or nan raises ValueError, as does
+    an entry of u that is negative or nan. The pieces' fixed ends are
+    -700 / (g2 + h_power) and, with s_hat = u h_hat,
     y_cut = ln(ARG_CUTOFF / s_hat), where exp(-(s_hat e^y)^2) underflows,
     capped at y* + 45 sigma. Where u > 0, cond is taken to be non-negative
     and monotone in h, and each piece ends sooner, where closed-form bounds
@@ -458,6 +463,8 @@ def density_average(fm: FadingModel, u, weight, cond, h_power: float = 0.0,
         s_hat = x * h_hat
         if 0.0 < s_hat < inf:
             y_c, y_up = -log(s_hat), log(ARG_CUTOFF / s_hat)
+        elif not x >= 0.0:  # true for nan too
+            raise ValueError(f"each entry of u must be >= 0, not {x}")
         else:
             y_c, y_up = (-800.0, -inf) if s_hat == inf else (800.0, inf)
         # the lower piece is probed on [yl0, yl1]: low, the log of that panel's width

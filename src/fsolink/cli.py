@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import errorrates as er
-from .channel import (FadingModel, LinkGeometry, OperatingPoint, dbm_to_watts,
+from .channel import (FadingModel, LinkGeometry, OperatingPoint, dbm_to_watts, order_error,
                       pdf_composite, snr_electrical, snr_optical)
 from .montecarlo import McConfig, simulate_powers
 
@@ -73,7 +73,7 @@ class RunConfig:
         if (self.jitter_sigma_m is None) == (self.jitter_angle_mrad is None):
             raise ConfigError(_ONE_JITTER)
         m = self.modulation_m
-        if not 2 <= m <= 1024 or (m & (m - 1)) != 0:
+        if order_error(m) is not None:
             raise ConfigError("modulation_m must be a power of two from 2 to 1024")
         sweep = (self.p_dbm_min, self.p_dbm_max, self.p_dbm_step)
         if (not all(math.isfinite(v) for v in sweep)
@@ -222,30 +222,24 @@ def _fmt_db(x: float) -> str:
     return "%.4f" % x
 
 
-def _write_rows(out, header, rows):
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _exit_code(rows) -> int:
-    """EXIT_NUMERIC if any row's last column, its error, is set, else EXIT_OK."""
-    return EXIT_NUMERIC if any(row[-1] for row in rows) else EXIT_OK
+def _cells(value, error, fmt) -> list[str]:
+    """A result's value cell and error cell: fmt(value) and "", or "nan" and the error's text."""
+    return [fmt(value), ""] if error is None else ["nan", str(error)]
 
 
 # ---------------------------------------------------------------------------
-# subcommands, each (cfg, op, args, out) -> exit code
+# subcommands, each (cfg, op, args) -> (header, rows), rows the lists of a
+# row's cells. A last column named error or errors is the row's error
 
-def cmd_pdf(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
+def cmd_pdf(cfg: RunConfig, op: OperatingPoint, args):
     grid = np.logspace(math.log10(cfg.h_min), math.log10(cfg.h_max), cfg.h_points)
     # 10^log10(h) may round below h, and below the smallest normal double
     grid = np.maximum(grid, min(cfg.h_min, cfg.h_max))
     rows = [[_fmt_prob(h), _fmt_prob(p)] for h, p in zip(grid, pdf_composite(grid, op.fading))]
-    _write_rows(out, ["h", "pdf"], rows)
-    return EXIT_OK
+    return ["h", "pdf"], rows
 
 
-def cmd_sweep(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
+def cmd_sweep(cfg: RunConfig, op: OperatingPoint, args):
     grid = cfg.power_grid()
     watts = [dbm_to_watts(p) for p in grid]
     names = list(cfg.expressions)
@@ -264,11 +258,10 @@ def cmd_sweep(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
                 errs.append(f"{name}: {errors[i]}")
         row.append("; ".join(errs))
         rows.append(row)
-    _write_rows(out, header, rows)
-    return _exit_code(rows)
+    return header, rows
 
 
-def cmd_delta(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
+def cmd_delta(cfg: RunConfig, op: OperatingPoint, args):
     grid = cfg.power_grid()
     threshold = cfg.ber_threshold if cfg.modulation_m == 2 else cfg.ser_threshold
     header = ["jitter_sigma_m", "rytov_variance", "m", "pair", "threshold", "delta_db",
@@ -277,34 +270,22 @@ def cmd_delta(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
     # every crossing searched and refined in lockstep; a row's own error first
     gaps = er.delta_gaps_on_grid(op, er.AVERAGES["exact"], [er.AVERAGES[n] for n in names],
                                  grid, threshold)
-    rows = []
-    for name, d, error in zip(names, *gaps):
-        row = [f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
-               f"{name}-vs-exact", _fmt_prob(threshold)]
-        if error is None:
-            row += [_fmt_db(d), ""]
-        else:
-            row += ["nan", str(error)]
-        rows.append(row)
-    _write_rows(out, header, rows)
-    return _exit_code(rows)
+    rows = [[f"{cfg.jitter_m:g}", f"{cfg.rytov_variance:g}", str(cfg.modulation_m),
+             f"{name}-vs-exact", _fmt_prob(threshold), *_cells(d, error, _fmt_db)]
+            for name, d, error in zip(names, *gaps)]
+    return header, rows
 
 
-def cmd_power_step(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
+def cmd_power_step(cfg: RunConfig, op: OperatingPoint, args):
     header = ["m", "delta_p_db", "error"]
-    rows = []
     m_range = range(args.m_min, args.m_max + 1)
-    for m, d, error in zip(m_range, *er.power_steps(op, m_range, args.target_ser)):
-        if error is None:
-            rows.append([str(m), _fmt_db(d), ""])
-        else:
-            rows.append([str(m), "nan", str(error)])
+    rows = [[str(m), *_cells(d, error, _fmt_db)]
+            for m, d, error in zip(m_range, *er.power_steps(op, m_range, args.target_ser))]
     rows.append(["dense_reference", _fmt_db(10.0 * math.log10(2.0)), ""])
-    _write_rows(out, header, rows)
-    return _exit_code(rows)
+    return header, rows
 
 
-def cmd_mc(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
+def cmd_mc(cfg: RunConfig, op: OperatingPoint, args):
     grid = cfg.power_grid()
     header = ["p_dbm", "m", "ser_hat", "ber_hat", "symbol_errors", "bit_errors",
               "n_symbols", "ci95_ser", "ci95_ber", "seed"]
@@ -320,8 +301,7 @@ def cmd_mc(cfg: RunConfig, op: OperatingPoint, args, out) -> int:
                      str(est.n_symbols),
                      _fmt_prob(est.ci95_ser), _fmt_prob(est.ci95_ber),
                      str(cfg.seed)])
-    _write_rows(out, header, rows)
-    return EXIT_OK
+    return header, rows
 
 
 # the subcommands by name, in the order the help lists them
@@ -390,10 +370,16 @@ def main(argv=None) -> int:
 
     try:  # a non-finite average is its row's error, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return COMMANDS[args.command](cfg, op, args, sink)
+            header, rows = COMMANDS[args.command](cfg, op, args)
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     finally:
         if sink is not sys.stdout:
             sink.close()
+    # exit 3 where a command's last column is its error column and a row sets it
+    failed = header[-1] in ("error", "errors") and any(row[-1] for row in rows)
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 if __name__ == "__main__":

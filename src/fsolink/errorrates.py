@@ -28,7 +28,7 @@ import numpy as np
 
 from . import quadrature
 from .channel import (EXACT_WEIGHT, OperatingPoint, dbm_to_watts, density_average,
-                      flush_subnormal, power_error, single_value)
+                      flush_subnormal, order_error, power_error, single_value)
 from .quadrature import QuadratureError
 from .specfun import (erfc, erfc_piecewise_negative, erfc_piecewise_positive,
                       erfc_simple_tail, erfcx_piecewise_approx, erfcx_simple_tail,
@@ -47,9 +47,10 @@ def _gray_ber_terms(m_order: int):
     Trans. Commun. 50(7), 2002): level j is taken for i, d = |i - j| > 0 away, with probability
     (erfc((2d - 1) t) - erfc((2d + 1) t)) / 2, the second term absent at an outer i, at the
     cost of the Hamming distance of their Gray words, summed in total by d. Raises
-    ValueError for an M that is not a power of two from 2 to 1024."""
-    if not 2 <= m_order <= 1024 or m_order & (m_order - 1):
-        raise ValueError("conditional BER needs M a power of two from 2 to 1024")
+    the ValueError of channel.order_error for an order it refuses."""
+    error = order_error(m_order)
+    if error is not None:
+        raise error
     level = np.arange(m_order)
     bits = np.bitwise_count((level ^ level >> 1) ^ (level ^ level >> 1)[:, None])
     total = np.bincount(np.abs(level - level[:, None]).ravel(), bits.ravel(), m_order + 1)
@@ -87,15 +88,19 @@ def _gray_chunk(terms, t):
     return np.add.reduce(coeffs[:n, None] * erfc(np.multiply.outer(mults[:n], t)), axis=0)
 
 
-def _u(op: OperatingPoint, p_watts, scales) -> list[float]:
+def _u(op: OperatingPoint, p_watts, orders, dense: bool = False) -> list[float]:
     """The conditional erfc argument per unit gain, eta P / sqrt(2 sigma_n^2) /
-    scale, at each transmit power P and its scale, the M - 1 or M the conditional
-    divides it by. Every batch starts here: a P power_error refuses raises its error."""
+    scale, at each transmit power P and order M, the scale M - 1, or M for the
+    dense forms. Every batch starts here: an M order_error refuses, or a P
+    power_error refuses, raises its error, as OperatingPoint does."""
+    for error in map(order_error, set(orders)):
+        if error is not None:
+            raise error
     for error in map(power_error, p_watts):
         if error is not None:
             raise error
     eta, sqrt_2var = op.geometry.eta, op.geometry.sqrt_2var
-    return [eta * p / sqrt_2var / scale for p, scale in zip(p_watts, scales)]
+    return [eta * p / sqrt_2var / (m if dense else m - 1) for p, m in zip(p_watts, orders)]
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,7 @@ def _avg_ser_pointing_integrated(op: OperatingPoint) -> float:
     fm, m_order = op.fading, op.modulation_order_m
     g2, sigma = fm.g2, math.sqrt(fm.sigma2)
     s = (g2 + 1.0) / 2.0
-    (u,) = _u(op, [op.transmit_power_p], [m_order - 1])
+    (u,) = _u(op, [op.transmit_power_p], [m_order])
     log_a0 = math.log(u * fm.hg_hl * fm.kappa) + fm.delta
     log_gamma_s = float(gammaln(s))
 
@@ -167,7 +172,7 @@ def _ser(op, p_watts, orders, weight, erfc_form):
     of erfc_form is multiplied by its coefficient (M - 1) / M, so an entry's
     value does not depend on the orders of the others; a product below the
     smallest normal double is 0."""
-    u = _u(op, p_watts, [m - 1 for m in orders])
+    u = _u(op, p_watts, orders)
     values, errors = density_average(op.fading, u, weight, lambda h, u: erfc_form(u * h))
     return [flush_subnormal((m - 1) / m * v) for m, v in zip(orders, values)], errors
 
@@ -217,7 +222,7 @@ def _avg_ber_ook_approx_piecewise(op, p_watts, orders):
 
 def _avg_ser_dense(op, p_watts, orders):
     """Dense-constellation SER approximation (M - 1 replaced by M)."""
-    return density_average(op.fading, _u(op, p_watts, orders), _PIECEWISE,
+    return density_average(op.fading, _u(op, p_watts, orders, dense=True), _PIECEWISE,
                            lambda h, u: erfc_piecewise_positive(u * h))
 
 
@@ -227,7 +232,7 @@ def _avg_ser_dense_highpower(op, p_watts, orders):
         raise ValueError("high-power dense form requires gamma^2 > 1")
     # the positive erfc branch without its 4/pi guard is exp(-s^2) / (s sqrt(pi)),
     # s = u h, whose 1/h is carried as h_power = -1
-    return density_average(op.fading, _u(op, p_watts, orders), _PIECEWISE,
+    return density_average(op.fading, _u(op, p_watts, orders, dense=True), _PIECEWISE,
                            lambda h, u: np.exp(-(u * h) ** 2) / (u * _SQRT_PI), h_power=-1.0)
 
 
@@ -245,8 +250,7 @@ def _avg_ber_ook_approx_simple(op, p_watts, orders):
     that term is 95 % of the value, and at -10 dBm the value is 4.49, above
     1; where log_amp <= -60 the term is at most about rel 1e-13 of it.
     """
-    _require_ook(orders)
-    return density_average(op.fading, _u(op, p_watts, [1.0] * len(p_watts)), _SIMPLE_TAIL,
+    return density_average(op.fading, _u(op, p_watts, _require_ook(orders)), _SIMPLE_TAIL,
                            lambda h, u: 0.5 * erfc_simple_tail(u * h), y_lo=math.log1p(1e-12))
 
 
@@ -254,11 +258,12 @@ def _avg_ber_exact(op, p_watts, orders):
     """Exact average BER of Gray-mapped M-PAM: the conditional BER's sum,
     _gray_ber, averaged with the density weight of the exact SER. Its terms
     depend on M, so each distinct order of orders is one engine call."""
+    u = _u(op, p_watts, orders)
     values, errors = [math.nan] * len(orders), [None] * len(orders)
     for m, terms in {m: _gray_ber_terms(m) for m in orders}.items():
         ks = [k for k, order in enumerate(orders) if order == m]
-        results = density_average(op.fading, _u(op, [p_watts[k] for k in ks], [m - 1] * len(ks)),
-                                  EXACT_WEIGHT, lambda h, u: _gray_ber(terms, u * h))
+        results = density_average(op.fading, [u[k] for k in ks], EXACT_WEIGHT,
+                                  lambda h, u: _gray_ber(terms, u * h))
         for k, value, error in zip(ks, *results):
             values[k], errors[k] = value, error
     return values, errors

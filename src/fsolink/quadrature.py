@@ -17,13 +17,12 @@ import math
 
 import numpy as np
 
-try:  # einsum, bincount and count_nonzero without the __array_function__
-    # dispatch, which costs up to a microsecond a call, as much as a small
-    # call's work
-    from numpy._core.multiarray import (bincount as _bincount, c_einsum as _einsum,
-                                        count_nonzero as _count_nonzero)
+try:  # einsum and count_nonzero without the __array_function__ dispatch, which
+    # costs up to a microsecond a call, as much as a small call's work. The
+    # private module's bincount is np.bincount itself, dispatch included
+    from numpy._core.multiarray import c_einsum as _einsum, count_nonzero as _count_nonzero
 except ImportError:  # pragma: no cover - a numpy that moves its private module
-    _bincount, _einsum, _count_nonzero = np.bincount, np.einsum, np.count_nonzero
+    _einsum, _count_nonzero = np.einsum, np.count_nonzero
 
 
 class QuadratureError(RuntimeError):
@@ -258,13 +257,13 @@ def integrate_panels(f, lo, hi, owner, n_owners):
     val, err = _gk21(f, lo, hi, owner)
     while True:
         # a finished integral's panels stay, summed again in the same order
-        total, estimate = _bincount(owner, val, n_owners), _bincount(owner, err, n_owners)
+        total, estimate = np.bincount(owner, val, n_owners), np.bincount(owner, err, n_owners)
         ok = np.isfinite(total + estimate)
         tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
         busy = ok & (estimate > tol)
         if not _count_nonzero(busy):
             return total, estimate, ok
-        count = _bincount(owner, minlength=n_owners)
+        count = np.bincount(owner, minlength=n_owners)
         ok &= ~busy | (count <= _MAX_PANELS)
         busy = (busy & ok)[owner]
         cut = busy & (err * count[owner] > tol[owner])

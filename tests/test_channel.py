@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fsolink import channel, errorrates, quadrature
+from fsolink import channel, errorrates, quadrature, specfun
 from fsolink.channel import (BLOCK, FadingModel, OperatingPoint,
                              composite_expectation, dbm_to_watts,
                              mean_symbol_power_sq, moment_composite,
@@ -137,7 +137,7 @@ def test_noise_scale_reads_the_checked_two_sigma_squared():
     op = make_op(0.35, 0.1, 4, 0.0, make_geometry(noise_sigma_n=s))
     assert op.geometry.sqrt_2var == math.sqrt(2.0 * s * s)
     p = op.transmit_power_p
-    assert errorrates._u(op, [p], [3]) == [op.geometry.eta * p / math.sqrt(2.0 * s * s) / 3]
+    assert errorrates._u(op, [p], [4]) == [op.geometry.eta * p / math.sqrt(2.0 * s * s) / 3]
 
 
 def test_one_gamma_squared():
@@ -326,6 +326,25 @@ def test_negative_or_nan_cutoff_raises(y_lo):
     with pytest.raises(ValueError, match="y_lo must be >= 0"):
         channel.density_average(fm, [0.0], channel.EXACT_WEIGHT, lambda h, u: 1.0 + 0 * h,
                                 y_lo=y_lo)
+
+
+@pytest.mark.parametrize("u", [-1.0, -1e3, math.nan])
+def test_negative_or_nan_entry_raises(u):
+    # an entry u < 0 is no erfc argument per unit gain: with the exact weight
+    # and cond = erfc(u h) the average read 1.0007 at u = -1 and 1.5994 at
+    # -1e3, with no error, and u = nan failed its quadrature after a numpy
+    # warning. u = inf stays an entry, whose average is 0
+    fm = make_fading(0.35, 0.1)
+
+    def cond(h, u):
+        return specfun.erfc(u * h)
+
+    for entries in ([u], [1.0, u]):
+        with pytest.raises(ValueError, match="each entry of u must be >= 0"):
+            channel.density_average(fm, entries, channel.EXACT_WEIGHT, cond)
+    with np.errstate(invalid="ignore"):  # cond's own inf * 0 at a zero gain
+        assert channel.density_average(fm, [math.inf], channel.EXACT_WEIGHT, cond) == (
+            [0.0], [None])
 
 
 def test_upper_forms_keep_the_bound_pass_envelope():

@@ -216,6 +216,38 @@ def test_delta_no_crossing_reports_and_exit_code():
     assert rows[1][6] != ""
 
 
+_SMALL_RUN = ["--p_dbm_min", "0", "--p_dbm_max", "2", "--n_symbols", "1000",
+              "--h_points", "3", "--expressions", "exact,approx"]
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_each_command_returns_its_header_and_rows(name, tmp_path, capsys):
+    # a command takes no sink and writes nothing: main writes its header and
+    # rows, the same bytes to stdout and to --out, with the same exit code
+    argv = [name, *_SMALL_RUN] + (["--target-ser", "1e-3", "--m-max", "2"]
+                                  if name == "power-step" else [])
+    args = cli.build_parser().parse_args(argv)
+    cfg = load_config(None, cli._collect_overrides(args))
+    header, rows = cli.COMMANDS[name](cfg, cfg.operating_point(), args)
+    assert capsys.readouterr() == ("", "")
+    code, out = run_cli(argv)
+    assert rows_of(out) == [header, *rows]
+    path = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(path)]) == code
+    assert path.read_text() == out
+
+
+def test_exit_code_reads_only_an_error_column():
+    # exit 3 needs a set error column, as a failing delta row sets it (see
+    # test_delta_no_crossing_reports_and_exit_code). The last cells of mc and
+    # pdf, the seed and the density, are set in every row, yet they exit 0
+    for name in ("mc", "pdf"):
+        code, out = run_cli([name, *_SMALL_RUN])
+        rows = rows_of(out)
+        assert code == 0 and rows[0][-1] in ("seed", "pdf")
+        assert all(row[-1] for row in rows[1:])
+
+
 def test_power_step_rows():
     code, out = run_cli(["power-step", "--target-ser", "1e-3",
                          "--m-min", "1", "--m-max", "2"])

@@ -113,7 +113,7 @@ def test_gray_ber_stops_early_bit_for_bit():
     # the exact M = 1024 BER average equals the engine's with the full sum
     for p in (0.0, 20.0, 40.0):
         op = make_op(*PINK, 1024, p)
-        u = errorrates._u(op, [op.transmit_power_p], [1023])
+        u = errorrates._u(op, [op.transmit_power_p], [1024])
         full = channel.single_value(channel.density_average(
             op.fading, u, channel.EXACT_WEIGHT, lambda h, u: _full_gray_ber(terms, u * h)))
         assert avg_ber_exact(op) == full
@@ -382,7 +382,7 @@ def test_ook_simple_is_defined_by_its_cutoff():
         for p_dbm in (-10.0, 0.0, 10.0, 20.0):
             op = make_op(*point, 2, p_dbm)
             fm = op.fading
-            (u,) = errorrates._u(op, [op.transmit_power_p], [1.0])
+            (u,) = errorrates._u(op, [op.transmit_power_p], [2])
 
             def value(y_lo):
                 return channel.single_value(channel.density_average(
@@ -403,7 +403,7 @@ def _ook_simple_with(upper, y_lo):
     """ook_simple's one-power average with the upper form upper from the
     cut-off y_lo."""
     def average(op):
-        (u,) = errorrates._u(op, [op.transmit_power_p], [1.0])
+        (u,) = errorrates._u(op, [op.transmit_power_p], [2])
         return channel.single_value(channel.density_average(
             op.fading, [u], (specfun.erfc_simple_tail, upper),
             lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h), y_lo=y_lo))
@@ -417,7 +417,7 @@ def test_single_tail_pair_from_the_cutoff_is_ook_simple():
     weight = (specfun.erfc_simple_tail, specfun.erfcx_simple_tail)
     for p_dbm in (-10.0, 0.0, 10.0, 20.0):
         op = make_op(*PINK, 2, p_dbm)
-        (u,) = errorrates._u(op, [op.transmit_power_p], [1.0])
+        (u,) = errorrates._u(op, [op.transmit_power_p], [2])
         value = channel.single_value(channel.density_average(
             op.fading, [u], weight, lambda h, u: 0.5 * specfun.erfc_simple_tail(u * h),
             y_lo=math.log1p(1e-12)))
@@ -530,7 +530,7 @@ def test_highpower_lower_piece_runs_to_its_own_decay(g2):
     # piecewise density times exp(-s^2) / (s sqrt(pi)), s = u h
     op = make_op(math.sqrt(make_geometry().wz_hat_sq / g2) / 2.0, 0.1, 4, 20.0)
     fm = op.fading
-    (u,) = errorrates._u(op, [op.transmit_power_p], [4])
+    (u,) = errorrates._u(op, [op.transmit_power_p], [4], dense=True)
 
     def lower(y):
         s = u * fm.h_hat * math.exp(y)
@@ -996,6 +996,20 @@ def test_batch_refuses_a_power_that_is_not_positive_and_finite(name):
         for p_watts in ([p], [dbm_to_watts(0.0), p]):
             with pytest.raises(ValueError, match="transmit power must be positive and finite"):
                 BATCHED[name].batch(op, p_watts, [order] * len(p_watts))
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_batch_refuses_an_order_that_operating_point_refuses(name):
+    # every batch checks its orders as OperatingPoint does: orders 0 and 1
+    # divided the erfc argument by zero, and 3 and 2048 gave numbers, 0.9983
+    # for the exact SER at 2048 and 613.9 for dense_highpower
+    op, p = make_op(*PINK, 2, 0.0), dbm_to_watts(0.0)
+    ook = name.startswith("ook")
+    message = "OOK expressions require M = 2" if ook else "modulation order must be a power"
+    for m in (0, 1, 3, 2048):
+        for orders in ([m], [2 if ook else 4, m]):
+            with pytest.raises(ValueError, match=message):
+                BATCHED[name].batch(op, [p] * len(orders), orders)
 
 
 def _nan_erfc_above(limit):
